@@ -321,18 +321,11 @@ def _run_parallelogram(task, norm, rng, tol):
     xi = curvature_field(norm, X, Y, p).values(v)
     target = 2.0 * xi
 
-    transporter = ParallelogramTransporter(norm, X, Y, p)
-    firsts, seconds, rows = [], [], []
-    for h in H_SCHEDULE:
-        plus = transporter.transport(h, v)
-        minus = transporter.transport(-h, v)
-        first = (plus - minus) / (2.0 * h)
-        second = (plus - 2.0 * v + minus) / (h * h)
-        firsts.append(first)
-        seconds.append(second)
-        rows.append(
-            [h, float(np.linalg.norm(first)), float(np.linalg.norm(second - target))]
-        )
+    firsts, seconds = ParallelogramTransporter(norm, X, Y, p).difference_quotients(v)
+    rows = [
+        [h, float(np.linalg.norm(first)), float(np.linalg.norm(second - target))]
+        for h, first, second in zip(H_SCHEDULE, firsts, seconds)
+    ]
     d1, e1 = richardson_extrapolate(firsts, H_SCHEDULE)
     d2, e2 = richardson_extrapolate(seconds, H_SCHEDULE)
 

@@ -166,17 +166,11 @@ class IndicatrixVectorField:
             space = grouped_space(((n, xcap), (n, ycap)))
             E = norm.energy_jet(p, [yc[i] for i in range(n)], xcap=xcap, ycap=ycap)
             F = (2.0 * E).sqrt()
-            if ycap:
-                yj = [Jet.variable(space, n + i, yc[i]) for i in range(n)]
-            else:
-                yj = [Jet.constant(space, yc[i]) for i in range(n)]
+            yj = [Jet.variable(space, n + i, yc[i]) for i in range(n)]
             u = [yi / F for yi in yj]
             u0 = np.stack([np.asarray(ui.value) for ui in u])
             table = parent.bundle_jets(xcap, xcap + ycap, u0)
-            if xcap:
-                xj = [Jet.variable(space, i, p[i]) for i in range(n)]
-            else:
-                xj = [Jet.constant(space, p[i]) for i in range(n)]
+            xj = [Jet.variable(space, i, p[i]) for i in range(n)]
             if u0.ndim > 1:
                 xj = [xi + np.zeros(u0.shape[1]) for xi in xj]
             center = np.concatenate([np.broadcast_to(p[:, None], u0.shape), u0]) \
@@ -498,15 +492,10 @@ class GeneratorSet:
     def up_to_depth(self, depth: int) -> list:
         return [f for f in self.fields if f.depth <= depth]
 
-    def sampled_values(self, count: int = 8):
-        """Indicatrix sample directions and every field's values on them."""
+    def to_payload(self, sample_count: int = 8) -> dict:
         from .transport import indicatrix_samples
 
-        ys = indicatrix_samples(self.norm, self.p, count)
-        return ys, [f.values(ys) for f in self.fields]
-
-    def to_payload(self, sample_count: int = 8) -> dict:
-        ys, vals = self.sampled_values(sample_count)
+        ys = indicatrix_samples(self.norm, self.p, sample_count)
         return {
             "kind": "generator-set",
             "norm": self.norm.name,
@@ -516,7 +505,7 @@ class GeneratorSet:
             "log": [step.as_dict() for step in self.log],
             "samples": {
                 "y": ys.T.tolist(),
-                "values": [v.T.tolist() for v in vals],
+                "values": [f.values(ys).T.tolist() for f in self.fields],
             },
         }
 

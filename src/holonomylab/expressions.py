@@ -27,6 +27,10 @@ __all__ = ["Expression", "ExpressionError", "parse_expression"]
 
 _FUNCTIONS = ("sqrt", "sin", "cos", "exp", "log")
 
+# Evaluation recurses once per tree level; this keeps the deepest accepted
+# tree well inside the interpreter's recursion limit (1000 by default).
+MAX_DEPTH = 200
+
 _BINOPS = {
     ast.Add: lambda a, b: a + b,
     ast.Sub: lambda a, b: a - b,
@@ -141,12 +145,22 @@ def _validate(node, variables: tuple[str, ...]) -> None:
             raise ExpressionError(f"syntax {type(sub).__name__} is not allowed")
 
 
+def _depth(tree: ast.AST) -> int:
+    deepest, stack = 0, [(tree, 1)]
+    while stack:
+        node, level = stack.pop()
+        deepest = max(deepest, level)
+        stack.extend((child, level + 1) for child in ast.iter_child_nodes(node))
+    return deepest
+
+
 def parse_expression(text: str, variables) -> Expression:
     """Parse `text` into an Expression over exactly `variables`.
 
     `^` is accepted as a synonym for exponentiation.  Raises ExpressionError
     for malformed input, names outside `variables` (plus `pi`), calls to
-    anything but sqrt/sin/cos/exp/log, and non-numeric literals.
+    anything but sqrt/sin/cos/exp/log, non-numeric literals, and syntax trees
+    deeper than MAX_DEPTH levels.
     """
     variables = tuple(variables)
     seen = set()
@@ -159,5 +173,12 @@ def parse_expression(text: str, variables) -> Expression:
         tree = ast.parse(source, mode="eval")
     except SyntaxError as exc:
         raise ExpressionError(f"cannot parse {text!r}: {exc.msg}") from None
+    except (RecursionError, MemoryError):
+        raise ExpressionError(
+            f"expression of {len(text)} characters is too large for the parser"
+        ) from None
+    depth = _depth(tree)
+    if depth > MAX_DEPTH:
+        raise ExpressionError(f"expression nests {depth} levels deep; at most {MAX_DEPTH} allowed")
     _validate(tree, variables)
     return Expression(text, variables, tree.body)

@@ -178,17 +178,8 @@ class FinslerNorm:
         x = self.manifold.require(np.asarray(x, dtype=float))
         n = self.dim
         space = grouped_space(((n, xcap), (n, ycap)))
-        # a cap-0 group cannot carry linear terms; seed those inputs as constants
-        xj = [
-            Jet.variable(space, i, x[i]) if xcap else Jet.constant(space, x[i])
-            for i in range(n)
-        ]
-        yj = [
-            Jet.variable(space, n + i, np.asarray(y[i], dtype=float))
-            if ycap
-            else Jet.constant(space, np.asarray(y[i], dtype=float))
-            for i in range(n)
-        ]
+        xj = [Jet.variable(space, i, x[i]) for i in range(n)]
+        yj = [Jet.variable(space, n + i, np.asarray(y[i], dtype=float)) for i in range(n)]
         return self._fsq(xj, yj) * 0.5
 
     @classmethod

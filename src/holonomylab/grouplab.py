@@ -21,7 +21,9 @@ Conventions, pinned once and checked by the fixture oracle in the tests:
 
 Everything is evaluated on truncated Taylor jets, so derivatives of the
 constructed curves are exact at the truncation order; finite differences
-serve only as the independent cross-check.
+serve only as the independent cross-check.  A matrix of jets is one Jet
+whose batch axis holds the n * n entries in row-major order, so products
+and inverses run whole rows or whole matrices through each jet operation.
 """
 
 from __future__ import annotations
@@ -50,64 +52,90 @@ def _square(X, n: int | None = None) -> np.ndarray:
     return X
 
 
-def _identity_rows(space, n: int):
-    return [
-        [Jet.constant(space, 1.0 if i == j else 0.0) for j in range(n)]
-        for i in range(n)
-    ]
+def _matrix_jet(out) -> Jet:
+    """A matrix jet as is, or one stacked from an n x n grid of scalar jets."""
+    if isinstance(out, Jet):
+        return out
+    entries = [e for row in out for e in row]
+    return Jet(entries[0].space, np.stack([e.coeffs for e in entries], axis=1))
 
 
-def _mat_mul(A, B):
-    n = len(A)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = A[i][0] * B[0][j]
-            for k in range(1, n):
-                acc = acc + A[i][k] * B[k][j]
-            row.append(acc)
-        out.append(row)
-    return out
+def _entries(M: Jet) -> np.ndarray:
+    """The (n, n) object array of the scalar entry jets of a matrix jet."""
+    n = math.isqrt(M.coeffs.shape[1])
+    out = np.empty(n * n, dtype=object)
+    out[:] = [Jet(M.space, c) for c in M.coeffs.T]
+    return out.reshape(n, n)
 
 
-def _mat_inv(rows):
-    """Invert a matrix of jets by Gauss-Jordan elimination.
+def _plus_scaled(M: Jet, c: Jet, C: np.ndarray) -> Jet:
+    """M + c C for a scalar jet c and a constant matrix C.
+
+    Entries where C vanishes keep their bits: adding c * 0 would turn a
+    -0.0 coefficient into +0.0.
+    """
+    nz = np.flatnonzero(C)
+    coeffs = M.coeffs.copy()
+    coeffs[:, nz] += c.coeffs[:, None] * C.ravel()[nz]
+    return Jet(M.space, coeffs)
+
+
+def _mat_mul(A: Jet, B: Jet) -> Jet:
+    """Matrix product: one jet multiply over every (i, k, j), then the sum over k.
+
+    The sum runs k = 0, 1, ... in order so that each entry rounds exactly as
+    the scalar expansion A_i0 B_0j + A_i1 B_1j + ... does.
+    """
+    n = math.isqrt(A.coeffs.shape[1])
+    ii, kk, jj = np.indices((n, n, n)).reshape(3, -1)
+    terms = A.space.multiply(A.coeffs[:, ii * n + kk], B.coeffs[:, kk * n + jj])
+    terms = terms.reshape(-1, n, n, n)
+    acc = terms[:, :, 0, :]
+    for k in range(1, n):
+        acc = acc + terms[:, :, k, :]
+    return Jet(A.space, acc.reshape(-1, n * n))
+
+
+def _mat_inv(M: Jet) -> Jet:
+    """Invert a matrix jet by Gauss-Jordan elimination on its row jets.
 
     Pivots are chosen by the magnitude of the value part; a pivot below
     PIVOT_TOL means the curve left the invertible matrices at the expansion
     point.
     """
-    n = len(rows)
-    space = rows[0][0].space
-    A = [list(r) for r in rows]
-    B = _identity_rows(space, n)
+    n = math.isqrt(M.coeffs.shape[1])
+    space = M.space
+    A = [Jet(space, M.coeffs[:, r * n:(r + 1) * n]) for r in range(n)]
+    B = [Jet.constant(space, row) for row in np.eye(n)]
     for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(float(A[r][col].value)))
-        if abs(float(A[piv][col].value)) < PIVOT_TOL:
+        piv = max(range(col, n), key=lambda r: abs(float(A[r].value[col])))
+        if abs(float(A[piv].value[col])) < PIVOT_TOL:
             raise ValueError("matrix curve is singular at the expansion point")
         if piv != col:
             A[col], A[piv] = A[piv], A[col]
             B[col], B[piv] = B[piv], B[col]
-        inv = 1.0 / A[col][col]
-        A[col] = [a * inv for a in A[col]]
-        B[col] = [b * inv for b in B[col]]
+        inv = 1.0 / Jet(space, A[col].coeffs[:, col])
+        A[col] = A[col] * inv
+        B[col] = B[col] * inv
         for r in range(n):
             if r == col:
                 continue
-            f = A[r][col]
+            f = Jet(space, A[r].coeffs[:, col])
             if not np.any(f.coeffs):
                 continue
-            A[r] = [a - f * m for a, m in zip(A[r], A[col])]
-            B[r] = [b - f * m for b, m in zip(B[r], B[col])]
-    return B
+            A[r] = A[r] - f * A[col]
+            B[r] = B[r] - f * B[col]
+    return Jet(space, np.hstack([b.coeffs for b in B]))
 
 
 class MatrixCurve:
     """A jet-evaluable curve of invertible matrices through the identity.
 
-    The evaluator maps a scalar jet t to an n x n nested list of jets in the
-    same space; the constructor checks that the value at t = 0 is the
+    The evaluator maps a scalar jet t to the matrix jet of the curve: one
+    Jet in the same space whose batch axis holds the n * n entries in
+    row-major order.  An evaluator may instead return an n x n grid (nested
+    lists or an object array) of scalar jets; the constructor stacks it into
+    a matrix jet.  The constructor checks that the value at t = 0 is the
     identity within IDENTITY_TOL.  `order`, when set, declares the contact
     order the construction guarantees; it is a trusted hint, and
     order_of_contact measures the truth.
@@ -115,7 +143,7 @@ class MatrixCurve:
 
     def __init__(self, n: int, evaluator, name: str = "curve", order: int | None = None):
         self.n = int(n)
-        self._evaluator = evaluator
+        self._evaluator = lambda tj: _matrix_jet(evaluator(tj))
         self.name = str(name)
         self.order = None if order is None else int(order)
         at_zero = self.value(0.0)
@@ -129,27 +157,15 @@ class MatrixCurve:
     # -- evaluation ----------------------------------------------------------
 
     def jets(self, t, order: int | None = None) -> np.ndarray:
-        """Matrix of jets at center t (a float, or an already seeded jet)."""
-        if isinstance(t, Jet):
-            rows = self._evaluator(t)
-        else:
+        """(n, n) array of entry jets at center t (a float, or an already seeded jet)."""
+        if not isinstance(t, Jet):
             if order is None:
                 raise ValueError("order required when seeding from a float center")
-            space = jet_space(1, int(order))
-            if order == 0:
-                tj = Jet.constant(space, float(t))
-            else:
-                tj = Jet.variable(space, 0, float(t))
-            rows = self._evaluator(tj)
-        out = np.empty((self.n, self.n), dtype=object)
-        for i in range(self.n):
-            for j in range(self.n):
-                out[i, j] = rows[i][j]
-        return out
+            t = Jet.variable(jet_space(1, int(order)), 0, float(t))
+        return _entries(self._evaluator(t))
 
     def value(self, t: float) -> np.ndarray:
-        jets = self.jets(float(t), 0)
-        return np.array([[float(jets[i, j].value) for j in range(self.n)] for i in range(self.n)])
+        return _matrix_jet(self.jets(float(t), 0)).value.reshape(self.n, self.n)
 
     def derivative(self, k: int) -> np.ndarray:
         """k-th derivative of the curve at t = 0."""
@@ -157,15 +173,8 @@ class MatrixCurve:
 
     def derivatives(self, max_order: int) -> list[np.ndarray]:
         """Derivatives 0..max_order at t = 0 from one jet evaluation."""
-        jets = self.jets(0.0, int(max_order))
-        out = []
-        for m in range(int(max_order) + 1):
-            out.append(
-                np.array(
-                    [[float(jets[i, j].derivative(m)) for j in range(self.n)] for i in range(self.n)]
-                )
-            )
-        return out
+        M = _matrix_jet(self.jets(0.0, int(max_order)))
+        return [M.derivative(m).reshape(self.n, self.n) for m in range(int(max_order) + 1)]
 
     # -- constructors ----------------------------------------------------------
 
@@ -189,17 +198,14 @@ class MatrixCurve:
             s0 = float(np.asarray(s.value))
             h = s - s0
             E = expm(s0 * X)
-            rows = [[Jet.constant(s.space, E[i, j]) for j in range(n)] for i in range(n)]
+            M = Jet.constant(s.space, E.ravel())
             term = E
             hm = None
             for m in range(1, s.space.max_total + 1):
                 term = term @ X / m
                 hm = h if m == 1 else hm * h
-                for i in range(n):
-                    for j in range(n):
-                        if term[i, j] != 0.0:
-                            rows[i][j] = rows[i][j] + hm * term[i, j]
-            return rows
+                M = _plus_scaled(M, hm, term)
+            return M
 
         label = name if name is not None else (f"exp(t^{power}X)" if power != 1 else "exp(tX)")
         order = power if np.any(X) else None
@@ -218,15 +224,10 @@ class MatrixCurve:
                 clean[m] = C
 
         def evaluator(tj: Jet):
-            rows = _identity_rows(tj.space, n)
+            M = Jet.constant(tj.space, np.eye(n).ravel())
             for m in sorted(clean):
-                tm = tj**m
-                C = clean[m]
-                for i in range(n):
-                    for j in range(n):
-                        if C[i, j] != 0.0:
-                            rows[i][j] = rows[i][j] + tm * C[i, j]
-            return rows
+                M = _plus_scaled(M, tj**m, clean[m])
+            return M
 
         order = min(clean) if clean else None
         return MatrixCurve(n, evaluator, name=name or "poly", order=order)
@@ -329,7 +330,7 @@ class CommutatorFamily:
         self.n = phi.n
         self.name = f"comm({phi.name},{psi.name})"
 
-    def _rows(self, t: Jet, s: Jet):
+    def _matrix(self, t: Jet, s: Jet) -> Jet:
         F = self.phi._evaluator(t)
         P = self.psi._evaluator(s)
         return _mat_mul(_mat_mul(P, F), _mat_mul(_mat_inv(P), _mat_inv(F)))
@@ -337,35 +338,26 @@ class CommutatorFamily:
     def jets(self, t: Jet, s: Jet) -> np.ndarray:
         if t.space is not s.space:
             raise ValueError("t and s must be seeded in one two-parameter space")
-        rows = self._rows(t, s)
-        out = np.empty((self.n, self.n), dtype=object)
-        for i in range(self.n):
-            for j in range(self.n):
-                out[i, j] = rows[i][j]
-        return out
+        return _entries(self._matrix(t, s))
 
     def value(self, t: float, s: float) -> np.ndarray:
         space = jet_space(2, 0)
-        rows = self._rows(Jet.constant(space, float(t)), Jet.constant(space, float(s)))
-        return np.array([[float(rows[i][j].value) for j in range(self.n)] for i in range(self.n)])
+        M = self._matrix(Jet.constant(space, float(t)), Jet.constant(space, float(s)))
+        return M.value.reshape(self.n, self.n)
 
     def mixed_derivative(self, k: int | None = None, l: int | None = None) -> np.ndarray:
         """The d^{k+l} c / dt^k ds^l derivative at the origin."""
         k = _tangent_order(self.phi) if k is None else int(k)
         l = _tangent_order(self.psi) if l is None else int(l)
         space = grouped_space(((1, k), (1, l)))
-        t = Jet.variable(space, 0, 0.0)
-        s = Jet.variable(space, 1, 0.0)
-        c = self.jets(t, s)
-        return np.array(
-            [[float(c[i, j].derivative((k, l))) for j in range(self.n)] for i in range(self.n)]
-        )
+        M = self._matrix(Jet.variable(space, 0, 0.0), Jet.variable(space, 1, 0.0))
+        return M.derivative((k, l)).reshape(self.n, self.n)
 
     def diagonal(self, name: str | None = None) -> MatrixCurve:
         """The curve t -> c(t, t); contact order k + l when the bracket is nonzero."""
         return MatrixCurve(
             self.n,
-            lambda tj: self._rows(tj, tj),
+            lambda tj: self._matrix(tj, tj),
             name=name or f"diag({self.name})",
         )
 
@@ -499,7 +491,7 @@ def weak_tangency_reparam(phi: MatrixCurve, reading: str = "exact") -> MatrixCur
     def evaluator(tj: Jet):
         val = np.asarray(tj.value, dtype=float)
         if tj.space.max_total == 0 and np.all(val == 0.0):
-            return _identity_rows(tj.space, n)
+            return Jet.constant(tj.space, np.eye(n).ravel())
         if np.any(val <= 0.0):
             raise JetDomainError("weak tangent curves are one-sided; evaluate at t > 0")
         u = (tj * kf) ** p if reading == "exact" else (tj**p) * kf

@@ -12,6 +12,7 @@ function being differentiated, so each one validates the other.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -32,7 +33,6 @@ __all__ = [
     "DerivativeEstimate",
     "jet_space",
     "grouped_space",
-    "jet_constant",
     "jet_variable",
     "jet_point",
     "jet_arithmetic",
@@ -254,12 +254,18 @@ class Jet:
 
     @staticmethod
     def variable(space: JetSpace, var: int, value) -> "Jet":
+        """The coordinate jet of variable `var` expanded at `value`.
+
+        A variable whose group has cap 0 has no linear slot; its jet is the
+        constant `value`, which is the exact truncation of the coordinate.
+        """
+        if not 0 <= var < space.num_vars:
+            raise JetShapeError(
+                f"variable {var} outside the {space.num_vars} variables of {space.groups}"
+            )
         jet = Jet.constant(space, value)
-        seed = tuple(1 if v == var else 0 for v in range(space.num_vars))
-        pos = space.position.get(seed)
-        if pos is None:
-            raise JetOrderError(f"space {space.groups} cannot seed variable {var}")
-        jet.coeffs[pos] = 1.0
+        if space.caps[space._group_of_var[var]]:
+            jet.coeffs[space.position[tuple(int(v == var) for v in range(space.num_vars))]] = 1.0
         return jet
 
     # -- inspection --------------------------------------------------------
@@ -291,12 +297,6 @@ class Jet:
                 f"multi-index {multi} not carried by space {self.space.groups}"
             )
         return self.coeffs[pos] * self.space.fact[pos]
-
-    def derivatives_1d(self) -> np.ndarray:
-        """All derivatives (0..order) of a one-variable jet."""
-        if self.space.num_vars != 1:
-            raise JetShapeError("derivatives_1d needs a one-variable jet")
-        return self.coeffs * self.space.fact if self.coeffs.ndim == 1 else self.coeffs * self.space.fact[:, None]
 
     def copy(self) -> "Jet":
         return Jet(self.space, self.coeffs.copy())
@@ -453,10 +453,6 @@ class Jet:
                 full[v] = d
             take[i] = self.space.position[tuple(full)]
         return Jet(dst, self.coeffs[take])
-
-
-def jet_constant(space: JetSpace, value) -> Jet:
-    return Jet.constant(space, value)
 
 
 def jet_variable(space: JetSpace, var: int, value) -> Jet:
@@ -645,10 +641,7 @@ class SmoothMap:
         return self.jets(jet_point(space, x))
 
     def value(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        space = jet_space(self.dim_in, 0)
-        out = self.jets([Jet.constant(space, x[v]) for v in range(self.dim_in)])
-        return np.stack([np.asarray(j.value) for j in out])
+        return np.stack([np.asarray(j.value) for j in self.jet(x, 0)])
 
     def jacobian(self, x) -> np.ndarray:
         out = self.jet(x, 1)
@@ -719,21 +712,6 @@ def richardson_extrapolate(values: Sequence[np.ndarray], steps: Sequence[float],
     return T[n - 1], err
 
 
-def _call_value(c, t: float) -> np.ndarray:
-    if isinstance(c, SmoothMap):
-        return c.value(np.array([t]))
-    return np.asarray(c(t), dtype=float)
-
-
-def _call_jet(c, tjet: Jet):
-    out = c.jets([tjet]) if isinstance(c, SmoothMap) else c(tjet)
-    if isinstance(out, Jet):
-        arr = np.empty((), dtype=object)
-        arr[()] = out
-        return arr
-    return np.asarray(out, dtype=object)
-
-
 def _collect(jet_arr: np.ndarray, extract) -> np.ndarray | float:
     """Map `extract` over an object array of jets, stacking batched results."""
     parts = [np.asarray(extract(j), dtype=float) for j in jet_arr.ravel()]
@@ -746,6 +724,50 @@ def _stencil(k: int) -> tuple[np.ndarray, np.ndarray]:
     m = (k + 1) // 2
     nodes = np.arange(-m, m + 1, dtype=float)
     return nodes, finite_difference_weights(k, nodes)
+
+
+def _partial(f, orders: tuple, mode: str, schedule, threshold: float) -> DerivativeEstimate:
+    """The derivative of multi-index `orders` at the origin, one parameter per entry.
+
+    Jet mode seeds one group per parameter, with cap equal to its order.
+    Richardson mode runs the tensor product of central stencils with every
+    step halved together, extrapolates, and flags convergence.
+    """
+    if min(orders) < 0:
+        raise ValueError("derivative order must be >= 0")
+    if mode == "jet":
+        space = grouped_space(tuple((1, k) for k in orders))
+        args = [Jet.variable(space, v, 0.0) for v in range(len(orders))]
+        out = f.jets(args) if isinstance(f, SmoothMap) else f(*args)
+        if isinstance(out, Jet):
+            arr = np.empty((), dtype=object)
+            arr[()] = out
+        else:
+            arr = np.asarray(out, dtype=object)
+        return DerivativeEstimate(_collect(arr, lambda j: j.derivative(orders)), 0.0, True, "jet")
+    if mode != "richardson":
+        raise ValueError(f"unknown mode {mode!r}")
+    schedule = tuple(schedule) if schedule is not None else _RICHARDSON_SCHEDULE
+    stencils = [list(zip(*_stencil(k))) for k in orders]
+    estimates = []
+    for h in schedule:
+        acc = None
+        for taps in itertools.product(*stencils):
+            weight = math.prod(w for _, w in taps)
+            if weight == 0.0:
+                continue
+            point = [float(node * h) for node, _ in taps]
+            if isinstance(f, SmoothMap):
+                term = weight * f.value(np.array(point))
+            else:
+                term = weight * np.asarray(f(*point), dtype=float)
+            acc = term if acc is None else acc + term
+        estimates.append(acc / h ** sum(orders))
+    value, err = richardson_extrapolate(estimates, schedule)
+    if value.ndim == 0:
+        value = float(value)
+    scale = max(1.0, float(np.max(np.abs(value))))
+    return DerivativeEstimate(value, err, bool(err <= threshold * scale), "richardson")
 
 
 def curve_derivative(
@@ -764,30 +786,7 @@ def curve_derivative(
     value scale) flags the estimate as non-converged; the value is still
     returned.
     """
-    if k < 0:
-        raise ValueError("derivative order must be >= 0")
-    if mode == "jet":
-        space = jet_space(1, k)
-        jets = _call_jet(c, Jet.variable(space, 0, 0.0))
-        return DerivativeEstimate(_collect(jets, lambda j: j.derivative(k)), 0.0, True, "jet")
-    if mode != "richardson":
-        raise ValueError(f"unknown mode {mode!r}")
-    schedule = tuple(schedule) if schedule is not None else _RICHARDSON_SCHEDULE
-    nodes, weights = _stencil(k)
-    estimates = []
-    for h in schedule:
-        acc = None
-        for node, w in zip(nodes, weights):
-            if w == 0.0:
-                continue
-            term = w * _call_value(c, float(node * h))
-            acc = term if acc is None else acc + term
-        estimates.append(acc / h**k)
-    value, err = richardson_extrapolate(estimates, schedule)
-    if value.ndim == 0:
-        value = float(value)
-    scale = max(1.0, float(np.max(np.abs(value))))
-    return DerivativeEstimate(value, err, bool(err <= threshold * scale), "richardson")
+    return _partial(c, (k,), mode, schedule, threshold)
 
 
 def mixed_partial(
@@ -804,38 +803,4 @@ def mixed_partial(
     two-group space carrying exactly (k, l) orders, richardson mode uses a
     tensor-product central stencil with both steps halved together.
     """
-    if mode == "jet":
-        space = grouped_space(((1, k), (1, l)))
-        t = Jet.variable(space, 0, 0.0)
-        s = Jet.variable(space, 1, 0.0)
-        out = f.jets([t, s]) if isinstance(f, SmoothMap) else f(t, s)
-        if isinstance(out, Jet):
-            arr = np.empty((), dtype=object)
-            arr[()] = out
-        else:
-            arr = np.asarray(out, dtype=object)
-        value = _collect(arr, lambda j: j.derivative((k, l)))
-        return DerivativeEstimate(value, 0.0, True, "jet")
-    if mode != "richardson":
-        raise ValueError(f"unknown mode {mode!r}")
-    schedule = tuple(schedule) if schedule is not None else _RICHARDSON_SCHEDULE
-    tn, tw = _stencil(k)
-    sn, sw = _stencil(l)
-    call = (lambda t, s: f.value(np.array([t, s]))) if isinstance(f, SmoothMap) else f
-    estimates = []
-    for h in schedule:
-        acc = None
-        for a, wa in zip(tn, tw):
-            if wa == 0.0:
-                continue
-            for b, wb in zip(sn, sw):
-                if wb == 0.0:
-                    continue
-                term = (wa * wb) * np.asarray(call(float(a * h), float(b * h)), dtype=float)
-                acc = term if acc is None else acc + term
-        estimates.append(acc / h ** (k + l))
-    value, err = richardson_extrapolate(estimates, schedule)
-    if value.ndim == 0:
-        value = float(value)
-    scale = max(1.0, float(np.max(np.abs(value))))
-    return DerivativeEstimate(value, err, bool(err <= threshold * scale), "richardson")
+    return _partial(f, (k, l), mode, schedule, threshold)

@@ -64,8 +64,6 @@ def _seed_jets(dim: int, center, order: int) -> list:
     if center.shape[0] != dim:
         raise ValueError(f"center has {center.shape[0]} components, field has {dim}")
     space = jet_space(dim, order)
-    if order == 0:  # a cap-0 space has no linear slots to seed
-        return [Jet.constant(space, center[i]) for i in range(dim)]
     return [Jet.variable(space, i, center[i]) for i in range(dim)]
 
 

@@ -603,6 +603,21 @@ class ParallelogramTransporter:
             self.norm, loop.loop, samples, atol=self.atol, rtol=self.rtol
         ).y_end
 
+    def difference_quotients(self, v, schedule=H_SCHEDULE):
+        """Central first and second differences of t -> h_t(v), one per step.
+
+        h_0(v) = v is exact and anchors the second-difference stencil.
+        Returns (firsts, seconds), two lists in the order of `schedule`.
+        """
+        v = np.asarray(v, dtype=float)
+        firsts, seconds = [], []
+        for t in schedule:
+            plus = self.transport(t, v)
+            minus = self.transport(-t, v)
+            firsts.append((plus - minus) / (2.0 * t))
+            seconds.append((plus - 2.0 * v + minus) / (t * t))
+        return firsts, seconds
+
     def max_admissible_t(self, t_target: float, iterations: int = 12) -> float:
         """Largest |t| <= |t_target| (same sign) whose loop stays in chart."""
         lo, hi = 0.0, abs(t_target)
@@ -660,22 +675,13 @@ def parallelogram_derivatives(
 ):
     """First and second t-derivatives of t -> h_t(v) at t = 0.
 
-    Central differences over the fixed halving schedule, extrapolated in
-    t^2; h_0(v) = v is exact and anchors the second-difference stencil.
-    Returns (first, second) as DerivativeEstimate-like pairs
+    The difference quotients over the fixed halving schedule, extrapolated
+    in t^2.  Returns (first, second) as DerivativeEstimate-like pairs
     ((value, error), (value, error)).
     """
     tr = ParallelogramTransporter(norm, X, Y, p, atol=atol, rtol=rtol)
-    v = np.asarray(v, dtype=float)
-    firsts, seconds = [], []
-    for t in schedule:
-        plus = tr.transport(t, v)
-        minus = tr.transport(-t, v)
-        firsts.append((plus - minus) / (2.0 * t))
-        seconds.append((plus - 2.0 * v + minus) / (t * t))
-    d1, e1 = richardson_extrapolate(firsts, schedule)
-    d2, e2 = richardson_extrapolate(seconds, schedule)
-    return (d1, e1), (d2, e2)
+    firsts, seconds = tr.difference_quotients(v, schedule)
+    return richardson_extrapolate(firsts, schedule), richardson_extrapolate(seconds, schedule)
 
 
 @dataclass

@@ -271,6 +271,19 @@ def test_expression_metric_roundtrip(tmp_path):
     assert read_report(out)["tasks"][0]["results"]["name"] == "flat-expr"
 
 
+def test_oversized_metric_expression_exits_2(tmp_path, capsys):
+    for terms in (1200, 20000):
+        norm = "sqrt(" + " + ".join(["y1^2 + y2^2"] * terms) + ")"
+        payload = {
+            "metric": {"norm": norm, "lo": [-1.0, -1.0], "hi": [1.0, 1.0]},
+            "command": "metric-check",
+            "samples": 4,
+        }
+        code, _ = run_cli(tmp_path, payload)
+        assert code == EXIT_CONFIG
+        assert "tasks/0/metric" in capsys.readouterr().err
+
+
 def test_numeric_task_error_is_captured(tmp_path):
     # base point outside the chart: the task fails, the run still reports
     payload = {

@@ -107,3 +107,13 @@ def test_wrong_arity_call():
 def test_pi_is_math_pi():
     e = parse_expression("pi", ())
     assert e() == math.pi
+
+
+def test_oversized_expressions_rejected():
+    # 1,200 terms parse but nest past MAX_DEPTH; 20,000 overflow the parser itself
+    for terms, reason in ((1200, "levels deep"), (20000, "too large")):
+        text = "sqrt(" + " + ".join(["y1^2"] * terms) + ")"
+        with pytest.raises(ExpressionError, match=reason):
+            parse_expression(text, ("x1", "y1"))
+    text = "sqrt(" + " + ".join(["y1^2"] * 150) + ")"
+    assert parse_expression(text, ("x1", "y1"))(0.0, 2.0) == pytest.approx(2.0 * math.sqrt(150))

@@ -256,3 +256,21 @@ def test_richardson_extrapolate_kills_h2_error():
 def test_spaces_are_cached():
     assert jet_space(2, 3) is jet_space(2, 3)
     assert grouped_space(((2, 1), (2, 3))) is grouped_space(((2, 1), (2, 3)))
+
+
+def test_variable_outside_the_space_rejected():
+    sp = jet_space(2, 2)
+    for var in (-1, 2, 5):
+        with pytest.raises(JetShapeError):
+            Jet.variable(sp, var, 3.0)
+
+
+def test_cap_zero_variable_is_the_truncated_variable():
+    big = grouped_space(((2, 2), (2, 3)))
+    for groups in (((2, 0), (2, 3)), ((2, 2), (2, 0)), ((2, 0), (2, 0))):
+        for var in range(4):
+            value = np.array([0.3, -1.2])
+            seeded = Jet.variable(grouped_space(groups), var, value)
+            truncated = Jet.variable(big, var, value).truncated(groups)
+            assert seeded.space is truncated.space
+            assert np.array_equal(seeded.coeffs, truncated.coeffs)
