@@ -8,9 +8,11 @@ closures, the inclusion-chain report, and the matrix-group constructions.
 
 Reports are deterministic: identical config and seed produce byte-identical
 report.json (keys sorted, task randomness drawn from per-task seed
-sequences); wall-clock timestamps live in the report.meta.json sidecar.  CSV
-tables (RFC 4180, CRLF line endings) carry the plot-ready series: singular
-values, convergence errors, derivative-vs-step diagnostics.
+sequences); wall-clock timestamps live in the report.meta.json sidecar.
+report.json is RFC 8259 JSON: a non-finite result is written as null, and a
+check whose value is not finite fails.  CSV tables (RFC 4180, CRLF line
+endings) carry the plot-ready series: singular values, convergence errors,
+derivative-vs-step diagnostics.
 
 Exit codes: 0 all declared tolerance checks pass, 1 a numeric check failed
 (report still written), 2 config errors (schema violations, unknown metric,
@@ -133,7 +135,8 @@ def load_schema(name: str) -> dict:
 
 
 def _py(obj):
-    """Recursively convert numpy scalars and arrays for JSON emission."""
+    """Recursively convert numpy scalars and arrays for JSON emission; NaN and
+    infinities become None."""
     if isinstance(obj, dict):
         return {str(k): _py(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -141,16 +144,21 @@ def _py(obj):
     if isinstance(obj, np.ndarray):
         return _py(obj.tolist())
     if isinstance(obj, (np.floating, float)):
-        return float(obj)
+        return float(obj) if math.isfinite(obj) else None
     if isinstance(obj, (np.integer, int)) and not isinstance(obj, bool):
         return int(obj)
     return obj
 
 
 def _check(name: str, value, tol) -> dict:
-    value = float(value)
-    tol = float(tol)
-    return {"name": name, "value": value, "tolerance": tol, "passed": bool(value <= tol)}
+    value, tol = float(value), float(tol)
+    passed = math.isfinite(value) and value <= tol
+    value = value if math.isfinite(value) else None
+    return {"name": name, "value": value, "tolerance": tol, "passed": passed}
+
+
+def _non_finite(name: str):
+    raise ConfigError(f"{name} is not a JSON number")
 
 
 def validate_config(config) -> list:
@@ -640,7 +648,8 @@ def emit(report: dict, tables, out_dir, formats) -> list:
     written = []
     if "json" in formats:
         path = out / "report.json"
-        path.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+        text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
+        path.write_text(text + "\n", encoding="utf-8")
         written.append(path)
         meta = {"created": datetime.now(timezone.utc).isoformat()}
         meta_path = out / "report.meta.json"
@@ -699,12 +708,15 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        config = json.loads(text)
+        config = json.loads(text, parse_constant=_non_finite)
     except json.JSONDecodeError as exc:
         print(
             f"config error: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}",
             file=sys.stderr,
         )
+        return EXIT_CONFIG
+    except ConfigError as exc:
+        print(f"config error: invalid JSON: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
     problems = validate_config(config)

@@ -61,11 +61,12 @@ class IndicatrixVectorField:
     """A vertical vector field along the indicatrix over the base point p.
 
     Only fiber components are stored, so verticality is structural.  The
-    field is a jet evaluator: `bundle_jets(xcap, ycap, y_center)` returns the
-    components xi^i as jets in the bundle space with per-group caps
-    (xcap, ycap), seeded at (p, y_center).  Fields built from spray data are
-    therefore fibered: they know their x-dependence near p, which is what the
-    covariant derivative consumes.
+    field is a jet evaluator: `evaluator(xcap, ycap, y_center)` returns the
+    field as one jet of value shape (n, *batch) in the bundle space with
+    per-group caps (xcap, ycap), seeded at (p, y_center), and `bundle_jets`
+    splits it into one jet per component xi^i.  Fields built from spray
+    data are therefore fibered: they know their x-dependence near p, which
+    is what the covariant derivative consumes.
 
     `homogeneity` records the radial degree of the components in y when it
     is known: 1 for raw curvature fields, 0 after `radialized()`, None for
@@ -113,7 +114,7 @@ class IndicatrixVectorField:
 
         y_center entries may be (B,) arrays for a batched evaluation.
         """
-        return self._evaluator(int(xcap), int(ycap), np.asarray(y_center, dtype=float))
+        return self._evaluator(int(xcap), int(ycap), np.asarray(y_center, float)).unstack()
 
     def taylor(self, center, order: int) -> list:
         """Fiber-only jets at y = center, one per component, in jet_space(n, order)."""
@@ -138,7 +139,7 @@ class IndicatrixVectorField:
             ys = ys[:, None]
         n = self.dim
         E = self.norm.energy_jet(self.p, list(ys), xcap=0, ycap=1)
-        Ey = np.stack([np.asarray(E.derivative_table(n + i).value) for i in range(n)])
+        Ey = E.gradient(range(n, 2 * n)).value
         F = np.sqrt(2.0 * np.asarray(E.value))
         Fy = Ey / F  # dF/dy^i = (dE/dy^i) / F
         xi = self.values(ys)
@@ -164,18 +165,14 @@ class IndicatrixVectorField:
 
         def evaluator(xcap, ycap, yc):
             space = grouped_space(((n, xcap), (n, ycap)))
-            E = norm.energy_jet(p, [yc[i] for i in range(n)], xcap=xcap, ycap=ycap)
-            F = (2.0 * E).sqrt()
-            yj = [Jet.variable(space, n + i, yc[i]) for i in range(n)]
-            u = [yi / F for yi in yj]
-            u0 = np.stack([np.asarray(ui.value) for ui in u])
-            table = parent.bundle_jets(xcap, xcap + ycap, u0)
-            xj = [Jet.variable(space, i, p[i]) for i in range(n)]
-            if u0.ndim > 1:
-                xj = [xi + np.zeros(u0.shape[1]) for xi in xj]
-            center = np.concatenate([np.broadcast_to(p[:, None], u0.shape), u0]) \
-                if u0.ndim > 1 else np.concatenate([p, u0])
-            return [compose_table(t, xj + u, center) for t in table]
+            E = norm.energy_jet(p, list(yc), xcap=xcap, ycap=ycap)
+            y = Jet.stack([Jet.variable(space, n + i, yc[i]) for i in range(n)])
+            u = y / (2.0 * E).sqrt()
+            table = Jet.stack(parent.bundle_jets(xcap, xcap + ycap, u.value))
+            batch = np.zeros(yc.shape[1:])
+            xj = [Jet.variable(space, i, p[i]) + batch for i in range(n)]
+            center = np.concatenate([p.reshape(p.shape + (1,) * batch.ndim) + batch, u.value])
+            return compose_table(table, xj + u.unstack(), center)
 
         return IndicatrixVectorField(
             norm,
@@ -219,7 +216,7 @@ def _base_values_or_jets(X: SmoothMap, p, space, xcap: int, batch):
     if xcap:
         n = p.shape[0]
         xj = [Jet.variable(space, i, p[i]) for i in range(n)]
-        if batch is not None:
+        if batch:
             xj = [xi + np.zeros(batch) for xi in xj]
         return X.jets(xj)
     vals = X.value(p)
@@ -242,35 +239,31 @@ def curvature_field(norm: FinslerNorm, X: SmoothMap, Y: SmoothMap, p) -> Indicat
     """
     p = norm.manifold.require(np.asarray(p, dtype=float))
     n = norm.dim
+    xs, ys = range(n), range(n, 2 * n)
 
     def evaluator(xcap, ycap, yc):
         target = ((n, xcap), (n, ycap))
-        G = spray_jets(norm, p, [yc[i] for i in range(n)], xorder=xcap + 1, yorder=ycap + 2)
-        Gy = [[G[k].derivative_table(n + i) for i in range(n)] for k in range(n)]
-        Gyx = [
-            [[Gy[k][i].derivative_table(j).truncated(target) for j in range(n)] for i in range(n)]
-            for k in range(n)
-        ]
-        Gyt = [[Gy[k][i].truncated(target) for i in range(n)] for k in range(n)]
-        Gyy = [
-            [[Gy[k][i].derivative_table(n + j).truncated(target) for j in range(n)] for i in range(n)]
-            for k in range(n)
-        ]
-        batch = G[0].batch
+        G = Jet.stack(spray_jets(norm, p, list(yc), xorder=xcap + 1, yorder=ycap + 2))
+        Gy = G.gradient(ys, axis=1)  # [k, i] = G^k_i
+        Gyt = Gy.truncated(target)
+        Gyy = Gy.gradient(ys, axis=2).truncated(target)  # [k, i, l] = G^k_il
+        # R[k, i, j] = R^k_ij, from dG^k_i/dx^j - dG^k_j/dx^i; each l then adds
+        # its two terms for every (k, i, j) at once
+        R = Gy.gradient(xs, axis=2).truncated(target) - Gy.gradient(xs, axis=1).truncated(target)
+        for l in range(n):
+            R = (
+                R
+                + Gyt.at(np.s_[None, l, :, None]) * Gyy.at(np.s_[:, None, :, l])
+                - Gyt.at(np.s_[None, l, None, :]) * Gyy.at(np.s_[:, :, None, l])
+            )
         space = grouped_space(target)
-        Xc = _base_values_or_jets(X, p, space, xcap, batch)
-        Yc = _base_values_or_jets(Y, p, space, xcap, batch)
-        out = []
-        for k in range(n):
-            acc = Jet.constant(space, 0.0 if batch is None else np.zeros(batch))
-            for i in range(n):
-                for j in range(n):
-                    R = Gyx[k][i][j] - Gyx[k][j][i]
-                    for l in range(n):
-                        R = R + Gyt[l][i] * Gyy[k][j][l] - Gyt[l][j] * Gyy[k][i][l]
-                    acc = acc + R * Xc[i] * Yc[j]
-            out.append(acc)
-        return out
+        Xc = _base_values_or_jets(X, p, space, xcap, yc.shape[1:])
+        Yc = _base_values_or_jets(Y, p, space, xcap, yc.shape[1:])
+        acc = Jet.constant(space, np.zeros(yc.shape[1:]))
+        for i in range(n):
+            for j in range(n):
+                acc = acc + R.at(np.s_[:, i, j]) * Xc[i] * Yc[j]
+        return acc
 
     label = f"R({X.name or 'X'},{Y.name or 'Y'})"
     return IndicatrixVectorField(norm, p, evaluator, "curvature", label, homogeneity=1)
@@ -294,36 +287,26 @@ def berwald_covariant_derivative(
     if xi.homogeneity == 1:
         xi = xi.radialized()
     p, n = xi.p, xi.dim
+    xs, ys = range(n), range(n, 2 * n)
 
     def evaluator(xcap, ycap, yc):
         target = ((n, xcap), (n, ycap))
-        parent = xi.bundle_jets(xcap + 1, ycap + 1, yc)
-        G = spray_jets(norm, p, [yc[i] for i in range(n)], xorder=xcap, yorder=ycap + 2)
-        Gy = [[G[k].derivative_table(n + j).truncated(target) for j in range(n)] for k in range(n)]
-        Gyy = [
-            [
-                [G[i].derivative_table(n + j).derivative_table(n + k).truncated(target)
-                 for k in range(n)]
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        xi_x = [[parent[i].derivative_table(j).truncated(target) for j in range(n)] for i in range(n)]
-        xi_y = [[parent[i].derivative_table(n + k).truncated(target) for k in range(n)] for i in range(n)]
-        xi_t = [parent[i].truncated(target) for i in range(n)]
-        batch = xi_t[0].batch
+        parent = Jet.stack(xi.bundle_jets(xcap + 1, ycap + 1, yc))
+        G = Jet.stack(spray_jets(norm, p, list(yc), xorder=xcap, yorder=ycap + 2))
+        # [i, j, k] = G^k_j d xi^i/dy^k and G^i_jk xi^k, for every k at once
+        Gy = G.gradient(ys).truncated(target).at(None)
+        Gy_xiy = Gy * parent.gradient(ys, axis=1).truncated(target).at(np.s_[:, None])
+        Gyy = G.gradient(ys, axis=1).gradient(ys, axis=2).truncated(target)
+        Gyy_xi = Gyy * parent.truncated(target)
+        term = parent.gradient(xs, axis=1).truncated(target)  # [i, j] = d xi^i/dx^j
+        for k in range(n):
+            term = term - Gy_xiy.at(np.s_[:, :, k]) + Gyy_xi.at(np.s_[:, :, k])
         space = grouped_space(target)
-        Xc = _base_values_or_jets(X, p, space, xcap, batch)
-        out = []
-        for i in range(n):
-            acc = Jet.constant(space, 0.0 if batch is None else np.zeros(batch))
-            for j in range(n):
-                term = xi_x[i][j]
-                for k in range(n):
-                    term = term - Gy[k][j] * xi_y[i][k] + Gyy[i][j][k] * xi_t[k]
-                acc = acc + term * Xc[j]
-            out.append(acc)
-        return out
+        Xc = _base_values_or_jets(X, p, space, xcap, yc.shape[1:])
+        acc = Jet.constant(space, np.zeros(yc.shape[1:]))
+        for j in range(n):
+            acc = acc + term.at(np.s_[:, j]) * Xc[j]
+        return acc
 
     label = f"D[{X.name or 'X'}]{xi.label}"
     return IndicatrixVectorField(
@@ -356,22 +339,19 @@ def fiber_bracket(
     if eta.homogeneity == 1:
         eta = eta.radialized()
     n = xi.dim
+    ys = range(n, 2 * n)
 
     def evaluator(xcap, ycap, yc):
         target = ((n, xcap), (n, ycap))
-        a = xi.bundle_jets(xcap, ycap + 1, yc)
-        b = eta.bundle_jets(xcap, ycap + 1, yc)
-        ay = [[a[i].derivative_table(n + k).truncated(target) for k in range(n)] for i in range(n)]
-        by = [[b[i].derivative_table(n + k).truncated(target) for k in range(n)] for i in range(n)]
-        at = [a[i].truncated(target) for i in range(n)]
-        bt = [b[i].truncated(target) for i in range(n)]
-        out = []
-        for i in range(n):
-            acc = at[0] * by[i][0] - bt[0] * ay[i][0]
-            for k in range(1, n):
-                acc = acc + at[k] * by[i][k] - bt[k] * ay[i][k]
-            out.append(acc)
-        return out
+        a = Jet.stack(xi.bundle_jets(xcap, ycap + 1, yc))
+        b = Jet.stack(eta.bundle_jets(xcap, ycap + 1, yc))
+        # [i, k] = a^k d b^i/dy^k and b^k d a^i/dy^k
+        ab = a.truncated(target) * b.gradient(ys, axis=1).truncated(target)
+        ba = b.truncated(target) * a.gradient(ys, axis=1).truncated(target)
+        acc = ab.at(np.s_[:, 0]) - ba.at(np.s_[:, 0])
+        for k in range(1, n):
+            acc = acc + ab.at(np.s_[:, k]) - ba.at(np.s_[:, k])
+        return acc
 
     label = f"[{xi.label},{eta.label}]"
     return IndicatrixVectorField(
@@ -409,16 +389,10 @@ def horizontal_field(norm: FinslerNorm, X: SmoothMap) -> _BundleField:
         x0, y0 = center[:n], center[n:]
         gspace = grouped_space(((n, order), (n, order)))
         total = ((2 * n, order),)
-        G = spray_jets(norm, x0, list(y0), xorder=order, yorder=order + 1)
-        Gy = [[G[i].derivative_table(n + j) for j in range(n)] for i in range(n)]
-        Xc = X.jets([Jet.variable(gspace, i, x0[i]) for i in range(n)])
-        out = [Xc[i].truncated(total) for i in range(n)]
-        for i in range(n):
-            acc = Gy[i][0] * Xc[0]
-            for j in range(1, n):
-                acc = acc + Gy[i][j] * Xc[j]
-            out.append((-acc).truncated(total))
-        return out
+        G = Jet.stack(spray_jets(norm, x0, list(y0), xorder=order, yorder=order + 1))
+        Xc = Jet.stack(X.jets([Jet.variable(gspace, i, x0[i]) for i in range(n)]))
+        lift = -(G.gradient(range(n, 2 * n), axis=1) * Xc).sum(axis=1)  # -G^i_j X^j
+        return Xc.truncated(total).unstack() + lift.truncated(total).unstack()
 
     return _BundleField(2 * n, taylor, name=f"{X.name or 'X'}^h")
 

@@ -23,8 +23,9 @@ y-derivatives of G^i needs E with caps (xorder + 1, yorder + 2).  Jet
 truncation commutes with products on downward-closed index sets, so all
 factors are truncated to the target before multiplying.
 
-Everything is batched over trailing axes of y (a batch of tangent vectors at
-a common base point), which is what the transport integrator wants.
+Each table is one tensor jet whose value shape is the table's index shape
+followed by the batch axis of y (a batch of tangent vectors at a common base
+point), which is what the transport integrator wants.
 """
 
 from __future__ import annotations
@@ -337,31 +338,31 @@ def metric_tensor(norm: FinslerNorm, x, y) -> MetricTensor:
     return MetricTensor(g, np.linalg.inv(g), condition, eig)
 
 
-def _jet_solve(A, b):
-    """Solve A w = b for jets, A symmetric positive definite by value part.
+def _jet_solve(aug: Jet) -> list:
+    """Solve A w = b for the augmented rows [A | b] of a jet matrix A, symmetric
+    positive definite by value part.
 
-    Plain elimination without pivoting; PD of the value part keeps pivots
-    away from zero, and we check anyway.
+    Plain elimination without pivoting, one whole-row operation per
+    eliminated entry; PD of the value part keeps pivots away from zero, and
+    we check anyway.  Row r is kept from column r on.
     """
-    n = len(b)
-    A = [row[:] for row in A]
-    b = list(b)
+    n = aug.shape[0]
+    rows = aug.unstack()
+    inv = []
     for col in range(n):
-        piv = A[col][col]
+        piv = rows[col].at(0)
         if np.min(np.abs(np.asarray(piv.value))) < 1e-14:
             raise MetricDegeneracyError("zero pivot in fundamental tensor solve")
-        inv = 1.0 / piv
+        inv.append(1.0 / piv)
         for r in range(col + 1, n):
-            factor = A[r][col] * inv
-            for c in range(col + 1, n):
-                A[r][c] = A[r][c] - factor * A[col][c]
-            b[r] = b[r] - factor * b[col]
+            factor = rows[r].at(0) * inv[col]
+            rows[r] = rows[r].at(np.s_[1:]) - factor * rows[col].at(np.s_[1:])
     w = [None] * n
     for row in range(n - 1, -1, -1):
-        acc = b[row]
+        acc = rows[row].at(n - row)
         for c in range(row + 1, n):
-            acc = acc - A[row][c] * w[c]
-        w[row] = acc / A[row][row]
+            acc = acc - rows[row].at(c - row) * w[c]
+        w[row] = acc * inv[row]
     return w
 
 
@@ -377,66 +378,34 @@ def spray_jets(norm: FinslerNorm, x, y, xorder: int = 0, yorder: int = 0) -> lis
     E = norm.energy_jet(x, list(y), xcap=xorder + 1, ycap=yorder + 2)
     target = ((n, xorder), (n, yorder))
     space = grouped_space(target)
+    xs, ys = range(n), range(n, 2 * n)
 
-    Ey = [E.derivative_table(n + l) for l in range(n)]  # caps (xorder+1, yorder+1)
-    g = [[None] * n for _ in range(n)]
-    for l in range(n):
-        for j in range(l, n):
-            gij = Ey[l].derivative_table(n + j).truncated(target)
-            g[l][j] = g[j][l] = gij
-
-    yjets = [Jet.variable(space, n + k, np.asarray(y[k], dtype=float)) for k in range(n)]
-    rhs = []
-    for l in range(n):
-        acc = None
-        for k in range(n):
-            term = yjets[k] * Ey[l].derivative_table(k).truncated(target)
-            acc = term if acc is None else acc + term
-        rhs.append(acc - E.derivative_table(l).truncated(target))
-
-    w = _jet_solve(g, rhs)
-    return [wi * 0.5 for wi in w]
-
-
-def _yderiv(jet: Jet, n: int, *ys) -> float | np.ndarray:
-    alpha = [0] * (2 * n)
-    for j in ys:
-        alpha[n + j] += 1
-    return jet.derivative(tuple(alpha))
+    Ey = E.gradient(ys)  # caps (xorder+1, yorder+1)
+    rhs = None
+    for k in range(n):
+        term = Jet.variable(space, n + k, y[k]) * Ey.derivative_table(k).truncated(target)
+        rhs = term if rhs is None else rhs + term
+    rhs = rhs - E.gradient(xs).truncated(target)
+    # [l, j] = d^2 E/dy^j dy^l, then the right-hand side as column n; g_lj is
+    # read at j >= l and mirrored, since the two orders round differently
+    cols = Jet.stack([Ey.derivative_table(v).truncated(target) for v in ys] + [rhs], axis=1)
+    l, j = np.indices((n, n + 1))
+    return [wi * 0.5 for wi in _jet_solve(cols.at((np.minimum(l, j), np.maximum(l, j))))]
 
 
 def geodesic_coefficients(norm: FinslerNorm, x, y, with_second: bool = True) -> SprayData:
     """Spray values G^i, connection G^i_j, and optionally G^i_{jk} at (x, y)."""
-    n = norm.dim
-    G = spray_jets(norm, x, y, xorder=0, yorder=2 if with_second else 1)
-    batch = G[0].batch
-    shape = (n,) if batch is None else (n, batch)
-    Gv = np.empty(shape)
-    Gj = np.empty((n, n) if batch is None else (n, n, batch))
-    for i in range(n):
-        Gv[i] = G[i].value
-        for j in range(n):
-            Gj[i, j] = _yderiv(G[i], n, j)
-    if not with_second:
-        return SprayData(Gv, Gj, None)
-    Gjk = np.empty((n, n, n) if batch is None else (n, n, n, batch))
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                Gjk[i, j, k] = _yderiv(G[i], n, j, k)
-    return SprayData(Gv, Gj, Gjk)
+    ys = range(norm.dim, 2 * norm.dim)
+    G = Jet.stack(spray_jets(norm, x, y, xorder=0, yorder=2 if with_second else 1))
+    Gy = G.gradient(ys, axis=1)
+    Gyy = Gy.gradient(ys, axis=2).value if with_second else None
+    return SprayData(G.value, Gy.value, Gyy)
 
 
 def connection_values(norm: FinslerNorm, x, y) -> np.ndarray:
     """G^i_j at (x, y); the parallel transport right-hand side. Batched in y."""
-    n = norm.dim
-    G = spray_jets(norm, x, y, xorder=0, yorder=1)
-    batch = G[0].batch
-    Gj = np.empty((n, n) if batch is None else (n, n, batch))
-    for i in range(n):
-        for j in range(n):
-            Gj[i, j] = _yderiv(G[i], n, j)
-    return Gj
+    G = Jet.stack(spray_jets(norm, x, y, xorder=0, yorder=1))
+    return G.gradient(range(norm.dim, 2 * norm.dim), axis=1).value
 
 
 def horizontal_lift(norm: FinslerNorm, x, y, X) -> np.ndarray:
@@ -485,7 +454,7 @@ class NormReport:
     positivity_failures: int
     homogeneity_residual: float
     convexity_failures: int
-    min_eigenvalue: float
+    min_eigenvalue: float | None  # None when no sample gave a positive definite g
     max_condition: float
     jet_consistency: float
     passed: bool = field(init=False)
@@ -537,7 +506,8 @@ def norm_diagnostics(norm: FinslerNorm, samples: int = 40, seed: int = 0) -> Nor
             positivity += 1
             continue
         for lam in (0.5, 2.0, 3.7):
-            hom = max(hom, abs(float(norm.value(x, lam * y)) - lam * f) / max(1.0, f))
+            resid = abs(float(norm.value(x, lam * y)) - lam * f) / max(1.0, f)
+            hom = float(np.maximum(hom, resid))  # keeps a NaN, which max() would drop
         try:
             mt = metric_tensor(norm, x, y)
             min_eig = min(min_eig, float(mt.eigenvalues[0]))
@@ -545,8 +515,8 @@ def norm_diagnostics(norm: FinslerNorm, samples: int = 40, seed: int = 0) -> Nor
         except MetricDegeneracyError:
             convexity += 1
         E = norm.energy_jet(x, y, xcap=0, ycap=2)
-        jet_consistency = max(
-            jet_consistency, abs(2.0 * float(E.value) - f * f) / max(1.0, f * f)
+        jet_consistency = float(
+            np.maximum(jet_consistency, abs(2.0 * float(E.value) - f * f) / max(1.0, f * f))
         )
     return NormReport(
         name=norm.name,
@@ -554,7 +524,7 @@ def norm_diagnostics(norm: FinslerNorm, samples: int = 40, seed: int = 0) -> Nor
         positivity_failures=positivity,
         homogeneity_residual=hom,
         convexity_failures=convexity,
-        min_eigenvalue=float(min_eig),
+        min_eigenvalue=float(min_eig) if np.isfinite(min_eig) else None,
         max_condition=float(max_cond),
         jet_consistency=jet_consistency,
     )

@@ -21,9 +21,9 @@ Conventions, pinned once and checked by the fixture oracle in the tests:
 
 Everything is evaluated on truncated Taylor jets, so derivatives of the
 constructed curves are exact at the truncation order; finite differences
-serve only as the independent cross-check.  A matrix of jets is one Jet
-whose batch axis holds the n * n entries in row-major order, so products
-and inverses run whole rows or whole matrices through each jet operation.
+serve only as the independent cross-check.  A matrix of jets is one Jet of
+value shape (n, n), so products and inverses run whole rows or whole
+matrices through each jet operation.
 """
 
 from __future__ import annotations
@@ -52,31 +52,15 @@ def _square(X, n: int | None = None) -> np.ndarray:
     return X
 
 
-def _matrix_jet(out) -> Jet:
-    """A matrix jet as is, or one stacked from an n x n grid of scalar jets."""
-    if isinstance(out, Jet):
-        return out
-    entries = [e for row in out for e in row]
-    return Jet(entries[0].space, np.stack([e.coeffs for e in entries], axis=1))
-
-
-def _entries(M: Jet) -> np.ndarray:
-    """The (n, n) object array of the scalar entry jets of a matrix jet."""
-    n = math.isqrt(M.coeffs.shape[1])
-    out = np.empty(n * n, dtype=object)
-    out[:] = [Jet(M.space, c) for c in M.coeffs.T]
-    return out.reshape(n, n)
-
-
 def _plus_scaled(M: Jet, c: Jet, C: np.ndarray) -> Jet:
     """M + c C for a scalar jet c and a constant matrix C.
 
     Entries where C vanishes keep their bits: adding c * 0 would turn a
     -0.0 coefficient into +0.0.
     """
-    nz = np.flatnonzero(C)
+    rows, cols = np.nonzero(C)
     coeffs = M.coeffs.copy()
-    coeffs[:, nz] += c.coeffs[:, None] * C.ravel()[nz]
+    coeffs[:, rows, cols] += c.coeffs[:, None] * C[rows, cols]
     return Jet(M.space, coeffs)
 
 
@@ -86,14 +70,12 @@ def _mat_mul(A: Jet, B: Jet) -> Jet:
     The sum runs k = 0, 1, ... in order so that each entry rounds exactly as
     the scalar expansion A_i0 B_0j + A_i1 B_1j + ... does.
     """
-    n = math.isqrt(A.coeffs.shape[1])
-    ii, kk, jj = np.indices((n, n, n)).reshape(3, -1)
-    terms = A.space.multiply(A.coeffs[:, ii * n + kk], B.coeffs[:, kk * n + jj])
-    terms = terms.reshape(-1, n, n, n)
-    acc = terms[:, :, 0, :]
-    for k in range(1, n):
-        acc = acc + terms[:, :, k, :]
-    return Jet(A.space, acc.reshape(-1, n * n))
+    return (A.at(np.s_[:, :, None]) * B.at(None)).sum(axis=1)
+
+
+def _grid(M: Jet) -> np.ndarray:
+    """The (n, n) object array of the scalar entry jets of a matrix jet."""
+    return np.array([row.unstack() for row in M.unstack()], dtype=object)
 
 
 def _mat_inv(M: Jet) -> Jet:
@@ -103,10 +85,9 @@ def _mat_inv(M: Jet) -> Jet:
     PIVOT_TOL means the curve left the invertible matrices at the expansion
     point.
     """
-    n = math.isqrt(M.coeffs.shape[1])
-    space = M.space
-    A = [Jet(space, M.coeffs[:, r * n:(r + 1) * n]) for r in range(n)]
-    B = [Jet.constant(space, row) for row in np.eye(n)]
+    n = M.shape[0]
+    A = M.unstack()
+    B = Jet.constant(M.space, np.eye(n)).unstack()
     for col in range(n):
         piv = max(range(col, n), key=lambda r: abs(float(A[r].value[col])))
         if abs(float(A[piv].value[col])) < PIVOT_TOL:
@@ -114,36 +95,39 @@ def _mat_inv(M: Jet) -> Jet:
         if piv != col:
             A[col], A[piv] = A[piv], A[col]
             B[col], B[piv] = B[piv], B[col]
-        inv = 1.0 / Jet(space, A[col].coeffs[:, col])
+        inv = 1.0 / A[col].at(col)
         A[col] = A[col] * inv
         B[col] = B[col] * inv
         for r in range(n):
             if r == col:
                 continue
-            f = Jet(space, A[r].coeffs[:, col])
+            f = A[r].at(col)
             if not np.any(f.coeffs):
                 continue
             A[r] = A[r] - f * A[col]
             B[r] = B[r] - f * B[col]
-    return Jet(space, np.hstack([b.coeffs for b in B]))
+    return Jet.stack(B)
 
 
 class MatrixCurve:
     """A jet-evaluable curve of invertible matrices through the identity.
 
     The evaluator maps a scalar jet t to the matrix jet of the curve: one
-    Jet in the same space whose batch axis holds the n * n entries in
-    row-major order.  An evaluator may instead return an n x n grid (nested
-    lists or an object array) of scalar jets; the constructor stacks it into
-    a matrix jet.  The constructor checks that the value at t = 0 is the
-    identity within IDENTITY_TOL.  `order`, when set, declares the contact
-    order the construction guarantees; it is a trusted hint, and
-    order_of_contact measures the truth.
+    Jet in the same space of value shape (n, n).  An evaluator may instead
+    return an n x n grid (nested lists or an object array) of scalar jets;
+    the curve stacks it into a matrix jet.  The constructor checks that the
+    value at t = 0 is the identity within IDENTITY_TOL.  `order`, when set,
+    declares the contact order the construction guarantees; it is a trusted
+    hint, and order_of_contact measures the truth.
     """
 
     def __init__(self, n: int, evaluator, name: str = "curve", order: int | None = None):
+        def matrix(tj):
+            out = evaluator(tj)
+            return out if isinstance(out, Jet) else Jet.stack(out)
+
         self.n = int(n)
-        self._evaluator = lambda tj: _matrix_jet(evaluator(tj))
+        self._evaluator = matrix
         self.name = str(name)
         self.order = None if order is None else int(order)
         at_zero = self.value(0.0)
@@ -162,10 +146,10 @@ class MatrixCurve:
             if order is None:
                 raise ValueError("order required when seeding from a float center")
             t = Jet.variable(jet_space(1, int(order)), 0, float(t))
-        return _entries(self._evaluator(t))
+        return _grid(self._evaluator(t))
 
     def value(self, t: float) -> np.ndarray:
-        return _matrix_jet(self.jets(float(t), 0)).value.reshape(self.n, self.n)
+        return Jet.stack(self.jets(float(t), 0)).value
 
     def derivative(self, k: int) -> np.ndarray:
         """k-th derivative of the curve at t = 0."""
@@ -173,8 +157,8 @@ class MatrixCurve:
 
     def derivatives(self, max_order: int) -> list[np.ndarray]:
         """Derivatives 0..max_order at t = 0 from one jet evaluation."""
-        M = _matrix_jet(self.jets(0.0, int(max_order)))
-        return [M.derivative(m).reshape(self.n, self.n) for m in range(int(max_order) + 1)]
+        M = Jet.stack(self.jets(0.0, int(max_order)))
+        return [M.derivative(m) for m in range(int(max_order) + 1)]
 
     # -- constructors ----------------------------------------------------------
 
@@ -198,7 +182,7 @@ class MatrixCurve:
             s0 = float(np.asarray(s.value))
             h = s - s0
             E = expm(s0 * X)
-            M = Jet.constant(s.space, E.ravel())
+            M = Jet.constant(s.space, E)
             term = E
             hm = None
             for m in range(1, s.space.max_total + 1):
@@ -224,7 +208,7 @@ class MatrixCurve:
                 clean[m] = C
 
         def evaluator(tj: Jet):
-            M = Jet.constant(tj.space, np.eye(n).ravel())
+            M = Jet.constant(tj.space, np.eye(n))
             for m in sorted(clean):
                 M = _plus_scaled(M, tj**m, clean[m])
             return M
@@ -338,12 +322,12 @@ class CommutatorFamily:
     def jets(self, t: Jet, s: Jet) -> np.ndarray:
         if t.space is not s.space:
             raise ValueError("t and s must be seeded in one two-parameter space")
-        return _entries(self._matrix(t, s))
+        return _grid(self._matrix(t, s))
 
     def value(self, t: float, s: float) -> np.ndarray:
         space = jet_space(2, 0)
         M = self._matrix(Jet.constant(space, float(t)), Jet.constant(space, float(s)))
-        return M.value.reshape(self.n, self.n)
+        return M.value
 
     def mixed_derivative(self, k: int | None = None, l: int | None = None) -> np.ndarray:
         """The d^{k+l} c / dt^k ds^l derivative at the origin."""
@@ -351,7 +335,7 @@ class CommutatorFamily:
         l = _tangent_order(self.psi) if l is None else int(l)
         space = grouped_space(((1, k), (1, l)))
         M = self._matrix(Jet.variable(space, 0, 0.0), Jet.variable(space, 1, 0.0))
-        return M.derivative((k, l)).reshape(self.n, self.n)
+        return M.derivative((k, l))
 
     def diagonal(self, name: str | None = None) -> MatrixCurve:
         """The curve t -> c(t, t); contact order k + l when the bracket is nonzero."""
@@ -491,7 +475,7 @@ def weak_tangency_reparam(phi: MatrixCurve, reading: str = "exact") -> MatrixCur
     def evaluator(tj: Jet):
         val = np.asarray(tj.value, dtype=float)
         if tj.space.max_total == 0 and np.all(val == 0.0):
-            return Jet.constant(tj.space, np.eye(n).ravel())
+            return Jet.constant(tj.space, np.eye(n))
         if np.any(val <= 0.0):
             raise JetDomainError("weak tangent curves are one-sided; evaluate at t > 0")
         u = (tj * kf) ** p if reading == "exact" else (tj**p) * kf

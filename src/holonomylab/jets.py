@@ -5,6 +5,11 @@ multi-index set.  A jet stores Taylor coefficients (derivative divided by the
 factorial of the multi-index), which makes multiplication a plain truncated
 convolution; callers read derivatives back through :meth:`Jet.derivative`.
 
+A jet of a vector, a matrix or a batch of them is one table: `coeffs` has
+shape ``(space.size, *shape)``, tensor axes first and batch axes last, and
+every operation acts on each entry of the value shape as it would on a scalar
+jet, bit for bit.  Binary operations broadcast value shapes the numpy way.
+
 Two derivative routes are provided on purpose: exact jet propagation and
 Richardson-extrapolated central differences.  They share no code beyond the
 function being differentiated, so each one validates the other.
@@ -163,6 +168,7 @@ class JetSpace:
         return self._mul
 
     def multiply(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Truncated product of coefficient tables of shape (size,) or (size, columns)."""
         ii, jj, fold = self._mul_table()
         return fold @ (a[ii] * b[jj])
 
@@ -229,12 +235,26 @@ def grouped_space(groups: Sequence[tuple[int, int]]) -> JetSpace:
     return JetSpace.create(tuple((int(s), int(c)) for s, c in groups))
 
 
-class Jet:
-    """A truncated Taylor expansion.
+def _pad(coeffs: np.ndarray, ndim: int) -> np.ndarray:
+    """`coeffs` with leading unit axes inserted into its value shape up to `ndim` axes."""
+    return coeffs.reshape(coeffs.shape[:1] + (1,) * (ndim + 1 - coeffs.ndim) + coeffs.shape[1:])
 
-    `coeffs` has shape ``(space.size,)`` or ``(space.size, batch)``; the batch
-    axis carries independent expansions through every operation at once.
-    Values are Taylor coefficients; :meth:`derivative` rescales by factorials.
+
+def _expand(coeffs: np.ndarray, full: tuple) -> np.ndarray:
+    """`coeffs` repeated along its unit axes to the broadcast shape `full`."""
+    for axis, (have, want) in enumerate(zip(coeffs.shape, full)):
+        if have != want:
+            coeffs = coeffs.repeat(want, axis)
+    return coeffs
+
+
+class Jet:
+    """A truncated Taylor expansion of a scalar, tensor or batch of them.
+
+    `coeffs` has shape ``(space.size, *shape)``; the value shape puts tensor
+    axes first and batch axes last, and every entry is carried through each
+    operation independently.  Values are Taylor coefficients;
+    :meth:`derivative` rescales by factorials.
     """
 
     __slots__ = ("space", "coeffs")
@@ -268,6 +288,21 @@ class Jet:
             jet.coeffs[space.position[tuple(int(v == var) for v in range(space.num_vars))]] = 1.0
         return jet
 
+    @staticmethod
+    def stack(jets, axis: int = 0) -> "Jet":
+        """One jet whose value axis `axis` runs over `jets`, all of one value shape.
+
+        Nested sequences (an n x n grid of scalar jets, say) stack recursively.
+        """
+        jets = [j if isinstance(j, Jet) else Jet.stack(j) for j in jets]
+        for j in jets[1:]:
+            jets[0]._coerce(j)
+        # cheaper than np.stack; C order keeps later BLAS calls on one path
+        stacked = np.array([j.coeffs for j in jets])
+        order = list(range(1, stacked.ndim))
+        order.insert(1 + axis, 0)
+        return Jet(jets[0].space, np.ascontiguousarray(stacked.transpose(order)))
+
     # -- inspection --------------------------------------------------------
 
     @property
@@ -275,8 +310,13 @@ class Jet:
         return self.coeffs[0]
 
     @property
+    def shape(self) -> tuple:
+        return self.coeffs.shape[1:]
+
+    @property
     def batch(self):
-        return None if self.coeffs.ndim == 1 else self.coeffs.shape[1]
+        """Length of the trailing value axis; None for a single scalar."""
+        return None if self.coeffs.ndim == 1 else self.coeffs.shape[-1]
 
     @property
     def order(self) -> int:
@@ -301,6 +341,25 @@ class Jet:
     def copy(self) -> "Jet":
         return Jet(self.space, self.coeffs.copy())
 
+    # -- value-shape operations ----------------------------------------------
+
+    def at(self, index) -> "Jet":
+        """The jet of ``value[index]``, for a numpy index of the value axes."""
+        index = index if isinstance(index, tuple) else (index,)
+        return Jet(self.space, self.coeffs[(slice(None),) + index])
+
+    def unstack(self) -> list:
+        """The jets along the first value axis; the inverse of :meth:`stack`."""
+        return [Jet(self.space, c) for c in self.coeffs.swapaxes(0, 1)]
+
+    def sum(self, axis: int = 0) -> "Jet":
+        """Sum over value axis `axis`, adding the terms in order from the first."""
+        terms = np.moveaxis(self.coeffs, 1 + axis, 0)
+        acc = terms[0]
+        for term in terms[1:]:
+            acc = acc + term
+        return Jet(self.space, acc)
+
     # -- ring operations ---------------------------------------------------
 
     def _coerce(self, other):
@@ -312,24 +371,27 @@ class Jet:
             return other
         return None
 
-    def _with_operand(self, other):
-        # a 1-d numeric operand acts per batch column; promote if unbatched
-        arr = np.asarray(other, dtype=float)
-        coeffs = self.coeffs
-        if arr.ndim == 1 and coeffs.ndim == 1:
-            coeffs = np.repeat(coeffs[:, None], arr.shape[0], axis=1)
-        return coeffs, arr
+    def _operands(self, other):
+        """Coefficient arrays of self and other (a jet or a number) that broadcast."""
+        if not isinstance(other, Jet):
+            arr = np.asarray(other, dtype=float)
+            if arr.ndim < self.coeffs.ndim:
+                return self.coeffs, arr, False
+            return _pad(self.coeffs, arr.ndim), arr, False
+        a, b = self.coeffs, self._coerce(other).coeffs
+        if a.ndim != b.ndim:
+            ndim = max(a.ndim, b.ndim) - 1
+            a, b = _pad(a, ndim), _pad(b, ndim)
+        return a, b, True
 
     def __add__(self, other):
-        rhs = self._coerce(other)
-        if rhs is not None:
-            a, b = self.coeffs, rhs.coeffs
-            if a.ndim != b.ndim:
-                a, b = (a[:, None], b) if a.ndim == 1 else (a, b[:, None])
+        a, b, is_jet = self._operands(other)
+        if is_jet:
             return Jet(self.space, a + b)
-        coeffs, arr = self._with_operand(other)
-        out = coeffs.copy() if coeffs is self.coeffs else coeffs
-        out[0] = out[0] + arr
+        value = a[0] + b
+        out = np.empty(a.shape[:1] + value.shape)
+        out[...] = a
+        out[0] = value
         return Jet(self.space, out)
 
     __radd__ = __add__
@@ -344,27 +406,25 @@ class Jet:
         return (-self) + other
 
     def __mul__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            coeffs, arr = self._with_operand(other)
-            return Jet(self.space, coeffs * arr)
-        a, b = self.coeffs, rhs.coeffs
-        if a.ndim != b.ndim:
-            # scalar jet against batched jet: broadcast the thin one
-            if a.ndim == 1:
-                a = np.broadcast_to(a[:, None], b.shape)
-            else:
-                b = np.broadcast_to(b[:, None], a.shape)
-        return Jet(self.space, self.space.multiply(a, b))
+        a, b, is_jet = self._operands(other)
+        if not is_jet:
+            return Jet(self.space, a * b)
+        if a.shape != b.shape:
+            full = tuple(map(max, a.shape, b.shape))
+            a, b = _expand(a, full), _expand(b, full)
+        if a.ndim <= 2:
+            return Jet(self.space, self.space.multiply(a, b))
+        # a value shape of several axes flattens into the columns of one multiply
+        flat = self.space.multiply(a.reshape(a.shape[0], -1), b.reshape(b.shape[0], -1))
+        return Jet(self.space, flat.reshape(a.shape))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            coeffs, arr = self._with_operand(other)
-            return Jet(self.space, coeffs / arr)
-        return self * rhs._reciprocal()
+        if isinstance(other, Jet):
+            return self * other._reciprocal()
+        a, b, _ = self._operands(other)
+        return Jet(self.space, a / b)
 
     def __rtruediv__(self, other):
         return self._reciprocal() * other
@@ -374,7 +434,7 @@ class Jet:
             p = int(p)
             if p < 0:
                 return self._reciprocal() ** (-p)
-            out = Jet.constant(self.space, np.ones(() if self.batch is None else (self.batch,)))
+            out = Jet.constant(self.space, np.ones(self.shape))
             base = self
             while p:
                 if p & 1:
@@ -431,8 +491,11 @@ class Jet:
         """The jet of d(self)/d(var), one cap lower in var's group."""
         dst, src_pos, scale = self.space.shift(var)
         coeffs = self.coeffs[src_pos]
-        coeffs = coeffs * (scale if coeffs.ndim == 1 else scale[:, None])
-        return Jet(dst, coeffs)
+        return Jet(dst, coeffs * scale.reshape(scale.shape + (1,) * (coeffs.ndim - 1)))
+
+    def gradient(self, variables, axis: int = 0) -> "Jet":
+        """The derivative tables in `variables`, stacked along value axis `axis`."""
+        return Jet.stack([self.derivative_table(v) for v in variables], axis)
 
     def truncated(self, groups) -> "Jet":
         groups = tuple(groups)
@@ -554,7 +617,8 @@ def compose_table(table: Jet, args: Sequence[Jet], center) -> Jet:
     The displacement jets (argument minus center) are nilpotent, so plugging
     them into the table polynomial is exact at the outer truncation order.
     Monomials are built incrementally in graded order (one multiplication per
-    table index).
+    table index) and shared by every entry of the table's value shape, which
+    broadcasts against the arguments' shape.
     """
     center = np.asarray(center, dtype=float)
     if len(args) != table.space.num_vars:
@@ -569,8 +633,7 @@ def compose_table(table: Jet, args: Sequence[Jet], center) -> Jet:
         disp.append(w)
     parents, last_var = table.space.monomial_parents()
     monos: list[Jet | None] = [None] * table.space.size
-    ones = np.ones(() if disp[0].batch is None else (disp[0].batch,))
-    monos[0] = Jet.constant(outer, ones)
+    monos[0] = Jet.constant(outer, np.ones(disp[0].shape))
     out = monos[0] * table.coeffs[0]
     for i in range(1, table.space.size):
         monos[i] = monos[parents[i]] * disp[last_var[i]]
@@ -712,14 +775,6 @@ def richardson_extrapolate(values: Sequence[np.ndarray], steps: Sequence[float],
     return T[n - 1], err
 
 
-def _collect(jet_arr: np.ndarray, extract) -> np.ndarray | float:
-    """Map `extract` over an object array of jets, stacking batched results."""
-    parts = [np.asarray(extract(j), dtype=float) for j in jet_arr.ravel()]
-    flat = np.stack(parts) if parts else np.zeros((0,))
-    value = flat.reshape(jet_arr.shape + flat.shape[1:])
-    return float(value) if value.ndim == 0 else value
-
-
 def _stencil(k: int) -> tuple[np.ndarray, np.ndarray]:
     m = (k + 1) // 2
     nodes = np.arange(-m, m + 1, dtype=float)
@@ -739,12 +794,8 @@ def _partial(f, orders: tuple, mode: str, schedule, threshold: float) -> Derivat
         space = grouped_space(tuple((1, k) for k in orders))
         args = [Jet.variable(space, v, 0.0) for v in range(len(orders))]
         out = f.jets(args) if isinstance(f, SmoothMap) else f(*args)
-        if isinstance(out, Jet):
-            arr = np.empty((), dtype=object)
-            arr[()] = out
-        else:
-            arr = np.asarray(out, dtype=object)
-        return DerivativeEstimate(_collect(arr, lambda j: j.derivative(orders)), 0.0, True, "jet")
+        value = (out if isinstance(out, Jet) else Jet.stack(out)).derivative(orders)
+        return DerivativeEstimate(float(value) if value.ndim == 0 else value, 0.0, True, "jet")
     if mode != "richardson":
         raise ValueError(f"unknown mode {mode!r}")
     schedule = tuple(schedule) if schedule is not None else _RICHARDSON_SCHEDULE

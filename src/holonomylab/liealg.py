@@ -185,20 +185,15 @@ class BracketField:
                 f"{self.label}: bracket at order {order} needs order {order + 1} "
                 f"parent jets, but only {self.max_order + 1} are available"
             )
-        tx = self.X.taylor(center, order + 1)
-        ty = self.Y.taylor(center, order + 1)
-        n = self.dim
-        target = ((n, order),)
-        xt = [t.truncated(target) for t in tx]
-        yt = [t.truncated(target) for t in ty]
-        out = []
-        for i in range(n):
-            acc = None
-            for j in range(n):
-                term = xt[j] * ty[i].derivative_table(j) - yt[j] * tx[i].derivative_table(j)
-                acc = term if acc is None else acc + term
-            out.append(acc)
-        return out
+        tx = Jet.stack(self.X.taylor(center, order + 1))
+        ty = Jet.stack(self.Y.taylor(center, order + 1))
+        target, xs = ((self.dim, order),), range(self.dim)
+        # [i, j] = X^j dY^i/dx^j - Y^j dX^i/dx^j, summed over j in order
+        terms = (
+            tx.truncated(target) * ty.gradient(xs, axis=1)
+            - ty.truncated(target) * tx.gradient(xs, axis=1)
+        )
+        return terms.sum(axis=1).unstack()
 
 
 def lie_bracket(X, Y) -> BracketField:
@@ -216,8 +211,7 @@ def field_values(f, points: np.ndarray) -> np.ndarray:
         points = points[:, None]
     if hasattr(f, "values"):
         return np.asarray(f.values(points), dtype=float)
-    jets = f.taylor(points, 0)
-    return np.stack([np.atleast_1d(np.asarray(j.value, dtype=float)) for j in jets])
+    return Jet.stack(f.taylor(points, 0)).value
 
 
 class FieldSpan:
@@ -414,21 +408,8 @@ def lie_closure(generators, depth: int = 3, tau: float = DEFAULT_TAU, points=Non
     def order1(idx):
         if idx not in tables:
             try:
-                jets = fields[idx].taylor(points, 1)
-                n = fields[idx].dim
-                vals = np.stack([np.atleast_1d(np.asarray(j.value, float)) for j in jets])
-                ders = np.stack(
-                    [
-                        np.stack(
-                            [
-                                np.atleast_1d(np.asarray(j.derivative_table(k).value, float))
-                                for k in range(n)
-                            ]
-                        )
-                        for j in jets
-                    ]
-                )
-                tables[idx] = (vals, ders)
+                jet = Jet.stack(fields[idx].taylor(points, 1))
+                tables[idx] = (jet.value, jet.gradient(range(fields[idx].dim), axis=1).value)
             except JetOrderError as exc:
                 tables[idx] = exc
         return tables[idx]

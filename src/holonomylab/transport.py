@@ -99,18 +99,20 @@ def integrate(rhs, t0, t1, y0, atol=ATOL, rtol=RTOL, h0=None, max_steps=200000):
     """Adaptive RK4 by step doubling from t0 to t1 (either direction).
 
     rhs(t, y) -> dy/dt, where y is (d,) or (d, B).  Returns (y_end, stats)
-    with stats counting accepted/rejected steps and the largest accepted
-    local error estimate.  Raises TransportFailure on step underflow, which
-    is also how a domain-box violation that cannot be stepped over surfaces.
+    with stats counting accepted, rejected and forced steps and the largest
+    local error estimate of a step taken.  A forced step misses the
+    tolerance but is taken anyway because it is within twice the smallest
+    step size.  Raises TransportFailure on step underflow, which is also how
+    a domain-box violation that cannot be stepped over surfaces.
     """
     y = np.asarray(y0, dtype=float).copy()
     span = t1 - t0
     if span == 0.0:
-        return y, {"accepted": 0, "rejected": 0, "max_local_error": 0.0}
+        return y, {"accepted": 0, "rejected": 0, "forced": 0, "max_local_error": 0.0}
     h = span if h0 is None else np.sign(span) * min(abs(h0), abs(span))
     h_min = 1e-13 * max(abs(span), 1.0)
     t = t0
-    accepted = rejected = 0
+    accepted = rejected = forced = 0
     max_err = 0.0
     while (t1 - t) * np.sign(span) > 0.0:
         if abs(t1 - t) <= h_min:
@@ -119,7 +121,7 @@ def integrate(rhs, t0, t1, y0, atol=ATOL, rtol=RTOL, h0=None, max_steps=200000):
             h = t1 - t
         if abs(h) < h_min:
             raise TransportFailure("step size underflow", t, y)
-        if accepted + rejected > max_steps:
+        if accepted + rejected + forced > max_steps:
             raise TransportFailure("step budget exhausted", t, y)
         try:
             full, k1 = _rk4_step(rhs, t, y, h)
@@ -135,13 +137,16 @@ def integrate(rhs, t0, t1, y0, atol=ATOL, rtol=RTOL, h0=None, max_steps=200000):
         if err <= 1.0 or abs(h) <= h_min * 2.0:
             t += h
             y = two_half + delta
-            accepted += 1
+            if err <= 1.0:
+                accepted += 1
+            else:
+                forced += 1
             max_err = max(max_err, float(np.max(np.abs(delta))))
         else:
             rejected += 1
         factor = 0.9 * err ** -0.2 if err > 0.0 else 5.0
         h *= min(5.0, max(0.2, factor))
-    return y, {"accepted": accepted, "rejected": rejected, "max_local_error": max_err}
+    return y, dict(accepted=accepted, rejected=rejected, forced=forced, max_local_error=max_err)
 
 
 # -- curve pieces ---------------------------------------------------------------
@@ -340,6 +345,7 @@ class TransportResult:
     accepted_steps: int
     rejected_steps: int
     max_local_error: float
+    forced_steps: int = 0
     flagged: bool = field(default=False)
 
 
@@ -354,7 +360,8 @@ def parallel_transport(
     """Transport y0 along the curve; y0 may be (n,) or a batch (n, B).
 
     The result is flagged when |F(end) - F(start)| exceeds
-    drift_tolerance * F(start); drift is measured on the worst batch member.
+    drift_tolerance * F(start), with drift measured on the worst batch
+    member, or when the integrator forced a step past its tolerance.
     """
     if curve.dim != norm.dim:
         raise ValueError(f"curve dim {curve.dim} vs norm dim {norm.dim}")
@@ -362,7 +369,7 @@ def parallel_transport(
     if np.any(np.sum(V * V, axis=0) == 0.0):
         raise ValueError("cannot transport the zero vector")
     f0 = norm.value(curve.start, V)
-    accepted = rejected = 0
+    accepted = rejected = forced = 0
     max_err = 0.0
     for piece in curve.pieces:
         def rhs(u, W, piece=piece):
@@ -375,6 +382,7 @@ def parallel_transport(
         V, stats = integrate(rhs, 0.0, 1.0, V, atol=atol, rtol=rtol, h0=1.0)
         accepted += stats["accepted"]
         rejected += stats["rejected"]
+        forced += stats["forced"]
         max_err = max(max_err, stats["max_local_error"])
     x_end = curve.end
     f1 = norm.value(x_end, V)
@@ -388,7 +396,8 @@ def parallel_transport(
         accepted_steps=accepted,
         rejected_steps=rejected,
         max_local_error=max_err,
-        flagged=bool(drift > drift_tolerance * max(float(np.max(f0)), 1e-300)),
+        forced_steps=forced,
+        flagged=bool(forced or drift > drift_tolerance * max(float(np.max(f0)), 1e-300)),
     )
 
 

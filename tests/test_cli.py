@@ -319,3 +319,49 @@ def test_run_config_callable_directly():
     expected = np.array(task["results"]["expected_bracket"])
     assert np.allclose(mixed, expected, atol=1e-9)
     assert task["results"]["diagonal_order"] == 2
+
+
+def _reject_constant(name):
+    raise ValueError(f"report.json holds the non-JSON constant {name}")
+
+
+def test_indefinite_metric_writes_strict_json(tmp_path):
+    metric = {"norm": "sqrt(y1^2 - y2^2)", "lo": [-1, -1], "hi": [1, 1]}
+    with np.errstate(invalid="ignore"):
+        code, out = run_cli(tmp_path, {"metric": metric, "command": "metric-check", "samples": 10})
+    assert code == EXIT_NUMERIC
+    report = json.loads((out / "report.json").read_text(), parse_constant=_reject_constant)
+    assert report["tasks"][0]["results"]["min_eigenvalue"] is None
+    jsonschema.Draft202012Validator(load_schema("report.schema.json")).validate(report)
+
+
+def test_non_finite_check_fails_as_null():
+    from holonomylab.cli import _check
+
+    for value in (math.nan, math.inf):
+        check = _check("probe", value, 1.0)
+        assert check["value"] is None and check["passed"] is False
+    assert _check("probe", 0.5, 1.0) == {
+        "name": "probe", "value": 0.5, "tolerance": 1.0, "passed": True
+    }
+
+
+def test_non_finite_config_constant_exits_2(tmp_path, capsys):
+    # the schema admits NaN as a number; the report could not echo it as JSON
+    cfg = tmp_path / "nan.json"
+    cfg.write_text('{"command": "grouplab", "op": "scale", "k": 1, "lambda": NaN, "seed": 1}')
+    code = main(["--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    assert "NaN" in capsys.readouterr().err
+
+
+def test_undefined_scaled_norm_fails_homogeneity(tmp_path):
+    # F(lam y) is NaN for lam = 2 and 3.7; the residual must not drop it
+    norm = "sqrt(y1^2 + y2^2) * (1 + 0*sqrt(1.5 - y1^2 - y2^2))"
+    metric = {"norm": norm, "lo": [-1, -1], "hi": [1, 1]}
+    with np.errstate(invalid="ignore"):
+        code, out = run_cli(tmp_path, {"metric": metric, "command": "metric-check", "samples": 10})
+    assert code == EXIT_NUMERIC
+    report = json.loads((out / "report.json").read_text(), parse_constant=_reject_constant)
+    check = report["tasks"][0]["checks"][0]
+    assert check["name"] == "homogeneity" and check["value"] is None and not check["passed"]

@@ -1,0 +1,122 @@
+"""The tensor layout of jets: an operation on a jet of value shape S gives,
+bit for bit, what the same operation gives on each scalar component.  The
+byte-identical reports of the geometry layers rest on this."""
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, strategies as st  # noqa: E402
+from hypothesis.extra.numpy import arrays  # noqa: E402
+
+from holonomylab.jets import Jet, compose_table, grouped_space  # noqa: E402
+
+GROUPS = (((1, 3),), ((2, 2),), ((2, 1), (2, 2)), ((1, 2), (2, 1)))
+SHAPES = ((), (3,), (2, 3), (2, 2))
+ENTRIES = st.floats(-2.0, 2.0, allow_nan=False, allow_subnormal=False)
+
+
+def same_bits(x, y) -> bool:
+    x, y = np.ascontiguousarray(x), np.ascontiguousarray(y)
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def components(jet):
+    """(index, scalar jet) for every entry of the value shape."""
+    for idx in np.ndindex(jet.shape):
+        yield idx, Jet(jet.space, np.ascontiguousarray(jet.coeffs[(slice(None),) + idx]))
+
+
+def matches_components(out, op, *operands):
+    """out == op applied to the matching component of each operand, entry by entry."""
+    for idx, part in components(out):
+        args = [a.at(idx[len(idx) - len(a.shape):]) if isinstance(a, Jet) else a for a in operands]
+        args = [Jet(a.space, a.coeffs.copy()) if isinstance(a, Jet) else a for a in args]
+        if not same_bits(part.coeffs, op(*args).coeffs):
+            return False
+    return True
+
+
+@st.composite
+def tables(draw, shape=None, positive=False):
+    space = grouped_space(draw(st.sampled_from(GROUPS)))
+    shape = draw(st.sampled_from(SHAPES)) if shape is None else shape
+    coeffs = draw(arrays(float, (space.size,) + shape, elements=ENTRIES))
+    if positive:
+        coeffs[0] = 0.5 + np.abs(coeffs[0])
+    return Jet(space, coeffs)
+
+
+@st.composite
+def pairs(draw):
+    """Two jets in one space; the second may carry only the trailing axes of the first."""
+    a = draw(tables(positive=True))
+    cut = draw(st.integers(0, len(a.shape)))
+    coeffs = draw(arrays(float, (a.space.size,) + a.shape[cut:], elements=ENTRIES))
+    coeffs[0] = 0.5 + np.abs(coeffs[0])
+    return a, Jet(a.space, coeffs)
+
+
+@given(pairs())
+def test_binary_operations_act_per_component(ab):
+    a, b = ab
+    for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y, lambda x, y: x / y):
+        assert matches_components(op(a, b), op, a, b)
+        assert matches_components(op(b, a), op, b, a)
+
+
+@given(tables(positive=True), st.floats(-3.0, 3.0, allow_nan=False))
+def test_numeric_operands_act_per_component(a, c):
+    for op in (lambda x: x + c, lambda x: c - x, lambda x: x * c, lambda x: x / (c or 1.0)):
+        assert matches_components(op(a), op, a)
+
+
+@given(tables(positive=True))
+def test_elementary_functions_act_per_component(a):
+    for op in (Jet.sqrt, Jet.exp, lambda x: 1.0 / x, lambda x: x ** 3):
+        assert matches_components(op(a), op, a)
+
+
+@given(tables(), st.data())
+def test_structural_maps_act_per_component(a, data):
+    space = a.space
+    var = data.draw(st.integers(0, space.num_vars - 1))
+    if space.caps[space._group_of_var[var]]:
+        assert matches_components(a.derivative_table(var), lambda x: x.derivative_table(var), a)
+    lower = tuple((size, data.draw(st.integers(0, cap))) for size, cap in space.groups)
+    assert matches_components(a.truncated(lower), lambda x: x.truncated(lower), a)
+
+
+@given(tables(), st.data())
+def test_compose_table_acts_per_component(table, data):
+    outer = grouped_space(((2, 2),))
+    center = data.draw(arrays(float, (table.space.num_vars,), elements=ENTRIES))
+    args = []
+    for c in center:
+        coeffs = data.draw(arrays(float, (outer.size,), elements=ENTRIES))
+        coeffs[0] = c
+        args.append(Jet(outer, coeffs))
+    out = compose_table(table, args, center)
+    assert matches_components(out, lambda t: compose_table(t, args, center), table)
+
+
+@given(tables(shape=(2, 3)), st.data())
+def test_compose_table_rows_match_batched_arguments(table, data):
+    # a table of value shape (n, B) against arguments batched over B
+    outer = grouped_space(((1, 2),))
+    center = data.draw(arrays(float, (table.space.num_vars, 3), elements=ENTRIES))
+    args = []
+    for c in center:
+        coeffs = data.draw(arrays(float, (outer.size, 3), elements=ENTRIES))
+        coeffs[0] = c
+        args.append(Jet(outer, coeffs))
+    out = compose_table(table, args, center)
+    for i, row in enumerate(table.unstack()):
+        assert same_bits(out.at(i).coeffs, compose_table(row, args, center).coeffs)
+
+
+@given(tables())
+def test_stack_and_unstack_are_inverse(a):
+    if a.shape:
+        assert same_bits(Jet.stack(a.unstack()).coeffs, a.coeffs)
+        assert same_bits(a.sum().coeffs, sum(a.unstack()[1:], a.unstack()[0]).coeffs)

@@ -77,6 +77,31 @@ def test_integrator_underflow_reports_state():
     assert "underflow" in info.value.reason
 
 
+def test_integrator_counts_forced_steps():
+    # a span within twice the smallest step size, and no tolerance any step can meet
+    with np.errstate(divide="ignore", invalid="ignore"):
+        y, stats = integrate(
+            lambda t, y: np.cos(y), 0.0, 1.5e-13, np.array([0.3]), atol=0.0, rtol=0.0
+        )
+    assert stats["forced"] == 1 and stats["accepted"] == 0
+    assert y[0] == pytest.approx(0.3 + 1.5e-13 * np.cos(0.3), abs=1e-16)
+    _, stats = integrate(lambda t, y: np.array([np.cos(t)]), 0.0, 2.0, np.array([0.0]))
+    assert stats["forced"] == 0
+
+
+def test_forced_steps_flag_the_transport(monkeypatch):
+    def forcing(*args, **kwargs):
+        y, stats = integrate(*args, **kwargs)
+        return y, {**stats, "forced": 1}
+
+    norm = catalog_norm("euclidean")
+    curve = CurveSpec.line_segment([0.0, 0.0], [1.0, 0.5])
+    assert parallel_transport(norm, curve, [1.0, 0.0]).forced_steps == 0
+    monkeypatch.setattr(transport, "integrate", forcing)
+    result = parallel_transport(norm, curve, [1.0, 0.0])
+    assert result.forced_steps == 1 and result.flagged
+
+
 # -- curves ----------------------------------------------------------------------
 
 
