@@ -8,7 +8,9 @@ closures, the inclusion-chain report, and the matrix-group constructions.
 
 Reports are deterministic: identical config and seed produce byte-identical
 report.json (keys sorted, task randomness drawn from per-task seed
-sequences); wall-clock timestamps live in the report.meta.json sidecar.
+sequences); wall-clock data lives in the report.meta.json sidecar: the
+creation timestamp, each task's wall time, and for curvature and chain tasks
+the spray-memo request and computed-table counts.
 report.json is RFC 8259 JSON: a non-finite result is written as null, and a
 check whose value is not finite fails.  CSV tables (RFC 4180, CRLF line
 endings) carry the plot-ready series: singular values, convergence errors,
@@ -27,6 +29,7 @@ import json
 import math
 import os
 import sys
+import time
 from datetime import datetime, timezone
 from importlib import resources
 from pathlib import Path
@@ -36,7 +39,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .curvature import constant_base_field, coordinate_fields, curvature_field
+from .curvature import constant_base_field, coordinate_fields, curvature_field, spray_tally
 from .finsler import FinslerNorm, catalog_norm, norm_diagnostics
 from .grouplab import (
     MatrixCurve,
@@ -578,6 +581,15 @@ _HANDLERS = {
 
 _NEEDS_METRIC = {"metric-check", "transport", "holonomy", "parallelogram", "curvature", "chain"}
 
+# commands whose spray-memo counts go to report.meta.json
+_SPRAY_COMMANDS = {"curvature", "chain"}
+
+
+class _Report(dict):
+    """The report; `meta` holds per-task telemetry for report.meta.json only."""
+
+    meta: dict
+
 
 def run_config(config: dict, seed: int, profile: str):
     """Execute every task; returns (report dict, per-task CSV tables).
@@ -589,23 +601,30 @@ def run_config(config: dict, seed: int, profile: str):
     tol = TOLERANCES[profile]
     tasks_out = []
     tables_out = []
+    tasks_meta = []
     failures = []
     num_checks = 0
     for index, task in enumerate(normalized["tasks"]):
         label = task.get("label", f"task{index}-{task['command']}")
+        start = time.perf_counter()
         rng = _task_rng(seed, index, task)
         norm = resolve_metric(task["metric"]) if task["command"] in _NEEDS_METRIC else None
         entry = {"label": label, "command": task["command"]}
-        try:
-            results, checks, tables = _HANDLERS[task["command"]](task, norm, rng, tol)
-        except _TASK_ERRORS as exc:
+        error = None
+        with spray_tally() as sprays:
+            try:
+                results, checks, tables = _HANDLERS[task["command"]](task, norm, rng, tol)
+            except _TASK_ERRORS as exc:
+                error = exc
+        task_meta = {"label": label, "command": task["command"], "wall_s": time.perf_counter() - start}
+        if task["command"] in _SPRAY_COMMANDS:
+            task_meta["spray_tables"] = dict(sprays)
+        tasks_meta.append(task_meta)
+        if error is not None:
             entry.update(
-                results={},
-                checks=[],
-                error=f"{type(exc).__name__}: {exc}",
-                passed=False,
+                results={}, checks=[], error=f"{type(error).__name__}: {error}", passed=False
             )
-            failures.append(f"{label}: {type(exc).__name__}")
+            failures.append(f"{label}: {type(error).__name__}")
             tasks_out.append(entry)
             tables_out.append({})
             continue
@@ -615,7 +634,7 @@ def run_config(config: dict, seed: int, profile: str):
         entry.update(results=_py(results), checks=checks, passed=passed)
         tasks_out.append(entry)
         tables_out.append(tables)
-    report = {
+    report = _Report({
         "config": config,
         "provenance": {
             "package": "holonomylab",
@@ -632,7 +651,8 @@ def run_config(config: dict, seed: int, profile: str):
             "num_checks": num_checks,
             "failures": failures,
         },
-    }
+    })
+    report.meta = {"tasks": tasks_meta}
     jsonschema.Draft202012Validator(load_schema("report.schema.json")).validate(report)
     return report, tables_out
 
@@ -642,7 +662,11 @@ def _safe_name(label: str) -> str:
 
 
 def emit(report: dict, tables, out_dir, formats) -> list:
-    """Write report.json (+ timestamp sidecar) and the CSV tables."""
+    """Write report.json, its report.meta.json sidecar and the CSV tables.
+
+    The sidecar holds the creation timestamp and, for a report made by
+    `run_config`, each task's wall time and spray-memo counts.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
@@ -651,7 +675,7 @@ def emit(report: dict, tables, out_dir, formats) -> list:
         text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
         path.write_text(text + "\n", encoding="utf-8")
         written.append(path)
-        meta = {"created": datetime.now(timezone.utc).isoformat()}
+        meta = {"created": datetime.now(timezone.utc).isoformat(), **getattr(report, "meta", {})}
         meta_path = out / "report.meta.json"
         meta_path.write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8")
         written.append(meta_path)

@@ -25,11 +25,27 @@ holonomy algebra at the base point.  Before entering that closure, fields
 are radially extended to homogeneity degree zero, xi(y) -> xi(y / F(y)),
 which makes y-derivatives along the ray well defined; values on the
 indicatrix itself do not change.
+
+Each evaluation is computed once.  A curvature field owns a memo of stacked
+spray tables at its norm and base point, keyed exactly by (xorder, yorder,
+y-batch shape and bytes); its radialization and its covariant derivatives
+share that memo, fiber brackets need no spray data, and every field of an
+`ihol_generators` set shares one memo.  Every field also memoizes its own
+evaluator output in `bundle_jets`, keyed exactly by (xcap, ycap, y-batch
+shape and bytes).  Because the keys are exact, a hit returns the bits a
+fresh evaluation would compute; cached coefficient arrays are read-only, so
+a caller that writes into one raises instead of corrupting later reads.  The
+memos live exactly as long as the fields that hold them: nothing is cached
+per norm or per module.  `spray_tally` counts memo requests and computed
+tables within a block, for run telemetry.  The parallelogram transport
+oracle calls `spray_jets` itself and never reads these memos.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,9 +65,56 @@ __all__ = [
     "vertical_field",
     "GeneratorSet",
     "ihol_generators",
+    "spray_tally",
 ]
 
 PROVENANCE_TAGS = ("curvature", "bracket", "covariant-derivative", "user")
+
+# the tally of the innermost `spray_tally` block; None outside any block
+_SPRAY_TALLY: ContextVar = ContextVar("spray_tally", default=None)
+
+
+@contextmanager
+def spray_tally():
+    """Count spray-memo requests and computed tables within the block.
+
+    Yields a dict {"requests": int, "computed": int} that fills in as the
+    block runs; outside any block the memos count nothing.
+    """
+    tally = {"requests": 0, "computed": 0}
+    token = _SPRAY_TALLY.set(tally)
+    try:
+        yield tally
+    finally:
+        _SPRAY_TALLY.reset(token)
+
+
+def _frozen(jet: Jet) -> Jet:
+    jet.coeffs.flags.writeable = False
+    return jet
+
+
+class _SprayMemo:
+    """Stacked spray jets of one norm at one base point, each computed once."""
+
+    def __init__(self, norm: FinslerNorm, p):
+        self.norm = norm
+        self.p = p
+        self._tables: dict = {}
+
+    def get(self, xorder: int, yorder: int, yc: np.ndarray) -> Jet:
+        """The stacked jets of G^k with caps (xorder, yorder) at (p, yc); read-only."""
+        key = (xorder, yorder, yc.shape, yc.tobytes())
+        tally = _SPRAY_TALLY.get()
+        if tally is not None:
+            tally["requests"] += 1
+        G = self._tables.get(key)
+        if G is None:
+            G = spray_jets(self.norm, self.p, list(yc), xorder=xorder, yorder=yorder)
+            G = self._tables[key] = _frozen(Jet.stack(G))
+            if tally is not None:
+                tally["computed"] += 1
+        return G
 
 
 # -- fields on one indicatrix --------------------------------------------------
@@ -72,6 +135,10 @@ class IndicatrixVectorField:
     is known: 1 for raw curvature fields, 0 after `radialized()`, None for
     fields without a definite degree (covariant derivatives, brackets, user
     fields).
+
+    `bundle_jets` memoizes the evaluator's output per exact request, and
+    the field carries the spray memo of its family, which its covariant
+    derivatives share; see the module docstring.
     """
 
     def __init__(
@@ -97,6 +164,8 @@ class IndicatrixVectorField:
         self.homogeneity = homogeneity
         self.depth = depth
         self.parents = tuple(parents)
+        self._sprays = _SprayMemo(norm, self.p)
+        self._bundle: dict = {}
 
     @property
     def dim(self) -> int:
@@ -112,9 +181,16 @@ class IndicatrixVectorField:
     def bundle_jets(self, xcap: int, ycap: int, y_center) -> list:
         """Component jets in the bundle space ((n, xcap), (n, ycap)) at (p, y_center).
 
-        y_center entries may be (B,) arrays for a batched evaluation.
+        y_center entries may be (B,) arrays for a batched evaluation.  The
+        coefficient arrays are read-only views of the memoized evaluation.
         """
-        return self._evaluator(int(xcap), int(ycap), np.asarray(y_center, float)).unstack()
+        xcap, ycap = int(xcap), int(ycap)
+        yc = np.asarray(y_center, float)
+        key = (xcap, ycap, yc.shape, yc.tobytes())
+        jet = self._bundle.get(key)
+        if jet is None:
+            jet = self._bundle[key] = _frozen(self._evaluator(xcap, ycap, yc))
+        return jet.unstack()
 
     def taylor(self, center, order: int) -> list:
         """Fiber-only jets at y = center, one per component, in jet_space(n, order)."""
@@ -174,7 +250,7 @@ class IndicatrixVectorField:
             center = np.concatenate([p.reshape(p.shape + (1,) * batch.ndim) + batch, u.value])
             return compose_table(table, xj + u.unstack(), center)
 
-        return IndicatrixVectorField(
+        out = IndicatrixVectorField(
             norm,
             p,
             evaluator,
@@ -184,6 +260,8 @@ class IndicatrixVectorField:
             depth=parent.depth,
             parents=parent.parents,
         )
+        out._sprays = parent._sprays
+        return out
 
 
 # -- base vector fields --------------------------------------------------------
@@ -238,12 +316,16 @@ def curvature_field(norm: FinslerNorm, X: SmoothMap, Y: SmoothMap, p) -> Indicat
     in y; the value at y depends on X and Y only through X(p), Y(p).
     """
     p = norm.manifold.require(np.asarray(p, dtype=float))
+    return _curvature_field(norm, X, Y, p, _SprayMemo(norm, p))
+
+
+def _curvature_field(norm, X, Y, p, sprays: _SprayMemo) -> IndicatrixVectorField:
     n = norm.dim
     xs, ys = range(n), range(n, 2 * n)
 
     def evaluator(xcap, ycap, yc):
         target = ((n, xcap), (n, ycap))
-        G = Jet.stack(spray_jets(norm, p, list(yc), xorder=xcap + 1, yorder=ycap + 2))
+        G = sprays.get(xcap + 1, ycap + 2, yc)
         Gy = G.gradient(ys, axis=1)  # [k, i] = G^k_i
         Gyt = Gy.truncated(target)
         Gyy = Gy.gradient(ys, axis=2).truncated(target)  # [k, i, l] = G^k_il
@@ -266,7 +348,9 @@ def curvature_field(norm: FinslerNorm, X: SmoothMap, Y: SmoothMap, p) -> Indicat
         return acc
 
     label = f"R({X.name or 'X'},{Y.name or 'Y'})"
-    return IndicatrixVectorField(norm, p, evaluator, "curvature", label, homogeneity=1)
+    field = IndicatrixVectorField(norm, p, evaluator, "curvature", label, homogeneity=1)
+    field._sprays = sprays
+    return field
 
 
 # -- derived fields ------------------------------------------------------------
@@ -288,11 +372,12 @@ def berwald_covariant_derivative(
         xi = xi.radialized()
     p, n = xi.p, xi.dim
     xs, ys = range(n), range(n, 2 * n)
+    sprays = xi._sprays if norm is xi.norm else _SprayMemo(norm, p)
 
     def evaluator(xcap, ycap, yc):
         target = ((n, xcap), (n, ycap))
         parent = Jet.stack(xi.bundle_jets(xcap + 1, ycap + 1, yc))
-        G = Jet.stack(spray_jets(norm, p, list(yc), xorder=xcap, yorder=ycap + 2))
+        G = sprays.get(xcap, ycap + 2, yc)
         # [i, j, k] = G^k_j d xi^i/dy^k and G^i_jk xi^k, for every k at once
         Gy = G.gradient(ys).truncated(target).at(None)
         Gy_xiy = Gy * parent.gradient(ys, axis=1).truncated(target).at(np.s_[:, None])
@@ -309,7 +394,7 @@ def berwald_covariant_derivative(
         return acc
 
     label = f"D[{X.name or 'X'}]{xi.label}"
-    return IndicatrixVectorField(
+    out = IndicatrixVectorField(
         norm,
         p,
         evaluator,
@@ -319,6 +404,8 @@ def berwald_covariant_derivative(
         depth=xi.depth + 1,
         parents=(xi.label, X.name or "X"),
     )
+    out._sprays = sprays
+    return out
 
 
 def fiber_bracket(
@@ -354,7 +441,7 @@ def fiber_bracket(
         return acc
 
     label = f"[{xi.label},{eta.label}]"
-    return IndicatrixVectorField(
+    out = IndicatrixVectorField(
         xi.norm,
         xi.p,
         evaluator,
@@ -364,6 +451,8 @@ def fiber_bracket(
         depth=xi.depth + eta.depth + 1,
         parents=(xi.label, eta.label),
     )
+    out._sprays = xi._sprays  # eta's would serve too: same norm, same base point
+    return out
 
 
 # -- bundle-field adapters -----------------------------------------------------
@@ -504,10 +593,11 @@ def ihol_generators(
     p = norm.manifold.require(np.asarray(p, dtype=float))
     if fields is None:
         fields = coordinate_fields(norm.manifold)
+    sprays = _SprayMemo(norm, p)
     base = []
     for a in range(len(fields)):
         for b in range(a + 1, len(fields)):
-            base.append(curvature_field(norm, fields[a], fields[b], p).radialized())
+            base.append(_curvature_field(norm, fields[a], fields[b], p, sprays).radialized())
     by_depth = {0: base}
     out = list(base)
     for d in range(1, depth + 1):

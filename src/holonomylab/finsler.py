@@ -21,7 +21,10 @@ pivoting safe.
 Caps are chosen per call:  output retaining xorder x-derivatives and yorder
 y-derivatives of G^i needs E with caps (xorder + 1, yorder + 2).  Jet
 truncation commutes with products on downward-closed index sets, so all
-factors are truncated to the target before multiplying.
+factors are truncated to the target before multiplying.  For the same
+reason the tables at caps (a, b) equal, bit for bit, the truncation of the
+tables at any caps (X, Y) with a <= X and b <= Y; the test suite checks
+this on the catalog norms.
 
 Each table is one tensor jet whose value shape is the table's index shape
 followed by the batch axis of y (a batch of tangent vectors at a common base

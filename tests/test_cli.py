@@ -365,3 +365,27 @@ def test_undefined_scaled_norm_fails_homogeneity(tmp_path):
     report = json.loads((out / "report.json").read_text(), parse_constant=_reject_constant)
     check = report["tasks"][0]["checks"][0]
     assert check["name"] == "homogeneity" and check["value"] is None and not check["passed"]
+
+
+def test_meta_sidecar_carries_task_telemetry(tmp_path):
+    payload = {
+        "tasks": [
+            {"metric": "sphere", "command": "curvature", "point": [1.1, 0.4], "samples": 8},
+            {"metric": "sphere", "command": "chain", "point": [0.9, 0.4], "depth": 1, "samples": 12},
+            {"command": "grouplab", "op": "scale", "k": 1, "lambda": -2.0, "seed": 1},
+            {"metric": "funk_disk", "command": "curvature", "point": [5.0, 0.0]},
+        ]
+    }
+    code, out = run_cli(tmp_path, payload)
+    assert code == EXIT_NUMERIC
+    meta = json.loads((out / "report.meta.json").read_text())
+    assert "created" in meta
+    tasks = meta["tasks"]
+    assert [t["command"] for t in tasks] == ["curvature", "chain", "grouplab", "curvature"]
+    assert all(t["wall_s"] > 0.0 for t in tasks)
+    for t in tasks[:2]:
+        assert 0 < t["spray_tables"]["computed"] <= t["spray_tables"]["requests"]
+    assert "spray_tables" not in tasks[2]
+    assert tasks[3]["spray_tables"] == {"requests": 0, "computed": 0}
+    # telemetry stays out of the deterministic report
+    assert "wall_s" not in (out / "report.json").read_text()

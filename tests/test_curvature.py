@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from holonomylab import curvature
 from holonomylab.curvature import (
     GeneratorSet,
     IndicatrixVectorField,
@@ -13,11 +14,19 @@ from holonomylab.curvature import (
     fiber_bracket,
     horizontal_field,
     ihol_generators,
+    spray_tally,
     vertical_field,
 )
-from holonomylab.finsler import catalog_norm
+from holonomylab.finsler import catalog_names, catalog_norm
 from holonomylab.jets import jet_space
-from holonomylab.transport import indicatrix_samples, parallelogram_derivatives
+from holonomylab.liealg import inclusion_chain_report
+from holonomylab.transport import (
+    CurveSpec,
+    ParallelogramTransporter,
+    indicatrix_samples,
+    parallel_transport,
+    parallelogram_derivatives,
+)
 
 
 @pytest.fixture(scope="module")
@@ -347,3 +356,82 @@ def test_vertical_field_anchored(sphere):
 def test_constant_base_field_shape_check(sphere):
     with pytest.raises(ValueError):
         constant_base_field(sphere.manifold, [1.0, 0.0, 0.0])
+
+
+# -- memoized evaluation ---------------------------------------------------------
+
+BASE_POINTS = {
+    "euclidean": [0.1, -0.3],
+    "flat_torus": [0.5, 0.25],
+    "sphere": [0.9, 0.4],
+    "funk_disk": [0.3, 0.0],
+}
+
+
+def test_chain_computes_each_spray_table_once(funk, monkeypatch):
+    calls, keys = [], set()
+    bare = curvature.spray_jets
+
+    def counted(norm, x, y, xorder=0, yorder=0):
+        ys = np.asarray(y, dtype=float)
+        calls.append(1)
+        keys.add((xorder, yorder, ys.shape, ys.tobytes()))
+        return bare(norm, x, y, xorder=xorder, yorder=yorder)
+
+    monkeypatch.setattr(curvature, "spray_jets", counted)
+    with spray_tally() as tally:
+        rep = inclusion_chain_report(funk, (0.3, 0.0), depth=2)
+    assert rep.ranks[0] < rep.ranks[1]
+    assert len(calls) == len(keys) == tally["computed"]
+    assert tally["requests"] > tally["computed"]
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_memoized_reads_match_a_fresh_generator_set(name):
+    norm = catalog_norm(name)
+    p = BASE_POINTS[name]
+    ys = indicatrix_samples(norm, p, 6)
+
+    def tables(gen):
+        out = []
+        for f in gen:
+            out.append(f.values(ys))
+            out.extend(j.coeffs for j in f.taylor(ys, 2))
+        return [(a.shape, a.tobytes()) for a in out]
+
+    warm = ihol_generators(norm, p, depth=1)
+    first, second = tables(warm), tables(warm)
+    fresh = tables(ihol_generators(norm, p, depth=1))
+    assert first == second == fresh
+
+    field = warm.fields[-1]
+    jets = field.bundle_jets(1, 1, ys)
+    before = jets[0].coeffs.copy()
+    with pytest.raises(ValueError):
+        jets[0].coeffs[0, 0] = 1.0
+    assert np.array_equal(field.bundle_jets(1, 1, ys)[0].coeffs, before)
+
+
+def test_transport_oracle_never_reads_the_memos(funk, monkeypatch):
+    q = np.array([0.3, 0.0])
+    X = constant_base_field(funk.manifold, [1.0, 0.0], "X")
+    Y = constant_base_field(funk.manifold, [0.0, 1.0], "Y")
+    v = funk.normalize(q, np.array([0.2, 0.9]))
+    curve = CurveSpec.line_segment(q, q + np.array([0.1, 0.2]))
+    schedule = (0.1, 0.05)
+
+    def run():
+        firsts, seconds = ParallelogramTransporter(funk, X, Y, q).difference_quotients(v, schedule)
+        return firsts + seconds + [parallel_transport(funk, curve, v).y_end]
+
+    want = run()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("memo read")
+
+    monkeypatch.setattr(curvature._SprayMemo, "get", refuse)
+    monkeypatch.setattr(IndicatrixVectorField, "bundle_jets", refuse)
+    with pytest.raises(AssertionError, match="memo read"):
+        curvature_field(funk, X, Y, q)._evaluator(0, 0, v)
+    got = run()
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))

@@ -253,3 +253,24 @@ def test_diagnostics_flag_indefinite_norm():
         rep = norm_diagnostics(weird, samples=10, seed=0)
     assert not rep.passed
     assert rep.convexity_failures + rep.positivity_failures > 0
+
+
+@pytest.mark.parametrize("name", finsler.catalog_names())
+def test_spray_jets_truncate_to_lower_caps_bitwise(name):
+    # a spray table at caps (a, b) is the truncation of the table at any
+    # larger caps, bit for bit, for a single y and for a batch
+    points = {"euclidean": [0.1, -0.3], "flat_torus": [0.5, 0.25], "sphere": [0.9, 0.4], "funk_disk": [0.3, 0.0]}
+    norm = catalog_norm(name)
+    x = np.array(points[name])
+    n = norm.dim
+    single = norm.normalize(x, np.array([0.6, 0.8]))
+    batch = np.stack([norm.normalize(x, v) for v in ([1.0, 0.2], [-0.3, 0.7], [0.5, -0.9])], axis=1)
+    for y in (single, batch):
+        top = spray_jets(norm, x, list(y), 3, 8)
+        for a in range(4):
+            for b in range(9):
+                low = spray_jets(norm, x, list(y), a, b)
+                for i in range(n):
+                    cut = top[i].truncated(((n, a), (n, b)))
+                    assert cut.space is low[i].space
+                    assert np.array_equal(cut.coeffs, low[i].coeffs), (a, b, i)
