@@ -10,7 +10,9 @@ attribute access or calls.
 
 Evaluation is generic over the operand type: floats, numpy arrays, and jets
 all work because only arithmetic dunders and the five named functions are
-ever applied.
+ever applied.  On jet arguments the result is always a jet: an expression
+that does not depend on them (``"0.5"``, ``"sqrt(2)"``) evaluates to the
+constant jet in their space, with their broadcast value shape.
 """
 
 from __future__ import annotations
@@ -68,14 +70,20 @@ class Expression:
         missing = [v for v in self.variables if v not in env]
         if missing:
             raise ExpressionError(f"missing values for {missing}")
-        return self._eval(self._tree, env)
+        result = self._eval(self._tree, env)
+        jets = [env[v] for v in self.variables if isinstance(env[v], Jet)]
+        if isinstance(result, Jet) or not jets:
+            return result
+        # the result does not depend on the jet arguments: their constant jet
+        shape = np.broadcast_shapes(np.shape(result), *(j.shape for j in jets))
+        return Jet.constant(jets[0].space, np.broadcast_to(result, shape))
 
     def __call__(self, *values):
         if len(values) != len(self.variables):
             raise ExpressionError(
                 f"expected {len(self.variables)} values for {self.variables}, got {len(values)}"
             )
-        return self._eval(self._tree, dict(zip(self.variables, values)))
+        return self.evaluate(dict(zip(self.variables, values)))
 
     def _eval(self, node, env):
         if isinstance(node, ast.BinOp):

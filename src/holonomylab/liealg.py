@@ -12,7 +12,9 @@ sample points, stacked into a matrix, and the rank is the number of singular
 values above a relative tolerance.  The closure generator brackets fields
 breadth first and admits a candidate only if it raises that rank, so the
 result is a finite-dimensional lower bound of the generated algebra, never a
-claim about its full size.  The inclusion chain report applies this to the
+claim about its full size.  A candidate's row is the one the returned span
+holds, `field_values` of its BracketField, so admission and report read one
+matrix.  The inclusion chain report applies this to the
 curvature fields and the covariant-derivative closure over one base point,
 whose spans bound the holonomy algebra from below; the holonomy algebra
 itself has no generating procedure here and is reported as such.
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 from dataclasses import dataclass, field as dataclass_field
 
@@ -65,13 +68,6 @@ def _seed_jets(dim: int, center, order: int) -> list:
         raise ValueError(f"center has {center.shape[0]} components, field has {dim}")
     space = jet_space(dim, order)
     return [Jet.variable(space, i, center[i]) for i in range(dim)]
-
-
-def _as_jet(value, like: Jet) -> Jet:
-    # expression and polynomial evaluators may collapse to a plain number
-    if isinstance(value, Jet):
-        return value
-    return like * 0.0 + float(value)
 
 
 # -- concrete fields ----------------------------------------------------------
@@ -128,7 +124,7 @@ class ExpressionField:
 
     def taylor(self, center, order: int) -> list:
         seeds = _seed_jets(self.dim, center, order)
-        return [_as_jet(expr(*seeds), seeds[0]) for expr in self.exprs]
+        return [expr(*seeds) for expr in self.exprs]
 
 
 class CallableField:
@@ -356,11 +352,25 @@ class ClosureTrace:
         return json.dumps(self.to_payload(), sort_keys=True, indent=2)
 
 
+def _radical_inverses(count: int, base: int) -> np.ndarray:
+    """Van der Corput points 1..count in `base`, digits added from the least
+    significant up (the order that makes them equal scipy's bit for bit)."""
+    index = np.arange(1, count + 1)
+    out = np.zeros(count)
+    scale = 1.0 / base
+    while index.any():
+        index, digit = np.divmod(index, base)
+        out += digit * scale
+        scale /= base
+    return out
+
+
 def _default_points(f, count: int = 50) -> np.ndarray:
     """Deterministic sample points matched to the field's domain.
 
     Fields anchored to a norm and base point sample its indicatrix; plain
-    fields get a low-discrepancy block in the unit box.
+    fields get the unscrambled Halton block in [-1, 1]^dim that starts after
+    the origin, one prime base per coordinate.
     """
     norm = getattr(f, "norm", None)
     p = getattr(f, "p", None)
@@ -368,11 +378,9 @@ def _default_points(f, count: int = 50) -> np.ndarray:
         from .transport import indicatrix_samples
 
         return indicatrix_samples(norm, p, count)
-    from scipy.stats import qmc
-
-    sampler = qmc.Halton(d=f.dim, scramble=False)
-    sampler.fast_forward(1)  # skip the origin
-    return (2.0 * sampler.random(count) - 1.0).T
+    primes = (q for q in itertools.count(2) if all(q % r for r in range(2, q)))
+    bases = itertools.islice(primes, f.dim)
+    return 2.0 * np.stack([_radical_inverses(count, b) for b in bases]) - 1.0
 
 
 def lie_closure(generators, depth: int = 3, tau: float = DEFAULT_TAU, points=None):
@@ -401,19 +409,6 @@ def lie_closure(generators, depth: int = 3, tau: float = DEFAULT_TAU, points=Non
     trace = ClosureTrace()
     frontier = list(range(len(fields)))
 
-    # candidate bracket values only need each parent's order-1 table, which
-    # is the expensive part; compute it once per admitted field
-    tables: dict = {}
-
-    def order1(idx):
-        if idx not in tables:
-            try:
-                jet = Jet.stack(fields[idx].taylor(points, 1))
-                tables[idx] = (jet.value, jet.gradient(range(fields[idx].dim), axis=1).value)
-            except JetOrderError as exc:
-                tables[idx] = exc
-        return tables[idx]
-
     for g in range(1, depth + 1):
         frontier_set = set(frontier)
         pairs = [
@@ -425,15 +420,14 @@ def lie_closure(generators, depth: int = 3, tau: float = DEFAULT_TAU, points=Non
         candidates = []
         for a, b in pairs:
             cand = BracketField(fields[a], fields[b])
-            ta, tb = order1(a), order1(b)
-            bad = next((t for t in (ta, tb) if isinstance(t, JetOrderError)), None)
-            if bad is not None:
-                trace.notes.append(f"generation {g}: {cand.label} truncated: {bad}")
+            try:
+                # the row FieldSpan builds for this field, so admission and
+                # the returned span read one matrix
+                row = field_values(cand, points).T.ravel()
+            except JetOrderError as exc:
+                trace.notes.append(f"generation {g}: {cand.label} truncated: {exc}")
                 continue
-            av, ad = ta
-            bv, bd = tb
-            values = np.einsum("jk,ijk->ik", av, bd) - np.einsum("jk,ijk->ik", bv, ad)
-            candidates.append((a, b, cand, values.T.ravel()))
+            candidates.append((a, b, cand, row))
         new_labels, parents, new_indices = [], [], []
         for a, b, cand, row in candidates:
             trial = np.vstack([matrix, row])

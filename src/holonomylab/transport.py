@@ -8,9 +8,11 @@ the horizontality condition for the curve u -> (c(u), V(u)).  The integrator
 is classical RK4 with step doubling: a full step against two half steps gives
 an embedded error estimate (the usual /15 factor), steps are halved or grown
 by the standard safety rule, and a step that lands outside the chart or the
-domain box of a vector field counts as a rejection.  States may carry a
-trailing batch axis, so a whole fan of vectors rides along one curve in a
-single solve.
+domain box of a vector field counts as a rejection; the retry reuses the
+first stage rhs(t, y).  States may carry a trailing batch axis, so a whole
+fan of vectors rides along one curve in a single solve.  A curve is a list
+of pieces over u in [0, 1], each only a `dim` and a `point_velocity(u)`;
+expression pieces differentiate their components on an order-1 jet in u.
 
 Parallelogram loops:  for vector fields X, Y with flows phi, psi the outward
 path alpha_t is the four flow segments (X for time t, Y for t, X for -t,
@@ -38,7 +40,7 @@ from numpy.polynomial import chebyshev as _cheb
 
 from .expressions import parse_expression
 from .finsler import FinslerNorm, connection_values
-from .jets import DomainBoxError, SmoothMap, richardson_extrapolate
+from .jets import DomainBoxError, Jet, SmoothMap, jet_space, richardson_extrapolate
 
 __all__ = [
     "CurveSpec",
@@ -95,7 +97,7 @@ def _rk4_step(rhs, t, y, h, k1=None):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), k1
 
 
-def integrate(rhs, t0, t1, y0, atol=ATOL, rtol=RTOL, h0=None, max_steps=200000):
+def integrate(rhs, t0, t1, y0, atol=ATOL, rtol=RTOL, max_steps=200000):
     """Adaptive RK4 by step doubling from t0 to t1 (either direction).
 
     rhs(t, y) -> dy/dt, where y is (d,) or (d, B).  Returns (y_end, stats)
@@ -109,11 +111,12 @@ def integrate(rhs, t0, t1, y0, atol=ATOL, rtol=RTOL, h0=None, max_steps=200000):
     span = t1 - t0
     if span == 0.0:
         return y, {"accepted": 0, "rejected": 0, "forced": 0, "max_local_error": 0.0}
-    h = span if h0 is None else np.sign(span) * min(abs(h0), abs(span))
+    h = span
     h_min = 1e-13 * max(abs(span), 1.0)
     t = t0
     accepted = rejected = forced = 0
     max_err = 0.0
+    k1 = None  # rhs(t, y), kept across rejected attempts from the same state
     while (t1 - t) * np.sign(span) > 0.0:
         if abs(t1 - t) <= h_min:
             break  # remaining span is rounding noise
@@ -124,7 +127,7 @@ def integrate(rhs, t0, t1, y0, atol=ATOL, rtol=RTOL, h0=None, max_steps=200000):
         if accepted + rejected + forced > max_steps:
             raise TransportFailure("step budget exhausted", t, y)
         try:
-            full, k1 = _rk4_step(rhs, t, y, h)
+            full, k1 = _rk4_step(rhs, t, y, h, k1=k1)
             half, _ = _rk4_step(rhs, t, y, 0.5 * h, k1=k1)
             two_half, _ = _rk4_step(rhs, t + 0.5 * h, half, 0.5 * h)
         except DomainBoxError:
@@ -137,6 +140,7 @@ def integrate(rhs, t0, t1, y0, atol=ATOL, rtol=RTOL, h0=None, max_steps=200000):
         if err <= 1.0 or abs(h) <= h_min * 2.0:
             t += h
             y = two_half + delta
+            k1 = None
             if err <= 1.0:
                 accepted += 1
             else:
@@ -152,78 +156,52 @@ def integrate(rhs, t0, t1, y0, atol=ATOL, rtol=RTOL, h0=None, max_steps=200000):
 # -- curve pieces ---------------------------------------------------------------
 
 
-def _piece_point_velocity(piece: SmoothMap, u: float):
-    fast = getattr(piece, "point_velocity", None)
-    if fast is not None:
-        return fast(u)
-    out = piece.jet(np.array([u]), 1)
-    return (
-        np.array([j.value for j in out]),
-        np.array([j.derivative(1) for j in out]),
-    )
-
-
-class _AffinePiece(SmoothMap):
+class _AffinePiece:
     """Straight segment a + u (b - a), u in [0, 1]."""
 
     def __init__(self, a, b):
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        n = a.shape[0]
-
-        def fun(args):
-            return [a[i] + (b[i] - a[i]) * args[0] for i in range(n)]
-
-        super().__init__(fun, 1, n, name="segment")
-        self.a = a
-        self.b = b
+        self.a = np.asarray(a, dtype=float)
+        self.b = np.asarray(b, dtype=float)
+        self.dim = self.a.shape[0]
 
     def point_velocity(self, u):
         return self.a + (self.b - self.a) * u, self.b - self.a
 
 
-class _ChebPiece(SmoothMap):
+class _ChebPiece:
     """Chebyshev-series curve over u in [0, 1] (s = 2u - 1 internally)."""
 
-    def __init__(self, coeffs: np.ndarray, name: str = "chebyshev"):
-        coeffs = np.asarray(coeffs, dtype=float)
-        n = coeffs.shape[1]
-
-        def fun(args):
-            s = 2.0 * args[0] - 1.0
-            return [_cheb.chebval(s, coeffs[:, i]) for i in range(n)]
-
-        super().__init__(fun, 1, n, name=name)
-        self.coeffs = coeffs
-        self._dcoeffs = 2.0 * _cheb.chebder(coeffs, axis=0)
+    def __init__(self, coeffs: np.ndarray):
+        self.coeffs = np.asarray(coeffs, dtype=float)
+        self.dim = self.coeffs.shape[1]
+        self._dcoeffs = 2.0 * _cheb.chebder(self.coeffs, axis=0)
 
     def point_velocity(self, u):
         s = 2.0 * u - 1.0
         return _cheb.chebval(s, self.coeffs), _cheb.chebval(s, self._dcoeffs)
 
 
-class _ReversedPiece(SmoothMap):
-    def __init__(self, inner: SmoothMap):
-        def fun(args):
-            return inner.fun([1.0 - args[0]])
-
-        super().__init__(fun, 1, inner.dim_out, name=f"reversed {inner.name}")
+class _ReversedPiece:
+    def __init__(self, inner):
+        self.dim = inner.dim
         self._inner = inner
 
     def point_velocity(self, u):
-        x, dx = _piece_point_velocity(self._inner, 1.0 - u)
+        x, dx = self._inner.point_velocity(1.0 - u)
         return x, -dx
 
 
-class _ExpressionPiece(SmoothMap):
+class _ExpressionPiece:
+    """Component expressions in t, differentiated on one order-1 jet in t."""
+
     def __init__(self, texts):
-        exprs = [parse_expression(s, ("t",)) for s in texts]
+        self._exprs = [parse_expression(s, ("t",)) for s in texts]
+        self.dim = len(self._exprs)
 
-        def fun(args):
-            return [e(args[0]) for e in exprs]
-
-        super().__init__(fun, 1, len(exprs), name="expression curve")
-        self.texts = tuple(texts)
+    def point_velocity(self, u):
+        t = Jet.variable(jet_space(1, 1), 0, u)
+        out = [e(t) for e in self._exprs]
+        return np.array([j.value for j in out]), np.array([j.derivative(1) for j in out])
 
 
 def _lobatto_nodes(m: int) -> np.ndarray:
@@ -231,10 +209,9 @@ def _lobatto_nodes(m: int) -> np.ndarray:
     return 0.5 * (1.0 - np.cos(np.pi * np.arange(m + 1) / m))
 
 
-def _fit_chebyshev(nodes01: np.ndarray, values: np.ndarray, name: str) -> _ChebPiece:
+def _fit_chebyshev(nodes01: np.ndarray, values: np.ndarray) -> _ChebPiece:
     s = 2.0 * nodes01 - 1.0
-    coeffs = _cheb.chebfit(s, values, deg=len(nodes01) - 1)
-    return _ChebPiece(coeffs, name=name)
+    return _ChebPiece(_cheb.chebfit(s, values, deg=len(nodes01) - 1))
 
 
 class CurveSpec:
@@ -249,10 +226,10 @@ class CurveSpec:
         if not pieces:
             raise ValueError("a curve needs at least one piece")
         self.pieces = pieces
-        self.dim = pieces[0].dim_out
+        self.dim = pieces[0].dim
         for i in range(len(pieces) - 1):
-            a = _piece_point_velocity(pieces[i], 1.0)[0]
-            b = _piece_point_velocity(pieces[i + 1], 0.0)[0]
+            a = pieces[i].point_velocity(1.0)[0]
+            b = pieces[i + 1].point_velocity(0.0)[0]
             gap = float(np.max(np.abs(a - b)))
             if gap > _JUNCTION_TOL:
                 raise ValueError(f"pieces {i} and {i+1} do not join (gap {gap:.3e})")
@@ -268,19 +245,19 @@ class CurveSpec:
 
     @property
     def start(self):
-        return _piece_point_velocity(self.pieces[0], 0.0)[0]
+        return self.pieces[0].point_velocity(0.0)[0]
 
     @property
     def end(self):
-        return _piece_point_velocity(self.pieces[-1], 1.0)[0]
+        return self.pieces[-1].point_velocity(1.0)[0]
 
     def point(self, t: float) -> np.ndarray:
         k, u = self._locate(t)
-        return _piece_point_velocity(self.pieces[k], u)[0]
+        return self.pieces[k].point_velocity(u)[0]
 
     def velocity(self, t: float) -> np.ndarray:
         k, u = self._locate(t)
-        return len(self.pieces) * _piece_point_velocity(self.pieces[k], u)[1]
+        return len(self.pieces) * self.pieces[k].point_velocity(u)[1]
 
     def _locate(self, t: float):
         m = len(self.pieces)
@@ -373,13 +350,13 @@ def parallel_transport(
     max_err = 0.0
     for piece in curve.pieces:
         def rhs(u, W, piece=piece):
-            x, dx = _piece_point_velocity(piece, u)
+            x, dx = piece.point_velocity(u)
             Gj = connection_values(norm, x, W)
             if W.ndim == 2:
                 return -np.einsum("ijb,j->ib", Gj, dx)
             return -(Gj @ dx)
 
-        V, stats = integrate(rhs, 0.0, 1.0, V, atol=atol, rtol=rtol, h0=1.0)
+        V, stats = integrate(rhs, 0.0, 1.0, V, atol=atol, rtol=rtol)
         accepted += stats["accepted"]
         rejected += stats["rejected"]
         forced += stats["forced"]
@@ -479,7 +456,7 @@ def flow_curve(X: SmoothMap, p, T: float, nodes: int = 16) -> _ChebPiece:
     if np.all(values == values[0]):
         piece = _AffinePiece(p, p)  # stationary point of X: keep velocity exactly 0
     else:
-        piece = _fit_chebyshev(us, values, name="flow")
+        piece = _fit_chebyshev(us, values)
     piece.end_state = values[-1]
     return piece
 
@@ -596,7 +573,7 @@ class ParallelogramTransporter:
         values[-1] = a4.end_state
         for i in range(1, self.nodes):
             values[i] = self._chain_point(us[i] * t)
-        beta = _fit_chebyshev(us, values, name="gap curve")
+        beta = _fit_chebyshev(us, values)
         loop = LoopSpec([a1, a2, a3, a4, _ReversedPiece(beta)])
         result = ParallelogramLoop(self.X, self.Y, self.p, t, loop)
         self._loops[t] = result

@@ -2,12 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
+import holonomylab
 from holonomylab.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -389,3 +393,47 @@ def test_meta_sidecar_carries_task_telemetry(tmp_path):
     assert tasks[3]["spray_tables"] == {"requests": 0, "computed": 0}
     # telemetry stays out of the deterministic report
     assert "wall_s" not in (out / "report.json").read_text()
+
+
+def test_constant_loop_component_exits_0(tmp_path):
+    # a loop component that does not depend on t is a constant curve coordinate
+    loop = {"expressions": ["0.3*cos(2*pi*t)", "0.5"]}
+    code, out = run_cli(tmp_path, {"metric": "euclidean", "command": "holonomy", "loop": loop})
+    assert code == EXIT_PASS
+    results = read_report(out)["tasks"][0]["results"]
+    assert results["base_point"] == [0.3, 0.5]
+    assert results["max_displacement"] == 0.0
+
+
+def test_constant_norm_fails_its_checks(tmp_path):
+    # F = 2 is no norm: not homogeneous and with a zero fundamental tensor
+    metric = {"norm": "2", "lo": [-1, -1], "hi": [1, 1]}
+    code, out = run_cli(tmp_path, {"metric": metric, "command": "metric-check"})
+    assert code == EXIT_NUMERIC
+    checks = {c["name"]: c["passed"] for c in read_report(out)["tasks"][0]["checks"]}
+    assert not checks["homogeneity"] and not checks["convexity-failures"]
+
+
+def test_closure_run_does_not_import_scipy_stats(tmp_path):
+    # scipy.stats costs about a second of import and of interpreter exit
+    payload = {
+        "command": "closure",
+        "fields": [
+            {"variables": ["x", "y"], "components": ["1", "0"], "name": "dx"},
+            {"variables": ["x", "y"], "components": ["-y", "x"], "name": "rot"},
+        ],
+        "depth": 2,
+    }
+    cfg = write_config(tmp_path, payload)
+    probe = (
+        "import sys\n"
+        "from holonomylab.cli import main\n"
+        f"code = main(['--config', {str(cfg)!r}, '--out', {str(tmp_path / 'out')!r}])\n"
+        "print(code, 'scipy.stats' in sys.modules)\n"
+    )
+    # the child imports the package these tests import
+    env = {**os.environ, "PYTHONPATH": str(Path(holonomylab.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env
+    )
+    assert done.stdout.split()[-2:] == [str(EXIT_PASS), "False"]

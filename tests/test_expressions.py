@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from holonomylab.expressions import ExpressionError, parse_expression
-from holonomylab.jets import jet_space, jet_variable
+from holonomylab.jets import Jet, JetDomainError, jet_space, jet_variable
+
+try:
+    from hypothesis import assume, given, strategies as st
+except ImportError:  # the property test below skips itself
+    st = None
 
 
 def test_basic_arithmetic():
@@ -117,3 +122,73 @@ def test_oversized_expressions_rejected():
             parse_expression(text, ("x1", "y1"))
     text = "sqrt(" + " + ".join(["y1^2"] * 150) + ")"
     assert parse_expression(text, ("x1", "y1"))(0.0, 2.0) == pytest.approx(2.0 * math.sqrt(150))
+
+
+def test_constant_expression_on_jets_is_a_constant_jet():
+    space = jet_space(2, 2)
+    x = jet_variable(space, 0, np.array([0.3, -0.5, 0.7]))
+    y = jet_variable(space, 1, 2.0)
+    out = parse_expression("sqrt(2) * 3", ("x1", "x2"))(x, y)
+    assert isinstance(out, Jet) and out.space is space and out.shape == (3,)
+    assert np.array_equal(out.value, np.full(3, math.sqrt(2) * 3))
+    assert not np.any(out.coeffs[1:])
+
+
+if st is None:
+
+    def test_jet_arguments_give_a_jet():
+        pytest.skip("hypothesis is not installed")
+
+else:
+
+    def _grammar(leaves):
+        """Expression strings over `leaves` with every operator and function."""
+
+        def extend(sub):
+            return st.one_of(
+                st.tuples(sub, st.sampled_from("+-*/"), sub).map(
+                    lambda t: f"({t[0]} {t[1]} {t[2]})"
+                ),
+                st.tuples(st.sampled_from(("sqrt", "sin", "cos", "exp", "log")), sub).map(
+                    lambda t: f"{t[0]}({t[1]})"
+                ),
+                st.tuples(sub, st.sampled_from("23")).map(lambda t: f"({t[0]})^{t[1]}"),
+                sub.map(lambda t: f"-{t}"),
+            )
+
+        return st.recursive(leaves, extend, max_leaves=6)
+
+    CONSTANTS = st.sampled_from(("0.5", "1.5", "2", "3.25", "pi"))
+    TEXTS = st.one_of(
+        _grammar(CONSTANTS), _grammar(st.one_of(CONSTANTS, st.sampled_from(("x1", "x2"))))
+    )
+    # away from 0: the Taylor coefficients of 1/x at x = 1e-275 overflow
+    POINTS = st.floats(-2.0, 2.0).filter(lambda v: abs(v) >= 1e-2)
+
+    @given(TEXTS, st.sampled_from(((), (3,))), st.lists(POINTS, min_size=6, max_size=6))
+    def test_jet_arguments_give_a_jet(text, shape, values):
+        """On jet arguments an expression gives a jet in their space and shape,
+        whose value part is the expression's value at their value parts."""
+        expr = parse_expression(text, ("x1", "x2"))
+        has_variables = "x1" in text or "x2" in text
+        space = jet_space(2, 2)
+        grid = np.array(values).reshape(2, 3)
+        args = [Jet.variable(space, i, grid[i] if shape else grid[i, 0]) for i in range(2)]
+        with np.errstate(all="ignore"):
+            try:
+                expected = np.asarray(expr(*(a.value for a in args)), dtype=float)
+            except ArithmeticError:  # 1/0 or an overflow in the constant part
+                assume(False)
+            try:
+                out = expr(*args)
+            except JetDomainError:
+                assert has_variables
+                return
+        assert isinstance(out, Jet) and out.space is space and out.shape == shape
+        expected = np.broadcast_to(expected, shape)
+        finite = np.isfinite(expected)
+        if has_variables:
+            # jet division multiplies by a reciprocal, so not bit for bit
+            np.testing.assert_allclose(out.value[finite], expected[finite], rtol=1e-12)
+        else:
+            assert np.array_equal(out.value[finite], expected[finite])

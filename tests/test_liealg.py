@@ -324,6 +324,22 @@ def test_closure_notes_truncation():
     assert any("truncated" in note for note in trace.notes)
 
 
+
+def test_default_points_are_scipy_halton_bitwise():
+    from scipy.stats import qmc
+
+    from holonomylab.liealg import _default_points
+
+    for dim in range(1, 9):
+        field = PolynomialField(dim, [{}] * dim)
+        for count in (1, 50, 333):
+            sampler = qmc.Halton(d=dim, scramble=False)
+            sampler.fast_forward(1)
+            expected = (2.0 * sampler.random(count) - 1.0).T
+            got = _default_points(field, count)
+            assert got.shape == expected.shape and np.array_equal(got, expected)
+
+
 # -- inclusion chain ------------------------------------------------------------
 
 

@@ -102,6 +102,23 @@ def test_forced_steps_flag_the_transport(monkeypatch):
     assert result.forced_steps == 1 and result.flagged
 
 
+def test_rejected_attempt_keeps_its_first_stage():
+    # one step over the whole span misses the tolerance; the retries from the
+    # start state must reuse rhs(t0, y0) instead of evaluating it again
+    y0 = np.array([0.0])
+    at_start = []
+
+    def rhs(t, y):
+        if t == 0.0 and np.array_equal(y, y0):
+            at_start.append(t)
+        return np.array([10.0 * np.cos(10.0 * t)])
+
+    y, stats = integrate(rhs, 0.0, 2.0, y0)
+    assert stats["rejected"] >= 1
+    assert len(at_start) == 1
+    assert abs(y[0] - np.sin(20.0)) < 1e-9
+
+
 # -- curves ----------------------------------------------------------------------
 
 
@@ -120,6 +137,13 @@ def test_expression_curve():
     np.testing.assert_allclose(c.velocity(0.0), [0.0, 2 * np.pi], atol=1e-12)
     assert c.closure_gap() < 1e-12
     c.as_loop()  # closes, so this must not raise
+
+
+def test_expression_curve_constant_component():
+    # a component that does not depend on t is a constant, with velocity 0
+    c = CurveSpec.from_expressions(["cos(2*pi*t)", "0.3"])
+    np.testing.assert_allclose(c.point(0.5), [-1.0, 0.3], atol=1e-12)
+    assert c.velocity(0.3)[1] == 0.0
 
 
 def test_mismatched_pieces_rejected():
