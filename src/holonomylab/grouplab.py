@@ -489,11 +489,12 @@ def one_sided_derivative(curve: MatrixCurve, k: int, schedule=None):
 
     One-sided first differences of the matrix entries are extrapolated by
     the Neville table in the fractional power; k is the contact order of the
-    curve the weak reparametrization started from.  Returns (derivative,
-    residual of the last correction).
+    curve the weak reparametrization started from.  The default schedule
+    halves s = h^{1/k}, the variable the error expands in: h_i = (0.5 * 2^-i)^k
+    for i < 8.  Returns (derivative, residual of the last correction).
     """
     if schedule is None:
-        schedule = tuple(0.1 * 0.5**i for i in range(8))
+        schedule = tuple((0.5 * 0.5**i) ** int(k) for i in range(8))
     schedule = tuple(float(h) for h in schedule)
     eye = np.eye(curve.n)
     estimates = [(curve.value(h) - eye) / h for h in schedule]

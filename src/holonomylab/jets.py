@@ -52,6 +52,12 @@ DEFAULT_ORDER = 4
 
 _RICHARDSON_SCHEDULE = (0.1, 0.05, 0.025, 0.0125)
 
+# Largest pair-product array `JetSpace.multiply` folds with np.bincount.  The
+# two folds cost the same near 4,096 elements (spaces of 10 to 210 entries,
+# 1 to 364 columns); below it the sparse fold's Python dispatch dominates,
+# above it bincount's per-element cost does.  Each cached index is <= 32 KB.
+_BINCOUNT_MAX_ELEMENTS = 4096
+
 
 class JetDomainError(ValueError):
     """An elementary operation left its analytic domain (sqrt of a negative
@@ -122,6 +128,7 @@ class JetSpace:
             self._group_of_var.extend([g] * size)
 
         self._mul = None
+        self._flat: dict[int, np.ndarray] = {}
         self._shift: dict[int, tuple["JetSpace", np.ndarray, np.ndarray]] = {}
         self._trunc: dict[tuple, np.ndarray] = {}
         self._mono_parent: tuple[np.ndarray, np.ndarray] | None = None
@@ -139,11 +146,13 @@ class JetSpace:
     # -- multiplication -------------------------------------------------
 
     def _mul_table(self):
-        """Sparse fold matrix for the truncated convolution, built once.
+        """Pair positions and fold targets of the truncated convolution, built once.
 
         Multi-indices are encoded in a mixed radix wide enough that adding two
         admissible indices never carries, so pair sums can be looked up in a
-        flat table.
+        flat table.  Returns (ii, jj, kk, fold): pair p multiplies entries
+        ii[p] and jj[p] into entry kk[p], pairs in row-major (ii, jj) order,
+        and `fold` is the sparse matrix summing each pair into its target.
         """
         if self._mul is not None:
             return self._mul
@@ -164,13 +173,33 @@ class JetSpace:
         fold = scipy.sparse.csr_matrix(
             (np.ones(len(kk)), (kk, np.arange(len(kk)))), shape=(self.size, len(kk))
         )
-        self._mul = (ii, jj, fold)
+        self._mul = (ii, jj, kk, fold)
         return self._mul
 
     def multiply(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Truncated product of coefficient tables of shape (size,) or (size, columns)."""
-        ii, jj, fold = self._mul_table()
-        return fold @ (a[ii] * b[jj])
+        """Truncated product of coefficient tables of shape (size,) or (size, columns).
+
+        Up to `_BINCOUNT_MAX_ELEMENTS` pair products, `np.bincount` over a
+        flat index cached per column count folds them and skips scipy.sparse's
+        Python dispatch; larger products use the sparse fold, which is faster
+        there and caches nothing per column count.  Both folds start every
+        output entry at +0.0 and add its pair products one at a time in pair
+        order, so they agree bit for bit, up to the sign of a NaN that sums
+        two NaNs.
+        """
+        ii, jj, kk, fold = self._mul_table()
+        if a.ndim == 1:
+            pairs = a[ii] * b[jj]
+        else:  # take() gathers the rows of a 2-D table several times faster than a[ii]
+            pairs = a.take(ii, 0) * b.take(jj, 0)
+        if pairs.size > _BINCOUNT_MAX_ELEMENTS:
+            return fold @ pairs
+        columns = pairs.shape[1:]
+        width = math.prod(columns)
+        flat = self._flat.get(width)
+        if flat is None:
+            flat = self._flat[width] = (kk[:, None] * width + np.arange(width)).ravel()
+        return np.bincount(flat, pairs.ravel(), self.size * width).reshape((self.size,) + columns)
 
     # -- structural maps -------------------------------------------------
 
@@ -460,7 +489,9 @@ class Jet:
         out = Jet.constant(self.space, series[m])
         for j in range(m - 1, -1, -1):
             out = out * w
-            out.coeffs[0] = out.coeffs[0] + series[j]
+            # w's value part is 0, so the product's is 0 too, or inf*0 = NaN
+            # once the higher series terms overflow at a tiny value part
+            out.coeffs[0] = series[j]
         return out
 
     def _reciprocal(self) -> "Jet":
@@ -645,18 +676,22 @@ def compose_table(table: Jet, args: Sequence[Jet], center) -> Jet:
 
 
 class SmoothMap:
-    """A jet-in/jet-out pure function with an axis-aligned validity box.
+    """A pure function of jets, or of floats, with an axis-aligned validity box.
 
-    The evaluator receives one jet per domain variable (all in one space) and
-    returns one jet per codomain component.  Plain point evaluation runs the
-    same evaluator on order-0 jets, so degenerate jets reproduce values by
-    construction.  Evaluation outside the box raises, never extrapolates;
-    a relative slack of 1e-9 absorbs rounding at the walls.
+    The evaluator receives one argument per domain variable and returns one
+    per codomain component.  :meth:`jets` passes jets (all in one space) and
+    needs jets back; :meth:`value` passes the point's coordinates as floats
+    (numpy scalars, or arrays for a batch of points), so the evaluator must
+    accept those too.  On floats it does the IEEE operations an order-0 jet
+    would do, except that a product of two jets is summed onto +0.0, so
+    ``-0.0`` from a float product reads ``+0.0`` on jets.  Evaluation outside
+    the box raises, never extrapolates; a relative slack of 1e-9 absorbs
+    rounding at the walls.
     """
 
     def __init__(
         self,
-        fun: Callable[[list[Jet]], Sequence[Jet]],
+        fun: Callable[[list], Sequence],
         dim_in: int,
         dim_out: int,
         lo=None,
@@ -669,22 +704,22 @@ class SmoothMap:
         self.lo = None if lo is None else np.asarray(lo, dtype=float)
         self.hi = None if hi is None else np.asarray(hi, dtype=float)
         self.name = name
+        self._lo_slack = None if lo is None else 1e-9 * np.maximum(1.0, np.abs(self.lo))
+        self._hi_slack = None if hi is None else 1e-9 * np.maximum(1.0, np.abs(self.hi))
 
     def _check_domain(self, values: np.ndarray):
         if self.lo is None and self.hi is None:
             return
         v = np.asarray(values)
         if self.lo is not None:
-            slack = 1e-9 * np.maximum(1.0, np.abs(self.lo))
             low = v.T - self.lo if v.ndim > 1 else v - self.lo
-            if np.any(low < -slack):
+            if (low < -self._lo_slack).any():
                 raise DomainBoxError(
                     f"{self.name or 'map'}: point below domain box {self.lo}"
                 )
         if self.hi is not None:
-            slack = 1e-9 * np.maximum(1.0, np.abs(self.hi))
             high = self.hi - v.T if v.ndim > 1 else self.hi - v
-            if np.any(high < -slack):
+            if (high < -self._hi_slack).any():
                 raise DomainBoxError(
                     f"{self.name or 'map'}: point above domain box {self.hi}"
                 )
@@ -704,7 +739,14 @@ class SmoothMap:
         return self.jets(jet_point(space, x))
 
     def value(self, x) -> np.ndarray:
-        return np.stack([np.asarray(j.value) for j in self.jet(x, 0)])
+        """The map at the point x (shape (dim_in,), or (dim_in, batch)), on floats."""
+        x = np.asarray(x, dtype=float)
+        if x.shape[0] != self.dim_in:
+            raise JetShapeError(
+                f"{self.name}: expected {self.dim_in} coordinates, got {x.shape[0]}"
+            )
+        self._check_domain(x)
+        return np.array(self.fun(list(x)), dtype=float)
 
     def jacobian(self, x) -> np.ndarray:
         out = self.jet(x, 1)

@@ -388,6 +388,19 @@ def test_weak_tangency_extrapolates_fractional_error_terms():
     assert residual < 1e-5
 
 
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_weak_tangency_default_schedule_meets_the_cli_tolerance(k):
+    # the CLI's weak-direction check: relative defect 1e-5 against k! C
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        M = rng.standard_normal((2, 2))
+        phi = MatrixCurve.exponential(0.8 * M / np.linalg.norm(M, 2), power=k)
+        X = phi.derivative(k)
+        derivative, _ = one_sided_derivative(weak_tangency_reparam(phi), k)
+        defect = np.max(np.abs(derivative - X)) / max(np.max(np.abs(X)), 1.0)
+        assert defect < 1e-5
+
+
 def test_weak_tangency_is_one_sided():
     A = np.array([[0.0, 1.0], [0.0, 0.0]])
     sigma = weak_tangency_reparam(MatrixCurve.exponential(A, power=2))

@@ -4,12 +4,14 @@ byte-identical reports of the geometry layers rest on this."""
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
-from holonomylab.jets import Jet, compose_table, grouped_space  # noqa: E402
+from holonomylab import jets  # noqa: E402
+from holonomylab.jets import Jet, compose_table, grouped_space, jet_space  # noqa: E402
 
 GROUPS = (((1, 3),), ((2, 2),), ((2, 1), (2, 2)), ((1, 2), (2, 1)))
 SHAPES = ((), (3,), (2, 3), (2, 2))
@@ -120,3 +122,73 @@ def test_stack_and_unstack_are_inverse(a):
     if a.shape:
         assert same_bits(Jet.stack(a.unstack()).coeffs, a.coeffs)
         assert same_bits(a.sum().coeffs, sum(a.unstack()[1:], a.unstack()[0]).coeffs)
+
+
+# -- the truncated product against the sparse fold --------------------------------
+
+SPECIALS = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, 1e300, -5e-324])
+
+
+def sparse_fold(space, a, b):
+    """The product as a CSR matrix summing each pair into its target, pairs in
+    row-major (i, j) order: the fold the product is defined by."""
+    ii, jj, kk = [], [], []
+    for i, s in enumerate(space.tuples):
+        for j, t in enumerate(space.tuples):
+            k = space.position.get(tuple(u + v for u, v in zip(s, t)))
+            if k is not None:
+                ii.append(i)
+                jj.append(j)
+                kk.append(k)
+    fold = scipy.sparse.csr_matrix(
+        (np.ones(len(kk)), (kk, np.arange(len(kk)))), shape=(space.size, len(kk))
+    )
+    return fold @ (a[ii] * b[jj]), len(kk)
+
+
+def same_bits_or_nan(x, y) -> bool:
+    """Equal bits, except that a NaN matches a NaN of any sign or payload: the
+    sparse kernel may add two NaNs in either operand order."""
+    nan = np.isnan(x)
+    return np.array_equal(nan, np.isnan(y)) and same_bits(np.where(nan, 0.0, x), np.where(nan, 0.0, y))
+
+
+def special_table(rng, shape):
+    """Random entries with every special value planted somewhere."""
+    out = rng.standard_normal(shape)
+    flat = out.reshape(-1)
+    spots = rng.choice(flat.size, size=min(flat.size, 3 * len(SPECIALS)), replace=False)
+    flat[spots] = np.resize(SPECIALS, len(spots))
+    return out
+
+
+def columns_for(pairs, side, rng):
+    """A column count whose product lands on `side` of the bincount limit."""
+    fit = jets._BINCOUNT_MAX_ELEMENTS // pairs
+    return int(rng.integers(1, min(fit, 12) + 1)) if side == "small" else fit + 1
+
+
+@given(
+    st.sampled_from(GROUPS + (((1, 1), (1, 1)), ((2, 1), (2, 3)))),
+    st.sampled_from(("1-D", "small", "large")),
+    st.integers(0, 2**32 - 1),
+)
+def test_multiply_is_the_sparse_fold_bitwise(groups, side, seed):
+    space = grouped_space(groups)
+    rng = np.random.default_rng(seed)
+    _, pairs = sparse_fold(space, np.zeros(space.size), np.zeros(space.size))
+    shape = (space.size,) if side == "1-D" else (space.size, columns_for(pairs, side, rng))
+    a, b = special_table(rng, shape), special_table(rng, shape)
+    with np.errstate(invalid="ignore", over="ignore"):
+        want, _ = sparse_fold(space, a, b)
+        assert same_bits_or_nan(space.multiply(a, b), want)
+
+
+def test_multiply_is_the_sparse_fold_for_a_large_one_dimensional_product():
+    space = jet_space(2, 33)
+    rng = np.random.default_rng(5)
+    a, b = special_table(rng, (space.size,)), special_table(rng, (space.size,))
+    with np.errstate(invalid="ignore", over="ignore"):
+        want, pairs = sparse_fold(space, a, b)
+        assert pairs > jets._BINCOUNT_MAX_ELEMENTS
+        assert same_bits_or_nan(space.multiply(a, b), want)

@@ -3,6 +3,8 @@ import numpy.polynomial.polynomial as P
 import pytest
 
 from holonomylab import jets
+from holonomylab.curvature import constant_base_field, coordinate_fields
+from holonomylab.finsler import catalog_names, catalog_norm
 from holonomylab.jets import (
     DomainBoxError,
     Jet,
@@ -192,6 +194,62 @@ def test_smoothmap_jacobian_and_domain_box():
         m.value(np.array([1.5, 0.0]))
     with pytest.raises(DomainBoxError):
         m.jet(np.array([0.0, -2.0]), 2)
+
+
+def order0_values(m, x):
+    return np.stack([j.value for j in m.jet(x, 0)])
+
+
+def rotation_field(manifold):
+    return SmoothMap(lambda a: [-a[1], a[0]], 2, 2, lo=manifold.lo, hi=manifold.hi)
+
+
+def test_smoothmap_value_is_the_order0_jet_bitwise():
+    rng = np.random.default_rng(3)
+    for name in catalog_names():
+        man = catalog_norm(name).manifold
+        lo, hi = np.array(man.lo), np.array(man.hi)
+        fields = coordinate_fields(man) + [
+            constant_base_field(man, [0.0, -0.0]),
+            constant_base_field(man, [-0.0, 2.5]),
+            constant_base_field(man, rng.standard_normal(2)),
+            rotation_field(man),
+        ]
+        points = [lo + (hi - lo) * rng.uniform(size=2) for _ in range(5)]
+        points += [np.clip([-0.0, 0.0], lo, hi), lo, hi]
+        points.append((lo + (hi - lo) * rng.uniform(size=(3, 2))).T)  # a batch of points
+        for m in fields:
+            for x in points:
+                assert m.value(x).tobytes() == order0_values(m, x).tobytes()
+
+
+def test_smoothmap_value_raises_at_the_box_slack():
+    # outside means more than 1e-9 * max(1, |wall|) beyond a wall
+    lo, hi = np.array([-5.0, 0.2]), np.array([0.5, 3.0])
+    m = SmoothMap(lambda a: [-a[1], a[0]], 2, 2, lo=lo, hi=hi)
+    inside = np.array([0.0, 1.0])
+    for axis in range(2):
+        for wall, outward in ((lo, -1.0), (hi, 1.0)):
+            slack = 1e-9 * max(1.0, abs(wall[axis]))
+            for factor in (0.0, 0.5, 0.999, 1.001, 2.0):
+                x = inside.copy()
+                x[axis] = wall[axis] + outward * factor * slack
+                batch = np.stack([inside, x], axis=1)
+                for point in (x, batch):
+                    if factor > 1.0:
+                        with pytest.raises(DomainBoxError):
+                            m.value(point)
+                        with pytest.raises(DomainBoxError):
+                            m.jet(point, 0)
+                    else:
+                        assert m.value(point).tobytes() == order0_values(m, point).tobytes()
+
+
+def test_reciprocal_value_at_a_tiny_value_part():
+    x = Jet.variable(jet_space(2, 2), 0, 1.3e-275)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert (0.5 / x).value == 0.5 / 1.3e-275
+        assert (1 / Jet.variable(jet_space(2, 2), 0, 1e-110)).value == 1e110
 
 
 def test_curve_derivative_sin():
