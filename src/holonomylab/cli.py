@@ -9,8 +9,9 @@ closures, the inclusion-chain report, and the matrix-group constructions.
 Reports are deterministic: identical config and seed produce byte-identical
 report.json (keys sorted, task randomness drawn from per-task seed
 sequences); wall-clock data lives in the report.meta.json sidecar: the
-creation timestamp, each task's wall time, and for curvature and chain tasks
-the spray-memo request and computed-table counts.
+creation timestamp, each task's wall time, for curvature and chain tasks
+the spray-memo request and computed-table counts, and for transport and
+parallelogram tasks the lockstep member, stage-round and request counts.
 report.json is RFC 8259 JSON: a non-finite result is written as null, and a
 check whose value is not finite fails.  CSV tables (RFC 4180, CRLF line
 endings) carry the plot-ready series: singular values, convergence errors,
@@ -67,7 +68,8 @@ from .transport import (
     ParallelogramTransporter,
     holonomy_map,
     indicatrix_samples,
-    parallel_transport,
+    lockstep_tally,
+    parallel_transports,
 )
 
 EXIT_PASS = 0
@@ -238,15 +240,17 @@ def _run_transport(task, norm, rng, tol):
     count = task.get("curves", 20)
     draw = norm.manifold.interior_sampler(rng)
     lambdas = np.array(HOMOGENEITY_LAMBDAS)
+    ends, curves, batches = [], [], []
+    for _ in range(count):
+        a, b = draw(), draw()
+        ends.append(b)
+        curves.append(CurveSpec.line_segment(a, b))
+        y0 = norm.normalize(a, rng.normal(size=norm.dim))
+        batches.append(np.concatenate([y0[:, None], y0[:, None] * lambdas[None, :]], axis=1))
     rows = []
     worst_drift = 0.0
     worst_hom = 0.0
-    for index in range(count):
-        a, b = draw(), draw()
-        curve = CurveSpec.line_segment(a, b)
-        y0 = norm.normalize(a, rng.normal(size=norm.dim))
-        batch = np.concatenate([y0[:, None], y0[:, None] * lambdas[None, :]], axis=1)
-        result = parallel_transport(norm, curve, batch)
+    for index, (b, result) in enumerate(zip(ends, parallel_transports(norm, curves, batches))):
         f_end = norm.value(b, result.y_end)
         drift = float(np.max(np.abs(f_end[0] - 1.0)))
         base = result.y_end[:, 0]
@@ -583,6 +587,8 @@ _NEEDS_METRIC = {"metric-check", "transport", "holonomy", "parallelogram", "curv
 
 # commands whose spray-memo counts go to report.meta.json
 _SPRAY_COMMANDS = {"curvature", "chain"}
+# commands whose lockstep transport counts go to report.meta.json
+_LOCKSTEP_COMMANDS = {"transport", "parallelogram"}
 
 
 class _Report(dict):
@@ -611,7 +617,7 @@ def run_config(config: dict, seed: int, profile: str):
         norm = resolve_metric(task["metric"]) if task["command"] in _NEEDS_METRIC else None
         entry = {"label": label, "command": task["command"]}
         error = None
-        with spray_tally() as sprays:
+        with spray_tally() as sprays, lockstep_tally() as lockstep:
             try:
                 results, checks, tables = _HANDLERS[task["command"]](task, norm, rng, tol)
             except _TASK_ERRORS as exc:
@@ -619,6 +625,8 @@ def run_config(config: dict, seed: int, profile: str):
         task_meta = {"label": label, "command": task["command"], "wall_s": time.perf_counter() - start}
         if task["command"] in _SPRAY_COMMANDS:
             task_meta["spray_tables"] = dict(sprays)
+        if task["command"] in _LOCKSTEP_COMMANDS:
+            task_meta["lockstep"] = dict(lockstep)
         tasks_meta.append(task_meta)
         if error is not None:
             entry.update(
@@ -665,7 +673,7 @@ def emit(report: dict, tables, out_dir, formats) -> list:
     """Write report.json, its report.meta.json sidecar and the CSV tables.
 
     The sidecar holds the creation timestamp and, for a report made by
-    `run_config`, each task's wall time and spray-memo counts.
+    `run_config`, each task's wall time, spray-memo and lockstep counts.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -8,11 +8,25 @@ the horizontality condition for the curve u -> (c(u), V(u)).  The integrator
 is classical RK4 with step doubling: a full step against two half steps gives
 an embedded error estimate (the usual /15 factor), steps are halved or grown
 by the standard safety rule, and a step that lands outside the chart or the
-domain box of a vector field counts as a rejection; the retry reuses the
-first stage rhs(t, y).  States may carry a trailing batch axis, so a whole
-fan of vectors rides along one curve in a single solve.  A curve is a list
-of pieces over u in [0, 1], each only a `dim` and a `point_velocity(u)`;
-expression pieces differentiate their components on an order-1 jet in u.
+domain box of a vector field counts as a rejection; every retry from the
+same state reuses the first stage rhs(t, y).  States may carry a trailing
+batch axis, so a whole fan of vectors rides along one curve in a single
+solve.  A curve is a list of pieces over u in [0, 1], each only a `dim` and a
+`point_velocity(u)`; expression pieces differentiate their components on an
+order-1 jet in u.
+
+The step-doubling loop is a generator of stage requests.  Stages 2-4 of the
+full step do not depend on stages 2-4 of the first half step, so they are
+asked for in pairs, and an attempt takes 8 rounds for its 11 stages.
+`integrate` answers one generator by calling rhs once per request.
+`parallel_transports` steps independent transports in lockstep: each round
+gathers the pending requests of all of them into one batched
+`connection_values` call, and since the spray pipeline works column by
+column every transport keeps the bits it has alone.  If a round's call
+raises, each transport's requests are evaluated alone, so a transport that
+leaves the chart or meets a degenerate metric stops no other; the first
+failure in input order is raised at the end, as transporting them one after
+another would raise it.
 
 Parallelogram loops:  for vector fields X, Y with flows phi, psi the outward
 path alpha_t is the four flow segments (X for time t, Y for t, X for -t,
@@ -33,7 +47,10 @@ this stays a finite-difference path by design.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
@@ -56,7 +73,9 @@ __all__ = [
     "holonomy_map",
     "horizontal_flow",
     "indicatrix_samples",
+    "lockstep_tally",
     "parallel_transport",
+    "parallel_transports",
     "parallelogram_derivatives",
     "parallelogram_holonomy",
 ]
@@ -64,6 +83,7 @@ __all__ = [
 ATOL = 1e-10
 RTOL = 1e-9
 H_SCHEDULE = (0.08, 0.04, 0.02, 0.01)
+MAX_STEPS = 200000
 _JUNCTION_TOL = 1e-12
 
 
@@ -88,24 +108,27 @@ class FlowEscapeError(TransportFailure):
 # -- integrator ----------------------------------------------------------------
 
 
-def _rk4_step(rhs, t, y, h, k1=None):
-    if k1 is None:
-        k1 = rhs(t, y)
-    k2 = rhs(t + 0.5 * h, y + (0.5 * h) * k1)
-    k3 = rhs(t + 0.5 * h, y + (0.5 * h) * k2)
-    k4 = rhs(t + h, y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), k1
+def _rk4_stages(t, y, hs, k1):
+    """RK4 steps of sizes `hs` from (t, y) whose first stage is k1.
+
+    Stages 2-4 of all the steps are requested side by side, one request per
+    step per round; returns the new states in the order of `hs`.
+    """
+    ks = [[k1] for _ in hs]
+    for c in (0.5, 0.5, 1.0):
+        stage = yield [(t + c * h, y + (c * h) * k[-1]) for h, k in zip(hs, ks)]
+        for k, value in zip(ks, stage):
+            k.append(value)
+    return [y + (h / 6.0) * (k[0] + 2.0 * k[1] + 2.0 * k[2] + k[3]) for h, k in zip(hs, ks)]
 
 
-def integrate(rhs, t0, t1, y0, atol=ATOL, rtol=RTOL, max_steps=200000):
-    """Adaptive RK4 by step doubling from t0 to t1 (either direction).
+def _steps(t0, t1, y0, atol, rtol, max_steps):
+    """The step-doubling loop of `integrate` as a generator of stage requests.
 
-    rhs(t, y) -> dy/dt, where y is (d,) or (d, B).  Returns (y_end, stats)
-    with stats counting accepted, rejected and forced steps and the largest
-    local error estimate of a step taken.  A forced step misses the
-    tolerance but is taken anyway because it is within twice the smallest
-    step size.  Raises TransportFailure on step underflow, which is also how
-    a domain-box violation that cannot be stepped over surfaces.
+    Yields lists of (t, y) at which the right-hand side is wanted and is
+    sent the list of its values.  A DomainBoxError thrown in at a yield
+    rejects the attempt; rhs(t, y) of the current state is kept across
+    rejections.  Returns (y_end, stats) as `integrate` does.
     """
     y = np.asarray(y0, dtype=float).copy()
     span = t1 - t0
@@ -116,7 +139,7 @@ def integrate(rhs, t0, t1, y0, atol=ATOL, rtol=RTOL, max_steps=200000):
     t = t0
     accepted = rejected = forced = 0
     max_err = 0.0
-    k1 = None  # rhs(t, y), kept across rejected attempts from the same state
+    k1 = None  # rhs(t, y), kept until the state moves
     while (t1 - t) * np.sign(span) > 0.0:
         if abs(t1 - t) <= h_min:
             break  # remaining span is rounding noise
@@ -127,9 +150,12 @@ def integrate(rhs, t0, t1, y0, atol=ATOL, rtol=RTOL, max_steps=200000):
         if accepted + rejected + forced > max_steps:
             raise TransportFailure("step budget exhausted", t, y)
         try:
-            full, k1 = _rk4_step(rhs, t, y, h, k1=k1)
-            half, _ = _rk4_step(rhs, t, y, 0.5 * h, k1=k1)
-            two_half, _ = _rk4_step(rhs, t + 0.5 * h, half, 0.5 * h)
+            if k1 is None:
+                (k1,) = yield [(t, y)]
+            # the full step and the first half step share k1 and nothing else
+            full, half = yield from _rk4_stages(t, y, (h, 0.5 * h), k1)
+            (k1_mid,) = yield [(t + 0.5 * h, half)]
+            (two_half,) = yield from _rk4_stages(t + 0.5 * h, half, (0.5 * h,), k1_mid)
         except DomainBoxError:
             rejected += 1
             h *= 0.5
@@ -151,6 +177,29 @@ def integrate(rhs, t0, t1, y0, atol=ATOL, rtol=RTOL, max_steps=200000):
         factor = 0.9 * err ** -0.2 if err > 0.0 else 5.0
         h *= min(5.0, max(0.2, factor))
     return y, dict(accepted=accepted, rejected=rejected, forced=forced, max_local_error=max_err)
+
+
+def integrate(rhs, t0, t1, y0, atol=ATOL, rtol=RTOL, max_steps=MAX_STEPS):
+    """Adaptive RK4 by step doubling from t0 to t1 (either direction).
+
+    rhs(t, y) -> dy/dt, where y is (d,) or (d, B).  Returns (y_end, stats)
+    with stats counting accepted, rejected and forced steps and the largest
+    local error estimate of a step taken.  A forced step misses the
+    tolerance but is taken anyway because it is within twice the smallest
+    step size.  Raises TransportFailure on step underflow, which is also how
+    a domain-box violation that cannot be stepped over surfaces.
+    """
+    steps = _steps(t0, t1, y0, atol, rtol, max_steps)
+    reply, arg = steps.send, None
+    while True:
+        try:
+            requests = reply(arg)
+        except StopIteration as done:
+            return done.value
+        try:
+            reply, arg = steps.send, [rhs(t, y) for t, y in requests]
+        except DomainBoxError as exc:
+            reply, arg = steps.throw, exc
 
 
 # -- curve pieces ---------------------------------------------------------------
@@ -326,6 +375,48 @@ class TransportResult:
     flagged: bool = field(default=False)
 
 
+def _transport_start(norm: FinslerNorm, curve: CurveSpec, y0):
+    """The initial state of a transport and its norm at the curve's start."""
+    if curve.dim != norm.dim:
+        raise ValueError(f"curve dim {curve.dim} vs norm dim {norm.dim}")
+    V = np.asarray(y0, dtype=float).copy()
+    if np.any(np.sum(V * V, axis=0) == 0.0):
+        raise ValueError("cannot transport the zero vector")
+    return V, norm.value(curve.start, V)
+
+
+def _contract(Gj, W, dx):
+    """The transport right-hand side -G^i_j(x, W) dx^j from Gj = G^i_j(x, W)."""
+    if W.ndim == 2:
+        return -np.einsum("ijb,j->ib", Gj, dx)
+    return -(Gj @ dx)
+
+
+def _piece_rhs(norm: FinslerNorm, piece, u, W):
+    x, dx = piece.point_velocity(u)
+    return _contract(connection_values(norm, x, W), W, dx)
+
+
+def _transport_result(norm, curve, V, f0, stats, drift_tolerance) -> TransportResult:
+    """Assemble the result from the end state and the per-piece integrator stats."""
+    x_end = curve.end
+    f1 = norm.value(x_end, V)
+    drift = float(np.max(np.abs(f1 - f0)))
+    forced = sum(s["forced"] for s in stats)
+    return TransportResult(
+        y_end=V,
+        x_end=x_end,
+        norm_start=float(np.max(f0)),
+        norm_end=float(np.max(f1)),
+        norm_drift=drift,
+        accepted_steps=sum(s["accepted"] for s in stats),
+        rejected_steps=sum(s["rejected"] for s in stats),
+        max_local_error=max([0.0] + [s["max_local_error"] for s in stats]),
+        forced_steps=forced,
+        flagged=bool(forced or drift > drift_tolerance * max(float(np.max(f0)), 1e-300)),
+    )
+
+
 def parallel_transport(
     norm: FinslerNorm,
     curve: CurveSpec,
@@ -340,42 +431,168 @@ def parallel_transport(
     drift_tolerance * F(start), with drift measured on the worst batch
     member, or when the integrator forced a step past its tolerance.
     """
-    if curve.dim != norm.dim:
-        raise ValueError(f"curve dim {curve.dim} vs norm dim {norm.dim}")
-    V = np.asarray(y0, dtype=float).copy()
-    if np.any(np.sum(V * V, axis=0) == 0.0):
-        raise ValueError("cannot transport the zero vector")
-    f0 = norm.value(curve.start, V)
-    accepted = rejected = forced = 0
-    max_err = 0.0
+    V, f0 = _transport_start(norm, curve, y0)
+    stats = []
     for piece in curve.pieces:
-        def rhs(u, W, piece=piece):
-            x, dx = piece.point_velocity(u)
-            Gj = connection_values(norm, x, W)
-            if W.ndim == 2:
-                return -np.einsum("ijb,j->ib", Gj, dx)
-            return -(Gj @ dx)
+        V, piece_stats = integrate(
+            partial(_piece_rhs, norm, piece), 0.0, 1.0, V, atol=atol, rtol=rtol
+        )
+        stats.append(piece_stats)
+    return _transport_result(norm, curve, V, f0, stats, drift_tolerance)
 
-        V, stats = integrate(rhs, 0.0, 1.0, V, atol=atol, rtol=rtol)
-        accepted += stats["accepted"]
-        rejected += stats["rejected"]
-        forced += stats["forced"]
-        max_err = max(max_err, stats["max_local_error"])
-    x_end = curve.end
-    f1 = norm.value(x_end, V)
-    drift = float(np.max(np.abs(f1 - f0)))
-    return TransportResult(
-        y_end=V,
-        x_end=x_end,
-        norm_start=float(np.max(f0)),
-        norm_end=float(np.max(f1)),
-        norm_drift=drift,
-        accepted_steps=accepted,
-        rejected_steps=rejected,
-        max_local_error=max_err,
-        forced_steps=forced,
-        flagged=bool(forced or drift > drift_tolerance * max(float(np.max(f0)), 1e-300)),
-    )
+
+# the tally of the innermost `lockstep_tally` block; None outside any block
+_LOCKSTEP_TALLY: ContextVar = ContextVar("lockstep_tally", default=None)
+
+
+@contextmanager
+def lockstep_tally():
+    """Count lockstep members, stage rounds and requests within the block.
+
+    Yields a dict {"members": int, "rounds": int, "requests": int} that fills
+    in as the block runs; outside any block nothing is counted.
+    """
+    tally = {"members": 0, "rounds": 0, "requests": 0}
+    token = _LOCKSTEP_TALLY.set(tally)
+    try:
+        yield tally
+    finally:
+        _LOCKSTEP_TALLY.reset(token)
+
+
+def _lockstep(members, evaluate) -> list:
+    """Run request generators side by side, one stage round at a time.
+
+    Each member yields a list of requests and is sent the list of their
+    values.  `evaluate(batch)` takes one round as the request lists of the
+    pending members and returns, per member, the values or the exception
+    their evaluation raised; an exception is thrown into its member, which
+    may treat it as a rejection.  Returns, per member, its return value or
+    the exception it ended with; one member's exception stops no other.
+    """
+    tally = _LOCKSTEP_TALLY.get()
+    if tally is not None:
+        tally["members"] += len(members)
+    outcomes = [None] * len(members)
+    replies = [(i, member.send, None) for i, member in enumerate(members)]
+    while replies:
+        pending, batch = [], []
+        for i, reply, arg in replies:
+            try:
+                batch.append(reply(arg))
+                pending.append(i)
+            except StopIteration as done:
+                outcomes[i] = done.value
+            except Exception as exc:  # the member failed; its caller decides what to raise
+                outcomes[i] = exc
+        if not batch:
+            break
+        if tally is not None:
+            tally["rounds"] += 1
+            tally["requests"] += sum(map(len, batch))
+        replies = [
+            (i, members[i].throw if isinstance(values, Exception) else members[i].send, values)
+            for i, values in zip(pending, evaluate(batch))
+        ]
+    return outcomes
+
+
+def _transport_member(norm, curve, y0, atol, rtol, drift_tolerance):
+    """`parallel_transport` as a lockstep member.
+
+    Runs the curve's pieces in order, yields each piece's stage requests as
+    (piece, u, W) and relays their right-hand sides, or a thrown
+    DomainBoxError, to that piece's `_steps`.
+    """
+    V, f0 = _transport_start(norm, curve, y0)
+    stats = []
+    for piece in curve.pieces:
+        steps = _steps(0.0, 1.0, V, atol, rtol, MAX_STEPS)
+        reply, arg = steps.send, None
+        while True:
+            try:
+                requests = reply(arg)
+            except StopIteration as done:
+                V, piece_stats = done.value
+                break
+            try:
+                reply, arg = steps.send, (yield [(piece, u, W) for u, W in requests])
+            except DomainBoxError as exc:
+                reply, arg = steps.throw, exc
+        stats.append(piece_stats)
+    return _transport_result(norm, curve, V, f0, stats, drift_tolerance)
+
+
+def _evaluate_alone(norm, requests):
+    """One member's requests in order, as `integrate` calls its rhs; the
+    first exception raised is returned in place of the values."""
+    try:
+        return [_piece_rhs(norm, piece, u, W) for piece, u, W in requests]
+    except Exception as exc:  # handed to the member that asked, as integrate would raise it
+        return exc
+
+
+def _connection_round(norm: FinslerNorm, batch) -> list:
+    """The right-hand sides of one lockstep round, from one connection_values call.
+
+    X repeats each request's base point over its columns and W stacks the
+    columns of every request; each request's slice of G^i_j is made
+    contiguous and contracted as `_piece_rhs` contracts it.  The spray
+    pipeline works column by column, so each slice has the bits of that
+    request evaluated alone.  If anything in the round raises, each member's
+    requests are evaluated alone instead, which hands every member the
+    exception its own sequential evaluation would raise.
+    """
+    requests = [request for member_requests in batch for request in member_requests]
+    try:
+        geometry = [piece.point_velocity(u) for piece, u, _ in requests]
+        columns = [W.reshape(W.shape[0], -1) for _, _, W in requests]
+        X = np.concatenate(
+            [np.repeat(x[:, None], w.shape[1], axis=1) for (x, _), w in zip(geometry, columns)],
+            axis=1,
+        )
+        G = connection_values(norm, X, np.concatenate(columns, axis=1))
+    except Exception:  # each member meets its own exception again below
+        return [_evaluate_alone(norm, member_requests) for member_requests in batch]
+    values, start = [], 0
+    for (_, dx), (_, _, W), w in zip(geometry, requests, columns):
+        stop = start + w.shape[1]
+        Gj = G[:, :, start] if W.ndim == 1 else G[:, :, start:stop]
+        values.append(_contract(np.ascontiguousarray(Gj), W, dx))
+        start = stop
+    out, start = [], 0
+    for member_requests in batch:
+        out.append(values[start:start + len(member_requests)])
+        start += len(member_requests)
+    return out
+
+
+def parallel_transports(
+    norm: FinslerNorm,
+    curves,
+    ys,
+    atol: float = ATOL,
+    rtol: float = RTOL,
+    drift_tolerance: float = 1e-8,
+) -> list[TransportResult]:
+    """`parallel_transport` of each curve with its y0, stepped in lockstep.
+
+    Every transport takes exactly the steps it takes alone, and each round
+    evaluates the pending stage requests of all of them with one
+    `connection_values` call, so each result equals its `parallel_transport`
+    bit for bit.  A transport that fails stops no other; the exception of
+    the first failed transport in input order is raised at the end, which
+    is what transporting them one after another raises.
+    """
+    members = [
+        _transport_member(norm, curve, y0, atol, rtol, drift_tolerance)
+        for curve, y0 in zip(curves, ys, strict=True)
+    ]
+    outcomes = _lockstep(members, partial(_connection_round, norm))
+    for outcome in outcomes:
+        if isinstance(outcome, Exception):
+            raise outcome
+    return outcomes
 
 
 def indicatrix_samples(norm: FinslerNorm, p, count: int, offset: float = 0.0) -> np.ndarray:
@@ -594,12 +811,30 @@ class ParallelogramTransporter:
 
         h_0(v) = v is exact and anchors the second-difference stencil.
         Returns (firsts, seconds), two lists in the order of `schedule`.
+        The loops are built in schedule order (+t, -t) and transported in
+        one lockstep.  If a loop cannot be built, the transports around the
+        loops before it run first, so the error raised is the first one that
+        transporting scale by scale would meet.
         """
         v = np.asarray(v, dtype=float)
+        scales = [s for t in schedule for s in (t, -t) if s != 0.0]
+
+        def transport_all(loops):
+            return parallel_transports(
+                self.norm, loops, [v] * len(loops), atol=self.atol, rtol=self.rtol
+            )
+
+        loops = []
+        try:
+            for s in scales:
+                loops.append(self.loop(s).loop)
+        except Exception:
+            transport_all(loops)
+            raise
+        images = {0.0: v, **{s: r.y_end for s, r in zip(scales, transport_all(loops))}}
         firsts, seconds = [], []
         for t in schedule:
-            plus = self.transport(t, v)
-            minus = self.transport(-t, v)
+            plus, minus = images[t], images[-t]
             firsts.append((plus - minus) / (2.0 * t))
             seconds.append((plus - 2.0 * v + minus) / (t * t))
         return firsts, seconds

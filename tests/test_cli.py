@@ -395,6 +395,27 @@ def test_meta_sidecar_carries_task_telemetry(tmp_path):
     assert "wall_s" not in (out / "report.json").read_text()
 
 
+def test_meta_sidecar_counts_lockstep_transports(tmp_path):
+    payload = {
+        "tasks": [
+            {"metric": "euclidean", "command": "transport", "curves": 3, "seed": 2},
+            {"metric": "euclidean", "command": "parallelogram", "point": [0.1, 0.2]},
+            {"metric": "euclidean", "command": "holonomy", "loop": {"rect": [[0, 0], [1, 1]]}},
+        ]
+    }
+    code, out = run_cli(tmp_path, payload)
+    assert code == EXIT_PASS
+    transport, parallelogram, holonomy = json.loads((out / "report.meta.json").read_text())["tasks"]
+    # one member per curve, and per scale of the schedule (+t and -t)
+    assert transport["lockstep"]["members"] == 3
+    assert parallelogram["lockstep"]["members"] == 8
+    for task in (transport, parallelogram):
+        counts = task["lockstep"]
+        assert 0 < counts["rounds"] <= counts["requests"] <= 2 * counts["members"] * counts["rounds"]
+    assert "lockstep" not in holonomy
+    assert "lockstep" not in (out / "report.json").read_text()
+
+
 def test_constant_loop_component_exits_0(tmp_path):
     # a loop component that does not depend on t is a constant curve coordinate
     loop = {"expressions": ["0.3*cos(2*pi*t)", "0.5"]}

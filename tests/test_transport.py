@@ -1,9 +1,11 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
 from holonomylab import finsler, transport
-from holonomylab.finsler import catalog_norm
-from holonomylab.jets import SmoothMap
+from holonomylab.finsler import FinslerNorm, MetricDegeneracyError, catalog_norm
+from holonomylab.jets import DomainBoxError, SmoothMap
 from holonomylab.transport import (
     CurveSpec,
     FlowEscapeError,
@@ -17,10 +19,13 @@ from holonomylab.transport import (
     horizontal_flow,
     indicatrix_samples,
     integrate,
+    lockstep_tally,
     parallel_transport,
+    parallel_transports,
     parallelogram_derivatives,
     parallelogram_holonomy,
 )
+from holonomylab.transport import ATOL, RTOL
 
 
 def constant_field(vec, manifold, name="const"):
@@ -117,6 +122,27 @@ def test_rejected_attempt_keeps_its_first_stage():
     assert stats["rejected"] >= 1
     assert len(at_start) == 1
     assert abs(y[0] - np.sin(20.0)) < 1e-9
+
+
+def test_stage_rejection_keeps_the_first_stage():
+    # the first attempt's k2 (at t = 0.5) leaves the domain box; the retry
+    # from the same state must still reuse rhs(t0, y0)
+    y0 = np.array([0.0])
+    at_start = []
+    raised = []
+
+    def rhs(t, y):
+        if t == 0.0 and np.array_equal(y, y0):
+            at_start.append(t)
+        if t == 0.5 and not raised:
+            raised.append(t)
+            raise DomainBoxError("outside the box")
+        return np.array([np.cos(t)])
+
+    y, stats = integrate(rhs, 0.0, 1.0, y0)
+    assert raised and stats["rejected"] >= 1
+    assert len(at_start) == 1
+    assert abs(y[0] - np.sin(1.0)) < 1e-10
 
 
 # -- curves ----------------------------------------------------------------------
@@ -395,3 +421,110 @@ def test_fibered_family_collects_failures(funk):
     assert fam.fibers[0].ok
     assert not fam.fibers[1].ok
     assert fam.fibers[1].message
+
+
+# -- lockstep --------------------------------------------------------------------
+
+
+def assert_same_transport(got, want):
+    assert got.y_end.tobytes() == want.y_end.tobytes()
+    assert got.x_end.tobytes() == want.x_end.tobytes()
+    fields = ("accepted_steps", "rejected_steps", "forced_steps", "flagged", "norm_drift",
+              "norm_start", "norm_end", "max_local_error")
+    assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields]
+
+
+WARPED = "sqrt((1 + 0.3*x1^2)*y1^2 + exp(x2)*y2^2) + 0.1*log(2 + x1)*y1"
+
+
+@pytest.mark.parametrize("name", ["sphere", "funk_disk", "expression"])
+def test_lockstep_is_the_sequential_route_bit_for_bit(name):
+    if name == "expression":
+        norm = FinslerNorm.from_expression(WARPED, [-1.0, -1.0], [1.0, 1.0])
+    else:
+        norm = catalog_norm(name)
+    lo, hi = np.asarray(norm.manifold.lo), np.asarray(norm.manifold.hi)
+
+    def at(*frac):
+        return lo + np.asarray(frac) * (hi - lo)
+
+    X = constant_field([1.0, 0.0], norm.manifold)
+    Y = constant_field([0.0, 1.0], norm.manifold)
+    flow_loop = ParallelogramTransporter(norm, X, Y, at(0.45, 0.5), nodes=8).loop(0.05).loop
+    curves = [
+        CurveSpec.line_segment(at(0.3, 0.4), at(0.4, 0.45)),
+        CurveSpec.line_segment(at(0.2, 0.3), at(0.7, 0.6)).concat(
+            CurveSpec.line_segment(at(0.7, 0.6), at(0.5, 0.7))
+        ),
+        LoopSpec.rectangle(at(0.4, 0.4), at(0.6, 0.55)),
+        flow_loop,
+    ]
+    ys = [
+        np.array([0.6, -0.8]),
+        np.array([[1.0, 0.2, -0.5], [0.3, 1.0, 0.4]]),
+        np.array([[0.0, 1.0], [1.0, 0.5]]),
+        np.array([0.5, 0.5]),
+    ]
+    with lockstep_tally() as tally:
+        together = parallel_transports(norm, curves, ys)
+    assert tally["members"] == len(curves) and 0 < tally["rounds"] <= tally["requests"]
+    alone = [parallel_transport(norm, curve, y) for curve, y in zip(curves, ys)]
+    for got, want in zip(together, alone):
+        assert_same_transport(got, want)
+    (single,) = parallel_transports(norm, curves[3:], ys[3:])
+    assert_same_transport(single, alone[3])
+    assert parallel_transports(norm, [], []) == []
+
+
+def test_lockstep_isolates_failing_members():
+    # g = diag(1, x1^2) is singular on x1 = 0, and the chart ends at x2 = 1
+    norm = FinslerNorm.from_expression("sqrt(y1^2 + x1^2*y2^2)", [-1.0, -1.0], [1.0, 1.0])
+    healthy = [
+        (CurveSpec.line_segment([0.4, 0.1], [0.7, 0.3]), np.array([1.0, 0.5])),
+        (LoopSpec.rectangle([0.3, -0.2], [0.6, 0.1]), np.array([[1.0, 0.0], [0.2, 1.0]])),
+    ]
+    leaves = (CurveSpec.line_segment([0.5, 0.5], [0.5, 1.5]), np.array([1.0, 0.0]))
+    degenerate = (CurveSpec.line_segment([0.0, 0.2], [0.5, 0.2]), np.array([1.0, 0.3]))
+    with pytest.raises(TransportFailure) as leaving:
+        parallel_transport(norm, *leaves)
+    with pytest.raises(MetricDegeneracyError) as degenerating:
+        parallel_transport(norm, *degenerate)
+    alone = [parallel_transport(norm, curve, y) for curve, y in healthy]
+
+    for members, first in (
+        ([healthy[0], leaves, healthy[1], degenerate], leaving.value),
+        ([healthy[0], degenerate, healthy[1], leaves], degenerating.value),
+    ):
+        with pytest.raises(type(first)) as info:
+            parallel_transports(norm, *zip(*members))
+        assert str(info.value) == str(first)
+        outcomes = transport._lockstep(
+            [transport._transport_member(norm, c, y, ATOL, RTOL, 1e-8) for c, y in members],
+            partial(transport._connection_round, norm),
+        )
+        assert_same_transport(outcomes[0], alone[0])
+        assert_same_transport(outcomes[2], alone[1])
+        assert {type(outcomes[1]), type(outcomes[3])} == {TransportFailure, MetricDegeneracyError}
+
+
+def test_lockstep_counts_forced_steps_per_member():
+    # as in test_integrator_counts_forced_steps: only the members over a span
+    # within twice the smallest step, at zero tolerance, force a step
+    spans = [(1.5e-13, 0.0), (1.0, ATOL), (1.5e-13, 0.0), (0.5, ATOL)]
+    members = [
+        transport._steps(0.0, span, np.array([0.3]), tol, tol, transport.MAX_STEPS)
+        for span, tol in spans
+    ]
+
+    def evaluate(batch):
+        return [[np.cos(y) for _, y in requests] for requests in batch]
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        outcomes = transport._lockstep(members, evaluate)
+        alone = [
+            integrate(lambda t, y: np.cos(y), 0.0, span, np.array([0.3]), atol=tol, rtol=tol)
+            for span, tol in spans
+        ]
+    assert [stats["forced"] for _, stats in outcomes] == [1, 0, 1, 0]
+    for (y, stats), (y_alone, stats_alone) in zip(outcomes, alone):
+        assert y.tobytes() == y_alone.tobytes() and stats == stats_alone
