@@ -30,7 +30,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .jets import Jet, JetOrderError, jet_space
+from .jets import Jet, JetOrderError, jet_point, jet_space
 from .expressions import parse_expression
 
 __all__ = [
@@ -62,14 +62,6 @@ def field_label(f, index: int | None = None) -> str:
     return f"field{index}" if index is not None else "field"
 
 
-def _seed_jets(dim: int, center, order: int) -> list:
-    center = np.asarray(center, dtype=float)
-    if center.shape[0] != dim:
-        raise ValueError(f"center has {center.shape[0]} components, field has {dim}")
-    space = jet_space(dim, order)
-    return [Jet.variable(space, i, center[i]) for i in range(dim)]
-
-
 # -- concrete fields ----------------------------------------------------------
 
 
@@ -94,7 +86,7 @@ class PolynomialField:
         self.max_order = None
 
     def taylor(self, center, order: int) -> list:
-        seeds = _seed_jets(self.dim, center, order)
+        seeds = jet_point(jet_space(self.dim, order), center)
         out = []
         for comp in self.components:
             acc = seeds[0] * 0.0
@@ -123,7 +115,7 @@ class ExpressionField:
         self.max_order = None
 
     def taylor(self, center, order: int) -> list:
-        seeds = _seed_jets(self.dim, center, order)
+        seeds = jet_point(jet_space(self.dim, order), center)
         return [expr(*seeds) for expr in self.exprs]
 
 
@@ -148,7 +140,7 @@ class CallableField:
                 f"{field_label(self)}: order {order} requested, "
                 f"but the field only supports {self.max_order}"
             )
-        return list(self.fun(_seed_jets(self.dim, center, order)))
+        return list(self.fun(jet_point(jet_space(self.dim, order), center)))
 
 
 class BracketField:

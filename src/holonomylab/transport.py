@@ -18,15 +18,16 @@ order-1 jet in u.
 The step-doubling loop is a generator of stage requests.  Stages 2-4 of the
 full step do not depend on stages 2-4 of the first half step, so they are
 asked for in pairs, and an attempt takes 8 rounds for its 11 stages.
-`integrate` answers one generator by calling rhs once per request.
-`parallel_transports` steps independent transports in lockstep: each round
-gathers the pending requests of all of them into one batched
-`connection_values` call, and since the spray pipeline works column by
-column every transport keeps the bits it has alone.  If a round's call
-raises, each transport's requests are evaluated alone, so a transport that
-leaves the chart or meets a degenerate metric stops no other; the first
-failure in input order is raised at the end, as transporting them one after
-another would raise it.
+`_lockstep` is the one driver of these generators: `integrate` runs its
+solve as a lockstep of one member that calls rhs once per request, and
+`parallel_transports` steps independent transports together, gathering the
+pending requests of all of them into one batched `connection_values` call
+per round.  A single `parallel_transport` is that lockstep with one member.
+Since the spray pipeline works column by column, every transport keeps the
+bits it has alone.  If a round's call raises, each transport's requests are
+evaluated alone, so a transport that leaves the chart or meets a degenerate
+metric stops no other; the first failure in input order is raised at the
+end, as transporting them one after another would raise it.
 
 Parallelogram loops:  for vector fields X, Y with flows phi, psi the outward
 path alpha_t is the four flow segments (X for time t, Y for t, X for -t,
@@ -127,8 +128,9 @@ def _steps(t0, t1, y0, atol, rtol, max_steps):
 
     Yields lists of (t, y) at which the right-hand side is wanted and is
     sent the list of its values.  A DomainBoxError thrown in at a yield
-    rejects the attempt; rhs(t, y) of the current state is kept across
-    rejections.  Returns (y_end, stats) as `integrate` does.
+    rejects the attempt, and any other exception ends the solve; rhs(t, y)
+    of the current state is kept across rejections.  Returns (y_end, stats)
+    as `integrate` does.
     """
     y = np.asarray(y0, dtype=float).copy()
     span = t1 - t0
@@ -187,19 +189,57 @@ def integrate(rhs, t0, t1, y0, atol=ATOL, rtol=RTOL, max_steps=MAX_STEPS):
     local error estimate of a step taken.  A forced step misses the
     tolerance but is taken anyway because it is within twice the smallest
     step size.  Raises TransportFailure on step underflow, which is also how
-    a domain-box violation that cannot be stepped over surfaces.
+    a domain-box violation that cannot be stepped over surfaces; any other
+    exception of rhs is raised as is.  The solve is `_steps` run as the one
+    member of `_lockstep`.
     """
-    steps = _steps(t0, t1, y0, atol, rtol, max_steps)
-    reply, arg = steps.send, None
-    while True:
-        try:
-            requests = reply(arg)
-        except StopIteration as done:
-            return done.value
-        try:
-            reply, arg = steps.send, [rhs(t, y) for t, y in requests]
-        except DomainBoxError as exc:
-            reply, arg = steps.throw, exc
+    (outcome,) = _lockstep(
+        [_steps(t0, t1, y0, atol, rtol, max_steps)],
+        lambda batch: [_answer(rhs, requests) for requests in batch],
+    )
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def _answer(f, requests):
+    """f(*request) for each request in order, or the first exception raised,
+    which the lockstep throws into the member that asked."""
+    try:
+        return [f(*request) for request in requests]
+    except Exception as exc:  # handed to the asking member, as a direct call would raise it
+        return exc
+
+
+def _lockstep(members, evaluate) -> list:
+    """Run request generators side by side, one stage round at a time.
+
+    Each member yields a list of requests and is sent the list of their
+    values.  `evaluate(batch)` takes one round as the request lists of the
+    pending members and returns, per member, the values or the exception
+    their evaluation raised; an exception is thrown into its member, which
+    may treat it as a rejection.  Returns, per member, its return value or
+    the exception it ended with; one member's exception stops no other.
+    """
+    outcomes = [None] * len(members)
+    replies = [(i, member.send, None) for i, member in enumerate(members)]
+    while replies:
+        pending, batch = [], []
+        for i, reply, arg in replies:
+            try:
+                batch.append(reply(arg))
+                pending.append(i)
+            except StopIteration as done:
+                outcomes[i] = done.value
+            except Exception as exc:  # the member failed; its caller decides what to raise
+                outcomes[i] = exc
+        if not batch:
+            break
+        replies = [
+            (i, members[i].throw if isinstance(values, Exception) else members[i].send, values)
+            for i, values in zip(pending, evaluate(batch))
+        ]
+    return outcomes
 
 
 # -- curve pieces ---------------------------------------------------------------
@@ -375,16 +415,6 @@ class TransportResult:
     flagged: bool = field(default=False)
 
 
-def _transport_start(norm: FinslerNorm, curve: CurveSpec, y0):
-    """The initial state of a transport and its norm at the curve's start."""
-    if curve.dim != norm.dim:
-        raise ValueError(f"curve dim {curve.dim} vs norm dim {norm.dim}")
-    V = np.asarray(y0, dtype=float).copy()
-    if np.any(np.sum(V * V, axis=0) == 0.0):
-        raise ValueError("cannot transport the zero vector")
-    return V, norm.value(curve.start, V)
-
-
 def _contract(Gj, W, dx):
     """The transport right-hand side -G^i_j(x, W) dx^j from Gj = G^i_j(x, W)."""
     if W.ndim == 2:
@@ -397,8 +427,72 @@ def _piece_rhs(norm: FinslerNorm, piece, u, W):
     return _contract(connection_values(norm, x, W), W, dx)
 
 
-def _transport_result(norm, curve, V, f0, stats, drift_tolerance) -> TransportResult:
-    """Assemble the result from the end state and the per-piece integrator stats."""
+def parallel_transport(
+    norm: FinslerNorm,
+    curve: CurveSpec,
+    y0,
+    atol: float = ATOL,
+    rtol: float = RTOL,
+    drift_tolerance: float = 1e-8,
+) -> TransportResult:
+    """Transport y0 along the curve; y0 may be (n,) or a batch (n, B).
+
+    The result is flagged when |F(end) - F(start)| exceeds
+    drift_tolerance * F(start), with drift measured on the worst batch
+    member, or when the integrator forced a step past its tolerance.
+    """
+    return parallel_transports(norm, [curve], [y0], atol, rtol, drift_tolerance)[0]
+
+
+# the tally of the innermost `lockstep_tally` block; None outside any block
+_LOCKSTEP_TALLY: ContextVar = ContextVar("lockstep_tally", default=None)
+
+
+@contextmanager
+def lockstep_tally():
+    """Count transports, connection rounds and their requests within the block.
+
+    Yields a dict {"members": int, "rounds": int, "requests": int} that fills
+    in as the block runs; outside any block nothing is counted.  Only
+    transports count: the ODE solves of `integrate` (flows, chain points)
+    do not.
+    """
+    tally = {"members": 0, "rounds": 0, "requests": 0}
+    token = _LOCKSTEP_TALLY.set(tally)
+    try:
+        yield tally
+    finally:
+        _LOCKSTEP_TALLY.reset(token)
+
+
+def _transport_member(norm, curve, y0, atol, rtol, drift_tolerance):
+    """`parallel_transport` as a lockstep member.
+
+    Runs the curve's pieces in order, yields each piece's stage requests as
+    (piece, u, W) and relays their right-hand sides, or a thrown
+    DomainBoxError, to that piece's `_steps`.
+    """
+    if curve.dim != norm.dim:
+        raise ValueError(f"curve dim {curve.dim} vs norm dim {norm.dim}")
+    V = np.asarray(y0, dtype=float).copy()
+    if np.any(np.sum(V * V, axis=0) == 0.0):
+        raise ValueError("cannot transport the zero vector")
+    f0 = norm.value(curve.start, V)
+    stats = []
+    for piece in curve.pieces:
+        steps = _steps(0.0, 1.0, V, atol, rtol, MAX_STEPS)
+        reply, arg = steps.send, None
+        while True:
+            try:
+                requests = reply(arg)
+            except StopIteration as done:
+                V, piece_stats = done.value
+                break
+            try:
+                reply, arg = steps.send, (yield [(piece, u, W) for u, W in requests])
+            except DomainBoxError as exc:
+                reply, arg = steps.throw, exc
+        stats.append(piece_stats)
     x_end = curve.end
     f1 = norm.value(x_end, V)
     drift = float(np.max(np.abs(f1 - f0)))
@@ -417,121 +511,6 @@ def _transport_result(norm, curve, V, f0, stats, drift_tolerance) -> TransportRe
     )
 
 
-def parallel_transport(
-    norm: FinslerNorm,
-    curve: CurveSpec,
-    y0,
-    atol: float = ATOL,
-    rtol: float = RTOL,
-    drift_tolerance: float = 1e-8,
-) -> TransportResult:
-    """Transport y0 along the curve; y0 may be (n,) or a batch (n, B).
-
-    The result is flagged when |F(end) - F(start)| exceeds
-    drift_tolerance * F(start), with drift measured on the worst batch
-    member, or when the integrator forced a step past its tolerance.
-    """
-    V, f0 = _transport_start(norm, curve, y0)
-    stats = []
-    for piece in curve.pieces:
-        V, piece_stats = integrate(
-            partial(_piece_rhs, norm, piece), 0.0, 1.0, V, atol=atol, rtol=rtol
-        )
-        stats.append(piece_stats)
-    return _transport_result(norm, curve, V, f0, stats, drift_tolerance)
-
-
-# the tally of the innermost `lockstep_tally` block; None outside any block
-_LOCKSTEP_TALLY: ContextVar = ContextVar("lockstep_tally", default=None)
-
-
-@contextmanager
-def lockstep_tally():
-    """Count lockstep members, stage rounds and requests within the block.
-
-    Yields a dict {"members": int, "rounds": int, "requests": int} that fills
-    in as the block runs; outside any block nothing is counted.
-    """
-    tally = {"members": 0, "rounds": 0, "requests": 0}
-    token = _LOCKSTEP_TALLY.set(tally)
-    try:
-        yield tally
-    finally:
-        _LOCKSTEP_TALLY.reset(token)
-
-
-def _lockstep(members, evaluate) -> list:
-    """Run request generators side by side, one stage round at a time.
-
-    Each member yields a list of requests and is sent the list of their
-    values.  `evaluate(batch)` takes one round as the request lists of the
-    pending members and returns, per member, the values or the exception
-    their evaluation raised; an exception is thrown into its member, which
-    may treat it as a rejection.  Returns, per member, its return value or
-    the exception it ended with; one member's exception stops no other.
-    """
-    tally = _LOCKSTEP_TALLY.get()
-    if tally is not None:
-        tally["members"] += len(members)
-    outcomes = [None] * len(members)
-    replies = [(i, member.send, None) for i, member in enumerate(members)]
-    while replies:
-        pending, batch = [], []
-        for i, reply, arg in replies:
-            try:
-                batch.append(reply(arg))
-                pending.append(i)
-            except StopIteration as done:
-                outcomes[i] = done.value
-            except Exception as exc:  # the member failed; its caller decides what to raise
-                outcomes[i] = exc
-        if not batch:
-            break
-        if tally is not None:
-            tally["rounds"] += 1
-            tally["requests"] += sum(map(len, batch))
-        replies = [
-            (i, members[i].throw if isinstance(values, Exception) else members[i].send, values)
-            for i, values in zip(pending, evaluate(batch))
-        ]
-    return outcomes
-
-
-def _transport_member(norm, curve, y0, atol, rtol, drift_tolerance):
-    """`parallel_transport` as a lockstep member.
-
-    Runs the curve's pieces in order, yields each piece's stage requests as
-    (piece, u, W) and relays their right-hand sides, or a thrown
-    DomainBoxError, to that piece's `_steps`.
-    """
-    V, f0 = _transport_start(norm, curve, y0)
-    stats = []
-    for piece in curve.pieces:
-        steps = _steps(0.0, 1.0, V, atol, rtol, MAX_STEPS)
-        reply, arg = steps.send, None
-        while True:
-            try:
-                requests = reply(arg)
-            except StopIteration as done:
-                V, piece_stats = done.value
-                break
-            try:
-                reply, arg = steps.send, (yield [(piece, u, W) for u, W in requests])
-            except DomainBoxError as exc:
-                reply, arg = steps.throw, exc
-        stats.append(piece_stats)
-    return _transport_result(norm, curve, V, f0, stats, drift_tolerance)
-
-
-def _evaluate_alone(norm, requests):
-    """One member's requests in order, as `integrate` calls its rhs; the
-    first exception raised is returned in place of the values."""
-    try:
-        return [_piece_rhs(norm, piece, u, W) for piece, u, W in requests]
-    except Exception as exc:  # handed to the member that asked, as integrate would raise it
-        return exc
-
-
 def _connection_round(norm: FinslerNorm, batch) -> list:
     """The right-hand sides of one lockstep round, from one connection_values call.
 
@@ -540,10 +519,14 @@ def _connection_round(norm: FinslerNorm, batch) -> list:
     contiguous and contracted as `_piece_rhs` contracts it.  The spray
     pipeline works column by column, so each slice has the bits of that
     request evaluated alone.  If anything in the round raises, each member's
-    requests are evaluated alone instead, which hands every member the
-    exception its own sequential evaluation would raise.
+    requests are evaluated one by one with `_piece_rhs` instead, which hands
+    every member the exception its own evaluation would raise.
     """
     requests = [request for member_requests in batch for request in member_requests]
+    tally = _LOCKSTEP_TALLY.get()
+    if tally is not None:
+        tally["rounds"] += 1
+        tally["requests"] += len(requests)
     try:
         geometry = [piece.point_velocity(u) for piece, u, _ in requests]
         columns = [W.reshape(W.shape[0], -1) for _, _, W in requests]
@@ -553,7 +536,7 @@ def _connection_round(norm: FinslerNorm, batch) -> list:
         )
         G = connection_values(norm, X, np.concatenate(columns, axis=1))
     except Exception:  # each member meets its own exception again below
-        return [_evaluate_alone(norm, member_requests) for member_requests in batch]
+        return [_answer(partial(_piece_rhs, norm), member_requests) for member_requests in batch]
     values, start = [], 0
     for (_, dx), (_, _, W), w in zip(geometry, requests, columns):
         stop = start + w.shape[1]
@@ -588,6 +571,9 @@ def parallel_transports(
         _transport_member(norm, curve, y0, atol, rtol, drift_tolerance)
         for curve, y0 in zip(curves, ys, strict=True)
     ]
+    tally = _LOCKSTEP_TALLY.get()
+    if tally is not None:
+        tally["members"] += len(members)
     outcomes = _lockstep(members, partial(_connection_round, norm))
     for outcome in outcomes:
         if isinstance(outcome, Exception):
@@ -663,12 +649,8 @@ def flow_curve(X: SmoothMap, p, T: float, nodes: int = 16) -> _ChebPiece:
     values = np.empty((nodes + 1, p.shape[0]))
     values[0] = p
     state = p
-
-    def rhs(t, x):
-        return X.value(x)
-
     for i in range(1, nodes + 1):
-        state, _ = integrate(rhs, us[i - 1] * T, us[i] * T, state)
+        state, _ = integrate(lambda t, x: X.value(x), us[i - 1] * T, us[i] * T, state)
         values[i] = state
     if np.all(values == values[0]):
         piece = _AffinePiece(p, p)  # stationary point of X: keep velocity exactly 0
@@ -755,17 +737,8 @@ class ParallelogramTransporter:
     def _chain_point(self, s: float) -> np.ndarray:
         # psi_{-s} phi_{-s} psi_s phi_s (p)
         x = self.p
-
-        def fX(t, z):
-            return self.X.value(z)
-
-        def fY(t, z):
-            return self.Y.value(z)
-
-        x, _ = integrate(fX, 0.0, s, x)
-        x, _ = integrate(fY, 0.0, s, x)
-        x, _ = integrate(fX, 0.0, -s, x)
-        x, _ = integrate(fY, 0.0, -s, x)
+        for F, T in ((self.X, s), (self.Y, s), (self.X, -s), (self.Y, -s)):
+            x, _ = integrate(lambda t, z, F=F: F.value(z), 0.0, T, x)
         return x
 
     def loop(self, t: float) -> ParallelogramLoop:

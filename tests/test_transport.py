@@ -95,14 +95,16 @@ def test_integrator_counts_forced_steps():
 
 
 def test_forced_steps_flag_the_transport(monkeypatch):
-    def forcing(*args, **kwargs):
-        y, stats = integrate(*args, **kwargs)
+    steps = transport._steps
+
+    def forcing(*args):
+        y, stats = yield from steps(*args)
         return y, {**stats, "forced": 1}
 
     norm = catalog_norm("euclidean")
     curve = CurveSpec.line_segment([0.0, 0.0], [1.0, 0.5])
     assert parallel_transport(norm, curve, [1.0, 0.0]).forced_steps == 0
-    monkeypatch.setattr(transport, "integrate", forcing)
+    monkeypatch.setattr(transport, "_steps", forcing)
     result = parallel_transport(norm, curve, [1.0, 0.0])
     assert result.forced_steps == 1 and result.flagged
 
@@ -474,6 +476,38 @@ def test_lockstep_is_the_sequential_route_bit_for_bit(name):
     (single,) = parallel_transports(norm, curves[3:], ys[3:])
     assert_same_transport(single, alone[3])
     assert parallel_transports(norm, [], []) == []
+
+
+@pytest.mark.parametrize("name", ["sphere", "funk_disk", "expression"])
+def test_connection_round_is_the_request_by_request_rhs_bitwise(name):
+    if name == "expression":
+        norm = FinslerNorm.from_expression(WARPED, [-1.0, -1.0], [1.0, 1.0])
+    else:
+        norm = catalog_norm(name)
+    lo, hi = np.asarray(norm.manifold.lo), np.asarray(norm.manifold.hi)
+    rng = np.random.default_rng(3)
+
+    def at():
+        return lo + rng.uniform(0.2, 0.8, size=2) * (hi - lo)
+
+    pieces = [
+        CurveSpec.line_segment(at(), at()).pieces[0],
+        CurveSpec.line_segment(at(), at()).reverse().pieces[0],
+    ]
+    batch = [
+        [(pieces[0], 0.0, rng.normal(size=2)), (pieces[1], 0.25, rng.normal(size=(2, 3)))],
+        [(pieces[1], 0.5, rng.normal(size=(2, 1)))],
+        [(pieces[0], 0.75, rng.normal(size=(2, 2))), (pieces[0], 1.0, rng.normal(size=2)),
+         (pieces[1], 0.125, rng.normal(size=2))],
+    ]
+    together = transport._connection_round(norm, batch)
+    assert len(together) == len(batch)
+    for got, requests in zip(together, batch):
+        alone = transport._answer(partial(transport._piece_rhs, norm), requests)
+        assert len(got) == len(alone) == len(requests)
+        for value, want, (_, _, W) in zip(got, alone, requests):
+            assert value.shape == want.shape == W.shape
+            assert value.tobytes() == want.tobytes()
 
 
 def test_lockstep_isolates_failing_members():
