@@ -9,9 +9,8 @@ closures, the inclusion-chain report, and the matrix-group constructions.
 Reports are deterministic: identical config and seed produce byte-identical
 report.json (keys sorted, task randomness drawn from per-task seed
 sequences); wall-clock data lives in the report.meta.json sidecar: the
-creation timestamp, each task's wall time, for curvature and chain tasks
-the spray-memo request and computed-table counts, and for transport and
-parallelogram tasks the lockstep member, stage-round and request counts.
+creation timestamp and every task's wall time and `jets.tally` counts
+(spray-memo tables, lockstep transports), zero where a layer was not used.
 report.json is RFC 8259 JSON: a non-finite result is written as null, and a
 check whose value is not finite fails.  CSV tables (RFC 4180, CRLF line
 endings) carry the plot-ready series: singular values, convergence errors,
@@ -40,7 +39,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .curvature import constant_base_field, coordinate_fields, curvature_field, spray_tally
+from .curvature import constant_base_field, coordinate_fields, curvature_field
 from .finsler import FinslerNorm, catalog_norm, norm_diagnostics
 from .grouplab import (
     MatrixCurve,
@@ -53,7 +52,7 @@ from .grouplab import (
     sum_curve,
     weak_tangency_reparam,
 )
-from .jets import richardson_extrapolate
+from .jets import richardson_extrapolate, tally
 from .liealg import (
     DEFAULT_TAU,
     ExpressionField,
@@ -68,7 +67,6 @@ from .transport import (
     ParallelogramTransporter,
     holonomy_map,
     indicatrix_samples,
-    lockstep_tally,
     parallel_transports,
 )
 
@@ -585,11 +583,6 @@ _HANDLERS = {
 
 _NEEDS_METRIC = {"metric-check", "transport", "holonomy", "parallelogram", "curvature", "chain"}
 
-# commands whose spray-memo counts go to report.meta.json
-_SPRAY_COMMANDS = {"curvature", "chain"}
-# commands whose lockstep transport counts go to report.meta.json
-_LOCKSTEP_COMMANDS = {"transport", "parallelogram"}
-
 
 class _Report(dict):
     """The report; `meta` holds per-task telemetry for report.meta.json only."""
@@ -617,17 +610,13 @@ def run_config(config: dict, seed: int, profile: str):
         norm = resolve_metric(task["metric"]) if task["command"] in _NEEDS_METRIC else None
         entry = {"label": label, "command": task["command"]}
         error = None
-        with spray_tally() as sprays, lockstep_tally() as lockstep:
+        with tally() as counts:
             try:
                 results, checks, tables = _HANDLERS[task["command"]](task, norm, rng, tol)
             except _TASK_ERRORS as exc:
                 error = exc
-        task_meta = {"label": label, "command": task["command"], "wall_s": time.perf_counter() - start}
-        if task["command"] in _SPRAY_COMMANDS:
-            task_meta["spray_tables"] = dict(sprays)
-        if task["command"] in _LOCKSTEP_COMMANDS:
-            task_meta["lockstep"] = dict(lockstep)
-        tasks_meta.append(task_meta)
+        wall_s = time.perf_counter() - start
+        tasks_meta.append({"label": label, "command": task["command"], "wall_s": wall_s, **counts})
         if error is not None:
             entry.update(
                 results={}, checks=[], error=f"{type(error).__name__}: {error}", passed=False
@@ -673,7 +662,7 @@ def emit(report: dict, tables, out_dir, formats) -> list:
     """Write report.json, its report.meta.json sidecar and the CSV tables.
 
     The sidecar holds the creation timestamp and, for a report made by
-    `run_config`, each task's wall time, spray-memo and lockstep counts.
+    `run_config`, each task's wall time and telemetry counts.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -762,6 +751,10 @@ def main(argv=None) -> int:
         formats = _parse_formats(args.format)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+
+    if args.seed is not None and args.seed < 0:
+        print(f"config error: --seed must be >= 0, got {args.seed}", file=sys.stderr)
         return EXIT_CONFIG
 
     normalized = normalize_config(config)

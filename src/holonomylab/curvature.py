@@ -36,22 +36,20 @@ shape and bytes).  Because the keys are exact, a hit returns the bits a
 fresh evaluation would compute; cached coefficient arrays are read-only, so
 a caller that writes into one raises instead of corrupting later reads.  The
 memos live exactly as long as the fields that hold them: nothing is cached
-per norm or per module.  `spray_tally` counts memo requests and computed
-tables within a block, for run telemetry.  The parallelogram transport
+per norm or per module.  The memos count requests and computed tables in
+the `spray_tables` group of `jets.tally`.  The parallelogram transport
 oracle calls `spray_jets` itself and never reads these memos.
 """
 
 from __future__ import annotations
 
 import json
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import Jet, SmoothMap, compose_table, grouped_space, jet_space
-from .finsler import FinslerNorm, spray_jets
+from .jets import Jet, SmoothMap, compose_table, count, grouped_space, jet_space
+from .finsler import FinslerNorm, indicatrix_samples, spray_jets
 
 __all__ = [
     "PROVENANCE_TAGS",
@@ -65,28 +63,9 @@ __all__ = [
     "vertical_field",
     "GeneratorSet",
     "ihol_generators",
-    "spray_tally",
 ]
 
 PROVENANCE_TAGS = ("curvature", "bracket", "covariant-derivative", "user")
-
-# the tally of the innermost `spray_tally` block; None outside any block
-_SPRAY_TALLY: ContextVar = ContextVar("spray_tally", default=None)
-
-
-@contextmanager
-def spray_tally():
-    """Count spray-memo requests and computed tables within the block.
-
-    Yields a dict {"requests": int, "computed": int} that fills in as the
-    block runs; outside any block the memos count nothing.
-    """
-    tally = {"requests": 0, "computed": 0}
-    token = _SPRAY_TALLY.set(tally)
-    try:
-        yield tally
-    finally:
-        _SPRAY_TALLY.reset(token)
 
 
 def _frozen(jet: Jet) -> Jet:
@@ -105,15 +84,11 @@ class _SprayMemo:
     def get(self, xorder: int, yorder: int, yc: np.ndarray) -> Jet:
         """The stacked jets of G^k with caps (xorder, yorder) at (p, yc); read-only."""
         key = (xorder, yorder, yc.shape, yc.tobytes())
-        tally = _SPRAY_TALLY.get()
-        if tally is not None:
-            tally["requests"] += 1
         G = self._tables.get(key)
+        count("spray_tables", requests=1, computed=int(G is None))
         if G is None:
             G = spray_jets(self.norm, self.p, list(yc), xorder=xorder, yorder=yorder)
             G = self._tables[key] = _frozen(Jet.stack(G))
-            if tally is not None:
-                tally["computed"] += 1
         return G
 
 
@@ -556,8 +531,6 @@ class GeneratorSet:
         return [f for f in self.fields if f.depth <= depth]
 
     def to_payload(self, sample_count: int = 8) -> dict:
-        from .transport import indicatrix_samples
-
         ys = indicatrix_samples(self.norm, self.p, sample_count)
         return {
             "kind": "generator-set",

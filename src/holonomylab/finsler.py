@@ -28,7 +28,8 @@ this on the catalog norms.
 
 Each table is one tensor jet whose value shape is the table's index shape
 followed by the batch axis of y (a batch of tangent vectors at a common base
-point), which is what the transport integrator wants.
+point), which is what the transport integrator wants.  `indicatrix_samples`
+draws the points of F(p, .) = 1 at which fields and holonomy maps are read.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ __all__ = [
     "catalog_names",
     "geodesic_coefficients",
     "horizontal_lift",
+    "indicatrix_samples",
     "metric_tensor",
     "norm_diagnostics",
     "split_horizontal_vertical",
@@ -278,6 +280,33 @@ def catalog_norm(name: str, **params) -> FinslerNorm:
     except KeyError:
         raise KeyError(f"unknown norm {name!r}; available: {', '.join(catalog_names())}") from None
     return maker(**params)
+
+
+def indicatrix_samples(norm: FinslerNorm, p, count: int, offset: float = 0.0) -> np.ndarray:
+    """`count` vectors on the indicatrix F(p, .) = 1, shape (n, count).
+
+    Directions come from a uniform Euclidean grid (angles in the plane),
+    rescaled radially by 1/F.  In dimension >= 3 the grid is replaced by a
+    deterministic low-discrepancy spiral on the unit sphere.
+    """
+    p = np.asarray(p, dtype=float)
+    n = norm.dim
+    if count < 1:
+        raise ValueError("need at least one sample")
+    if n == 2:
+        ang = offset + 2.0 * np.pi * np.arange(count) / count
+        dirs = np.stack([np.cos(ang), np.sin(ang)])
+    elif n == 3:
+        # Fibonacci-type spiral: deterministic, roughly even coverage
+        k = np.arange(count) + 0.5
+        golden = (1.0 + np.sqrt(5.0)) / 2.0
+        z = 1.0 - 2.0 * k / count
+        r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+        th = 2.0 * np.pi * k / golden
+        dirs = np.stack([r * np.cos(th), r * np.sin(th), z])
+    else:
+        raise NotImplementedError("indicatrix sampling implemented for dim 2 and 3")
+    return dirs / norm.value(p, dirs)
 
 
 # -- derived tables -----------------------------------------------------------

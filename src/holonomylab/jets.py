@@ -20,6 +20,8 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -46,6 +48,8 @@ __all__ = [
     "mixed_partial",
     "finite_difference_weights",
     "richardson_extrapolate",
+    "tally",
+    "count",
 ]
 
 DEFAULT_ORDER = 4
@@ -57,6 +61,41 @@ _RICHARDSON_SCHEDULE = (0.1, 0.05, 0.025, 0.0125)
 # 1 to 364 columns); below it the sparse fold's Python dispatch dominates,
 # above it bincount's per-element cost does.  Each cached index is <= 32 KB.
 _BINCOUNT_MAX_ELEMENTS = 4096
+
+# Run telemetry, the one counter set: each group's counter names.  Spray-memo
+# tables come from curvature, lockstep transports and rounds from transport.
+_COUNTERS = {
+    "spray_tables": ("requests", "computed"),
+    "lockstep": ("members", "rounds", "requests"),
+}
+# the counts of the innermost `tally` block; None outside any block
+_TALLY: ContextVar = ContextVar("tally", default=None)
+
+
+@contextmanager
+def tally():
+    """Yield {group: {name: 0}} for every counter, which `count` fills in
+    within the block.  A nested block counts into its own set only, and the
+    enclosing block resumes when it ends.  Lockstep members are transports
+    only: the ODE solves of `transport.integrate` do not count."""
+    counts = {group: dict.fromkeys(names, 0) for group, names in _COUNTERS.items()}
+    token = _TALLY.set(counts)
+    try:
+        yield counts
+    finally:
+        _TALLY.reset(token)
+
+
+def count(group: str, **increments: int) -> None:
+    """Add to the group's counters of the innermost `tally` block, if any.
+    An unknown group or name raises KeyError, inside a block or not."""
+    unknown = increments.keys() - _COUNTERS[group]
+    if unknown:
+        raise KeyError(f"{group} has no counter {sorted(unknown)[0]!r}")
+    counts = _TALLY.get()
+    if counts is not None:
+        for name, n in increments.items():
+            counts[group][name] += n
 
 
 class JetDomainError(ValueError):

@@ -30,8 +30,10 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
+from .curvature import ihol_generators
 from .jets import Jet, JetOrderError, jet_point, jet_space
 from .expressions import parse_expression
+from .finsler import indicatrix_samples
 
 __all__ = [
     "PolynomialField",
@@ -367,8 +369,6 @@ def _default_points(f, count: int = 50) -> np.ndarray:
     norm = getattr(f, "norm", None)
     p = getattr(f, "p", None)
     if norm is not None and p is not None:
-        from .transport import indicatrix_samples
-
         return indicatrix_samples(norm, p, count)
     primes = (q for q in itertools.count(2) if all(q % r for r in range(2, q)))
     bases = itertools.islice(primes, f.dim)
@@ -502,9 +502,6 @@ def inclusion_chain_report(
     module).  Both ranks use the same indicatrix sample points, so the
     inclusion shows up as a plain inequality of integers.
     """
-    from .curvature import ihol_generators
-    from .transport import indicatrix_samples
-
     p = np.asarray(p, dtype=float)
     gen = ihol_generators(norm, p, depth=depth)
     points = indicatrix_samples(norm, p, num_points)

@@ -48,8 +48,6 @@ this stays a finite-difference path by design.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -57,8 +55,8 @@ import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 
 from .expressions import parse_expression
-from .finsler import FinslerNorm, connection_values
-from .jets import DomainBoxError, Jet, SmoothMap, jet_space, richardson_extrapolate
+from .finsler import FinslerNorm, connection_values, indicatrix_samples
+from .jets import DomainBoxError, Jet, SmoothMap, count, jet_space, richardson_extrapolate
 
 __all__ = [
     "CurveSpec",
@@ -74,7 +72,6 @@ __all__ = [
     "holonomy_map",
     "horizontal_flow",
     "indicatrix_samples",
-    "lockstep_tally",
     "parallel_transport",
     "parallel_transports",
     "parallelogram_derivatives",
@@ -109,25 +106,25 @@ class FlowEscapeError(TransportFailure):
 # -- integrator ----------------------------------------------------------------
 
 
-def _rk4_stages(t, y, hs, k1):
+def _rk4_stages(t, y, hs, k1, key):
     """RK4 steps of sizes `hs` from (t, y) whose first stage is k1.
 
-    Stages 2-4 of all the steps are requested side by side, one request per
-    step per round; returns the new states in the order of `hs`.
+    Stages 2-4 of all the steps are requested side by side, one (*key, t, y)
+    per step per round; returns the new states in the order of `hs`.
     """
     ks = [[k1] for _ in hs]
     for c in (0.5, 0.5, 1.0):
-        stage = yield [(t + c * h, y + (c * h) * k[-1]) for h, k in zip(hs, ks)]
+        stage = yield [(*key, t + c * h, y + (c * h) * k[-1]) for h, k in zip(hs, ks)]
         for k, value in zip(ks, stage):
             k.append(value)
     return [y + (h / 6.0) * (k[0] + 2.0 * k[1] + 2.0 * k[2] + k[3]) for h, k in zip(hs, ks)]
 
 
-def _steps(t0, t1, y0, atol, rtol, max_steps):
+def _steps(t0, t1, y0, atol, rtol, max_steps, key=()):
     """The step-doubling loop of `integrate` as a generator of stage requests.
 
-    Yields lists of (t, y) at which the right-hand side is wanted and is
-    sent the list of its values.  A DomainBoxError thrown in at a yield
+    Yields lists of (*key, t, y) at which the right-hand side is wanted and
+    is sent the list of its values.  A DomainBoxError thrown in at a yield
     rejects the attempt, and any other exception ends the solve; rhs(t, y)
     of the current state is kept across rejections.  Returns (y_end, stats)
     as `integrate` does.
@@ -153,11 +150,11 @@ def _steps(t0, t1, y0, atol, rtol, max_steps):
             raise TransportFailure("step budget exhausted", t, y)
         try:
             if k1 is None:
-                (k1,) = yield [(t, y)]
+                (k1,) = yield [(*key, t, y)]
             # the full step and the first half step share k1 and nothing else
-            full, half = yield from _rk4_stages(t, y, (h, 0.5 * h), k1)
-            (k1_mid,) = yield [(t + 0.5 * h, half)]
-            (two_half,) = yield from _rk4_stages(t + 0.5 * h, half, (0.5 * h,), k1_mid)
+            full, half = yield from _rk4_stages(t, y, (h, 0.5 * h), k1, key)
+            (k1_mid,) = yield [(*key, t + 0.5 * h, half)]
+            (two_half,) = yield from _rk4_stages(t + 0.5 * h, half, (0.5 * h,), k1_mid, key)
         except DomainBoxError:
             rejected += 1
             h *= 0.5
@@ -444,33 +441,11 @@ def parallel_transport(
     return parallel_transports(norm, [curve], [y0], atol, rtol, drift_tolerance)[0]
 
 
-# the tally of the innermost `lockstep_tally` block; None outside any block
-_LOCKSTEP_TALLY: ContextVar = ContextVar("lockstep_tally", default=None)
-
-
-@contextmanager
-def lockstep_tally():
-    """Count transports, connection rounds and their requests within the block.
-
-    Yields a dict {"members": int, "rounds": int, "requests": int} that fills
-    in as the block runs; outside any block nothing is counted.  Only
-    transports count: the ODE solves of `integrate` (flows, chain points)
-    do not.
-    """
-    tally = {"members": 0, "rounds": 0, "requests": 0}
-    token = _LOCKSTEP_TALLY.set(tally)
-    try:
-        yield tally
-    finally:
-        _LOCKSTEP_TALLY.reset(token)
-
-
 def _transport_member(norm, curve, y0, atol, rtol, drift_tolerance):
     """`parallel_transport` as a lockstep member.
 
-    Runs the curve's pieces in order, yields each piece's stage requests as
-    (piece, u, W) and relays their right-hand sides, or a thrown
-    DomainBoxError, to that piece's `_steps`.
+    Runs the curve's pieces in order through `_steps`, whose stage requests
+    are keyed by their piece as (piece, u, W).
     """
     if curve.dim != norm.dim:
         raise ValueError(f"curve dim {curve.dim} vs norm dim {norm.dim}")
@@ -480,18 +455,7 @@ def _transport_member(norm, curve, y0, atol, rtol, drift_tolerance):
     f0 = norm.value(curve.start, V)
     stats = []
     for piece in curve.pieces:
-        steps = _steps(0.0, 1.0, V, atol, rtol, MAX_STEPS)
-        reply, arg = steps.send, None
-        while True:
-            try:
-                requests = reply(arg)
-            except StopIteration as done:
-                V, piece_stats = done.value
-                break
-            try:
-                reply, arg = steps.send, (yield [(piece, u, W) for u, W in requests])
-            except DomainBoxError as exc:
-                reply, arg = steps.throw, exc
+        V, piece_stats = yield from _steps(0.0, 1.0, V, atol, rtol, MAX_STEPS, (piece,))
         stats.append(piece_stats)
     x_end = curve.end
     f1 = norm.value(x_end, V)
@@ -523,10 +487,7 @@ def _connection_round(norm: FinslerNorm, batch) -> list:
     every member the exception its own evaluation would raise.
     """
     requests = [request for member_requests in batch for request in member_requests]
-    tally = _LOCKSTEP_TALLY.get()
-    if tally is not None:
-        tally["rounds"] += 1
-        tally["requests"] += len(requests)
+    count("lockstep", rounds=1, requests=len(requests))
     try:
         geometry = [piece.point_velocity(u) for piece, u, _ in requests]
         columns = [W.reshape(W.shape[0], -1) for _, _, W in requests]
@@ -571,42 +532,12 @@ def parallel_transports(
         _transport_member(norm, curve, y0, atol, rtol, drift_tolerance)
         for curve, y0 in zip(curves, ys, strict=True)
     ]
-    tally = _LOCKSTEP_TALLY.get()
-    if tally is not None:
-        tally["members"] += len(members)
+    count("lockstep", members=len(members))
     outcomes = _lockstep(members, partial(_connection_round, norm))
     for outcome in outcomes:
         if isinstance(outcome, Exception):
             raise outcome
     return outcomes
-
-
-def indicatrix_samples(norm: FinslerNorm, p, count: int, offset: float = 0.0) -> np.ndarray:
-    """`count` vectors on the indicatrix F(p, .) = 1, shape (n, count).
-
-    Directions come from a uniform Euclidean grid (angles in the plane),
-    rescaled radially by 1/F.  In dimension >= 3 the grid is replaced by a
-    deterministic low-discrepancy spiral on the unit sphere.
-    """
-    p = np.asarray(p, dtype=float)
-    n = norm.dim
-    if count < 1:
-        raise ValueError("need at least one sample")
-    if n == 2:
-        ang = offset + 2.0 * np.pi * np.arange(count) / count
-        dirs = np.stack([np.cos(ang), np.sin(ang)])
-    else:
-        # Fibonacci-type spiral: deterministic, roughly even coverage
-        k = np.arange(count) + 0.5
-        golden = (1.0 + np.sqrt(5.0)) / 2.0
-        if n == 3:
-            z = 1.0 - 2.0 * k / count
-            r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-            th = 2.0 * np.pi * k / golden
-            dirs = np.stack([r * np.cos(th), r * np.sin(th), z])
-        else:
-            raise NotImplementedError("indicatrix sampling implemented for dim 2 and 3")
-    return dirs / norm.value(p, dirs)
 
 
 def holonomy_map(

@@ -137,6 +137,15 @@ def test_cli_seed_overrides_config(tmp_path):
     assert first["tasks"][0]["results"] != second["tasks"][0]["results"]
 
 
+def test_negative_seed_flag_exits_2(tmp_path, capsys):
+    code, out = run_cli(
+        tmp_path, {"metric": "euclidean", "command": "metric-check"}, "--seed", "-1"
+    )
+    assert code == EXIT_CONFIG
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_empty_task_list_is_valid(tmp_path):
     code, out = run_cli(tmp_path, {"tasks": []})
     assert code == EXIT_PASS
@@ -387,9 +396,11 @@ def test_meta_sidecar_carries_task_telemetry(tmp_path):
     tasks = meta["tasks"]
     assert [t["command"] for t in tasks] == ["curvature", "chain", "grouplab", "curvature"]
     assert all(t["wall_s"] > 0.0 for t in tasks)
+    assert all({"spray_tables", "lockstep"} <= t.keys() for t in tasks)
     for t in tasks[:2]:
         assert 0 < t["spray_tables"]["computed"] <= t["spray_tables"]["requests"]
-    assert "spray_tables" not in tasks[2]
+    assert tasks[2]["spray_tables"] == {"requests": 0, "computed": 0}
+    assert tasks[2]["lockstep"] == {"members": 0, "rounds": 0, "requests": 0}
     assert tasks[3]["spray_tables"] == {"requests": 0, "computed": 0}
     # telemetry stays out of the deterministic report
     assert "wall_s" not in (out / "report.json").read_text()
@@ -405,14 +416,16 @@ def test_meta_sidecar_counts_lockstep_transports(tmp_path):
     }
     code, out = run_cli(tmp_path, payload)
     assert code == EXIT_PASS
-    transport, parallelogram, holonomy = json.loads((out / "report.meta.json").read_text())["tasks"]
+    tasks = json.loads((out / "report.meta.json").read_text())["tasks"]
+    assert all({"spray_tables", "lockstep"} <= t.keys() for t in tasks)
+    transport, parallelogram, holonomy = tasks
     # one member per curve, and per scale of the schedule (+t and -t)
     assert transport["lockstep"]["members"] == 3
     assert parallelogram["lockstep"]["members"] == 8
     for task in (transport, parallelogram):
         counts = task["lockstep"]
         assert 0 < counts["rounds"] <= counts["requests"] <= 2 * counts["members"] * counts["rounds"]
-    assert "lockstep" not in holonomy
+    assert holonomy["lockstep"]["members"] == 1
     assert "lockstep" not in (out / "report.json").read_text()
 
 

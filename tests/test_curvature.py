@@ -14,11 +14,10 @@ from holonomylab.curvature import (
     fiber_bracket,
     horizontal_field,
     ihol_generators,
-    spray_tally,
     vertical_field,
 )
 from holonomylab.finsler import catalog_names, catalog_norm
-from holonomylab.jets import jet_space
+from holonomylab.jets import jet_space, tally
 from holonomylab.liealg import inclusion_chain_report
 from holonomylab.transport import (
     CurveSpec,
@@ -379,11 +378,12 @@ def test_chain_computes_each_spray_table_once(funk, monkeypatch):
         return bare(norm, x, y, xorder=xorder, yorder=yorder)
 
     monkeypatch.setattr(curvature, "spray_jets", counted)
-    with spray_tally() as tally:
+    with tally() as counts:
         rep = inclusion_chain_report(funk, (0.3, 0.0), depth=2)
+    sprays = counts["spray_tables"]
     assert rep.ranks[0] < rep.ranks[1]
-    assert len(calls) == len(keys) == tally["computed"]
-    assert tally["requests"] > tally["computed"]
+    assert len(calls) == len(keys) == sprays["computed"]
+    assert sprays["requests"] > sprays["computed"]
 
 
 @pytest.mark.parametrize("name", catalog_names())

@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import numpy.polynomial.polynomial as P
 import pytest
@@ -13,6 +15,7 @@ from holonomylab.jets import (
     JetShapeError,
     SmoothMap,
     compose_table,
+    count,
     curve_derivative,
     finite_difference_weights,
     grouped_space,
@@ -22,6 +25,7 @@ from holonomylab.jets import (
     jet_variable,
     mixed_partial,
     richardson_extrapolate,
+    tally,
 )
 
 
@@ -332,3 +336,43 @@ def test_cap_zero_variable_is_the_truncated_variable():
             truncated = Jet.variable(big, var, value).truncated(groups)
             assert seeded.space is truncated.space
             assert np.array_equal(seeded.coeffs, truncated.coeffs)
+
+
+def test_tally_counts_only_into_the_innermost_block():
+    count("lockstep", members=5)  # outside any block: no effect, no error
+    with tally() as outer:
+        count("lockstep", members=2, rounds=3)
+        with tally() as inner:
+            count("spray_tables", requests=1, computed=1)
+            count("lockstep", requests=4)
+        count("lockstep", rounds=1)
+    count("lockstep", members=7)  # after the blocks: no effect either
+    assert inner == {
+        "spray_tables": {"requests": 1, "computed": 1},
+        "lockstep": {"members": 0, "rounds": 0, "requests": 4},
+    }
+    assert outer == {
+        "spray_tables": {"requests": 0, "computed": 0},
+        "lockstep": {"members": 2, "rounds": 4, "requests": 0},
+    }
+
+
+def test_tally_block_resets_when_its_body_raises():
+    with tally() as outer:
+        with pytest.raises(RuntimeError):
+            with tally() as inner:
+                count("lockstep", rounds=1)
+                raise RuntimeError("body failed")
+        count("lockstep", rounds=2)
+    assert inner["lockstep"]["rounds"] == 1
+    assert outer["lockstep"]["rounds"] == 2
+    assert jets._TALLY.get() is None
+
+
+def test_count_rejects_unknown_groups_and_keys():
+    for block in (False, True):
+        with tally() if block else contextlib.nullcontext():
+            with pytest.raises(KeyError):
+                count("steps", accepted=1)
+            with pytest.raises(KeyError):
+                count("lockstep", members=1, steps=1)

@@ -5,7 +5,7 @@ import pytest
 
 from holonomylab import finsler, transport
 from holonomylab.finsler import FinslerNorm, MetricDegeneracyError, catalog_norm
-from holonomylab.jets import DomainBoxError, SmoothMap
+from holonomylab.jets import DomainBoxError, SmoothMap, tally
 from holonomylab.transport import (
     CurveSpec,
     FlowEscapeError,
@@ -19,7 +19,6 @@ from holonomylab.transport import (
     horizontal_flow,
     indicatrix_samples,
     integrate,
-    lockstep_tally,
     parallel_transport,
     parallel_transports,
     parallelogram_derivatives,
@@ -467,9 +466,10 @@ def test_lockstep_is_the_sequential_route_bit_for_bit(name):
         np.array([[0.0, 1.0], [1.0, 0.5]]),
         np.array([0.5, 0.5]),
     ]
-    with lockstep_tally() as tally:
+    with tally() as counts:
         together = parallel_transports(norm, curves, ys)
-    assert tally["members"] == len(curves) and 0 < tally["rounds"] <= tally["requests"]
+    lockstep = counts["lockstep"]
+    assert lockstep["members"] == len(curves) and 0 < lockstep["rounds"] <= lockstep["requests"]
     alone = [parallel_transport(norm, curve, y) for curve, y in zip(curves, ys)]
     for got, want in zip(together, alone):
         assert_same_transport(got, want)
