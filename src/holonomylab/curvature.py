@@ -21,10 +21,10 @@ From the curvature fields, two operations generate larger families:
     (D_X xi)^i = X^j (d xi^i/dx^j - G^k_j d xi^i/dy^k + G^i_{jk} xi^k),
 
 whose closure up to a fixed depth is the generator set of the infinitesimal
-holonomy algebra at the base point.  Before entering that closure, fields
-are radially extended to homogeneity degree zero, xi(y) -> xi(y / F(y)),
-which makes y-derivatives along the ray well defined; values on the
-indicatrix itself do not change.
+holonomy algebra at the base point.  Before entering that closure, the
+curvature fields, positively 1-homogeneous in y, are extended to degree 0
+by Euler's identity xi(x, y / F) = xi(x, y) / F(x, y): one jet division.
+Radial y-derivatives then vanish; values on the indicatrix stay unchanged.
 
 Each evaluation is computed once.  A curvature field owns a memo of stacked
 spray tables at its norm and base point, keyed exactly by (xorder, yorder,
@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import Jet, SmoothMap, compose_table, count, grouped_space, jet_space
+from .jets import Jet, SmoothMap, count, grouped_space, jet_space
 from .finsler import FinslerNorm, indicatrix_samples, spray_jets
 
 __all__ = [
@@ -203,39 +203,32 @@ class IndicatrixVectorField:
     def radialized(self) -> "IndicatrixVectorField":
         """The degree-0 radial extension xi(y / F(y)); identical on the indicatrix.
 
-        Realized by composing the field's own Taylor table, taken at the
-        radial projection of the expansion point, with the jets of
-        u(x, y) = y / F(x, y).  An x-derivative of the composite can fall on
-        the u-arguments, so the inner table is requested with y-cap
-        xcap + ycap.
+        For a field positively 1-homogeneous in y, Euler's identity gives
+        xi(x, y / F(x, y)) = xi(x, y) / F(x, y) exactly, so the extension is
+        one jet division at the caps asked for.  A degree-0 field is its own
+        extension; any other degree raises ValueError.
         """
         if self.homogeneity == 0:
             return self
-        parent = self
-        norm, p, n = self.norm, self.p, self.dim
+        if self.homogeneity != 1:
+            raise ValueError(f"cannot radialize {self.label!r} of homogeneity {self.homogeneity}")
+        norm, p = self.norm, self.p
 
         def evaluator(xcap, ycap, yc):
-            space = grouped_space(((n, xcap), (n, ycap)))
-            E = norm.energy_jet(p, list(yc), xcap=xcap, ycap=ycap)
-            y = Jet.stack([Jet.variable(space, n + i, yc[i]) for i in range(n)])
-            u = y / (2.0 * E).sqrt()
-            table = Jet.stack(parent.bundle_jets(xcap, xcap + ycap, u.value))
-            batch = np.zeros(yc.shape[1:])
-            xj = [Jet.variable(space, i, p[i]) + batch for i in range(n)]
-            center = np.concatenate([p.reshape(p.shape + (1,) * batch.ndim) + batch, u.value])
-            return compose_table(table, xj + u.unstack(), center)
+            F = (2.0 * norm.energy_jet(p, list(yc), xcap=xcap, ycap=ycap)).sqrt()
+            return Jet.stack(self.bundle_jets(xcap, ycap, yc)) / F
 
         out = IndicatrixVectorField(
             norm,
             p,
             evaluator,
-            parent.provenance,
-            parent.label,
+            self.provenance,
+            self.label,
             homogeneity=0,
-            depth=parent.depth,
-            parents=parent.parents,
+            depth=self.depth,
+            parents=self.parents,
         )
-        out._sprays = parent._sprays
+        out._sprays = self._sprays
         return out
 
 

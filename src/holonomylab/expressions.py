@@ -20,6 +20,8 @@ from __future__ import annotations
 import ast
 import math
 import numbers
+import sys
+import warnings
 
 import numpy as np
 
@@ -135,6 +137,8 @@ def _validate(node, variables: tuple[str, ...]) -> None:
         elif isinstance(sub, ast.Constant):
             if not isinstance(sub.value, numbers.Real) or isinstance(sub.value, bool):
                 raise ExpressionError(f"literal {sub.value!r} is not a number")
+            if not abs(sub.value) <= sys.float_info.max:  # 1e999 reads as inf
+                raise ExpressionError(f"literal {sub.value!r:.40} is out of float range")
         elif isinstance(sub, ast.Name):
             if id(sub) in heads:
                 continue
@@ -167,8 +171,9 @@ def parse_expression(text: str, variables) -> Expression:
 
     `^` is accepted as a synonym for exponentiation.  Raises ExpressionError
     for malformed input, names outside `variables` (plus `pi`), calls to
-    anything but sqrt/sin/cos/exp/log, non-numeric literals, and syntax trees
-    deeper than MAX_DEPTH levels.
+    anything but sqrt/sin/cos/exp/log, non-numeric literals, literals out of
+    float range (``1e999`` would read as inf), and syntax trees deeper than
+    MAX_DEPTH levels.
     """
     variables = tuple(variables)
     seen = set()
@@ -178,7 +183,9 @@ def parse_expression(text: str, variables) -> Expression:
         seen.add(v)
     source = text.replace("^", "**")
     try:
-        tree = ast.parse(source, mode="eval")
+        with warnings.catch_warnings():  # a SyntaxWarning ("1if") marks malformed input
+            warnings.simplefilter("error", SyntaxWarning)
+            tree = ast.parse(source, mode="eval")
     except SyntaxError as exc:
         raise ExpressionError(f"cannot parse {text!r}: {exc.msg}") from None
     except (RecursionError, MemoryError):

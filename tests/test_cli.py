@@ -297,6 +297,18 @@ def test_oversized_metric_expression_exits_2(tmp_path, capsys):
         assert "tasks/0/metric" in capsys.readouterr().err
 
 
+def test_infinite_literal_in_metric_exits_2(tmp_path, capsys):
+    # 1e999 reads as inf: a config error, not a failed positivity check
+    payload = {
+        "metric": {"norm": "sqrt(y1^2 + y2^2) * 1e999", "lo": [-1.0, -1.0], "hi": [1.0, 1.0]},
+        "command": "metric-check",
+        "samples": 4,
+    }
+    code, _ = run_cli(tmp_path, payload)
+    assert code == EXIT_CONFIG
+    assert "tasks/0/metric" in capsys.readouterr().err
+
+
 def test_numeric_task_error_is_captured(tmp_path):
     # base point outside the chart: the task fails, the run still reports
     payload = {

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -16,8 +17,8 @@ from holonomylab.curvature import (
     ihol_generators,
     vertical_field,
 )
-from holonomylab.finsler import catalog_names, catalog_norm
-from holonomylab.jets import jet_space, tally
+from holonomylab.finsler import FinslerNorm, catalog_names, catalog_norm
+from holonomylab.jets import Jet, compose_table, grouped_space, jet_space, tally
 from holonomylab.liealg import inclusion_chain_report
 from holonomylab.transport import (
     CurveSpec,
@@ -185,6 +186,96 @@ def test_radialized_euler_identity(funk):
     for i in range(n):
         radial = sum(y[k] * float(jets[i].derivative_table(n + k).value) for k in range(n))
         assert abs(radial) < 1e-12
+
+
+def composed_radialization(field, xcap, ycap, yc):
+    """xi(x, y / F(x, y)) by composing the raw field's Taylor table with the
+    jets of u = y / F.  An x-derivative of the composite can fall on the
+    u-arguments, so the table is taken at y-cap xcap + ycap."""
+    norm, p, n = field.norm, field.p, field.dim
+    space = grouped_space(((n, xcap), (n, ycap)))
+    E = norm.energy_jet(p, list(yc), xcap=xcap, ycap=ycap)
+    y = Jet.stack([Jet.variable(space, n + i, yc[i]) for i in range(n)])
+    u = y / (2.0 * E).sqrt()
+    table = Jet.stack(field.bundle_jets(xcap, xcap + ycap, u.value))
+    batch = np.zeros(yc.shape[1:])
+    xj = [Jet.variable(space, i, p[i]) + batch for i in range(n)]
+    center = np.concatenate([p.reshape(p.shape + (1,) * batch.ndim) + batch, u.value])
+    return compose_table(table, xj + u.unstack(), center)
+
+
+RADIALIZATION_CASES = {
+    "euclidean": [0.2, -0.5],
+    "flat_torus": [0.2, -0.5],
+    "sphere": [0.9, 0.4],
+    "funk_disk": [0.3, 0.0],
+}
+
+
+def radialization_norms():
+    # every catalog norm, plus a non-Riemannian expression chart with curvature
+    for name in catalog_names():
+        yield pytest.param(catalog_norm(name), np.array(RADIALIZATION_CASES[name]), id=name)
+    text = "sqrt(y1^2 + (1 + x1^2) * y2^2) + 0.2 * x1 * y2"
+    norm = FinslerNorm.from_expression(text, [-0.5, -0.5], [0.5, 0.5])
+    yield pytest.param(norm, np.array([0.2, 0.1]), id="expression")
+
+
+@pytest.mark.parametrize("norm, q", list(radialization_norms()))
+def test_radialized_matches_composition(norm, q):
+    # the division by F against the composition route, coefficient by coefficient
+    e0, e1 = coordinate_fields(norm.manifold)
+    raw = curvature_field(norm, e0, e1, q)
+    rad = raw.radialized()
+    on = norm.normalize(q, np.array([0.6, -0.8]))
+    batch = indicatrix_samples(norm, q, 3) * np.array([0.5, 1.0, 3.0])
+    for xcap, ycap in ((0, 0), (0, 2), (1, 1), (2, 2), (1, 3)):
+        for yc in (on, 0.5 * on, 3.0 * on, batch):
+            want = composed_radialization(raw, xcap, ycap, yc)
+            got = Jet.stack(rad.bundle_jets(xcap, ycap, yc))
+            assert got.space is want.space and got.shape == want.shape
+            scale = np.max(np.abs(want.coeffs))
+            assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-10 * scale, (xcap, ycap)
+
+
+def test_radialized_asks_the_parent_at_the_same_caps(funk):
+    q = np.array([0.3, 0.0])
+    e0, e1 = coordinate_fields(funk.manifold)
+    raw = curvature_field(funk, e0, e1, q)
+    calls = []
+    parent_jets = raw.bundle_jets
+
+    def spy(xcap, ycap, yc):
+        calls.append((xcap, ycap, np.array(yc)))
+        return parent_jets(xcap, ycap, yc)
+
+    raw.bundle_jets = spy
+    rad = raw.radialized()
+    ys = indicatrix_samples(funk, q, 4)
+    for xcap, ycap, yc in ((0, 0, ys[:, 0]), (1, 3, ys), (2, 2, 2.0 * ys[:, 1])):
+        calls.clear()
+        rad.bundle_jets(xcap, ycap, yc)
+        assert len(calls) == 1
+        assert calls[0][:2] == (xcap, ycap) and np.array_equal(calls[0][2], yc)
+
+
+def test_radialized_rejects_fields_without_degree_one(funk):
+    q = np.array([0.3, 0.0])
+    e0, e1 = coordinate_fields(funk.manifold)
+    xi = curvature_field(funk, e0, e1, q).radialized()
+    derived = berwald_covariant_derivative(funk, xi, e0)
+    with pytest.raises(ValueError, match=re.escape(derived.label)):
+        derived.radialized()
+
+    def evaluator(xcap, ycap, yc):
+        return Jet.stack(xi.bundle_jets(xcap, ycap, yc))
+
+    for degree in (None, 2):
+        user = IndicatrixVectorField(funk, q, evaluator, "user", "my-field", homogeneity=degree)
+        with pytest.raises(ValueError, match="my-field"):
+            user.radialized()
+    user = IndicatrixVectorField(funk, q, evaluator, "user", "my-field", homogeneity=0)
+    assert user.radialized() is user
 
 
 def test_tangency_of_all_produced_fields(sphere, funk):

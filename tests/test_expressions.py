@@ -7,7 +7,7 @@ from holonomylab.expressions import ExpressionError, parse_expression
 from holonomylab.jets import Jet, JetDomainError, jet_space, jet_variable
 
 try:
-    from hypothesis import assume, given, strategies as st
+    from hypothesis import assume, given, settings, strategies as st
 except ImportError:  # the property test below skips itself
     st = None
 
@@ -124,6 +124,14 @@ def test_oversized_expressions_rejected():
     assert parse_expression(text, ("x1", "y1"))(0.0, 2.0) == pytest.approx(2.0 * math.sqrt(150))
 
 
+def test_literals_out_of_float_range_rejected():
+    # 1e999 reads as inf, and a 400-digit integer has no float
+    for text in ("1e999", "-1e999", "y1 * 1e999", "1" + "0" * 400):
+        with pytest.raises(ExpressionError, match="out of float range"):
+            parse_expression(text, ("y1",))
+    assert parse_expression("1.7976931348623157e308", ())() == 1.7976931348623157e308
+
+
 def test_constant_expression_on_jets_is_a_constant_jet():
     space = jet_space(2, 2)
     x = jet_variable(space, 0, np.array([0.3, -0.5, 0.7]))
@@ -137,6 +145,9 @@ def test_constant_expression_on_jets_is_a_constant_jet():
 if st is None:
 
     def test_jet_arguments_give_a_jet():
+        pytest.skip("hypothesis is not installed")
+
+    def test_parser_raises_only_expression_errors():
         pytest.skip("hypothesis is not installed")
 
 else:
@@ -192,3 +203,19 @@ else:
             np.testing.assert_allclose(out.value[finite], expected[finite], rtol=1e-12)
         else:
             assert np.array_equal(out.value[finite], expected[finite])
+
+    # the grammar's characters and tokens, plus pieces of Python it rejects
+    TOKENS = st.sampled_from(
+        list("0123456789.e+-*/^() ,")
+        + ["x1", "x2", "x3", "pi", "sqrt", "sin", "exp", "log", "1e999", "0x1f", "1_0"]
+        + ["**", "//", "%", "@", "j", "[", "]", "{", "}", ":", "'", "lambda", "if", "==", "\n"]
+    )
+
+    @settings(max_examples=500)
+    @given(st.one_of(st.lists(TOKENS, max_size=30).map("".join), st.text(max_size=40)))
+    def test_parser_raises_only_expression_errors(text):
+        """Every string parses or raises ExpressionError; nothing else escapes."""
+        try:
+            parse_expression(text, ("x1", "x2"))
+        except ExpressionError:
+            pass
