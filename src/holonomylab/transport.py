@@ -6,10 +6,14 @@ Transport of a tangent vector V along a base curve c solves
 
 the horizontality condition for the curve u -> (c(u), V(u)).  The integrator
 is classical RK4 with step doubling: a full step against two half steps gives
-an embedded error estimate (the usual /15 factor), steps are halved or grown
-by the standard safety rule, and a step that lands outside the chart or the
-domain box of a vector field counts as a rejection; every retry from the
-same state reuses the first stage rhs(t, y).  States may carry a trailing
+an embedded error estimate (the usual /15 factor), and steps shrink or grow
+by the standard safety rule.  The one acceptance rule: a step is taken only
+when its estimate is at most 1.  Any other attempt, as one whose estimate is
+not finite or that leaves the chart or a vector field's domain box, is
+rejected and retried smaller from the same state, reusing rhs(t, y), so a
+solve that cannot meet the tolerance ends in TransportFailure.  The module
+constants ATOL, RTOL, MAX_STEPS, DRIFT_TOL, FLOW_NODES and BISECTION_STEPS
+fix the accuracy and are read at call time.  States may carry a trailing
 batch axis, so a whole fan of vectors rides along one curve in a single
 solve.  A curve is a list of pieces over u in [0, 1], each only a `dim` and a
 `point_velocity(u)`; expression pieces differentiate their components on an
@@ -48,21 +52,20 @@ this stays a finite-difference path by design.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 
 from .expressions import parse_expression
-from .finsler import FinslerNorm, connection_values, indicatrix_samples
+from .finsler import FinslerNorm, connection_values, horizontal_lift, indicatrix_samples
 from .jets import DomainBoxError, Jet, SmoothMap, count, jet_space, richardson_extrapolate
 
 __all__ = [
     "CurveSpec",
     "FlowEscapeError",
     "LoopSpec",
-    "ParallelogramLoop",
     "ParallelogramTransporter",
     "TransportFailure",
     "TransportResult",
@@ -72,6 +75,7 @@ __all__ = [
     "holonomy_map",
     "horizontal_flow",
     "indicatrix_samples",
+    "integrate",
     "parallel_transport",
     "parallel_transports",
     "parallelogram_derivatives",
@@ -80,8 +84,11 @@ __all__ = [
 
 ATOL = 1e-10
 RTOL = 1e-9
-H_SCHEDULE = (0.08, 0.04, 0.02, 0.01)
 MAX_STEPS = 200000
+DRIFT_TOL = 1e-8  # relative norm drift past which a transport is flagged
+FLOW_NODES = 16  # Gauss-Lobatto nodes per flow segment of a parallelogram loop
+BISECTION_STEPS = 12  # halvings in the search for the largest admissible scale
+H_SCHEDULE = (0.08, 0.04, 0.02, 0.01)
 _JUNCTION_TOL = 1e-12
 
 
@@ -120,7 +127,7 @@ def _rk4_stages(t, y, hs, k1, key):
     return [y + (h / 6.0) * (k[0] + 2.0 * k[1] + 2.0 * k[2] + k[3]) for h, k in zip(hs, ks)]
 
 
-def _steps(t0, t1, y0, atol, rtol, max_steps, key=()):
+def _steps(t0, t1, y0, key=()):
     """The step-doubling loop of `integrate` as a generator of stage requests.
 
     Yields lists of (*key, t, y) at which the right-hand side is wanted and
@@ -131,22 +138,18 @@ def _steps(t0, t1, y0, atol, rtol, max_steps, key=()):
     """
     y = np.asarray(y0, dtype=float).copy()
     span = t1 - t0
-    if span == 0.0:
-        return y, {"accepted": 0, "rejected": 0, "forced": 0, "max_local_error": 0.0}
     h = span
     h_min = 1e-13 * max(abs(span), 1.0)
     t = t0
-    accepted = rejected = forced = 0
+    accepted = rejected = 0
     max_err = 0.0
     k1 = None  # rhs(t, y), kept until the state moves
-    while (t1 - t) * np.sign(span) > 0.0:
-        if abs(t1 - t) <= h_min:
-            break  # remaining span is rounding noise
+    while (t1 - t) * np.sign(span) > h_min:  # a remaining span below h_min is rounding noise
         if abs(h) > abs(t1 - t):
             h = t1 - t
         if abs(h) < h_min:
             raise TransportFailure("step size underflow", t, y)
-        if accepted + rejected + forced > max_steps:
+        if accepted + rejected > MAX_STEPS:
             raise TransportFailure("step budget exhausted", t, y)
         try:
             if k1 is None:
@@ -160,38 +163,36 @@ def _steps(t0, t1, y0, atol, rtol, max_steps, key=()):
             h *= 0.5
             continue
         delta = (two_half - full) / 15.0
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(two_half))
+        scale = ATOL + RTOL * np.maximum(np.abs(y), np.abs(two_half))
         err = float(np.max(np.abs(delta) / scale))
-        if err <= 1.0 or abs(h) <= h_min * 2.0:
+        if np.isnan(err):
+            err = np.inf  # a NaN estimate must shrink the step, not grow it
+        if err <= 1.0:
             t += h
             y = two_half + delta
             k1 = None
-            if err <= 1.0:
-                accepted += 1
-            else:
-                forced += 1
+            accepted += 1
             max_err = max(max_err, float(np.max(np.abs(delta))))
         else:
             rejected += 1
         factor = 0.9 * err ** -0.2 if err > 0.0 else 5.0
         h *= min(5.0, max(0.2, factor))
-    return y, dict(accepted=accepted, rejected=rejected, forced=forced, max_local_error=max_err)
+    return y, dict(accepted=accepted, rejected=rejected, max_local_error=max_err)
 
 
-def integrate(rhs, t0, t1, y0, atol=ATOL, rtol=RTOL, max_steps=MAX_STEPS):
+def integrate(rhs, t0, t1, y0):
     """Adaptive RK4 by step doubling from t0 to t1 (either direction).
 
     rhs(t, y) -> dy/dt, where y is (d,) or (d, B).  Returns (y_end, stats)
-    with stats counting accepted, rejected and forced steps and the largest
-    local error estimate of a step taken.  A forced step misses the
-    tolerance but is taken anyway because it is within twice the smallest
-    step size.  Raises TransportFailure on step underflow, which is also how
-    a domain-box violation that cannot be stepped over surfaces; any other
-    exception of rhs is raised as is.  The solve is `_steps` run as the one
-    member of `_lockstep`.
+    with stats counting accepted and rejected steps and the largest local
+    error estimate of a step taken.  A step is taken only when it meets ATOL
+    and RTOL, so a solve that cannot meet them raises TransportFailure, on
+    step underflow or past MAX_STEPS; so does a domain-box violation that
+    cannot be stepped over.  Any other exception of rhs is raised as is.
+    The solve is `_steps` run as the one member of `_lockstep`.
     """
     (outcome,) = _lockstep(
-        [_steps(t0, t1, y0, atol, rtol, max_steps)],
+        [_steps(t0, t1, y0)],
         lambda batch: [_answer(rhs, requests) for requests in batch],
     )
     if isinstance(outcome, Exception):
@@ -408,8 +409,7 @@ class TransportResult:
     accepted_steps: int
     rejected_steps: int
     max_local_error: float
-    forced_steps: int = 0
-    flagged: bool = field(default=False)
+    flagged: bool = False
 
 
 def _contract(Gj, W, dx):
@@ -424,24 +424,18 @@ def _piece_rhs(norm: FinslerNorm, piece, u, W):
     return _contract(connection_values(norm, x, W), W, dx)
 
 
-def parallel_transport(
-    norm: FinslerNorm,
-    curve: CurveSpec,
-    y0,
-    atol: float = ATOL,
-    rtol: float = RTOL,
-    drift_tolerance: float = 1e-8,
-) -> TransportResult:
+def parallel_transport(norm: FinslerNorm, curve: CurveSpec, y0) -> TransportResult:
     """Transport y0 along the curve; y0 may be (n,) or a batch (n, B).
 
-    The result is flagged when |F(end) - F(start)| exceeds
-    drift_tolerance * F(start), with drift measured on the worst batch
-    member, or when the integrator forced a step past its tolerance.
+    Every step meets the integrator's one acceptance rule, and a transport
+    that cannot meet it raises TransportFailure.  The result is flagged when
+    |F(end) - F(start)| exceeds DRIFT_TOL * F(start), with drift measured on
+    the worst batch member.
     """
-    return parallel_transports(norm, [curve], [y0], atol, rtol, drift_tolerance)[0]
+    return parallel_transports(norm, [curve], [y0])[0]
 
 
-def _transport_member(norm, curve, y0, atol, rtol, drift_tolerance):
+def _transport_member(norm, curve, y0):
     """`parallel_transport` as a lockstep member.
 
     Runs the curve's pieces in order through `_steps`, whose stage requests
@@ -455,12 +449,11 @@ def _transport_member(norm, curve, y0, atol, rtol, drift_tolerance):
     f0 = norm.value(curve.start, V)
     stats = []
     for piece in curve.pieces:
-        V, piece_stats = yield from _steps(0.0, 1.0, V, atol, rtol, MAX_STEPS, (piece,))
+        V, piece_stats = yield from _steps(0.0, 1.0, V, (piece,))
         stats.append(piece_stats)
     x_end = curve.end
     f1 = norm.value(x_end, V)
     drift = float(np.max(np.abs(f1 - f0)))
-    forced = sum(s["forced"] for s in stats)
     return TransportResult(
         y_end=V,
         x_end=x_end,
@@ -470,8 +463,7 @@ def _transport_member(norm, curve, y0, atol, rtol, drift_tolerance):
         accepted_steps=sum(s["accepted"] for s in stats),
         rejected_steps=sum(s["rejected"] for s in stats),
         max_local_error=max([0.0] + [s["max_local_error"] for s in stats]),
-        forced_steps=forced,
-        flagged=bool(forced or drift > drift_tolerance * max(float(np.max(f0)), 1e-300)),
+        flagged=drift > DRIFT_TOL * max(float(np.max(f0)), 1e-300),
     )
 
 
@@ -511,14 +503,7 @@ def _connection_round(norm: FinslerNorm, batch) -> list:
     return out
 
 
-def parallel_transports(
-    norm: FinslerNorm,
-    curves,
-    ys,
-    atol: float = ATOL,
-    rtol: float = RTOL,
-    drift_tolerance: float = 1e-8,
-) -> list[TransportResult]:
+def parallel_transports(norm: FinslerNorm, curves, ys) -> list[TransportResult]:
     """`parallel_transport` of each curve with its y0, stepped in lockstep.
 
     Every transport takes exactly the steps it takes alone, and each round
@@ -528,10 +513,7 @@ def parallel_transports(
     the first failed transport in input order is raised at the end, which
     is what transporting them one after another raises.
     """
-    members = [
-        _transport_member(norm, curve, y0, atol, rtol, drift_tolerance)
-        for curve, y0 in zip(curves, ys, strict=True)
-    ]
+    members = [_transport_member(norm, curve, y0) for curve, y0 in zip(curves, ys, strict=True)]
     count("lockstep", members=len(members))
     outcomes = _lockstep(members, partial(_connection_round, norm))
     for outcome in outcomes:
@@ -540,13 +522,7 @@ def parallel_transports(
     return outcomes
 
 
-def holonomy_map(
-    norm: FinslerNorm,
-    loop: CurveSpec,
-    samples,
-    atol: float = ATOL,
-    rtol: float = RTOL,
-) -> np.ndarray:
+def holonomy_map(norm: FinslerNorm, loop: CurveSpec, samples) -> np.ndarray:
     """Transport indicatrix samples around a closed loop; returns (n, B).
 
     Samples must satisfy F(p, v) = 1 within 1e-10 at the loop's base point.
@@ -559,28 +535,27 @@ def holonomy_map(
     f = norm.value(loop.start, samples)
     if np.max(np.abs(f - 1.0)) > 1e-10:
         raise ValueError("samples must lie on the indicatrix at the base point")
-    result = parallel_transport(norm, loop, samples, atol=atol, rtol=rtol)
-    return result.y_end
+    return parallel_transport(norm, loop, samples).y_end
 
 
 # -- flows and the transport = flow identity ------------------------------------
 
 
-def flow_curve(X: SmoothMap, p, T: float, nodes: int = 16) -> _ChebPiece:
+def flow_curve(X: SmoothMap, p, T: float) -> _ChebPiece:
     """The integral curve u -> flow_{uT}(p) of X, as one smooth piece.
 
-    Solved node to node through Gauss-Lobatto points (so u = 0 and u = 1 are
-    data, not extrapolation), then fit by a Chebyshev interpolant.  T may be
-    negative: the flow runs backward.
+    Solved node to node through FLOW_NODES Gauss-Lobatto points (so u = 0
+    and u = 1 are data, not extrapolation), then fit by a Chebyshev
+    interpolant.  T may be negative: the flow runs backward.
     """
     p = np.asarray(p, dtype=float)
     if T == 0.0:
         return _AffinePiece(p, p)
-    us = _lobatto_nodes(nodes)
-    values = np.empty((nodes + 1, p.shape[0]))
+    us = _lobatto_nodes(FLOW_NODES)
+    values = np.empty((FLOW_NODES + 1, p.shape[0]))
     values[0] = p
     state = p
-    for i in range(1, nodes + 1):
+    for i in range(1, FLOW_NODES + 1):
         state, _ = integrate(lambda t, x: X.value(x), us[i - 1] * T, us[i] * T, state)
         values[i] = state
     if np.all(values == values[0]):
@@ -597,17 +572,12 @@ def horizontal_flow(norm: FinslerNorm, X: SmoothMap, p, y0, t: float):
     State is (x, V); dx/dt = X(x), dV^i/dt = -G^i_j(x, V) X(x)^j.  Returns
     (x_end, V_end).
     """
-    p = np.asarray(p, dtype=float)
-    V0 = np.asarray(y0, dtype=float)
     n = norm.dim
 
     def rhs(s, z):
-        x, V = z[:n], z[n:]
-        Xv = X.value(x)
-        Gj = connection_values(norm, x, V)
-        return np.concatenate([Xv, -(Gj @ Xv)])
+        return horizontal_lift(norm, z[:n], z[n:], X.value(z[:n]))
 
-    z, _ = integrate(rhs, 0.0, t, np.concatenate([p, V0]))
+    z, _ = integrate(rhs, 0.0, t, np.concatenate([p, y0]))
     return z[:n], z[n:]
 
 
@@ -626,17 +596,6 @@ def flow_transport_discrepancy(norm: FinslerNorm, X: SmoothMap, p, y0, t: float)
 # -- parallelogram holonomy ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ParallelogramLoop:
-    """The realized loop alpha_t * beta_t^{-1} at scale t."""
-
-    X: SmoothMap
-    Y: SmoothMap
-    p: np.ndarray
-    t: float
-    loop: LoopSpec
-
-
 class ParallelogramTransporter:
     """Holonomy family h_t at a fixed (X, Y, p), cached over scales t.
 
@@ -646,24 +605,12 @@ class ParallelogramTransporter:
     the central-difference schedule relies on).
     """
 
-    def __init__(
-        self,
-        norm: FinslerNorm,
-        X: SmoothMap,
-        Y: SmoothMap,
-        p,
-        atol: float = ATOL,
-        rtol: float = RTOL,
-        nodes: int = 16,
-    ):
+    def __init__(self, norm: FinslerNorm, X: SmoothMap, Y: SmoothMap, p):
         self.norm = norm
         self.X = X
         self.Y = Y
         self.p = np.asarray(p, dtype=float)
-        self.atol = atol
-        self.rtol = rtol
-        self.nodes = nodes
-        self._loops: dict[float, ParallelogramLoop] = {}
+        self._loops: dict[float, LoopSpec] = {}
 
     def _chain_point(self, s: float) -> np.ndarray:
         # psi_{-s} phi_{-s} psi_s phi_s (p)
@@ -672,43 +619,35 @@ class ParallelogramTransporter:
             x, _ = integrate(lambda t, z, F=F: F.value(z), 0.0, T, x)
         return x
 
-    def loop(self, t: float) -> ParallelogramLoop:
-        """Build (and cache) the closed loop at scale t."""
+    def loop(self, t: float) -> LoopSpec:
+        """Build (and cache) the realized loop alpha_t * beta_t^{-1} at scale t."""
         hit = self._loops.get(t)
         if hit is not None:
             return hit
         if t == 0.0:
-            loop = LoopSpec.constant(self.p)
-            result = ParallelogramLoop(self.X, self.Y, self.p, 0.0, loop)
-            self._loops[0.0] = result
-            return result
-        a1 = flow_curve(self.X, self.p, t, self.nodes)
-        a2 = flow_curve(self.Y, a1.end_state, t, self.nodes)
-        a3 = flow_curve(self.X, a2.end_state, -t, self.nodes)
-        a4 = flow_curve(self.Y, a3.end_state, -t, self.nodes)
+            return self._loops.setdefault(0.0, LoopSpec.constant(self.p))
+        a1 = flow_curve(self.X, self.p, t)
+        a2 = flow_curve(self.Y, a1.end_state, t)
+        a3 = flow_curve(self.X, a2.end_state, -t)
+        a4 = flow_curve(self.Y, a3.end_state, -t)
         # beta over s in [0, t]; its first/last nodes reuse p and alpha's
         # endpoint exactly, which is what closes the realized loop bitwise
-        us = _lobatto_nodes(self.nodes)
-        values = np.empty((self.nodes + 1, self.p.shape[0]))
+        us = _lobatto_nodes(FLOW_NODES)
+        values = np.empty((FLOW_NODES + 1, self.p.shape[0]))
         values[0] = self.p
         values[-1] = a4.end_state
-        for i in range(1, self.nodes):
+        for i in range(1, FLOW_NODES):
             values[i] = self._chain_point(us[i] * t)
         beta = _fit_chebyshev(us, values)
-        loop = LoopSpec([a1, a2, a3, a4, _ReversedPiece(beta)])
-        result = ParallelogramLoop(self.X, self.Y, self.p, t, loop)
-        self._loops[t] = result
-        return result
+        loop = self._loops[t] = LoopSpec([a1, a2, a3, a4, _ReversedPiece(beta)])
+        return loop
 
     def transport(self, t: float, samples) -> np.ndarray:
         """h_t applied to samples (n,) or (n, B)."""
         samples = np.asarray(samples, dtype=float)
         if t == 0.0:
             return samples.copy()
-        loop = self.loop(t)
-        return parallel_transport(
-            self.norm, loop.loop, samples, atol=self.atol, rtol=self.rtol
-        ).y_end
+        return parallel_transport(self.norm, self.loop(t), samples).y_end
 
     def difference_quotients(self, v, schedule=H_SCHEDULE):
         """Central first and second differences of t -> h_t(v), one per step.
@@ -722,20 +661,15 @@ class ParallelogramTransporter:
         """
         v = np.asarray(v, dtype=float)
         scales = [s for t in schedule for s in (t, -t) if s != 0.0]
-
-        def transport_all(loops):
-            return parallel_transports(
-                self.norm, loops, [v] * len(loops), atol=self.atol, rtol=self.rtol
-            )
-
         loops = []
         try:
             for s in scales:
-                loops.append(self.loop(s).loop)
+                loops.append(self.loop(s))
         except Exception:
-            transport_all(loops)
+            parallel_transports(self.norm, loops, [v] * len(loops))
             raise
-        images = {0.0: v, **{s: r.y_end for s, r in zip(scales, transport_all(loops))}}
+        results = parallel_transports(self.norm, loops, [v] * len(loops))
+        images = {0.0: v, **{s: r.y_end for s, r in zip(scales, results)}}
         firsts, seconds = [], []
         for t in schedule:
             plus, minus = images[t], images[-t]
@@ -743,13 +677,13 @@ class ParallelogramTransporter:
             seconds.append((plus - 2.0 * v + minus) / (t * t))
         return firsts, seconds
 
-    def max_admissible_t(self, t_target: float, iterations: int = 12) -> float:
+    def max_admissible_t(self, t_target: float) -> float:
         """Largest |t| <= |t_target| (same sign) whose loop stays in chart."""
         lo, hi = 0.0, abs(t_target)
         sgn = 1.0 if t_target >= 0 else -1.0
         if self._loop_ok(sgn * hi):
             return t_target
-        for _ in range(iterations):
+        for _ in range(BISECTION_STEPS):
             mid = 0.5 * (lo + hi)
             if self._loop_ok(sgn * mid):
                 lo = mid
@@ -795,8 +729,6 @@ def parallelogram_derivatives(
     p,
     v,
     schedule=H_SCHEDULE,
-    atol: float = ATOL,
-    rtol: float = RTOL,
 ):
     """First and second t-derivatives of t -> h_t(v) at t = 0.
 
@@ -804,7 +736,7 @@ def parallelogram_derivatives(
     in t^2.  Returns (first, second) as DerivativeEstimate-like pairs
     ((value, error), (value, error)).
     """
-    tr = ParallelogramTransporter(norm, X, Y, p, atol=atol, rtol=rtol)
+    tr = ParallelogramTransporter(norm, X, Y, p)
     firsts, seconds = tr.difference_quotients(v, schedule)
     return richardson_extrapolate(firsts, schedule), richardson_extrapolate(seconds, schedule)
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import holonomylab
+from holonomylab import transport
 from holonomylab.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -186,6 +187,23 @@ def test_grouplab_alternate_constants_regression_exits_1(tmp_path):
     report = read_report(out)
     assert not report["summary"]["passed"]
     assert report["summary"]["failures"] == ["task0-grouplab: grouplab-direction"]
+
+
+def test_transport_tasks_fail_when_no_step_meets_the_tolerance(tmp_path, monkeypatch):
+    # no step can meet a zero tolerance; every transport route must fail the run
+    monkeypatch.setattr(transport, "ATOL", 0.0)
+    monkeypatch.setattr(transport, "RTOL", 0.0)
+    tasks = [
+        {"command": "transport", "metric": "sphere", "curves": 2},
+        {"command": "holonomy", "metric": "sphere", "loop": {"rect": [[1.0, 0.0], [1.2, 0.3]]},
+         "samples": 2},
+        {"command": "parallelogram", "metric": "funk_disk", "point": [0.3, 0.0]},
+    ]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        code, out = run_cli(tmp_path, {"seed": 1, "tasks": tasks})
+    assert code == EXIT_NUMERIC
+    errors = [task.get("error", "") for task in read_report(out)["tasks"]]
+    assert len(errors) == 3 and all(e.startswith("TransportFailure") for e in errors), errors
 
 
 def test_exp_iterate_convergence_csv(tmp_path):

@@ -6,6 +6,7 @@ import pytest
 
 from holonomylab import jets
 from holonomylab.curvature import constant_base_field, coordinate_fields
+from holonomylab.expressions import parse_expression
 from holonomylab.finsler import catalog_names, catalog_norm
 from holonomylab.jets import (
     DomainBoxError,
@@ -27,6 +28,11 @@ from holonomylab.jets import (
     richardson_extrapolate,
     tally,
 )
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # the property test below skips itself
+    st = None
 
 
 def test_square_jet_matches_hand_derivatives():
@@ -282,6 +288,34 @@ def test_jet_and_richardson_agree_on_smooth_curve():
         a = curve_derivative(c, k, mode="jet")
         b = curve_derivative(c, k, mode="richardson")
         assert abs(a.value - b.value) < 1e-5 * max(1.0, abs(a.value)), k
+
+
+if st is None:
+
+    def test_jet_and_richardson_agree_on_random_expressions():
+        pytest.skip("hypothesis is not installed")
+
+else:
+    CURVES = st.recursive(
+        st.one_of(st.just("t"), st.integers(-200, 200).map(lambda i: f"{i / 100}")),
+        lambda sub: st.one_of(
+            st.tuples(sub, st.sampled_from("+-*"), sub).map(lambda e: f"({e[0]} {e[1]} {e[2]})"),
+            st.tuples(st.sampled_from(("sin", "cos", "exp")), sub).map(lambda e: f"{e[0]}({e[1]})"),
+        ),
+        max_leaves=8,
+    )
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(CURVES, st.sampled_from((1, 2, 3)))
+    def test_jet_and_richardson_agree_on_random_expressions(text, k):
+        """Wherever Richardson extrapolation reports convergence, it agrees
+        with the exact jet derivative."""
+        curve = parse_expression(text, ("t",))
+        with np.errstate(all="ignore"):
+            exact = curve_derivative(curve, k, "jet").value
+            estimate = curve_derivative(curve, k, "richardson")
+        if estimate.converged:
+            assert abs(estimate.value - exact) <= 1e-5 * max(1.0, abs(exact)), text
 
 
 def test_mixed_partial_examples():

@@ -24,7 +24,6 @@ from holonomylab.transport import (
     parallelogram_derivatives,
     parallelogram_holonomy,
 )
-from holonomylab.transport import ATOL, RTOL
 
 
 def constant_field(vec, manifold, name="const"):
@@ -81,31 +80,40 @@ def test_integrator_underflow_reports_state():
     assert "underflow" in info.value.reason
 
 
-def test_integrator_counts_forced_steps():
-    # a span within twice the smallest step size, and no tolerance any step can meet
-    with np.errstate(divide="ignore", invalid="ignore"):
-        y, stats = integrate(
-            lambda t, y: np.cos(y), 0.0, 1.5e-13, np.array([0.3]), atol=0.0, rtol=0.0
-        )
-    assert stats["forced"] == 1 and stats["accepted"] == 0
-    assert y[0] == pytest.approx(0.3 + 1.5e-13 * np.cos(0.3), abs=1e-16)
-    _, stats = integrate(lambda t, y: np.array([np.cos(t)]), 0.0, 2.0, np.array([0.0]))
-    assert stats["forced"] == 0
+def test_integrator_rejects_nan_estimates_until_underflow():
+    # a NaN error estimate must shrink the step, not spin at full size
+    calls = []
+
+    def rhs(t, y):
+        calls.append(t)
+        return np.full_like(y, np.nan)
+
+    with pytest.raises(TransportFailure) as info:
+        integrate(rhs, 0.0, 1.0, np.array([0.3]))
+    assert info.value.reason == "step size underflow" and info.value.t == 0.0
+    assert len(calls) < 1000
 
 
-def test_forced_steps_flag_the_transport(monkeypatch):
-    steps = transport._steps
+def test_integrator_stops_where_the_rhs_turns_infinite():
+    calls = []
 
-    def forcing(*args):
-        y, stats = yield from steps(*args)
-        return y, {**stats, "forced": 1}
+    def rhs(t, y):
+        calls.append(t)
+        return np.full_like(y, np.inf) if t > 0.3 else np.cos(y)
 
-    norm = catalog_norm("euclidean")
-    curve = CurveSpec.line_segment([0.0, 0.0], [1.0, 0.5])
-    assert parallel_transport(norm, curve, [1.0, 0.0]).forced_steps == 0
-    monkeypatch.setattr(transport, "_steps", forcing)
-    result = parallel_transport(norm, curve, [1.0, 0.0])
-    assert result.forced_steps == 1 and result.flagged
+    with np.errstate(invalid="ignore"), pytest.raises(TransportFailure) as info:
+        integrate(rhs, 0.0, 1.0, np.array([0.3]))
+    assert info.value.reason == "step size underflow"
+    assert info.value.t == pytest.approx(0.3, abs=1e-12)
+    assert len(calls) < 2000
+
+
+def test_drift_alone_flags_the_transport(funk, monkeypatch):
+    curve = CurveSpec.line_segment([0.1, -0.2], [0.3, 0.25])
+    assert not parallel_transport(funk, curve, [1.0, 0.5]).flagged
+    monkeypatch.setattr(transport, "DRIFT_TOL", 0.0)
+    result = parallel_transport(funk, curve, [1.0, 0.5])
+    assert result.norm_drift > 0.0 and result.flagged
 
 
 def test_rejected_attempt_keeps_its_first_stage():
@@ -368,7 +376,7 @@ def test_parallelogram_loop_closes(sphere):
     Y = constant_field([0.0, 1.0], sphere.manifold)
     tr = ParallelogramTransporter(sphere, X, Y, np.array([1.0, 0.2]))
     for t in (0.08, -0.05):
-        assert tr.loop(t).loop.closure_gap() < 1e-12
+        assert tr.loop(t).closure_gap() < 1e-12
 
 
 def test_parallelogram_derivatives_on_sphere(sphere):
@@ -430,7 +438,7 @@ def test_fibered_family_collects_failures(funk):
 def assert_same_transport(got, want):
     assert got.y_end.tobytes() == want.y_end.tobytes()
     assert got.x_end.tobytes() == want.x_end.tobytes()
-    fields = ("accepted_steps", "rejected_steps", "forced_steps", "flagged", "norm_drift",
+    fields = ("accepted_steps", "rejected_steps", "flagged", "norm_drift",
               "norm_start", "norm_end", "max_local_error")
     assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields]
 
@@ -451,7 +459,7 @@ def test_lockstep_is_the_sequential_route_bit_for_bit(name):
 
     X = constant_field([1.0, 0.0], norm.manifold)
     Y = constant_field([0.0, 1.0], norm.manifold)
-    flow_loop = ParallelogramTransporter(norm, X, Y, at(0.45, 0.5), nodes=8).loop(0.05).loop
+    flow_loop = ParallelogramTransporter(norm, X, Y, at(0.45, 0.5)).loop(0.05)
     curves = [
         CurveSpec.line_segment(at(0.3, 0.4), at(0.4, 0.45)),
         CurveSpec.line_segment(at(0.2, 0.3), at(0.7, 0.6)).concat(
@@ -533,7 +541,7 @@ def test_lockstep_isolates_failing_members():
             parallel_transports(norm, *zip(*members))
         assert str(info.value) == str(first)
         outcomes = transport._lockstep(
-            [transport._transport_member(norm, c, y, ATOL, RTOL, 1e-8) for c, y in members],
+            [transport._transport_member(norm, c, y) for c, y in members],
             partial(transport._connection_round, norm),
         )
         assert_same_transport(outcomes[0], alone[0])
@@ -541,24 +549,19 @@ def test_lockstep_isolates_failing_members():
         assert {type(outcomes[1]), type(outcomes[3])} == {TransportFailure, MetricDegeneracyError}
 
 
-def test_lockstep_counts_forced_steps_per_member():
-    # as in test_integrator_counts_forced_steps: only the members over a span
-    # within twice the smallest step, at zero tolerance, force a step
-    spans = [(1.5e-13, 0.0), (1.0, ATOL), (1.5e-13, 0.0), (0.5, ATOL)]
+def test_lockstep_isolates_members_whose_rhs_is_nan():
+    spans = [1.0, 1.0, 0.5, 0.5]
     members = [
-        transport._steps(0.0, span, np.array([0.3]), tol, tol, transport.MAX_STEPS)
-        for span, tol in spans
+        transport._steps(0.0, span, np.array([0.3]), key=(i,)) for i, span in enumerate(spans)
     ]
 
     def evaluate(batch):
-        return [[np.cos(y) for _, y in requests] for requests in batch]
+        return [[np.cos(y) if i % 2 else np.full_like(y, np.nan) for i, _, y in requests]
+                for requests in batch]
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        outcomes = transport._lockstep(members, evaluate)
-        alone = [
-            integrate(lambda t, y: np.cos(y), 0.0, span, np.array([0.3]), atol=tol, rtol=tol)
-            for span, tol in spans
-        ]
-    assert [stats["forced"] for _, stats in outcomes] == [1, 0, 1, 0]
-    for (y, stats), (y_alone, stats_alone) in zip(outcomes, alone):
+    outcomes = transport._lockstep(members, evaluate)
+    assert isinstance(outcomes[0], TransportFailure) and isinstance(outcomes[2], TransportFailure)
+    for i in (1, 3):
+        y, stats = outcomes[i]
+        y_alone, stats_alone = integrate(lambda t, y: np.cos(y), 0.0, spans[i], np.array([0.3]))
         assert y.tobytes() == y_alone.tobytes() and stats == stats_alone
