@@ -14,11 +14,15 @@ creation timestamp and every task's wall time and `jets.tally` counts
 report.json is RFC 8259 JSON: a non-finite result is written as null, and a
 check whose value is not finite fails.  CSV tables (RFC 4180, CRLF line
 endings) carry the plot-ready series: singular values, convergence errors,
-derivative-vs-step diagnostics.
+derivative-vs-step diagnostics.  Library results are dataclasses; this
+module alone writes JSON and CSV, building each task's results with
+`dataclasses.asdict` and adding the `kind` tags.
 
 Exit codes: 0 all declared tolerance checks pass, 1 a numeric check failed
 (report still written), 2 config errors (schema violations, unknown metric,
-unreadable file; diagnostics name the offending field), 3 output I/O errors.
+unreadable file, a value the schema accepts but the command cannot use;
+diagnostics name the offending field, and no report is written), 3 output
+I/O errors.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import asdict
 from datetime import datetime, timezone
 from importlib import resources
 from pathlib import Path
@@ -231,7 +236,7 @@ def _run_metric_check(task, norm, rng, tol):
         _check("convexity-failures", report.convexity_failures, tol["convexity-failures"]),
         _check("jet-consistency", report.jet_consistency, tol["jet-consistency"]),
     ]
-    return report.as_dict(), checks, {}
+    return asdict(report), checks, {}
 
 
 def _run_transport(task, norm, rng, tol):
@@ -407,16 +412,21 @@ def _singular_value_rows(report):
 
 
 def _run_closure(task, norm, rng, tol):
-    fields = [
-        ExpressionField(tuple(f["variables"]), tuple(f["components"]), f.get("name", f"f{i}"))
-        for i, f in enumerate(task["fields"])
-    ]
+    fields = []
+    for i, f in enumerate(task["fields"]):
+        try:
+            field = ExpressionField(f["variables"], f["components"], f.get("name", f"f{i}"))
+        except ValueError as exc:
+            raise ConfigError(f"fields/{i}: {exc}") from None
+        if fields and field.dim != fields[0].dim:
+            raise ConfigError(f"fields/{i}: {field.dim} variables, fields/0 has {fields[0].dim}")
+        fields.append(field)
     tau = task.get("tau", DEFAULT_TAU)
     span, trace = lie_closure(fields, depth=task.get("depth", 3), tau=tau)
     report = numerical_rank(span, span.points, tau)
     results = {
-        "rank_report": report.to_payload(),
-        "trace": trace.to_payload(),
+        "rank_report": {"kind": "rank-report", **asdict(report)},
+        "trace": {"kind": "closure-trace", **asdict(trace)},
         "labels": span.labels(),
     }
     tables = {"singular_values": (["index", "singular_value"], _singular_value_rows(report))}
@@ -443,15 +453,35 @@ def _run_chain(task, norm, rng, tol):
             _singular_value_rows(report.ihol),
         ),
     }
-    return report.to_payload(), checks, tables
+    results = {
+        "kind": "chain-report",
+        "norm": report.norm_name,
+        "base_point": report.base_point,
+        "depth": report.depth,
+        "ranks": {"curvature": report.curvature.rank, "ihol": report.ihol.rank},
+        "ambient_bound": report.ambient_bound,
+        "holonomy": report.hol_note,
+        "curvature_report": {"kind": "rank-report", **asdict(report.curvature)},
+        "ihol_report": {"kind": "rank-report", **asdict(report.ihol)},
+        "curvature_trace": {"kind": "closure-trace", **asdict(report.curvature_trace)},
+        "ihol_trace": {"kind": "closure-trace", **asdict(report.ihol_trace)},
+    }
+    return results, checks, tables
 
 
-def _direction_matrix(task, key, rng, size=2):
+def _direction_matrix(task, key, rng, size=None):
+    """The task's matrix `key`, or a random one of 2-norm at most 1; `size`,
+    when given, is the side the matrix must have (a drawn one defaults to 2)."""
     if key in task:
-        M = np.asarray(task[key], dtype=float)
-        if M.ndim != 2 or M.shape[0] != M.shape[1]:
-            raise ConfigError(f"{key}: square matrix required")
+        try:
+            M = np.asarray(task[key], dtype=float)
+        except ValueError:
+            raise ConfigError(f"{key}: ragged matrix") from None
+        if M.ndim != 2 or M.shape[0] != M.shape[1] or size not in (None, M.shape[0]):
+            want = "a square matrix" if size is None else f"a {size}x{size} matrix"
+            raise ConfigError(f"{key}: {want} required, got shape {M.shape}")
         return M
+    size = size or 2
     M = rng.standard_normal((size, size))
     s = float(np.linalg.norm(M, 2))
     return M / s if s > 1.0 else M
@@ -475,7 +505,7 @@ def _run_grouplab(task, norm, rng, tol):
     if op == "contact":
         record = order_of_contact(phi, max_order=task.get("max_order", 6))
         defect = 0.0 if record.order == k else 1.0
-        return record.as_dict(), [_check("grouplab-contact", defect, tol["grouplab-contact"])], {}
+        return asdict(record), [_check("grouplab-contact", defect, tol["grouplab-contact"])], {}
 
     if op == "commutator":
         family = commutator_curve(phi, psi)
@@ -594,7 +624,8 @@ def run_config(config: dict, seed: int, profile: str):
     """Execute every task; returns (report dict, per-task CSV tables).
 
     Tasks are independent and run sequentially in config order so the
-    report assembly stays deterministic.
+    report assembly stays deterministic.  A task that finds a value it
+    cannot use raises ConfigError naming tasks/<index>/<field>.
     """
     normalized = normalize_config(config)
     tol = TOLERANCES[profile]
@@ -613,6 +644,8 @@ def run_config(config: dict, seed: int, profile: str):
         with tally() as counts:
             try:
                 results, checks, tables = _HANDLERS[task["command"]](task, norm, rng, tol)
+            except ConfigError as exc:
+                raise ConfigError(f"tasks/{index}/{exc}") from None
             except _TASK_ERRORS as exc:
                 error = exc
         wall_s = time.perf_counter() - start
@@ -771,7 +804,11 @@ def main(argv=None) -> int:
                 print(f"config error: tasks/{index}/metric: {exc}", file=sys.stderr)
                 return EXIT_CONFIG
 
-    report, tables = run_config(config, seed, profile)
+    try:
+        report, tables = run_config(config, seed, profile)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
     out_dir = args.out or os.environ.get(OUT_ENV_VAR) or DEFAULT_OUT
     try:

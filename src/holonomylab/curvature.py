@@ -43,13 +43,12 @@ oracle calls `spray_jets` itself and never reads these memos.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .jets import Jet, SmoothMap, count, grouped_space, jet_space
-from .finsler import FinslerNorm, indicatrix_samples, spray_jets
+from .finsler import FinslerNorm, spray_jets
 
 __all__ = [
     "PROVENANCE_TAGS",
@@ -474,45 +473,20 @@ def vertical_field(xi: IndicatrixVectorField) -> _BundleField:
 # -- generator sets ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConstructionStep:
-    """One replayable entry of a generator-set construction log."""
-
-    index: int
-    label: str
-    provenance: str
-    depth: int
-    parents: tuple
-
-    def as_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "label": self.label,
-            "provenance": self.provenance,
-            "depth": self.depth,
-            "parents": list(self.parents),
-        }
-
-
+@dataclass(eq=False)  # identity equality: == on the array p has no truth value
 class GeneratorSet:
-    """An ordered family of indicatrix fields over one base point, with its log.
+    """An ordered family of indicatrix fields over one base point.
 
-    The log records how each field was produced (curvature pairing, covariant
-    derivative, bracket) so the construction can be replayed; serialization
-    additionally samples every field on indicatrix directions so that rank
-    computations elsewhere can be reproduced byte for byte.
+    Each field carries its label, provenance (curvature pairing, covariant
+    derivative, bracket), depth and parents, so the list of fields is the
+    replayable record of the construction.
     """
 
-    def __init__(self, norm: FinslerNorm, p, fields: list, base_fields: list, depth: int):
-        self.norm = norm
-        self.p = np.asarray(p, dtype=float)
-        self.fields = list(fields)
-        self.base_fields = list(base_fields)
-        self.depth = int(depth)
-        self.log = [
-            ConstructionStep(i, f.label, f.provenance, f.depth, f.parents)
-            for i, f in enumerate(self.fields)
-        ]
+    norm: FinslerNorm
+    p: np.ndarray
+    fields: list
+    base_fields: list
+    depth: int
 
     def __len__(self) -> int:
         return len(self.fields)
@@ -522,24 +496,6 @@ class GeneratorSet:
 
     def up_to_depth(self, depth: int) -> list:
         return [f for f in self.fields if f.depth <= depth]
-
-    def to_payload(self, sample_count: int = 8) -> dict:
-        ys = indicatrix_samples(self.norm, self.p, sample_count)
-        return {
-            "kind": "generator-set",
-            "norm": self.norm.name,
-            "base_point": [float(v) for v in self.p],
-            "depth": self.depth,
-            "base_fields": [b.name or f"field{i}" for i, b in enumerate(self.base_fields)],
-            "log": [step.as_dict() for step in self.log],
-            "samples": {
-                "y": ys.T.tolist(),
-                "values": [f.values(ys).T.tolist() for f in self.fields],
-            },
-        }
-
-    def to_json(self, sample_count: int = 8) -> str:
-        return json.dumps(self.to_payload(sample_count), sort_keys=True, indent=2)
 
 
 def ihol_generators(
@@ -582,4 +538,4 @@ def ihol_generators(
                     new.append(fiber_bracket(f, g))
         by_depth[d] = new
         out.extend(new)
-    return GeneratorSet(norm, p, out, fields, depth)
+    return GeneratorSet(norm, p, out, list(fields), int(depth))

@@ -499,19 +499,6 @@ class NormReport:
             and self.jet_consistency < 1e-10
         )
 
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "samples": self.samples,
-            "positivity_failures": self.positivity_failures,
-            "homogeneity_residual": self.homogeneity_residual,
-            "convexity_failures": self.convexity_failures,
-            "min_eigenvalue": self.min_eigenvalue,
-            "max_condition": self.max_condition,
-            "jet_consistency": self.jet_consistency,
-            "passed": self.passed,
-        }
-
 
 def norm_diagnostics(norm: FinslerNorm, samples: int = 40, seed: int = 0) -> NormReport:
     """Sample the chart and check the axioms that make the tables valid.

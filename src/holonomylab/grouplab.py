@@ -41,6 +41,8 @@ IDENTITY_TOL = 1e-12
 CONTACT_TOL = 1e-9
 PIVOT_TOL = 1e-12
 EXP_NORM_BOUND = 50.0
+# one-sided difference steps in s = h^{1/k}, halving: h_i = s_i^k
+WEAK_SCHEDULE = tuple(0.5 * 0.5**i for i in range(8))
 
 
 def _square(X, n: int | None = None) -> np.ndarray:
@@ -251,9 +253,9 @@ class MatrixCurve:
 class TangentRecord:
     """Outcome of a contact-order measurement at t = 0.
 
-    `order` is None when no derivative up to max_order rises above tol; the
-    residuals collect the magnitudes of the derivatives below the contact
-    order (all under tol by construction).
+    `order` is None when no derivative up to max_order rises above tol
+    (CONTACT_TOL); the residuals collect the magnitudes of the derivatives
+    below the contact order (all under tol by construction).
     """
 
     order: int | None
@@ -266,26 +268,17 @@ class TangentRecord:
     def found(self) -> bool:
         return self.order is not None
 
-    def as_dict(self) -> dict:
-        return {
-            "order": self.order,
-            "direction": None if self.direction is None else self.direction.tolist(),
-            "residuals": list(self.residuals),
-            "max_order": self.max_order,
-            "tol": self.tol,
-        }
 
-
-def order_of_contact(curve: MatrixCurve, max_order: int = 6, tol: float = CONTACT_TOL) -> TangentRecord:
-    """Smallest k <= max_order whose k-th derivative at 0 is above tol."""
+def order_of_contact(curve: MatrixCurve, max_order: int = 6) -> TangentRecord:
+    """Smallest k <= max_order whose k-th derivative at 0 is above CONTACT_TOL."""
     ders = curve.derivatives(int(max_order))
     residuals = []
     for m in range(1, int(max_order) + 1):
         mag = float(np.max(np.abs(ders[m])))
-        if mag > tol:
-            return TangentRecord(m, ders[m], tuple(residuals), int(max_order), float(tol))
+        if mag > CONTACT_TOL:
+            return TangentRecord(m, ders[m], tuple(residuals), int(max_order), CONTACT_TOL)
         residuals.append(mag)
-    return TangentRecord(None, None, tuple(residuals), int(max_order), float(tol))
+    return TangentRecord(None, None, tuple(residuals), int(max_order), CONTACT_TOL)
 
 
 def _tangent_order(curve: MatrixCurve, max_order: int = 6) -> int:
@@ -425,20 +418,12 @@ class IterationResult:
     distance: float
     steps: int
 
-    def as_dict(self) -> dict:
-        return {
-            "matrix": self.matrix.tolist(),
-            "reference": self.reference.tolist(),
-            "distance": self.distance,
-            "steps": self.steps,
-        }
 
-
-def exp_iterate(psi: MatrixCurve, t: float, n: int, norm_bound: float = EXP_NORM_BOUND) -> IterationResult:
+def exp_iterate(psi: MatrixCurve, t: float, n: int) -> IterationResult:
     """Approximate exp(t X) by psi(t/n)^n for a first-order curve psi.
 
     The distance to expm(t X) decays like 1/n.  Arguments with |t X| above
-    norm_bound are rejected: the target itself overflows well before the
+    EXP_NORM_BOUND are rejected: the target itself overflows well before the
     iteration becomes meaningful.
     """
     if not isinstance(n, numbers.Integral) or n < 1:
@@ -448,8 +433,8 @@ def exp_iterate(psi: MatrixCurve, t: float, n: int, norm_bound: float = EXP_NORM
     X = psi.derivative(1)
     t = float(t)
     scale = float(np.linalg.norm(t * X, 2))
-    if scale > norm_bound:
-        raise ValueError(f"|t X| = {scale:.3g} exceeds the overflow bound {norm_bound:g}")
+    if scale > EXP_NORM_BOUND:
+        raise ValueError(f"|t X| = {scale:.3g} exceeds the overflow bound {EXP_NORM_BOUND:g}")
     A = psi.value(t / int(n))
     M = np.linalg.matrix_power(A, int(n))
     R = expm(t * X)
@@ -484,18 +469,16 @@ def weak_tangency_reparam(phi: MatrixCurve, reading: str = "exact") -> MatrixCur
     return MatrixCurve(n, evaluator, name=f"weak({phi.name})")
 
 
-def one_sided_derivative(curve: MatrixCurve, k: int, schedule=None):
+def one_sided_derivative(curve: MatrixCurve, k: int):
     """First derivative at 0+ for a curve whose error expands in h^{1/k}.
 
     One-sided first differences of the matrix entries are extrapolated by
     the Neville table in the fractional power; k is the contact order of the
-    curve the weak reparametrization started from.  The default schedule
-    halves s = h^{1/k}, the variable the error expands in: h_i = (0.5 * 2^-i)^k
-    for i < 8.  Returns (derivative, residual of the last correction).
+    curve the weak reparametrization started from.  The steps h = s^k run
+    over WEAK_SCHEDULE, which halves s = h^{1/k}, the variable the error
+    expands in.  Returns (derivative, residual of the last correction).
     """
-    if schedule is None:
-        schedule = tuple((0.5 * 0.5**i) ** int(k) for i in range(8))
-    schedule = tuple(float(h) for h in schedule)
+    schedule = tuple(s ** int(k) for s in WEAK_SCHEDULE)
     eye = np.eye(curve.n)
     estimates = [(curve.value(h) - eye) / h for h in schedule]
     return richardson_extrapolate(estimates, schedule, power=1.0 / int(k))

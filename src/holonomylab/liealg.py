@@ -22,10 +22,7 @@ itself has no generating procedure here and is reported as such.
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
-import json
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -50,7 +47,6 @@ __all__ = [
     "lie_closure",
     "ChainReport",
     "inclusion_chain_report",
-    "rank_report_csv",
     "DEFAULT_TAU",
 ]
 
@@ -245,20 +241,6 @@ class RankReport:
     num_fields: int
     num_points: int
 
-    def to_payload(self) -> dict:
-        return {
-            "kind": "rank-report",
-            "rank": self.rank,
-            "tau": self.tau,
-            "stabilized": self.stabilized,
-            "num_fields": self.num_fields,
-            "num_points": self.num_points,
-            "singular_values": list(self.singular_values),
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_payload(), sort_keys=True, indent=2)
-
 
 def _matrix_rank(matrix: np.ndarray, tau: float):
     if matrix.size == 0:
@@ -292,16 +274,6 @@ def numerical_rank(fields, points, tau: float = DEFAULT_TAU) -> RankReport:
     )
 
 
-def rank_report_csv(report: RankReport) -> str:
-    """Singular values as CSV (index, value), for plotting."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\r\n")
-    writer.writerow(["index", "singular_value"])
-    for i, v in enumerate(report.singular_values):
-        writer.writerow([i, repr(v)])
-    return buf.getvalue()
-
-
 # -- bracket closure -----------------------------------------------------------
 
 
@@ -314,14 +286,6 @@ class GenerationRecord:
     parents: tuple
     rank_after: int
 
-    def as_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "new_labels": list(self.new_labels),
-            "parents": [list(p) for p in self.parents],
-            "rank_after": self.rank_after,
-        }
-
 
 @dataclass
 class ClosureTrace:
@@ -333,17 +297,6 @@ class ClosureTrace:
 
     def ranks(self) -> list:
         return [g.rank_after for g in self.generations]
-
-    def to_payload(self) -> dict:
-        return {
-            "kind": "closure-trace",
-            "generations": [g.as_dict() for g in self.generations],
-            "termination": self.termination,
-            "notes": list(self.notes),
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_payload(), sort_keys=True, indent=2)
 
 
 def _radical_inverses(count: int, base: int) -> np.ndarray:
@@ -471,24 +424,6 @@ class ChainReport:
     @property
     def ranks(self) -> tuple:
         return (self.curvature.rank, self.ihol.rank)
-
-    def to_payload(self) -> dict:
-        return {
-            "kind": "chain-report",
-            "norm": self.norm_name,
-            "base_point": list(self.base_point),
-            "depth": self.depth,
-            "ranks": {"curvature": self.curvature.rank, "ihol": self.ihol.rank},
-            "ambient_bound": self.ambient_bound,
-            "holonomy": self.hol_note,
-            "curvature_report": self.curvature.to_payload(),
-            "ihol_report": self.ihol.to_payload(),
-            "curvature_trace": self.curvature_trace.to_payload(),
-            "ihol_trace": self.ihol_trace.to_payload(),
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_payload(), sort_keys=True, indent=2)
 
 
 def inclusion_chain_report(

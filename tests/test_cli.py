@@ -1,10 +1,13 @@
 """Config validation, exit codes, determinism, and report formats."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import jsonschema
@@ -18,11 +21,17 @@ from holonomylab.cli import (
     EXIT_IO,
     EXIT_NUMERIC,
     EXIT_PASS,
+    emit,
     load_schema,
     main,
     run_config,
     validate_config,
 )
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # the property test below skips itself
+    st = None
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -94,6 +103,33 @@ def test_invalid_json_reports_line(tmp_path, capsys):
 def test_missing_config_file_exits_2(tmp_path):
     code = main(["--config", str(tmp_path / "absent.json"), "--out", str(tmp_path / "out")])
     assert code == EXIT_CONFIG
+
+
+NILPOTENT = [[0, 1], [0, 0]]
+
+
+def _closure(*fields):
+    return {"command": "closure", "fields": [{"variables": v, "components": c} for v, c in fields]}
+
+
+@pytest.mark.parametrize(
+    "task, field",
+    [
+        ({"command": "grouplab", "op": "contact", "x": [1.0, 2.0]}, "x"),
+        ({"command": "grouplab", "op": "contact", "x": [[1, 2], [3]]}, "x"),
+        ({"command": "grouplab", "op": "exp-iterate", "x": NILPOTENT, "m": np.eye(3).tolist()}, "m"),
+        ({"command": "grouplab", "op": "commutator", "x": NILPOTENT, "y": np.eye(3).tolist()}, "y"),
+        (_closure((["x", "y"], ["1"])), "fields/0"),
+        (_closure((["x"], ["x +"])), "fields/0"),
+        (_closure((["x", "y"], ["1", "0"]), (["x"], ["x"])), "fields/1"),
+    ],
+)
+def test_unusable_config_value_exits_2(tmp_path, capsys, task, field):
+    # the schema accepts these values; the command cannot use them
+    code, out = run_cli(tmp_path, task)
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: tasks/0/{field}: ")
+    assert not (out / "report.json").exists()
 
 
 def test_unknown_metric_exits_2(tmp_path, capsys):
@@ -243,6 +279,55 @@ def test_closure_command_reports_ranks(tmp_path):
     text = csv_path.read_bytes().decode()
     values = [float(line.split(",")[1]) for line in text.strip().split("\r\n")[1:]]
     assert values == sorted(values, reverse=True)
+
+
+def test_closure_and_chain_reports_through_emit(tmp_path):
+    config = {
+        "tasks": [
+            {
+                "command": "closure",
+                "fields": [
+                    {"variables": ["x", "y"], "components": ["1", "0"], "name": "d0"},
+                    {"variables": ["x", "y"], "components": ["0", "x"], "name": "x dy"},
+                ],
+                "depth": 3,
+            },
+            {"command": "chain", "metric": "funk_disk", "point": [0.3, 0.0], "depth": 1},
+        ]
+    }
+    report, tables = run_config(config, 0, "default")
+    written = emit(report, tables, tmp_path, ["json", "csv"])
+    closure, chain = read_report(tmp_path)["tasks"]
+
+    rank_report, trace = closure["results"]["rank_report"], closure["results"]["trace"]
+    assert rank_report["kind"] == "rank-report" and rank_report["rank"] == 3
+    assert trace["kind"] == "closure-trace" and trace["termination"] == "rank-stable"
+    assert trace["generations"][0]["rank_after"] == 3
+
+    results = chain["results"]
+    assert results["kind"] == "chain-report"
+    for part in ("curvature", "ihol"):
+        assert results[f"{part}_report"]["kind"] == "rank-report"
+        assert results[f"{part}_trace"]["kind"] == "closure-trace"
+    assert results["ranks"] == {
+        "curvature": results["curvature_report"]["rank"],
+        "ihol": results["ihol_report"]["rank"],
+    }
+    assert results["ranks"]["curvature"] <= results["ranks"]["ihol"]
+    assert "not directly computable" in results["holonomy"]
+
+    spectra = {
+        "00-task0-closure.singular_values.csv": rank_report,
+        "01-task1-chain.curvature_singular_values.csv": results["curvature_report"],
+        "01-task1-chain.ihol_singular_values.csv": results["ihol_report"],
+    }
+    assert sorted(p.name for p in written if p.suffix == ".csv") == sorted(spectra)
+    for name, spectrum in spectra.items():
+        text = (tmp_path / name).read_bytes().decode()
+        lines = text.strip().splitlines()
+        assert lines[0] == "index,singular_value"
+        assert len(lines) == 1 + len(spectrum["singular_values"])
+        assert text.count("\r\n") == len(lines)
 
 
 def test_parallelogram_command_flat_metric(tmp_path):
@@ -501,3 +586,89 @@ def test_closure_run_does_not_import_scipy_stats(tmp_path):
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env
     )
     assert done.stdout.split()[-2:] == [str(EXIT_PASS), "False"]
+
+
+if st is None:
+
+    def test_exit_codes_on_random_schema_valid_configs():
+        pytest.skip("hypothesis is not installed")
+
+else:
+    ENTRIES = st.integers(-20, 20).map(lambda i: i / 10)
+    GROUPLAB_OPS = ("contact", "commutator", "sum", "scale", "exp-iterate", "weak-tangency")
+
+    def _rows(draw, count, width):
+        return [draw(st.lists(ENTRIES, min_size=width, max_size=width)) for _ in range(count)]
+
+    @st.composite
+    def matrices(draw):
+        """Square, non-square, ragged and flat matrices of sides 1..3."""
+        n = draw(st.integers(1, 3))
+        shape = draw(st.sampled_from(("square", "square", "wide", "ragged", "flat")))
+        if shape == "square":
+            return _rows(draw, n, n)
+        if shape == "wide":
+            return _rows(draw, n, n + 1)
+        if shape == "ragged":
+            return _rows(draw, 1, n) + _rows(draw, 1, n + 1)
+        return draw(st.lists(ENTRIES, min_size=1, max_size=3))
+
+    @st.composite
+    def grouplab_tasks(draw):
+        task = {
+            "command": "grouplab",
+            "op": draw(st.sampled_from(GROUPLAB_OPS)),
+            "k": draw(st.integers(1, 3)),
+            "l": draw(st.integers(1, 3)),
+            "constants": draw(st.sampled_from(("exact", "alternate"))),
+            "reading": draw(st.sampled_from(("exact", "alternate"))),
+            "seed": draw(st.integers(0, 100)),
+        }
+        for key in draw(st.lists(st.sampled_from("xym"), unique=True)):
+            matrix = draw(matrices())
+            if key != "m" or isinstance(matrix[0], list):  # m admits no flat vector
+                task[key] = matrix
+        return task
+
+    def _expressions(names):
+        """Sums, differences and products of two terms, each a variable, a
+        literal, or sin/cos/exp of one."""
+        leaf = st.one_of(st.sampled_from(names), ENTRIES.map(str))
+        call = st.tuples(st.sampled_from(("sin", "cos", "exp")), leaf)
+        term = st.one_of(leaf, call.map("{0[0]}({0[1]})".format))
+        return st.tuples(term, st.sampled_from("+-*"), term).map(" ".join)
+
+    @st.composite
+    def closure_tasks(draw):
+        """Expression fields over 1..3 variables; some draws give a field one
+        component too many or too few, or fields of different dimensions."""
+        fields = []
+        for _ in range(draw(st.integers(1, 3))):
+            names = ("x", "y", "z")[: draw(st.integers(1, 3))]
+            count = max(1, len(names) + draw(st.sampled_from((0, 0, 0, 0, -1, 1))))
+            comps = draw(st.lists(_expressions(names), min_size=count, max_size=count))
+            fields.append({"variables": list(names), "components": comps})
+        return {"command": "closure", "fields": fields, "depth": draw(st.integers(0, 2))}
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(st.one_of(grouplab_tasks(), closure_tasks()))
+    def test_exit_codes_on_random_schema_valid_configs(task):
+        """Every schema-valid config ends in 0 or 1 with a strict-JSON report
+        holding no config error, or in 2 with a config error and no report."""
+        assert validate_config(task) == []
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg, out = Path(tmp) / "config.json", Path(tmp) / "out"
+            cfg.write_text(json.dumps(task))
+            stderr = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+                with np.errstate(all="ignore"):
+                    code = main(["--config", str(cfg), "--out", str(out)])
+            assert code in (EXIT_PASS, EXIT_NUMERIC, EXIT_CONFIG)
+            if code == EXIT_CONFIG:
+                assert not (out / "report.json").exists()
+                assert stderr.getvalue().startswith("config error")
+            else:
+                text = (out / "report.json").read_text()
+                report = json.loads(text, parse_constant=_reject_constant)
+                errors = [t.get("error", "") for t in report["tasks"]]
+                assert not any(e.startswith("ConfigError") for e in errors), errors

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -237,8 +239,8 @@ def test_zero_vector_rejected():
 def test_norm_diagnostics_pass_catalog():
     for name in finsler.catalog_names():
         rep = norm_diagnostics(catalog_norm(name), samples=12, seed=1)
-        assert rep.passed, (name, rep.as_dict())
-    d = rep.as_dict()
+        assert rep.passed, (name, dataclasses.asdict(rep))
+    d = dataclasses.asdict(rep)
     assert set(d) >= {"homogeneity_residual", "max_condition", "passed"}
 
 

@@ -5,6 +5,7 @@ every construction is cross-checked against finite differences so the jet
 route never certifies itself.
 """
 
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -118,7 +119,7 @@ def test_no_contact_reported_up_to_max_order():
 
     late = MatrixCurve.polynomial(2, {4: np.eye(2)})
     assert order_of_contact(late, 3).order is None
-    payload = json.dumps(order_of_contact(late, 3).as_dict())
+    payload = json.dumps(dataclasses.asdict(order_of_contact(late, 3)))
     assert "max_order" in payload
 
 
@@ -320,7 +321,7 @@ def test_exp_iterate_error_halves_with_doubled_steps():
         fine = exp_iterate(psi, 1.0, 2 * n)
         ratio = coarse.distance / fine.distance
         assert 1.8 <= ratio <= 2.2
-    payload = coarse.as_dict()
+    payload = dataclasses.asdict(coarse)
     assert payload["steps"] == 256 and payload["distance"] > 0.0
 
 

@@ -1,13 +1,15 @@
 """Layering: holonomylab modules import each other at module level only, so
-the import graph is the one a reader sees at the top of each file; and the
-transport layer's accuracy is set by its module constants alone."""
+the import graph is the one a reader sees at the top of each file; the
+accuracy of transport and of grouplab's measurements is set by module
+constants alone; and results are plain dataclasses that only the CLI turns
+into JSON or CSV."""
 
 import ast
 import inspect
 from pathlib import Path
 
 import holonomylab
-from holonomylab import transport
+from holonomylab import grouplab, transport
 
 PACKAGE = Path(holonomylab.__file__).parent
 _SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
@@ -40,10 +42,12 @@ def test_no_function_local_package_imports():
 ACCURACY_KNOBS = {"atol", "rtol", "drift_tolerance", "max_steps", "nodes", "iterations"}
 
 
-def test_transport_callables_take_no_accuracy_parameters():
-    knobs = []
-    for name in transport.__all__:
-        obj = getattr(transport, name)
+def _knobs(module, names, knobs) -> list:
+    """`routine(parameter)` for every parameter in `knobs` of the named
+    functions and classes (methods included) of `module`."""
+    found = []
+    for name in names:
+        obj = getattr(module, name)
         routines = [(name, obj)]
         if inspect.isclass(obj):
             routines = inspect.getmembers(
@@ -52,5 +56,37 @@ def test_transport_callables_take_no_accuracy_parameters():
             routines = [(f"{name}.{attr}", routine) for attr, routine in routines]
         for label, routine in routines:
             params = inspect.signature(routine).parameters
-            knobs.extend(f"{label}({p})" for p in params if p in ACCURACY_KNOBS)
-    assert knobs == []
+            found.extend(f"{label}({p})" for p in params if p in knobs)
+    return found
+
+
+def test_transport_callables_take_no_accuracy_parameters():
+    assert _knobs(transport, transport.__all__, ACCURACY_KNOBS) == []
+
+
+def test_grouplab_measurements_take_no_accuracy_parameters():
+    names = ("one_sided_derivative", "exp_iterate", "order_of_contact")
+    assert _knobs(grouplab, names, {"schedule", "norm_bound", "tol"}) == []
+
+
+def test_only_the_cli_serializes():
+    imports, methods = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                names = []
+            if path.name != "cli.py":
+                imports.extend(f"{path.name}:{n}" for n in names if n in {"json", "csv", "io"})
+            if isinstance(node, ast.ClassDef):
+                methods.extend(
+                    f"{path.name}:{node.name}.{item.name}"
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                    and item.name in {"as_dict", "to_payload", "to_json"}
+                )
+    assert imports == [] and methods == []

@@ -1,4 +1,4 @@
-import json
+import dataclasses
 
 import numpy as np
 import pytest
@@ -16,7 +16,6 @@ from holonomylab.liealg import (
     lie_bracket,
     lie_closure,
     numerical_rank,
-    rank_report_csv,
 )
 from holonomylab.transport import indicatrix_samples
 
@@ -227,14 +226,9 @@ def test_field_span_shape_checks():
 def test_rank_report_serialization():
     pts = np.array([[0.7, -0.4], [0.2, 0.9]])
     rep = numerical_rank([d_dx(2, 0), d_dx(2, 1)], pts)
-    payload = json.loads(rep.to_json())
-    assert payload["kind"] == "rank-report"
+    payload = dataclasses.asdict(rep)
     assert payload["rank"] == 2
-    csv_text = rank_report_csv(rep)
-    lines = csv_text.strip().splitlines()
-    assert lines[0] == "index,singular_value"
-    assert len(lines) == 1 + len(rep.singular_values)
-    assert csv_text.count("\r\n") == len(lines)
+    assert len(payload["singular_values"]) == 2
 
 
 # -- closure --------------------------------------------------------------------
@@ -307,8 +301,7 @@ def test_closure_trace_serialization():
     fields = [d_dx(2, 0), PolynomialField(2, [{}, {(1, 0): 1.0}], name="x dy")]
     pts = np.array([[0.7, -0.4, 1.3, 0.5], [0.2, 0.9, -0.6, 1.4]])
     _, trace = lie_closure(fields, depth=3, points=pts)
-    payload = json.loads(trace.to_json())
-    assert payload["kind"] == "closure-trace"
+    payload = dataclasses.asdict(trace)
     assert payload["termination"] == "rank-stable"
     assert payload["generations"][0]["rank_after"] == 3
 
@@ -363,6 +356,3 @@ def test_chain_funk_monotone():
     assert r_curv <= r_ihol
     assert r_ihol > r_curv  # covariant derivatives add directions here
     assert r_ihol <= rep.ambient_bound
-    payload = json.loads(rep.to_json())
-    assert payload["ranks"]["ihol"] == r_ihol
-    assert "not directly computable" in payload["holonomy"]
