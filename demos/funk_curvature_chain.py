@@ -9,9 +9,9 @@ rank with the infinitesimal-holonomy rank.
 import numpy as np
 
 from holonomylab.curvature import constant_base_field, curvature_field
-from holonomylab.finsler import catalog_norm
+from holonomylab.finsler import catalog_norm, indicatrix_samples
 from holonomylab.liealg import inclusion_chain_report
-from holonomylab.transport import indicatrix_samples, parallelogram_derivatives
+from holonomylab.transport import parallelogram_derivatives
 
 
 def main():

@@ -8,8 +8,8 @@ same angle, and that angle equals the enclosed area
 
 import numpy as np
 
-from holonomylab.finsler import catalog_norm
-from holonomylab.transport import LoopSpec, holonomy_map, indicatrix_samples, parallel_transport
+from holonomylab.finsler import catalog_norm, indicatrix_samples
+from holonomylab.transport import LoopSpec, holonomy_map, parallel_transport
 
 
 def main():

@@ -45,7 +45,7 @@ import scipy
 
 from . import __version__
 from .curvature import constant_base_field, coordinate_fields, curvature_field
-from .finsler import FinslerNorm, catalog_norm, norm_diagnostics
+from .finsler import FinslerNorm, catalog_norm, indicatrix_samples, norm_diagnostics
 from .grouplab import (
     MatrixCurve,
     commutator_curve,
@@ -71,7 +71,6 @@ from .transport import (
     LoopSpec,
     ParallelogramTransporter,
     holonomy_map,
-    indicatrix_samples,
     parallel_transports,
 )
 

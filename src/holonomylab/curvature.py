@@ -26,19 +26,16 @@ curvature fields, positively 1-homogeneous in y, are extended to degree 0
 by Euler's identity xi(x, y / F) = xi(x, y) / F(x, y): one jet division.
 Radial y-derivatives then vanish; values on the indicatrix stay unchanged.
 
-Each evaluation is computed once.  A curvature field owns a memo of stacked
-spray tables at its norm and base point, keyed exactly by (xorder, yorder,
-y-batch shape and bytes); its radialization and its covariant derivatives
-share that memo, fiber brackets need no spray data, and every field of an
-`ihol_generators` set shares one memo.  Every field also memoizes its own
-evaluator output in `bundle_jets`, keyed exactly by (xcap, ycap, y-batch
-shape and bytes).  Because the keys are exact, a hit returns the bits a
-fresh evaluation would compute; cached coefficient arrays are read-only, so
-a caller that writes into one raises instead of corrupting later reads.  The
-memos live exactly as long as the fields that hold them: nothing is cached
-per norm or per module.  The memos count requests and computed tables in
-the `spray_tables` group of `jets.tally`.  The parallelogram transport
-oracle calls `spray_jets` itself and never reads these memos.
+A curvature field owns a memo of stacked spray tables at its norm and base
+point, shared by its radialization, its covariant derivatives and every
+field of an `ihol_generators` set; every field also memoizes its evaluator
+in `bundle_jets`.  Both memos key entries by the exact y-batch shape and
+bytes, then by caps, and read a request that a stored entry dominates as
+that entry's truncation: bit for bit a fresh evaluation, since truncation
+commutes with every jet operation.  A family asked for its widest caps first
+thus computes one spray table per y-batch.  Cached arrays are read-only and
+live as long as their fields; `spray_tables` in `jets.tally` counts requests
+and computed tables.  The parallelogram transport oracle never reads them.
 """
 
 from __future__ import annotations
@@ -67,9 +64,19 @@ __all__ = [
 PROVENANCE_TAGS = ("curvature", "bracket", "covariant-derivative", "user")
 
 
-def _frozen(jet: Jet) -> Jet:
-    jet.coeffs.flags.writeable = False
-    return jet
+def _memo_read(memo: dict, caps: tuple, yc: np.ndarray, compute) -> Jet:
+    """The entry at yc's exact shape and bytes and at caps (a, b): stored, the
+    exact truncation of a stored entry at caps >= (a, b), or `compute()`;
+    the answer is stored read-only under (a, b)."""
+    entries = memo.setdefault((yc.shape, yc.tobytes()), {})
+    if caps not in entries:
+        wide = next((j for c, j in entries.items() if c[0] >= caps[0] and c[1] >= caps[1]), None)
+        jet = compute() if wide is None else wide.truncated(
+            (size, cap) for (size, _), cap in zip(wide.space.groups, caps)
+        )
+        jet.coeffs.flags.writeable = False
+        entries[caps] = jet
+    return entries[caps]
 
 
 class _SprayMemo:
@@ -81,14 +88,16 @@ class _SprayMemo:
         self._tables: dict = {}
 
     def get(self, xorder: int, yorder: int, yc: np.ndarray) -> Jet:
-        """The stacked jets of G^k with caps (xorder, yorder) at (p, yc); read-only."""
-        key = (xorder, yorder, yc.shape, yc.tobytes())
-        G = self._tables.get(key)
-        count("spray_tables", requests=1, computed=int(G is None))
-        if G is None:
-            G = spray_jets(self.norm, self.p, list(yc), xorder=xorder, yorder=yorder)
-            G = self._tables[key] = _frozen(Jet.stack(G))
-        return G
+        """Stacked G^k jets at caps (xorder, yorder) and (p, yc), read-only; keyed
+        by yc's exact bytes, narrower caps read a wider table's exact
+        truncation, and only an undominated request calls `spray_jets`."""
+
+        def compute():
+            count("spray_tables", computed=1)
+            return Jet.stack(spray_jets(self.norm, self.p, list(yc), xorder=xorder, yorder=yorder))
+
+        count("spray_tables", requests=1)
+        return _memo_read(self._tables, (xorder, yorder), yc, compute)
 
 
 # -- fields on one indicatrix --------------------------------------------------
@@ -108,11 +117,8 @@ class IndicatrixVectorField:
     `homogeneity` records the radial degree of the components in y when it
     is known: 1 for raw curvature fields, 0 after `radialized()`, None for
     fields without a definite degree (covariant derivatives, brackets, user
-    fields).
-
-    `bundle_jets` memoizes the evaluator's output per exact request, and
-    the field carries the spray memo of its family, which its covariant
-    derivatives share; see the module docstring.
+    fields).  The field memoizes its evaluations and carries the spray memo
+    of its family; see the module docstring.
     """
 
     def __init__(
@@ -156,14 +162,13 @@ class IndicatrixVectorField:
         """Component jets in the bundle space ((n, xcap), (n, ycap)) at (p, y_center).
 
         y_center entries may be (B,) arrays for a batched evaluation.  The
-        coefficient arrays are read-only views of the memoized evaluation.
+        coefficient arrays are read-only views of the memoized evaluation,
+        keyed by y_center's exact bytes; narrower caps read a wider stored
+        evaluation's truncation, which is exact bit for bit.
         """
         xcap, ycap = int(xcap), int(ycap)
         yc = np.asarray(y_center, float)
-        key = (xcap, ycap, yc.shape, yc.tobytes())
-        jet = self._bundle.get(key)
-        if jet is None:
-            jet = self._bundle[key] = _frozen(self._evaluator(xcap, ycap, yc))
+        jet = _memo_read(self._bundle, (xcap, ycap), yc, lambda: self._evaluator(xcap, ycap, yc))
         return jet.unstack()
 
     def taylor(self, center, order: int) -> list:
@@ -256,16 +261,12 @@ def coordinate_fields(manifold) -> list:
     return out
 
 
-def _base_values_or_jets(X: SmoothMap, p, space, xcap: int, batch):
-    # X depends on x only; with xcap = 0 plain values suffice
-    if xcap:
-        n = p.shape[0]
-        xj = [Jet.variable(space, i, p[i]) for i in range(n)]
-        if batch:
-            xj = [xi + np.zeros(batch) for xi in xj]
-        return X.jets(xj)
-    vals = X.value(p)
-    return [float(v) for v in vals]
+def _base_jets(X: SmoothMap, p, space, batch):
+    # jets at every xcap, so a narrower read truncates a wider one exactly
+    xj = [Jet.variable(space, i, p[i]) for i in range(p.shape[0])]
+    if batch:
+        xj = [xi + np.zeros(batch) for xi in xj]
+    return X.jets(xj)
 
 
 # -- curvature fields ----------------------------------------------------------
@@ -306,8 +307,8 @@ def _curvature_field(norm, X, Y, p, sprays: _SprayMemo) -> IndicatrixVectorField
                 - Gyt.at(np.s_[None, l, None, :]) * Gyy.at(np.s_[:, :, None, l])
             )
         space = grouped_space(target)
-        Xc = _base_values_or_jets(X, p, space, xcap, yc.shape[1:])
-        Yc = _base_values_or_jets(Y, p, space, xcap, yc.shape[1:])
+        Xc = _base_jets(X, p, space, yc.shape[1:])
+        Yc = _base_jets(Y, p, space, yc.shape[1:])
         acc = Jet.constant(space, np.zeros(yc.shape[1:]))
         for i in range(n):
             for j in range(n):
@@ -354,7 +355,7 @@ def berwald_covariant_derivative(
         for k in range(n):
             term = term - Gy_xiy.at(np.s_[:, :, k]) + Gyy_xi.at(np.s_[:, :, k])
         space = grouped_space(target)
-        Xc = _base_values_or_jets(X, p, space, xcap, yc.shape[1:])
+        Xc = _base_jets(X, p, space, yc.shape[1:])
         acc = Jet.constant(space, np.zeros(yc.shape[1:]))
         for j in range(n):
             acc = acc + term.at(np.s_[:, j]) * Xc[j]

@@ -435,11 +435,16 @@ def inclusion_chain_report(
     fields; the infinitesimal holonomy algebra additionally closes under
     covariant derivatives along the base directions (built in the curvature
     module).  Both ranks use the same indicatrix sample points, so the
-    inclusion shows up as a plain inequality of integers.
+    inclusion shows up as a plain inequality of integers.  The first deepest
+    generator, D^d R, is evaluated first at the top order `depth`: its spray
+    caps (d + 1, 2d + 2) dominate every later request of both closures, which
+    read that table's exact truncation.  A closure that turns rank-stable
+    early still pays for this widest table.
     """
     p = np.asarray(p, dtype=float)
     gen = ihol_generators(norm, p, depth=depth)
     points = indicatrix_samples(norm, p, num_points)
+    max(gen.fields, key=lambda f: f.depth).taylor(points, depth)
 
     base = gen.up_to_depth(0)
     curv_span, curv_trace = lie_closure(base, depth=depth, tau=tau, points=points)

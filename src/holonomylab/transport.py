@@ -74,7 +74,6 @@ __all__ = [
     "flow_transport_discrepancy",
     "holonomy_map",
     "horizontal_flow",
-    "indicatrix_samples",
     "integrate",
     "parallel_transport",
     "parallel_transports",
@@ -755,10 +754,6 @@ class FamilyResult:
     t: float
     fibers: list
     num_failed: int
-
-    @property
-    def all_ok(self) -> bool:
-        return self.num_failed == 0
 
 
 def fibered_holonomy_family(

@@ -19,7 +19,7 @@ from holonomylab.curvature import (
     curvature_field,
     fiber_bracket,
 )
-from holonomylab.finsler import catalog_names, catalog_norm
+from holonomylab.finsler import catalog_names, catalog_norm, indicatrix_samples
 from holonomylab.grouplab import (
     MatrixCurve,
     commutator_curve,
@@ -42,7 +42,6 @@ from holonomylab.transport import (
     LoopSpec,
     flow_transport_discrepancy,
     holonomy_map,
-    indicatrix_samples,
     parallel_transport,
     parallelogram_derivatives,
 )

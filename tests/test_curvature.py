@@ -1,3 +1,4 @@
+import itertools
 import re
 
 import numpy as np
@@ -16,13 +17,18 @@ from holonomylab.curvature import (
     ihol_generators,
     vertical_field,
 )
-from holonomylab.finsler import FinslerNorm, catalog_names, catalog_norm
-from holonomylab.jets import Jet, compose_table, grouped_space, jet_space, tally
+from holonomylab.finsler import (
+    FinslerNorm,
+    catalog_names,
+    catalog_norm,
+    indicatrix_samples,
+    spray_jets,
+)
+from holonomylab.jets import Jet, SmoothMap, compose_table, grouped_space, jet_space, tally
 from holonomylab.liealg import inclusion_chain_report
 from holonomylab.transport import (
     CurveSpec,
     ParallelogramTransporter,
-    indicatrix_samples,
     parallel_transport,
     parallelogram_derivatives,
 )
@@ -237,6 +243,64 @@ def test_radialized_matches_composition(norm, q):
             assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-10 * scale, (xcap, ycap)
 
 
+def divided_field(manifold):
+    """A base field that varies with x and divides: at every base point of
+    `radialization_norms` some component rounds differently as a float
+    quotient a / b than as the jet quotient a * (1 / b)."""
+
+    def fun(xs):
+        return [(xs[1] + 0.3) / (xs[0] + 0.7), xs[0] / (xs[1] + 1.3)]
+
+    return SmoothMap(fun, 2, 2, lo=manifold.lo, hi=manifold.hi, name="V")
+
+
+def field_kinds(norm, q, base):
+    """One field of each kind over q from the two base fields `base`: a raw
+    curvature field, and the radialized field, a covariant derivative and a
+    bracket of a depth-1 ihol family."""
+    gen = ihol_generators(norm, q, fields=base, depth=1)
+    return {
+        "curvature": curvature_field(norm, *base, q),
+        "radialized": gen.fields[0],
+        "covariant-derivative": gen.fields[2],
+        "bracket": fiber_bracket(gen.fields[1], gen.fields[2]),
+    }
+
+
+def assert_same_bits(got, want, where):
+    assert got.space is want.space, where
+    assert got.coeffs.shape == want.coeffs.shape, where
+    assert got.coeffs.tobytes() == want.coeffs.tobytes(), where
+
+
+@pytest.mark.parametrize("norm, q", list(radialization_norms()))
+def test_dominated_reads_equal_fresh_evaluations(norm, q):
+    # after a read at caps (1, 2), every read at caps <= (1, 2), x-cap 0
+    # included, is a truncation that asks for no spray table, and it has the
+    # bits of the same read from a fresh family, for constant base fields and
+    # for one that varies and divides; likewise for the spray memo
+    ys = indicatrix_samples(norm, q, 3)
+    e0, e1 = coordinate_fields(norm.manifold)
+    for yc, base in itertools.product((ys[:, 0], ys), ([e0, e1], [divided_field(norm.manifold), e1])):
+        for kind, field in field_kinds(norm, q, base).items():
+            field.bundle_jets(1, 2, yc)
+            for caps in itertools.product(range(2), range(3)):
+                with tally() as counts:
+                    got = Jet.stack(field.bundle_jets(*caps, yc))
+                assert counts["spray_tables"]["requests"] == 0
+                want = Jet.stack(field_kinds(norm, q, base)[kind].bundle_jets(*caps, yc))
+                assert_same_bits(got, want, (kind, base[0].name, caps))
+    for yc in (ys[:, 0], ys):
+        memo = curvature._SprayMemo(norm, q)
+        memo.get(2, 4, yc)
+        for caps in itertools.product(range(3), range(5)):
+            with tally() as counts:
+                got = memo.get(*caps, yc)
+            assert counts["spray_tables"] == {"requests": 1, "computed": 0}
+            want = Jet.stack(spray_jets(norm, q, list(yc), xorder=caps[0], yorder=caps[1]))
+            assert_same_bits(got, want, ("spray", caps))
+
+
 def test_radialized_asks_the_parent_at_the_same_caps(funk):
     q = np.array([0.3, 0.0])
     e0, e1 = coordinate_fields(funk.manifold)
@@ -443,21 +507,22 @@ BASE_POINTS = {
 
 
 def test_chain_computes_each_spray_table_once(funk, monkeypatch):
-    calls, keys = [], set()
+    # widest first: D^2 R asks for caps (3, 6), and every other table of
+    # both closures is its truncation
+    calls = []
     bare = curvature.spray_jets
 
     def counted(norm, x, y, xorder=0, yorder=0):
-        ys = np.asarray(y, dtype=float)
-        calls.append(1)
-        keys.add((xorder, yorder, ys.shape, ys.tobytes()))
+        calls.append((xorder, yorder, np.asarray(y, dtype=float).shape))
         return bare(norm, x, y, xorder=xorder, yorder=yorder)
 
     monkeypatch.setattr(curvature, "spray_jets", counted)
     with tally() as counts:
         rep = inclusion_chain_report(funk, (0.3, 0.0), depth=2)
     sprays = counts["spray_tables"]
-    assert rep.ranks[0] < rep.ranks[1]
-    assert len(calls) == len(keys) == sprays["computed"]
+    assert rep.ranks == (1, 15)
+    assert calls == [(3, 6, (2, 50))]
+    assert sprays["computed"] == 1
     assert sprays["requests"] > sprays["computed"]
 
 

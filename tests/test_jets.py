@@ -1,4 +1,5 @@
 import contextlib
+import operator
 
 import numpy as np
 import numpy.polynomial.polynomial as P
@@ -30,7 +31,7 @@ from holonomylab.jets import (
 )
 
 try:
-    from hypothesis import given, settings, strategies as st
+    from hypothesis import example, given, settings, strategies as st
 except ImportError:  # the property test below skips itself
     st = None
 
@@ -143,6 +144,80 @@ def test_truncation_to_lower_caps():
     assert g.derivative((1, 2)) == pytest.approx(f.derivative((1, 2)))
     with pytest.raises(JetOrderError):
         g.derivative((2, 0))
+
+
+TRUNCATION_OPS = {
+    "*": operator.mul,
+    "/": operator.truediv,
+    "+": operator.add,
+    "-": operator.sub,
+    "sqrt": Jet.sqrt,
+    "exp": Jet.exp,
+    "log": Jet.log,
+    "sin": Jet.sin,
+    "cos": Jet.cos,
+}
+
+
+def random_jet(space, kind, batched, positive, rng):
+    """A jet with uniform coefficients in [-1, 1] and a value part of modulus
+    in [0.5, 2] (positive if asked).  "group0"/"group1" zero every coefficient
+    that moves the other group, "variable" is the coordinate x1."""
+    batch = (3,) if batched else ()
+    value = rng.uniform(0.5, 2.0, batch)
+    if not positive:
+        value = value * rng.choice((-1.0, 1.0), batch)
+    if kind == "variable":
+        return Jet.variable(space, 0, value)
+    coeffs = rng.uniform(-1.0, 1.0, (space.size,) + batch)
+    if kind != "dense":
+        split = space.groups[0][0]
+        other = space.multi[:, split:] if kind == "group0" else space.multi[:, :split]
+        coeffs[other.sum(axis=1) > 0] = 0.0
+    coeffs[0] = value
+    return Jet(space, coeffs)
+
+
+if st is None:
+
+    def test_truncation_commutes_with_jet_operations():
+        pytest.skip("hypothesis is not installed")
+
+else:
+    KINDS = st.sampled_from(("dense", "group0", "group1", "variable"))
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(
+        st.tuples(st.integers(1, 2), st.integers(0, 3), st.integers(1, 2), st.integers(0, 5)),
+        st.tuples(st.integers(0, 3), st.integers(0, 5)),
+        st.sampled_from(sorted(TRUNCATION_OPS)),
+        st.tuples(KINDS, KINDS),
+        st.tuples(st.booleans(), st.booleans()),
+        st.integers(0, 2**32 - 1),
+    )
+    @example((1, 1, 1, 3), (1, 1), "sin", ("variable", "dense"), (False, False), 0)
+    @example((2, 1, 2, 2), (0, 2), "sin", ("variable", "dense"), (True, False), 1)
+    # the widest space folds its pair products sparsely, the target by bincount
+    @example((2, 3, 2, 5), (1, 1), "*", ("dense", "dense"), (False, False), 2)
+    @example((2, 3, 2, 5), (0, 1), "exp", ("dense", "dense"), (False, False), 3)
+    def test_truncation_commutes_with_jet_operations(groups, lower, name, kinds, batched, seed):
+        """op(u, v).truncated(t) is op(u.truncated(t), v.truncated(t)), bit for
+        bit and in the same space object, for every target t <= the caps."""
+        nx, capx, ny, capy = groups
+        space = grouped_space(((nx, capx), (ny, capy)))
+        target = ((nx, max(capx - lower[0], 0)), (ny, max(capy - lower[1], 0)))
+        rng = np.random.default_rng(seed)
+        positive = name in ("sqrt", "log")
+        u, v = (random_jet(space, k, b, positive, rng) for k, b in zip(kinds, batched))
+        op = TRUNCATION_OPS[name]
+        if name in ("*", "/", "+", "-"):
+            wide, narrow = op(u, v), op(u.truncated(target), v.truncated(target))
+        else:
+            wide, narrow = op(u), op(u.truncated(target))
+        got = wide.truncated(target)
+        assert got.space is narrow.space
+        assert got.coeffs.shape == narrow.coeffs.shape
+        assert got.coeffs.tobytes() == narrow.coeffs.tobytes()
 
 
 def test_batched_coefficients_broadcast():

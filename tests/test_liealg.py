@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from holonomylab.curvature import coordinate_fields, curvature_field, fiber_bracket
-from holonomylab.finsler import catalog_norm
+from holonomylab.finsler import catalog_norm, indicatrix_samples
 from holonomylab.jets import JetOrderError, jet_space, Jet
 from holonomylab.liealg import (
     BracketField,
@@ -17,7 +17,6 @@ from holonomylab.liealg import (
     lie_closure,
     numerical_rank,
 )
-from holonomylab.transport import indicatrix_samples
 
 
 def const_field(vec, name=""):
