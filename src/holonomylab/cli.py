@@ -303,7 +303,7 @@ def _run_holonomy(task, norm, rng, tol):
     checks = [_check("holonomy-indicatrix-drift", drift, tol["holonomy-indicatrix-drift"])]
     rows = [[i, float(np.linalg.norm(out[:, i] - samples[:, i]))] for i in range(count)]
     header = ["sample", "displacement"]
-    if norm.name == "sphere" and "rect" in task["loop"]:
+    if task["metric"] == "sphere" and "rect" in task["loop"]:
         # on the sphere chart the transported frame rotates by the enclosed
         # area (Gauss-Bonnet); the angle is read in the orthonormal frame
         sin_t = np.sin(p[0])

@@ -61,7 +61,6 @@ __all__ = [
     "indicatrix_samples",
     "metric_tensor",
     "norm_diagnostics",
-    "split_horizontal_vertical",
     "spray_jets",
 ]
 
@@ -102,12 +101,6 @@ class ChartManifold:
             raise ValueError("bounds must have one entry per dimension")
         if any(a >= b for a, b in zip(lo, hi)):
             raise ValueError("chart box must have lo < hi in every coordinate")
-
-    def contains(self, x, margin: float = 0.0) -> bool:
-        x = np.asarray(x, dtype=float)
-        lo = np.asarray(self.lo) + margin
-        hi = np.asarray(self.hi) - margin
-        return bool(np.all(x >= lo) and np.all(x <= hi))
 
     def require(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -454,24 +447,6 @@ def horizontal_lift(norm: FinslerNorm, x, y, X) -> np.ndarray:
         vert = -Gj @ X
         base = X
     return np.concatenate([base, vert])
-
-
-def split_horizontal_vertical(norm: FinslerNorm, x, y, V):
-    """Split a bundle vector V = (a, b) at (x, y) into horizontal + vertical.
-
-    The horizontal part is the lift of a; the vertical part is
-    (0, b + G_j a).  Their sum is V.
-    """
-    V = np.asarray(V, dtype=float)
-    n = norm.dim
-    if V.shape[0] != 2 * n:
-        raise ValueError(f"bundle vector must have {2*n} components")
-    a, b = V[:n], V[n:]
-    Gj = connection_values(norm, x, y)
-    Ga = Gj @ a
-    horizontal = np.concatenate([a, -Ga])
-    vertical = np.concatenate([np.zeros(n), b + Ga])
-    return horizontal, vertical
 
 
 # -- diagnostics ---------------------------------------------------------------

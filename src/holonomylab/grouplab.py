@@ -264,10 +264,6 @@ class TangentRecord:
     max_order: int
     tol: float
 
-    @property
-    def found(self) -> bool:
-        return self.order is not None
-
 
 def order_of_contact(curve: MatrixCurve, max_order: int = 6) -> TangentRecord:
     """Smallest k <= max_order whose k-th derivative at 0 is above CONTACT_TOL."""

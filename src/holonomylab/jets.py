@@ -29,7 +29,6 @@ import numpy as np
 import scipy.sparse
 
 __all__ = [
-    "DEFAULT_ORDER",
     "Jet",
     "JetSpace",
     "JetDomainError",
@@ -40,9 +39,7 @@ __all__ = [
     "DerivativeEstimate",
     "jet_space",
     "grouped_space",
-    "jet_variable",
     "jet_point",
-    "jet_arithmetic",
     "compose_table",
     "curve_derivative",
     "mixed_partial",
@@ -51,8 +48,6 @@ __all__ = [
     "tally",
     "count",
 ]
-
-DEFAULT_ORDER = 4
 
 _RICHARDSON_SCHEDULE = (0.1, 0.05, 0.025, 0.0125)
 
@@ -382,11 +377,6 @@ class Jet:
         return self.coeffs.shape[1:]
 
     @property
-    def batch(self):
-        """Length of the trailing value axis; None for a single scalar."""
-        return None if self.coeffs.ndim == 1 else self.coeffs.shape[-1]
-
-    @property
     def order(self) -> int:
         return self.space.order
 
@@ -588,10 +578,6 @@ class Jet:
         return Jet(dst, self.coeffs[take])
 
 
-def jet_variable(space: JetSpace, var: int, value) -> Jet:
-    return Jet.variable(space, var, value)
-
-
 def jet_point(space: JetSpace, values) -> list[Jet]:
     """Seed one jet per variable, carrying `values` as the expansion point."""
     values = np.asarray(values, dtype=float)
@@ -600,30 +586,6 @@ def jet_point(space: JetSpace, values) -> list[Jet]:
             f"expected {space.num_vars} coordinates, got {values.shape[0]}"
         )
     return [Jet.variable(space, v, values[v]) for v in range(space.num_vars)]
-
-
-_UNARY = {"sqrt", "sin", "cos", "exp", "log"}
-
-
-def jet_arithmetic(a: Jet, b=None, op: str = "add") -> Jet:
-    """Named dispatch over the elementary jet operations.
-
-    `b` is the second operand for add/sub/mul/div, the exponent for pow, and
-    ignored for the unary functions.
-    """
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    if op == "pow":
-        return a ** b
-    if op in _UNARY:
-        return getattr(a, op)()
-    raise ValueError(f"unknown jet operation {op!r}")
 
 
 # -- Taylor series of the elementary functions at a point --------------------
@@ -771,12 +733,6 @@ class SmoothMap:
         out = self.fun(list(args))
         return list(out)
 
-    def jet(self, x, order: int) -> list[Jet]:
-        """Jets of the map at the point x, seeded to total degree `order`."""
-        x = np.asarray(x, dtype=float)
-        space = jet_space(self.dim_in, order)
-        return self.jets(jet_point(space, x))
-
     def value(self, x) -> np.ndarray:
         """The map at the point x (shape (dim_in,), or (dim_in, batch)), on floats."""
         x = np.asarray(x, dtype=float)
@@ -786,13 +742,6 @@ class SmoothMap:
             )
         self._check_domain(x)
         return np.array(self.fun(list(x)), dtype=float)
-
-    def jacobian(self, x) -> np.ndarray:
-        out = self.jet(x, 1)
-        return np.stack(
-            [[j.derivative(tuple(int(v == w) for w in range(self.dim_in)))
-              for v in range(self.dim_in)] for j in out]
-        )
 
     def __call__(self, x) -> np.ndarray:
         return self.value(x)

@@ -59,7 +59,7 @@ import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 
 from .expressions import parse_expression
-from .finsler import FinslerNorm, connection_values, horizontal_lift, indicatrix_samples
+from .finsler import FinslerNorm, connection_values, horizontal_lift
 from .jets import DomainBoxError, Jet, SmoothMap, count, jet_space, richardson_extrapolate
 
 __all__ = [
@@ -69,7 +69,6 @@ __all__ = [
     "ParallelogramTransporter",
     "TransportFailure",
     "TransportResult",
-    "fibered_holonomy_family",
     "flow_curve",
     "flow_transport_discrepancy",
     "holonomy_map",
@@ -354,9 +353,6 @@ class CurveSpec:
 
     def reverse(self) -> "CurveSpec":
         return CurveSpec([_ReversedPiece(p) for p in reversed(self.pieces)])
-
-    def concat(self, other: "CurveSpec") -> "CurveSpec":
-        return CurveSpec(self.pieces + other.pieces)
 
     def closure_gap(self) -> float:
         return float(np.max(np.abs(self.end - self.start)))
@@ -739,45 +735,3 @@ def parallelogram_derivatives(
     firsts, seconds = tr.difference_quotients(v, schedule)
     return richardson_extrapolate(firsts, schedule), richardson_extrapolate(seconds, schedule)
 
-
-@dataclass
-class FiberResult:
-    p: np.ndarray
-    samples: np.ndarray
-    transported: np.ndarray | None
-    ok: bool
-    message: str = ""
-
-
-@dataclass
-class FamilyResult:
-    t: float
-    fibers: list
-    num_failed: int
-
-
-def fibered_holonomy_family(
-    norm: FinslerNorm,
-    X: SmoothMap,
-    Y: SmoothMap,
-    base_grid,
-    t: float,
-    samples_per_fiber: int = 8,
-) -> FamilyResult:
-    """h_t over a grid of base points, one fiber at a time.
-
-    Fibers are independent; failures (chart escapes, stiff spots) are
-    collected per fiber and do not abort the rest.
-    """
-    fibers = []
-    failed = 0
-    for p in base_grid:
-        p = np.asarray(p, dtype=float)
-        samples = indicatrix_samples(norm, p, samples_per_fiber)
-        try:
-            out = parallelogram_holonomy(norm, X, Y, p, t, samples)
-            fibers.append(FiberResult(p, samples, out, True))
-        except (TransportFailure, DomainBoxError, ValueError) as exc:
-            fibers.append(FiberResult(p, samples, None, False, str(exc)))
-            failed += 1
-    return FamilyResult(t=t, fibers=fibers, num_failed=failed)

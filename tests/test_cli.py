@@ -208,6 +208,21 @@ def test_sphere_holonomy_matches_gauss_bonnet(tmp_path):
     assert text.startswith(b"sample,angle_shift\r\n")
 
 
+def test_rotation_oracle_follows_the_catalog_metric_not_its_name(tmp_path):
+    # an expression metric may carry any name; a flat one named "sphere" has
+    # no Gauss-Bonnet rotation, so the sphere oracle must not apply to it
+    payload = {
+        "metric": {"norm": "sqrt(y1^2 + y2^2)", "lo": [0.5, -0.5], "hi": [2.0, 1.5], "name": "sphere"},
+        "command": "holonomy",
+        "loop": {"rect": [[math.pi / 3, 0.0], [math.pi / 2, 1.0]]},
+        "samples": 6,
+    }
+    code, out = run_cli(tmp_path, payload)
+    assert code == EXIT_PASS
+    results = read_report(out)["tasks"][0]["results"]
+    assert "rotation" not in results
+
+
 def test_grouplab_sum_example(tmp_path):
     code, out = run_cli(tmp_path, {"command": "grouplab", "op": "sum", "k": 1, "l": 2, "seed": 7})
     assert code == EXIT_PASS

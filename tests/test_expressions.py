@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from holonomylab.expressions import ExpressionError, parse_expression
-from holonomylab.jets import Jet, JetDomainError, jet_space, jet_variable
+from holonomylab.jets import Jet, JetDomainError, jet_space
 
 try:
     from hypothesis import assume, given, settings, strategies as st
@@ -35,8 +35,8 @@ def test_unary_minus():
 def test_evaluates_on_jets():
     e = parse_expression("sqrt(x1^2 + y1^2)", ("x1", "y1"))
     sp = jet_space(2, 3)
-    x = jet_variable(sp, 0, 3.0)
-    y = jet_variable(sp, 1, 4.0)
+    x = Jet.variable(sp, 0, 3.0)
+    y = Jet.variable(sp, 1, 4.0)
     r = e(x, y)
     assert r.value == pytest.approx(5.0)
     assert r.derivative((1, 0)) == pytest.approx(3.0 / 5.0)
@@ -134,8 +134,8 @@ def test_literals_out_of_float_range_rejected():
 
 def test_constant_expression_on_jets_is_a_constant_jet():
     space = jet_space(2, 2)
-    x = jet_variable(space, 0, np.array([0.3, -0.5, 0.7]))
-    y = jet_variable(space, 1, 2.0)
+    x = Jet.variable(space, 0, np.array([0.3, -0.5, 0.7]))
+    y = Jet.variable(space, 1, 2.0)
     out = parse_expression("sqrt(2) * 3", ("x1", "x2"))(x, y)
     assert isinstance(out, Jet) and out.space is space and out.shape == (3,)
     assert np.array_equal(out.value, np.full(3, math.sqrt(2) * 3))

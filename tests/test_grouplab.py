@@ -114,7 +114,6 @@ def test_no_contact_reported_up_to_max_order():
     constant = MatrixCurve.polynomial(2, {})
     record = order_of_contact(constant, 4)
     assert record.order is None and record.direction is None
-    assert not record.found
     assert len(record.residuals) == 4
 
     late = MatrixCurve.polynomial(2, {4: np.eye(2)})

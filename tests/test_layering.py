@@ -1,10 +1,12 @@
 """Layering: holonomylab modules import each other at module level only, so
 the import graph is the one a reader sees at the top of each file; the
 accuracy of transport and of grouplab's measurements is set by module
-constants alone; and results are plain dataclasses that only the CLI turns
-into JSON or CSV."""
+constants alone; results are plain dataclasses that only the CLI turns
+into JSON or CSV; and every public name serves the package or the demos, or
+is a listed oracle or piece of public API."""
 
 import ast
+import importlib
 import inspect
 from pathlib import Path
 
@@ -12,6 +14,8 @@ import holonomylab
 from holonomylab import grouplab, transport
 
 PACKAGE = Path(holonomylab.__file__).parent
+DEMOS = PACKAGE.parents[1] / "demos"
+TESTS = Path(__file__).resolve().parent
 _SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
 
 
@@ -90,3 +94,76 @@ def test_only_the_cli_serializes():
                     and item.name in {"as_dict", "to_payload", "to_json"}
                 )
     assert imports == [] and methods == []
+
+
+# Public names that nothing in the package or the demos calls, each with the
+# use it serves and the test that uses it.
+ORACLES_AND_API = {
+    # independent routes that tests check the package's own routes against
+    "jets.compose_table": "Taylor composition; test_radialized_matches_composition",
+    "jets.curve_derivative": "Richardson in t; test_analytic_functions_match_richardson",
+    "jets.mixed_partial": "Richardson in (t, s); test_commutator_richardson_cross_check",
+    "finsler.geodesic_coefficients": "G at a point; test_sphere_spray_matches_geodesic_equations",
+    "transport.flow_transport_discrepancy": "flow against transport; test_flow_equals_transport",
+    "curvature.horizontal_field": "bundle commutator; test_berwald_equals_bundle_commutator",
+    "curvature.vertical_field": "bundle commutator; test_berwald_equals_bundle_commutator",
+    # public API
+    "transport.parallelogram_holonomy": "h_t; test_parallelogram_flow_escape_reports_max_scale",
+    "liealg.PolynomialField": "polynomial fields; test_bracket_algebra_randomized_invariants",
+    "liealg.CallableField": "fields from functions; test_bracket_order_exhaustion_diagnostic",
+    "liealg.lie_bracket": "base-field brackets; test_rotation_bracket_symbolic_oracle",
+}
+
+
+def _top_level_public(tree) -> dict:
+    """name -> defining statement, for every public top-level def, class and constant."""
+    found = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found.update((t.id, node) for t in targets if isinstance(t, ast.Name))
+    return {name: node for name, node in found.items() if not name.startswith("_")}
+
+
+def _loaded(tree, skip=None) -> set:
+    """Names read in `tree` as `name` or `obj.name`, outside the subtree `skip`."""
+    hidden = {id(n) for n in ast.walk(skip)} if skip is not None else set()
+    names = set()
+    for node in ast.walk(tree):
+        if id(node) in hidden or not isinstance(getattr(node, "ctx", None), ast.Load):
+            continue
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def _parse(paths) -> dict:
+    return {p: ast.parse(p.read_text(encoding="utf-8"), filename=str(p)) for p in paths}
+
+
+def test_public_names_have_callers():
+    package = _parse(sorted(PACKAGE.glob("*.py")))
+    callers = {**package, **_parse(sorted(DEMOS.glob("*.py")))}
+    in_tests = set().union(*map(_loaded, _parse(sorted(TESTS.glob("*.py"))).values()))
+    assert len(package) > 1 and len(callers) > len(package) and in_tests
+    uncalled = []
+    for path, tree in package.items():
+        for name, node in _top_level_public(tree).items():
+            if not any(name in _loaded(t, node if p == path else None) for p, t in callers.items()):
+                uncalled.append(f"{path.stem}.{name}")
+    assert sorted(set(uncalled) - set(ORACLES_AND_API)) == []  # delete these, or list them
+    assert sorted(set(ORACLES_AND_API) - set(uncalled)) == []  # called now: unlist them
+    assert sorted(n for n in ORACLES_AND_API if n.split(".")[1] not in in_tests) == []
+
+
+def test_every_exported_name_resolves():
+    missing = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module(f"holonomylab.{path.stem}")
+        exported = getattr(module, "__all__", ())
+        missing.extend(f"{path.stem}.{n}" for n in exported if not hasattr(module, n))
+    assert missing == []

@@ -12,7 +12,6 @@ from holonomylab.transport import (
     LoopSpec,
     ParallelogramTransporter,
     TransportFailure,
-    fibered_holonomy_family,
     flow_curve,
     flow_transport_discrepancy,
     holonomy_map,
@@ -184,7 +183,7 @@ def test_mismatched_pieces_rejected():
     a = CurveSpec.line_segment([0.0, 0.0], [1.0, 0.0])
     b = CurveSpec.line_segment([5.0, 5.0], [6.0, 5.0])
     with pytest.raises(ValueError, match="join"):
-        a.concat(b)
+        CurveSpec(a.pieces + b.pieces)
 
 
 def test_open_curve_is_not_a_loop():
@@ -282,7 +281,7 @@ def test_composition_law(funk):
     v = np.array([0.8, -0.3])
     v1 = parallel_transport(funk, a, v).y_end
     v2 = parallel_transport(funk, b, v1).y_end
-    vc = parallel_transport(funk, a.concat(b), v).y_end
+    vc = parallel_transport(funk, CurveSpec(a.pieces + b.pieces), v).y_end
     assert np.max(np.abs(v2 - vc)) < 1e-7
 
 
@@ -405,32 +404,6 @@ def test_parallelogram_flow_escape_reports_max_scale(funk):
         parallelogram_holonomy(funk, X, Y, p, 0.5 * t_ok, samples)
 
 
-def test_fibered_family_identity_and_restriction(sphere):
-    X = constant_field([1.0, 0.0], sphere.manifold)
-    Y = constant_field([0.0, 1.0], sphere.manifold)
-    grid = [np.array([1.0, 0.0]), np.array([1.4, 0.3])]
-    fam0 = fibered_holonomy_family(sphere, X, Y, grid, 0.0, samples_per_fiber=3)
-    assert fam0.num_failed == 0
-    for fib in fam0.fibers:
-        np.testing.assert_array_equal(fib.transported, fib.samples)
-    fam = fibered_holonomy_family(sphere, X, Y, grid[:1], 0.05, samples_per_fiber=3)
-    direct = parallelogram_holonomy(
-        sphere, X, Y, grid[0], 0.05, indicatrix_samples(sphere, grid[0], 3)
-    )
-    np.testing.assert_array_equal(fam.fibers[0].transported, direct)
-
-
-def test_fibered_family_collects_failures(funk):
-    X = constant_field([1.0, 0.0], funk.manifold)
-    Y = constant_field([0.0, 1.0], funk.manifold)
-    grid = [np.array([0.0, 0.0]), np.array([0.62, 0.62])]
-    fam = fibered_holonomy_family(funk, X, Y, grid, 0.3, samples_per_fiber=3)
-    assert fam.num_failed == 1
-    assert fam.fibers[0].ok
-    assert not fam.fibers[1].ok
-    assert fam.fibers[1].message
-
-
 # -- lockstep --------------------------------------------------------------------
 
 
@@ -461,8 +434,9 @@ def test_lockstep_is_the_sequential_route_bit_for_bit(name):
     flow_loop = ParallelogramTransporter(norm, X, Y, at(0.45, 0.5)).loop(0.05)
     curves = [
         CurveSpec.line_segment(at(0.3, 0.4), at(0.4, 0.45)),
-        CurveSpec.line_segment(at(0.2, 0.3), at(0.7, 0.6)).concat(
-            CurveSpec.line_segment(at(0.7, 0.6), at(0.5, 0.7))
+        CurveSpec(
+            CurveSpec.line_segment(at(0.2, 0.3), at(0.7, 0.6)).pieces
+            + CurveSpec.line_segment(at(0.7, 0.6), at(0.5, 0.7)).pieces
         ),
         LoopSpec.rectangle(at(0.4, 0.4), at(0.6, 0.55)),
         flow_loop,
