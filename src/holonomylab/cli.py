@@ -16,7 +16,9 @@ check whose value is not finite fails.  CSV tables (RFC 4180, CRLF line
 endings) carry the plot-ready series: singular values, convergence errors,
 derivative-vs-step diagnostics.  Library results are dataclasses; this
 module alone writes JSON and CSV, building each task's results with
-`dataclasses.asdict` and adding the `kind` tags.
+`dataclasses.asdict` and adding the `kind` tags.  Command handlers return
+measurements; `run_config` alone grades them against the tolerance profile,
+so a task's `checks` and `passed` are its only verdicts.
 
 Exit codes: 0 all declared tolerance checks pass, 1 a numeric check failed
 (report still written), 2 config errors (schema violations, unknown metric,
@@ -224,21 +226,22 @@ def _int_seed(rng: np.random.Generator) -> int:
 
 
 # -- command handlers -----------------------------------------------------------
-# each returns (results: dict, checks: list, tables: {name: (header, rows)})
+# each returns (results: dict, measured: {check name: value}, tables: {name:
+# (header, rows)}); the checks keep the order of `measured`
 
 
-def _run_metric_check(task, norm, rng, tol):
+def _run_metric_check(task, norm, rng):
     report = norm_diagnostics(norm, samples=task.get("samples", 40), seed=_int_seed(rng))
-    checks = [
-        _check("homogeneity", report.homogeneity_residual, tol["homogeneity"]),
-        _check("positivity-failures", report.positivity_failures, tol["positivity-failures"]),
-        _check("convexity-failures", report.convexity_failures, tol["convexity-failures"]),
-        _check("jet-consistency", report.jet_consistency, tol["jet-consistency"]),
-    ]
-    return asdict(report), checks, {}
+    measured = {
+        "homogeneity": report.homogeneity_residual,
+        "positivity-failures": report.positivity_failures,
+        "convexity-failures": report.convexity_failures,
+        "jet-consistency": report.jet_consistency,
+    }
+    return asdict(report), measured, {}
 
 
-def _run_transport(task, norm, rng, tol):
+def _run_transport(task, norm, rng):
     count = task.get("curves", 20)
     draw = norm.manifold.interior_sampler(rng)
     lambdas = np.array(HOMOGENEITY_LAMBDAS)
@@ -271,12 +274,9 @@ def _run_transport(task, norm, rng, tol):
         "max_homogeneity_defect": worst_hom,
         "lambdas": list(HOMOGENEITY_LAMBDAS),
     }
-    checks = [
-        _check("transport-norm-drift", worst_drift, tol["transport-norm-drift"]),
-        _check("transport-homogeneity", worst_hom, tol["transport-homogeneity"]),
-    ]
+    measured = {"transport-norm-drift": worst_drift, "transport-homogeneity": worst_hom}
     tables = {"transport_diagnostics": (["curve", "norm_drift", "homogeneity_defect"], rows)}
-    return results, checks, tables
+    return results, measured, tables
 
 
 def _build_loop(spec) -> LoopSpec:
@@ -286,7 +286,7 @@ def _build_loop(spec) -> LoopSpec:
     return CurveSpec.from_expressions(spec["expressions"]).as_loop()
 
 
-def _run_holonomy(task, norm, rng, tol):
+def _run_holonomy(task, norm, rng):
     loop = _build_loop(task["loop"])
     p = loop.start
     count = task.get("samples", 8)
@@ -300,7 +300,7 @@ def _run_holonomy(task, norm, rng, tol):
         "indicatrix_drift": drift,
         "max_displacement": displacement,
     }
-    checks = [_check("holonomy-indicatrix-drift", drift, tol["holonomy-indicatrix-drift"])]
+    measured = {"holonomy-indicatrix-drift": drift}
     rows = [[i, float(np.linalg.norm(out[:, i] - samples[:, i]))] for i in range(count)]
     header = ["sample", "displacement"]
     if task["metric"] == "sphere" and "rect" in task["loop"]:
@@ -316,15 +316,13 @@ def _run_holonomy(task, norm, rng, tol):
         results["rotation"] = rotation
         results["rotation_oracle"] = float(oracle)
         results["rotation_spread"] = float(np.max(np.abs(shifts - rotation)))
-        checks.append(
-            _check("holonomy-rotation-oracle", abs(rotation - oracle), tol["holonomy-rotation-oracle"])
-        )
+        measured["holonomy-rotation-oracle"] = abs(rotation - oracle)
         rows = [[i, float(shifts[i])] for i in range(count)]
         header = ["sample", "angle_shift"]
-    return results, checks, {"holonomy_samples": (header, rows)}
+    return results, measured, {"holonomy_samples": (header, rows)}
 
 
-def _run_parallelogram(task, norm, rng, tol):
+def _run_parallelogram(task, norm, rng):
     p = np.asarray(task["point"], dtype=float)
     n = norm.dim
     xv = np.asarray(task.get("x", np.eye(n)[0]), dtype=float)
@@ -357,21 +355,17 @@ def _run_parallelogram(task, norm, rng, tol):
         "curvature_doubled": list(target),
         "extrapolation_errors": [float(e1), float(e2)],
     }
-    checks = [
-        _check("parallelogram-first-derivative", first_rel, tol["parallelogram-first-derivative"]),
-        _check(
-            "parallelogram-second-vs-curvature",
-            second_rel,
-            tol["parallelogram-second-vs-curvature"],
-        ),
-    ]
+    measured = {
+        "parallelogram-first-derivative": first_rel,
+        "parallelogram-second-vs-curvature": second_rel,
+    }
     tables = {
         "derivative_vs_step": (["step", "first_norm", "second_residual"], rows)
     }
-    return results, checks, tables
+    return results, measured, tables
 
 
-def _run_curvature(task, norm, rng, tol):
+def _run_curvature(task, norm, rng):
     p = np.asarray(task["point"], dtype=float)
     count = task.get("samples", 12)
     samples = indicatrix_samples(norm, p, count)
@@ -394,23 +388,20 @@ def _run_curvature(task, norm, rng, tol):
         "antisymmetry_defect": antisym,
         "max_component": float(np.max(np.abs(values))),
     }
-    checks = [
-        _check("curvature-tangency", tangency, tol["curvature-tangency"]),
-        _check("curvature-antisymmetry", antisym, tol["curvature-antisymmetry"]),
-    ]
+    measured = {"curvature-tangency": tangency, "curvature-antisymmetry": antisym}
     rows = [
         [i] + [float(samples[d, i]) for d in range(n)] + [float(values[d, i]) for d in range(n)]
         for i in range(count)
     ]
     header = ["sample"] + [f"y{d}" for d in range(n)] + [f"xi{d}" for d in range(n)]
-    return results, checks, {"curvature_components": (header, rows)}
+    return results, measured, {"curvature_components": (header, rows)}
 
 
 def _singular_value_rows(report):
     return [[i, s] for i, s in enumerate(report.singular_values)]
 
 
-def _run_closure(task, norm, rng, tol):
+def _run_closure(task, norm, rng):
     fields = []
     for i, f in enumerate(task["fields"]):
         try:
@@ -429,10 +420,10 @@ def _run_closure(task, norm, rng, tol):
         "labels": span.labels(),
     }
     tables = {"singular_values": (["index", "singular_value"], _singular_value_rows(report))}
-    return results, [], tables
+    return results, {}, tables
 
 
-def _run_chain(task, norm, rng, tol):
+def _run_chain(task, norm, rng):
     report = inclusion_chain_report(
         norm,
         np.asarray(task["point"], dtype=float),
@@ -441,7 +432,7 @@ def _run_chain(task, norm, rng, tol):
         num_points=task.get("samples", 50),
     )
     gap = float(report.curvature.rank - report.ihol.rank)
-    checks = [_check("chain-monotone", gap, tol["chain-monotone"])]
+    measured = {"chain-monotone": gap}
     tables = {
         "curvature_singular_values": (
             ["index", "singular_value"],
@@ -465,7 +456,7 @@ def _run_chain(task, norm, rng, tol):
         "curvature_trace": {"kind": "closure-trace", **asdict(report.curvature_trace)},
         "ihol_trace": {"kind": "closure-trace", **asdict(report.ihol_trace)},
     }
-    return results, checks, tables
+    return results, measured, tables
 
 
 def _direction_matrix(task, key, rng, size=None):
@@ -490,7 +481,7 @@ def _rel_defect(got, want):
     return float(np.max(np.abs(got - want))) / max(float(np.max(np.abs(want))), 1.0)
 
 
-def _run_grouplab(task, norm, rng, tol):
+def _run_grouplab(task, norm, rng):
     op = task["op"]
     k = task.get("k", 1)
     l = task.get("l", 1)
@@ -504,7 +495,7 @@ def _run_grouplab(task, norm, rng, tol):
     if op == "contact":
         record = order_of_contact(phi, max_order=task.get("max_order", 6))
         defect = 0.0 if record.order == k else 1.0
-        return asdict(record), [_check("grouplab-contact", defect, tol["grouplab-contact"])], {}
+        return asdict(record), {"grouplab-contact": defect}, {}
 
     if op == "commutator":
         family = commutator_curve(phi, psi)
@@ -518,18 +509,10 @@ def _run_grouplab(task, norm, rng, tol):
             "diagonal_order": record.order,
             "diagonal_factor": factor,
         }
-        checks = [
-            _check("grouplab-direction", _rel_defect(mixed, expected), tol["grouplab-direction"])
-        ]
+        measured = {"grouplab-direction": _rel_defect(mixed, expected)}
         if record.order is not None:
-            checks.append(
-                _check(
-                    "grouplab-diagonal",
-                    _rel_defect(record.direction, factor * mixed),
-                    tol["grouplab-diagonal"],
-                )
-            )
-        return results, checks, {}
+            measured["grouplab-diagonal"] = _rel_defect(record.direction, factor * mixed)
+        return results, measured, {}
 
     if op == "sum":
         combined = sum_curve(phi, psi, constants=task.get("constants", "exact"))
@@ -543,20 +526,14 @@ def _run_grouplab(task, norm, rng, tol):
             "expected": (X + Y).tolist(),
             "constants": task.get("constants", "exact"),
         }
-        checks = [
-            _check("grouplab-direction", _rel_defect(direction, X + Y), tol["grouplab-direction"])
-        ]
-        return results, checks, {}
+        return results, {"grouplab-direction": _rel_defect(direction, X + Y)}, {}
 
     if op == "scale":
         lam = task.get("lambda", -2.0)
         scaled = scale_curve(phi, lam)
         direction = scaled.derivative(k)
         results = {"lambda": lam, "direction": direction.tolist(), "expected": (lam * X).tolist()}
-        checks = [
-            _check("grouplab-direction", _rel_defect(direction, lam * X), tol["grouplab-direction"])
-        ]
-        return results, checks, {}
+        return results, {"grouplab-direction": _rel_defect(direction, lam * X)}, {}
 
     if op == "exp-iterate":
         M = _direction_matrix(task, "m", rng, size=A.shape[0])
@@ -573,11 +550,8 @@ def _run_grouplab(task, norm, rng, tol):
             if series[i] >= 64 and series[i + 1] == 2 * series[i] and errors[i + 1] > 0.0:
                 ratio_defect = max(ratio_defect, abs(errors[i] / errors[i + 1] - 2.0))
         results = {"t": t, "n_series": list(series), "errors": errors}
-        checks = [
-            _check("grouplab-monotone", monotone, tol["grouplab-monotone"]),
-            _check("grouplab-ratio", ratio_defect, tol["grouplab-ratio"]),
-        ]
-        return results, checks, {"convergence": (["n", "error"], rows)}
+        measured = {"grouplab-monotone": monotone, "grouplab-ratio": ratio_defect}
+        return results, measured, {"convergence": (["n", "error"], rows)}
 
     if op == "weak-tangency":
         reading = task.get("reading", "exact")
@@ -591,10 +565,7 @@ def _run_grouplab(task, norm, rng, tol):
             "expected": expected.tolist(),
             "extrapolation_residual": float(residual),
         }
-        checks = [
-            _check("weak-direction", _rel_defect(derivative, expected), tol["weak-direction"])
-        ]
-        return results, checks, {}
+        return results, {"weak-direction": _rel_defect(derivative, expected)}, {}
 
     raise ConfigError(f"op: unknown grouplab operation {op!r}")
 
@@ -642,7 +613,7 @@ def run_config(config: dict, seed: int, profile: str):
         error = None
         with tally() as counts:
             try:
-                results, checks, tables = _HANDLERS[task["command"]](task, norm, rng, tol)
+                results, measured, tables = _HANDLERS[task["command"]](task, norm, rng)
             except ConfigError as exc:
                 raise ConfigError(f"tasks/{index}/{exc}") from None
             except _TASK_ERRORS as exc:
@@ -657,6 +628,7 @@ def run_config(config: dict, seed: int, profile: str):
             tasks_out.append(entry)
             tables_out.append({})
             continue
+        checks = [_check(name, value, tol[name]) for name, value in measured.items()]
         passed = all(c["passed"] for c in checks)
         num_checks += len(checks)
         failures.extend(f"{label}: {c['name']}" for c in checks if not c["passed"])

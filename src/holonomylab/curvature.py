@@ -248,7 +248,7 @@ def constant_base_field(manifold, vec, name: str = "") -> SmoothMap:
     def fun(xs):
         return [xs[0] * 0.0 + float(v) for v in vec]
 
-    return SmoothMap(fun, manifold.dim, manifold.dim, lo=manifold.lo, hi=manifold.hi, name=name)
+    return SmoothMap(fun, manifold.dim, lo=manifold.lo, hi=manifold.hi, name=name)
 
 
 def coordinate_fields(manifold) -> list:

@@ -34,7 +34,7 @@ draws the points of F(p, .) = 1 at which fields and holonomy maps are read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -139,12 +139,11 @@ class FinslerNorm:
     operator surface.
     """
 
-    def __init__(self, manifold: ChartManifold, fsq, name: str, params: dict | None = None):
+    def __init__(self, manifold: ChartManifold, fsq, name: str):
         self.manifold = manifold
         self.dim = manifold.dim
         self._fsq = fsq
         self.name = name
-        self.params = dict(params or {})
 
     def __repr__(self):
         return f"FinslerNorm({self.name!r}, dim={self.dim})"
@@ -194,9 +193,7 @@ class FinslerNorm:
             f = expr(*xs, *ys)
             return f * f
 
-        norm = cls(manifold, fsq, name=name, params={"expression": text})
-        norm.expression = expr
-        return norm
+        return cls(manifold, fsq, name=name)
 
 
 # -- catalog ------------------------------------------------------------------
@@ -211,13 +208,13 @@ def _euclidean_fsq(xs, ys):
 
 def _make_euclidean(dim=2, halfwidth=10.0):
     man = ChartManifold(dim, (-halfwidth,) * dim, (halfwidth,) * dim, name="euclidean")
-    return FinslerNorm(man, _euclidean_fsq, "euclidean", {"dim": dim, "halfwidth": halfwidth})
+    return FinslerNorm(man, _euclidean_fsq, "euclidean")
 
 
 def _make_flat_torus(dim=2, period=2.0 * np.pi):
     # flat metric; the chart spans several fundamental domains so loops fit
     man = ChartManifold(dim, (-2 * period,) * dim, (2 * period,) * dim, name="flat_torus")
-    return FinslerNorm(man, _euclidean_fsq, "flat_torus", {"dim": dim, "period": period})
+    return FinslerNorm(man, _euclidean_fsq, "flat_torus")
 
 
 def _make_sphere(radius=1.0, polar_margin=0.2):
@@ -234,7 +231,7 @@ def _make_sphere(radius=1.0, polar_margin=0.2):
         s = xs[0].sin() if isinstance(xs[0], Jet) else np.sin(xs[0])
         return (ys[0] * ys[0] + (s * s) * (ys[1] * ys[1])) * r2
 
-    return FinslerNorm(man, fsq, "sphere", {"radius": radius, "polar_margin": polar_margin})
+    return FinslerNorm(man, fsq, "sphere")
 
 
 def _make_funk_disk(box_halfwidth=0.63):
@@ -251,7 +248,7 @@ def _make_funk_disk(box_halfwidth=0.63):
         f = (root + ip) / q
         return f * f
 
-    return FinslerNorm(man, fsq, "funk_disk", {"box_halfwidth": box_halfwidth})
+    return FinslerNorm(man, fsq, "funk_disk")
 
 
 _CATALOG = {
@@ -454,7 +451,10 @@ def horizontal_lift(norm: FinslerNorm, x, y, X) -> np.ndarray:
 
 @dataclass
 class NormReport:
-    """Sampled health check of a norm: positivity, homogeneity, convexity."""
+    """Sampled health check of a norm: positivity, homogeneity, convexity.
+
+    Measurements only; the caller grades them against its tolerances.
+    """
 
     name: str
     samples: int
@@ -464,15 +464,6 @@ class NormReport:
     min_eigenvalue: float | None  # None when no sample gave a positive definite g
     max_condition: float
     jet_consistency: float
-    passed: bool = field(init=False)
-
-    def __post_init__(self):
-        self.passed = (
-            self.positivity_failures == 0
-            and self.convexity_failures == 0
-            and self.homogeneity_residual < 1e-8
-            and self.jet_consistency < 1e-10
-        )
 
 
 def norm_diagnostics(norm: FinslerNorm, samples: int = 40, seed: int = 0) -> NormReport:

@@ -50,6 +50,9 @@ __all__ = [
 ]
 
 _RICHARDSON_SCHEDULE = (0.1, 0.05, 0.025, 0.0125)
+# largest last Richardson correction, relative to the value scale, that
+# counts as converged
+_RICHARDSON_THRESHOLD = 1e-5
 
 # Largest pair-product array `JetSpace.multiply` folds with np.bincount.  The
 # two folds cost the same near 4,096 elements (spaces of 10 to 210 entries,
@@ -694,14 +697,12 @@ class SmoothMap:
         self,
         fun: Callable[[list], Sequence],
         dim_in: int,
-        dim_out: int,
         lo=None,
         hi=None,
         name: str = "",
     ):
         self.fun = fun
         self.dim_in = dim_in
-        self.dim_out = dim_out
         self.lo = None if lo is None else np.asarray(lo, dtype=float)
         self.hi = None if hi is None else np.asarray(hi, dtype=float)
         self.name = name
@@ -753,7 +754,7 @@ class DerivativeEstimate:
 
     In richardson mode `error` is the last extrapolation correction (a live
     estimate of the remaining truncation error) and `converged` flags whether
-    it cleared the requested threshold; jet mode is exact so error is 0.
+    it cleared `_RICHARDSON_THRESHOLD`; jet mode is exact so error is 0.
     """
 
     value: np.ndarray
@@ -762,8 +763,8 @@ class DerivativeEstimate:
     mode: str
 
 
-def finite_difference_weights(m: int, xs: Sequence[float], x0: float = 0.0) -> np.ndarray:
-    """Fornberg weights for the m-th derivative at x0 on arbitrary nodes."""
+def finite_difference_weights(m: int, xs: Sequence[float]) -> np.ndarray:
+    """Fornberg weights for the m-th derivative at 0 on arbitrary nodes."""
     xs = np.asarray(xs, dtype=float)
     n = len(xs)
     d = np.zeros((n, n, m + 1))
@@ -775,9 +776,9 @@ def finite_difference_weights(m: int, xs: Sequence[float], x0: float = 0.0) -> n
             c3 = xs[i] - xs[j]
             c2 *= c3
             for k in range(min(i, m), -1, -1):
-                d[i, j, k] = ((xs[i] - x0) * d[i - 1, j, k] - k * d[i - 1, j, k - 1]) / c3
+                d[i, j, k] = (xs[i] * d[i - 1, j, k] - k * d[i - 1, j, k - 1]) / c3
         for k in range(min(i, m), -1, -1):
-            d[i, i, k] = (c1 / c2) * (k * d[i - 1, i - 1, k - 1] - (xs[i - 1] - x0) * d[i - 1, i - 1, k])
+            d[i, i, k] = (c1 / c2) * (k * d[i - 1, i - 1, k - 1] - xs[i - 1] * d[i - 1, i - 1, k])
         c1 = c2
     return d[n - 1, :, m]
 
@@ -811,7 +812,7 @@ def _stencil(k: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, finite_difference_weights(k, nodes)
 
 
-def _partial(f, orders: tuple, mode: str, schedule, threshold: float) -> DerivativeEstimate:
+def _partial(f, orders: tuple, mode: str) -> DerivativeEstimate:
     """The derivative of multi-index `orders` at the origin, one parameter per entry.
 
     Jet mode seeds one group per parameter, with cap equal to its order.
@@ -828,10 +829,9 @@ def _partial(f, orders: tuple, mode: str, schedule, threshold: float) -> Derivat
         return DerivativeEstimate(float(value) if value.ndim == 0 else value, 0.0, True, "jet")
     if mode != "richardson":
         raise ValueError(f"unknown mode {mode!r}")
-    schedule = tuple(schedule) if schedule is not None else _RICHARDSON_SCHEDULE
     stencils = [list(zip(*_stencil(k))) for k in orders]
     estimates = []
-    for h in schedule:
+    for h in _RICHARDSON_SCHEDULE:
         acc = None
         for taps in itertools.product(*stencils):
             weight = math.prod(w for _, w in taps)
@@ -844,44 +844,31 @@ def _partial(f, orders: tuple, mode: str, schedule, threshold: float) -> Derivat
                 term = weight * np.asarray(f(*point), dtype=float)
             acc = term if acc is None else acc + term
         estimates.append(acc / h ** sum(orders))
-    value, err = richardson_extrapolate(estimates, schedule)
+    value, err = richardson_extrapolate(estimates, _RICHARDSON_SCHEDULE)
     if value.ndim == 0:
         value = float(value)
     scale = max(1.0, float(np.max(np.abs(value))))
-    return DerivativeEstimate(value, err, bool(err <= threshold * scale), "richardson")
+    return DerivativeEstimate(value, err, bool(err <= _RICHARDSON_THRESHOLD * scale), "richardson")
 
 
-def curve_derivative(
-    c,
-    k: int,
-    mode: str = "jet",
-    schedule: Sequence[float] | None = None,
-    threshold: float = 1e-5,
-) -> DerivativeEstimate:
+def curve_derivative(c, k: int, mode: str = "jet") -> DerivativeEstimate:
     """k-th derivative of a one-parameter map at t=0.
 
     `c` is a SmoothMap with one input or any callable accepting a float (and,
     in jet mode, a Jet).  Jet mode is exact truncated Taylor; richardson mode
     runs a central stencil over a halving step schedule and extrapolates,
-    reporting the residual.  A residual above `threshold` (relative to the
-    value scale) flags the estimate as non-converged; the value is still
-    returned.
+    reporting the residual.  A residual above `_RICHARDSON_THRESHOLD`
+    (relative to the value scale) flags the estimate as non-converged; the
+    value is still returned.
     """
-    return _partial(c, (k,), mode, schedule, threshold)
+    return _partial(c, (k,), mode)
 
 
-def mixed_partial(
-    f,
-    k: int,
-    l: int,
-    mode: str = "jet",
-    schedule: Sequence[float] | None = None,
-    threshold: float = 1e-5,
-) -> DerivativeEstimate:
+def mixed_partial(f, k: int, l: int, mode: str = "jet") -> DerivativeEstimate:
     """Mixed partial d^{k+l}/dt^k ds^l at the origin of a two-parameter map.
 
     `f` is a SmoothMap with two inputs or a callable f(t, s); jet mode seeds a
     two-group space carrying exactly (k, l) orders, richardson mode uses a
     tensor-product central stencil with both steps halved together.
     """
-    return _partial(f, (k, l), mode, schedule, threshold)
+    return _partial(f, (k, l), mode)

@@ -592,7 +592,7 @@ def flow_transport_discrepancy(norm: FinslerNorm, X: SmoothMap, p, y0, t: float)
 
 
 class ParallelogramTransporter:
-    """Holonomy family h_t at a fixed (X, Y, p), cached over scales t.
+    """Holonomy family h_t at a fixed (X, Y, p).
 
     h_t transports indicatrix vectors around the parallelogram loop of X and
     Y at scale t; h_0 is the identity, both legs are rebuilt per scale, and
@@ -605,7 +605,6 @@ class ParallelogramTransporter:
         self.X = X
         self.Y = Y
         self.p = np.asarray(p, dtype=float)
-        self._loops: dict[float, LoopSpec] = {}
 
     def _chain_point(self, s: float) -> np.ndarray:
         # psi_{-s} phi_{-s} psi_s phi_s (p)
@@ -615,12 +614,9 @@ class ParallelogramTransporter:
         return x
 
     def loop(self, t: float) -> LoopSpec:
-        """Build (and cache) the realized loop alpha_t * beta_t^{-1} at scale t."""
-        hit = self._loops.get(t)
-        if hit is not None:
-            return hit
+        """Build the realized loop alpha_t * beta_t^{-1} at scale t."""
         if t == 0.0:
-            return self._loops.setdefault(0.0, LoopSpec.constant(self.p))
+            return LoopSpec.constant(self.p)
         a1 = flow_curve(self.X, self.p, t)
         a2 = flow_curve(self.Y, a1.end_state, t)
         a3 = flow_curve(self.X, a2.end_state, -t)
@@ -634,8 +630,7 @@ class ParallelogramTransporter:
         for i in range(1, FLOW_NODES):
             values[i] = self._chain_point(us[i] * t)
         beta = _fit_chebyshev(us, values)
-        loop = self._loops[t] = LoopSpec([a1, a2, a3, a4, _ReversedPiece(beta)])
-        return loop
+        return LoopSpec([a1, a2, a3, a4, _ReversedPiece(beta)])
 
     def transport(self, t: float, samples) -> np.ndarray:
         """h_t applied to samples (n,) or (n, B)."""

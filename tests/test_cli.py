@@ -73,6 +73,21 @@ def test_strict_profile_on_flat_metric(tmp_path):
     assert read_report(out)["provenance"]["tolerance_profile"] == "strict"
 
 
+def test_strict_profile_is_the_only_verdict_on_a_metric_check(tmp_path):
+    # the homogeneity residual, about 8e-9, passes the default profile and
+    # fails the strict one; the results carry it without a verdict of their own
+    metric = {"norm": "sqrt(y1^2 + y2^2) + 3e-9", "lo": [-1, -1], "hi": [1, 1]}
+    code, out = run_cli(
+        tmp_path, {"metric": metric, "command": "metric-check"}, "--tolerance-profile", "strict"
+    )
+    assert code == EXIT_NUMERIC
+    task = read_report(out)["tasks"][0]
+    checks = {c["name"]: c["passed"] for c in task["checks"]}
+    assert not checks["homogeneity"] and not task["passed"]
+    assert "passed" not in task["results"]
+    assert 1e-9 < task["results"]["homogeneity_residual"] < 1e-8
+
+
 def test_unknown_key_rejected():
     problems = validate_config({"metric": "euclidean", "command": "metric-check", "bogus": 1})
     assert len(problems) == 1 and "bogus" in problems[0]

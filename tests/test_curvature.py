@@ -251,7 +251,7 @@ def divided_field(manifold):
     def fun(xs):
         return [(xs[1] + 0.3) / (xs[0] + 0.7), xs[0] / (xs[1] + 1.3)]
 
-    return SmoothMap(fun, 2, 2, lo=manifold.lo, hi=manifold.hi, name="V")
+    return SmoothMap(fun, 2, lo=manifold.lo, hi=manifold.hi, name="V")
 
 
 def field_kinds(norm, q, base):

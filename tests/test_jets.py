@@ -259,7 +259,7 @@ def test_jet_point_seeds_all_variables():
 
 
 def test_smoothmap_jacobian_and_domain_box():
-    m = SmoothMap(lambda a: [a[0] * a[1], a[0].sin()], 2, 2, lo=[-1, -1], hi=[1, 1])
+    m = SmoothMap(lambda a: [a[0] * a[1], a[0].sin()], 2, lo=[-1, -1], hi=[1, 1])
     out = m.jets(jet_point(jet_space(2, 1), np.array([0.5, 0.25])))
     J = [[j.derivative((1, 0)), j.derivative((0, 1))] for j in out]
     np.testing.assert_allclose(J, [[0.25, 0.5], [np.cos(0.5), 0.0]], atol=1e-14)
@@ -278,7 +278,7 @@ def order0_values(m, x):
 
 
 def rotation_field(manifold):
-    return SmoothMap(lambda a: [-a[1], a[0]], 2, 2, lo=manifold.lo, hi=manifold.hi)
+    return SmoothMap(lambda a: [-a[1], a[0]], 2, lo=manifold.lo, hi=manifold.hi)
 
 
 def test_smoothmap_value_is_the_order0_jet_bitwise():
@@ -303,7 +303,7 @@ def test_smoothmap_value_is_the_order0_jet_bitwise():
 def test_smoothmap_value_raises_at_the_box_slack():
     # outside means more than 1e-9 * max(1, |wall|) beyond a wall
     lo, hi = np.array([-5.0, 0.2]), np.array([0.5, 3.0])
-    m = SmoothMap(lambda a: [-a[1], a[0]], 2, 2, lo=lo, hi=hi)
+    m = SmoothMap(lambda a: [-a[1], a[0]], 2, lo=lo, hi=hi)
     inside = np.array([0.0, 1.0])
     for axis in range(2):
         for wall, outward in ((lo, -1.0), (hi, 1.0)):

@@ -1,7 +1,9 @@
 """Layering: holonomylab modules import each other at module level only, so
 the import graph is the one a reader sees at the top of each file; the
-accuracy of transport and of grouplab's measurements is set by module
-constants alone; results are plain dataclasses that only the CLI turns
+accuracy of transport, of grouplab's measurements and of the Richardson
+oracle is set by module constants alone; command handlers return
+measurements that `run_config` alone grades against the tolerance profile;
+results are plain dataclasses without a verdict, that only the CLI turns
 into JSON or CSV; and every public name serves the package or the demos, or
 is a listed oracle or piece of public API."""
 
@@ -11,7 +13,7 @@ import inspect
 from pathlib import Path
 
 import holonomylab
-from holonomylab import grouplab, transport
+from holonomylab import cli, grouplab, jets, transport
 
 PACKAGE = Path(holonomylab.__file__).parent
 DEMOS = PACKAGE.parents[1] / "demos"
@@ -71,6 +73,45 @@ def test_transport_callables_take_no_accuracy_parameters():
 def test_grouplab_measurements_take_no_accuracy_parameters():
     names = ("one_sided_derivative", "exp_iterate", "order_of_contact")
     assert _knobs(grouplab, names, {"schedule", "norm_bound", "tol"}) == []
+
+
+def test_richardson_oracle_takes_no_accuracy_parameters():
+    names = ("curve_derivative", "mixed_partial", "finite_difference_weights")
+    assert _knobs(jets, names, {"schedule", "threshold", "x0"}) == []
+
+
+def test_handlers_return_measurements_for_run_config_to_grade():
+    signatures = {
+        command: list(inspect.signature(handler).parameters)
+        for command, handler in cli._HANDLERS.items()
+    }
+    assert signatures == {command: ["task", "norm", "rng"] for command in cli._HANDLERS}
+    assert set(cli.TOLERANCES) == {"default", "strict"}
+    assert set(cli.TOLERANCES["default"]) == set(cli.TOLERANCES["strict"])
+    package = _parse(sorted(PACKAGE.glob("*.py")))
+    grader = next(
+        node
+        for node in ast.walk(package[PACKAGE / "cli.py"])
+        if isinstance(node, ast.FunctionDef) and node.name == "run_config"
+    )
+    assert "TOLERANCES" in _loaded(grader)
+    readers = [p.name for p, t in package.items() if "TOLERANCES" in _loaded(t, grader)]
+    assert readers == []
+
+
+def test_no_result_carries_its_own_verdict():
+    verdicts = []
+    for path, tree in _parse(sorted(PACKAGE.glob("*.py"))).items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and any(
+                "dataclass" in ast.unparse(d) for d in node.decorator_list
+            ):
+                verdicts.extend(
+                    f"{path.stem}.{node.name}"
+                    for item in node.body
+                    if isinstance(item, ast.AnnAssign) and ast.unparse(item.target) == "passed"
+                )
+    assert verdicts == []
 
 
 def test_only_the_cli_serializes():

@@ -30,7 +30,7 @@ def constant_field(vec, manifold, name="const"):
     def fun(args):
         return [args[0] * 0.0 + vec[i] for i in range(len(vec))]
 
-    return SmoothMap(fun, manifold.dim, manifold.dim, lo=manifold.lo, hi=manifold.hi, name=name)
+    return SmoothMap(fun, manifold.dim, lo=manifold.lo, hi=manifold.hi, name=name)
 
 
 @pytest.fixture(scope="module")
@@ -319,7 +319,7 @@ def test_indicatrix_samples_unit_norm(funk):
 def test_flow_curve_matches_known_flow():
     man = finsler.ChartManifold(2, (-5, -5), (5, 5))
     # X = (-x2, x1): rotation flow
-    X = SmoothMap(lambda a: [-a[1], a[0]], 2, 2, lo=man.lo, hi=man.hi)
+    X = SmoothMap(lambda a: [-a[1], a[0]], 2, lo=man.lo, hi=man.hi)
     piece = flow_curve(X, np.array([1.0, 0.0]), np.pi / 2)
     end = piece.point_velocity(1.0)[0]
     np.testing.assert_allclose(end, [0.0, 1.0], atol=1e-9)
