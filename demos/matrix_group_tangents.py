@@ -9,8 +9,8 @@ the iterated-exponential approximation with its first-order rate.
 import numpy as np
 
 from holonomylab.grouplab import (
+    CommutatorFamily,
     MatrixCurve,
-    commutator_curve,
     diagonal_bracket_factor,
     exp_iterate,
     one_sided_derivative,
@@ -34,7 +34,7 @@ def main():
     psi = MatrixCurve.exponential(E21)
 
     print("commutator of exp(t E12) and exp(s E21)")
-    fam = commutator_curve(phi, psi)
+    fam = CommutatorFamily(phi, psi)
     show("mixed (1,1) derivative, equals YX - XY", fam.mixed_derivative())
     rec = order_of_contact(fam.diagonal())
     factor = diagonal_bracket_factor(1, 1)

@@ -49,8 +49,8 @@ from . import __version__
 from .curvature import constant_base_field, coordinate_fields, curvature_field
 from .finsler import FinslerNorm, catalog_norm, indicatrix_samples, norm_diagnostics
 from .grouplab import (
+    CommutatorFamily,
     MatrixCurve,
-    commutator_curve,
     diagonal_bracket_factor,
     exp_iterate,
     one_sided_derivative,
@@ -498,7 +498,7 @@ def _run_grouplab(task, norm, rng):
         return asdict(record), {"grouplab-contact": defect}, {}
 
     if op == "commutator":
-        family = commutator_curve(phi, psi)
+        family = CommutatorFamily(phi, psi)
         mixed = family.mixed_derivative()
         expected = Y @ X - X @ Y
         record = order_of_contact(family.diagonal(), k + l + 1)

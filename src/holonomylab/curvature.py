@@ -26,16 +26,18 @@ curvature fields, positively 1-homogeneous in y, are extended to degree 0
 by Euler's identity xi(x, y / F) = xi(x, y) / F(x, y): one jet division.
 Radial y-derivatives then vanish; values on the indicatrix stay unchanged.
 
-A curvature field owns a memo of stacked spray tables at its norm and base
-point, shared by its radialization, its covariant derivatives and every
-field of an `ihol_generators` set; every field also memoizes its evaluator
-in `bundle_jets`.  Both memos key entries by the exact y-batch shape and
-bytes, then by caps, and read a request that a stored entry dominates as
-that entry's truncation: bit for bit a fresh evaluation, since truncation
-commutes with every jet operation.  A family asked for its widest caps first
-thus computes one spray table per y-batch.  Cached arrays are read-only and
-live as long as their fields; `spray_tables` in `jets.tally` counts requests
-and computed tables.  The parallelogram transport oracle never reads them.
+Spray tables, fields and base vector fields are each one jet whose first
+value axis runs over their components.  A curvature field owns a memo of
+spray tables at its norm and base point, shared by its radialization, its
+covariant derivatives and every field of an `ihol_generators` set; every
+field also memoizes its evaluator in `bundle_jets`.  Both memos key entries
+by the exact y-batch shape and bytes, then by caps, and read a request that a
+stored entry dominates as that entry's truncation: bit for bit a fresh
+evaluation, since truncation commutes with every jet operation.  A family
+asked for its widest caps first thus computes one spray table per y-batch.
+Cached arrays are read-only and live as long as their fields; `spray_tables`
+in `jets.tally` counts requests and computed tables.  The parallelogram
+transport oracle never reads them.
 """
 
 from __future__ import annotations
@@ -80,7 +82,7 @@ def _memo_read(memo: dict, caps: tuple, yc: np.ndarray, compute) -> Jet:
 
 
 class _SprayMemo:
-    """Stacked spray jets of one norm at one base point, each computed once."""
+    """Spray jets of one norm at one base point, each computed once."""
 
     def __init__(self, norm: FinslerNorm, p):
         self.norm = norm
@@ -88,13 +90,13 @@ class _SprayMemo:
         self._tables: dict = {}
 
     def get(self, xorder: int, yorder: int, yc: np.ndarray) -> Jet:
-        """Stacked G^k jets at caps (xorder, yorder) and (p, yc), read-only; keyed
+        """The G^k jet at caps (xorder, yorder) and (p, yc), read-only; keyed
         by yc's exact bytes, narrower caps read a wider table's exact
         truncation, and only an undominated request calls `spray_jets`."""
 
         def compute():
             count("spray_tables", computed=1)
-            return Jet.stack(spray_jets(self.norm, self.p, list(yc), xorder=xorder, yorder=yorder))
+            return spray_jets(self.norm, self.p, list(yc), xorder=xorder, yorder=yorder)
 
         count("spray_tables", requests=1)
         return _memo_read(self._tables, (xorder, yorder), yc, compute)
@@ -110,9 +112,10 @@ class IndicatrixVectorField:
     field is a jet evaluator: `evaluator(xcap, ycap, y_center)` returns the
     field as one jet of value shape (n, *batch) in the bundle space with
     per-group caps (xcap, ycap), seeded at (p, y_center), and `bundle_jets`
-    splits it into one jet per component xi^i.  Fields built from spray
-    data are therefore fibered: they know their x-dependence near p, which
-    is what the covariant derivative consumes.
+    and `taylor` return that one jet, its first value axis running over the
+    components xi^i.  Fields built from spray data are therefore fibered:
+    they know their x-dependence near p, which is what the covariant
+    derivative consumes.
 
     `homogeneity` records the radial degree of the components in y when it
     is known: 1 for raw curvature fields, 0 after `radialized()`, None for
@@ -158,30 +161,29 @@ class IndicatrixVectorField:
             f"depth={self.depth})"
         )
 
-    def bundle_jets(self, xcap: int, ycap: int, y_center) -> list:
-        """Component jets in the bundle space ((n, xcap), (n, ycap)) at (p, y_center).
+    def bundle_jets(self, xcap: int, ycap: int, y_center) -> Jet:
+        """The field's jet in the bundle space ((n, xcap), (n, ycap)) at (p, y_center).
 
-        y_center entries may be (B,) arrays for a batched evaluation.  The
-        coefficient arrays are read-only views of the memoized evaluation,
-        keyed by y_center's exact bytes; narrower caps read a wider stored
+        y_center entries may be (B,) arrays for a batched evaluation.  The jet
+        is the memoized evaluation itself, with read-only coefficients, keyed
+        by y_center's exact bytes; narrower caps read a wider stored
         evaluation's truncation, which is exact bit for bit.
         """
         xcap, ycap = int(xcap), int(ycap)
         yc = np.asarray(y_center, float)
-        jet = _memo_read(self._bundle, (xcap, ycap), yc, lambda: self._evaluator(xcap, ycap, yc))
-        return jet.unstack()
+        return _memo_read(self._bundle, (xcap, ycap), yc, lambda: self._evaluator(xcap, ycap, yc))
 
-    def taylor(self, center, order: int) -> list:
-        """Fiber-only jets at y = center, one per component, in jet_space(n, order)."""
-        n = self.dim
-        jets = self.bundle_jets(0, order, center)
-        keep = tuple(range(n, 2 * n))
-        return [j.drop_zero_vars(keep, ((n, order),)) for j in jets]
+    def taylor(self, center, order: int) -> Jet:
+        """The fiber-only jet at y = center, in jet_space(n, order).
+
+        At x-cap 0 the bundle space lists its indices in the order of
+        jet_space(n, order), so the bundle table is read as it stands.
+        """
+        return Jet(jet_space(self.dim, order), self.bundle_jets(0, order, center).coeffs)
 
     def values(self, ys) -> np.ndarray:
         """Component values at y; accepts shape (n,) or (n, B)."""
-        jets = self.bundle_jets(0, 0, ys)
-        return np.stack([np.asarray(j.value) for j in jets])
+        return np.array(self.bundle_jets(0, 0, ys).value)
 
     def tangency_residual(self, ys) -> float:
         """Largest relative violation of xi^i dF/dy^i = 0 over the given y's.
@@ -220,7 +222,7 @@ class IndicatrixVectorField:
 
         def evaluator(xcap, ycap, yc):
             F = (2.0 * norm.energy_jet(p, list(yc), xcap=xcap, ycap=ycap)).sqrt()
-            return Jet.stack(self.bundle_jets(xcap, ycap, yc)) / F
+            return self.bundle_jets(xcap, ycap, yc) / F
 
         out = IndicatrixVectorField(
             norm,
@@ -312,7 +314,7 @@ def _curvature_field(norm, X, Y, p, sprays: _SprayMemo) -> IndicatrixVectorField
         acc = Jet.constant(space, np.zeros(yc.shape[1:]))
         for i in range(n):
             for j in range(n):
-                acc = acc + R.at(np.s_[:, i, j]) * Xc[i] * Yc[j]
+                acc = acc + R.at(np.s_[:, i, j]) * Xc.at(i) * Yc.at(j)
         return acc
 
     label = f"R({X.name or 'X'},{Y.name or 'Y'})"
@@ -344,7 +346,7 @@ def berwald_covariant_derivative(
 
     def evaluator(xcap, ycap, yc):
         target = ((n, xcap), (n, ycap))
-        parent = Jet.stack(xi.bundle_jets(xcap + 1, ycap + 1, yc))
+        parent = xi.bundle_jets(xcap + 1, ycap + 1, yc)
         G = sprays.get(xcap, ycap + 2, yc)
         # [i, j, k] = G^k_j d xi^i/dy^k and G^i_jk xi^k, for every k at once
         Gy = G.gradient(ys).truncated(target).at(None)
@@ -358,7 +360,7 @@ def berwald_covariant_derivative(
         Xc = _base_jets(X, p, space, yc.shape[1:])
         acc = Jet.constant(space, np.zeros(yc.shape[1:]))
         for j in range(n):
-            acc = acc + term.at(np.s_[:, j]) * Xc[j]
+            acc = acc + term.at(np.s_[:, j]) * Xc.at(j)
         return acc
 
     label = f"D[{X.name or 'X'}]{xi.label}"
@@ -398,8 +400,8 @@ def fiber_bracket(
 
     def evaluator(xcap, ycap, yc):
         target = ((n, xcap), (n, ycap))
-        a = Jet.stack(xi.bundle_jets(xcap, ycap + 1, yc))
-        b = Jet.stack(eta.bundle_jets(xcap, ycap + 1, yc))
+        a = xi.bundle_jets(xcap, ycap + 1, yc)
+        b = eta.bundle_jets(xcap, ycap + 1, yc)
         # [i, k] = a^k d b^i/dy^k and b^k d a^i/dy^k
         ab = a.truncated(target) * b.gradient(ys, axis=1).truncated(target)
         ba = b.truncated(target) * a.gradient(ys, axis=1).truncated(target)
@@ -434,7 +436,7 @@ class _BundleField:
         self._taylor = taylor_fn
         self.name = name
 
-    def taylor(self, center, order: int) -> list:
+    def taylor(self, center, order: int) -> Jet:
         return self._taylor(np.asarray(center, dtype=float), int(order))
 
 
@@ -446,10 +448,10 @@ def horizontal_field(norm: FinslerNorm, X: SmoothMap) -> _BundleField:
         x0, y0 = center[:n], center[n:]
         gspace = grouped_space(((n, order), (n, order)))
         total = ((2 * n, order),)
-        G = Jet.stack(spray_jets(norm, x0, list(y0), xorder=order, yorder=order + 1))
-        Xc = Jet.stack(X.jets([Jet.variable(gspace, i, x0[i]) for i in range(n)]))
+        G = spray_jets(norm, x0, list(y0), xorder=order, yorder=order + 1)
+        Xc = X.jets([Jet.variable(gspace, i, x0[i]) for i in range(n)])
         lift = -(G.gradient(range(n, 2 * n), axis=1) * Xc).sum(axis=1)  # -G^i_j X^j
-        return Xc.truncated(total).unstack() + lift.truncated(total).unstack()
+        return Jet(gspace, np.concatenate([Xc.coeffs, lift.coeffs], axis=1)).truncated(total)
 
     return _BundleField(2 * n, taylor, name=f"{X.name or 'X'}^h")
 
@@ -462,11 +464,8 @@ def vertical_field(xi: IndicatrixVectorField) -> _BundleField:
     def taylor(center, order):
         if not np.allclose(center[:n], p, rtol=0.0, atol=1e-12):
             raise ValueError("fiber field is anchored at its base point")
-        total = ((2 * n, order),)
-        space = jet_space(2 * n, order)
-        jets = xi.bundle_jets(order, order, center[n:])
-        zero = Jet.constant(space, 0.0)
-        return [zero] * n + [j.truncated(total) for j in jets]
+        xij = xi.bundle_jets(order, order, center[n:]).truncated(((2 * n, order),))
+        return Jet(xij.space, np.concatenate([np.zeros_like(xij.coeffs), xij.coeffs], axis=1))
 
     return _BundleField(2 * n, taylor, name=xi.label)
 

@@ -206,37 +206,38 @@ def _euclidean_fsq(xs, ys):
     return acc
 
 
-def _make_euclidean(dim=2, halfwidth=10.0):
-    man = ChartManifold(dim, (-halfwidth,) * dim, (halfwidth,) * dim, name="euclidean")
+def _make_euclidean():
+    man = ChartManifold(2, (-10.0,) * 2, (10.0,) * 2, name="euclidean")
     return FinslerNorm(man, _euclidean_fsq, "euclidean")
 
 
-def _make_flat_torus(dim=2, period=2.0 * np.pi):
-    # flat metric; the chart spans several fundamental domains so loops fit
-    man = ChartManifold(dim, (-2 * period,) * dim, (2 * period,) * dim, name="flat_torus")
+def _make_flat_torus():
+    # flat metric of period 2 pi; the chart spans several fundamental domains
+    # so loops fit
+    man = ChartManifold(2, (-4.0 * np.pi,) * 2, (4.0 * np.pi,) * 2, name="flat_torus")
     return FinslerNorm(man, _euclidean_fsq, "flat_torus")
 
 
-def _make_sphere(radius=1.0, polar_margin=0.2):
-    # round sphere in polar coordinates (theta, phi); stay away from the poles
+def _make_sphere():
+    # unit round sphere in polar coordinates (theta, phi); stay 0.2 away from
+    # the poles
     man = ChartManifold(
         2,
-        (polar_margin, -2.0 * np.pi),
-        (np.pi - polar_margin, 2.0 * np.pi),
+        (0.2, -2.0 * np.pi),
+        (np.pi - 0.2, 2.0 * np.pi),
         name="sphere",
     )
-    r2 = radius * radius
 
     def fsq(xs, ys):
         s = xs[0].sin() if isinstance(xs[0], Jet) else np.sin(xs[0])
-        return (ys[0] * ys[0] + (s * s) * (ys[1] * ys[1])) * r2
+        return ys[0] * ys[0] + (s * s) * (ys[1] * ys[1])
 
     return FinslerNorm(man, fsq, "sphere")
 
 
-def _make_funk_disk(box_halfwidth=0.63):
+def _make_funk_disk():
     # Funk metric on the unit disk; the chart is a box inscribed well inside
-    man = ChartManifold(2, (-box_halfwidth,) * 2, (box_halfwidth,) * 2, name="funk_disk")
+    man = ChartManifold(2, (-0.63,) * 2, (0.63,) * 2, name="funk_disk")
 
     def fsq(xs, ys):
         ip = xs[0] * ys[0] + xs[1] * ys[1]
@@ -263,13 +264,13 @@ def catalog_names() -> tuple:
     return tuple(sorted(_CATALOG))
 
 
-def catalog_norm(name: str, **params) -> FinslerNorm:
+def catalog_norm(name: str) -> FinslerNorm:
     """Instantiate a catalog norm: euclidean, flat_torus, sphere, funk_disk."""
     try:
         maker = _CATALOG[name]
     except KeyError:
         raise KeyError(f"unknown norm {name!r}; available: {', '.join(catalog_names())}") from None
-    return maker(**params)
+    return maker()
 
 
 def indicatrix_samples(norm: FinslerNorm, p, count: int, offset: float = 0.0) -> np.ndarray:
@@ -388,11 +389,11 @@ def _jet_solve(aug: Jet) -> list:
     return w
 
 
-def spray_jets(norm: FinslerNorm, x, y, xorder: int = 0, yorder: int = 0) -> list:
-    """Jets of the spray coefficients G^i at (x, y).
+def spray_jets(norm: FinslerNorm, x, y, xorder: int = 0, yorder: int = 0) -> Jet:
+    """The jet of the spray coefficients G^i at (x, y), of value shape (n, *batch).
 
-    The returned jets live in the bundle space with caps (xorder, yorder), so
-    they retain xorder x-derivatives and yorder y-derivatives of each G^i.
+    The jet lives in the bundle space with caps (xorder, yorder), so it
+    retains xorder x-derivatives and yorder y-derivatives of each G^i.
     y may be batched: pass components that are (B,) arrays.
     """
     y = _check_y(y)
@@ -412,13 +413,13 @@ def spray_jets(norm: FinslerNorm, x, y, xorder: int = 0, yorder: int = 0) -> lis
     # read at j >= l and mirrored, since the two orders round differently
     cols = Jet.stack([Ey.derivative_table(v).truncated(target) for v in ys] + [rhs], axis=1)
     l, j = np.indices((n, n + 1))
-    return [wi * 0.5 for wi in _jet_solve(cols.at((np.minimum(l, j), np.maximum(l, j))))]
+    return Jet.stack(_jet_solve(cols.at((np.minimum(l, j), np.maximum(l, j))))) * 0.5
 
 
 def geodesic_coefficients(norm: FinslerNorm, x, y, with_second: bool = True) -> SprayData:
     """Spray values G^i, connection G^i_j, and optionally G^i_{jk} at (x, y)."""
     ys = range(norm.dim, 2 * norm.dim)
-    G = Jet.stack(spray_jets(norm, x, y, xorder=0, yorder=2 if with_second else 1))
+    G = spray_jets(norm, x, y, xorder=0, yorder=2 if with_second else 1)
     Gy = G.gradient(ys, axis=1)
     Gyy = Gy.gradient(ys, axis=2).value if with_second else None
     return SprayData(G.value, Gy.value, Gyy)
@@ -426,7 +427,7 @@ def geodesic_coefficients(norm: FinslerNorm, x, y, with_second: bool = True) -> 
 
 def connection_values(norm: FinslerNorm, x, y) -> np.ndarray:
     """G^i_j at (x, y); the parallel transport right-hand side. Batched in y."""
-    G = Jet.stack(spray_jets(norm, x, y, xorder=0, yorder=1))
+    G = spray_jets(norm, x, y, xorder=0, yorder=1)
     return G.gradient(range(norm.dim, 2 * norm.dim), axis=1).value
 
 

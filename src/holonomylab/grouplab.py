@@ -75,11 +75,6 @@ def _mat_mul(A: Jet, B: Jet) -> Jet:
     return (A.at(np.s_[:, :, None]) * B.at(None)).sum(axis=1)
 
 
-def _grid(M: Jet) -> np.ndarray:
-    """The (n, n) object array of the scalar entry jets of a matrix jet."""
-    return np.array([row.unstack() for row in M.unstack()], dtype=object)
-
-
 def _mat_inv(M: Jet) -> Jet:
     """Invert a matrix jet by Gauss-Jordan elimination on its row jets.
 
@@ -142,16 +137,17 @@ class MatrixCurve:
 
     # -- evaluation ----------------------------------------------------------
 
-    def jets(self, t, order: int | None = None) -> np.ndarray:
-        """(n, n) array of entry jets at center t (a float, or an already seeded jet)."""
+    def jets(self, t, order: int | None = None) -> Jet:
+        """The matrix jet, of value shape (n, n), at center t (a float, or an
+        already seeded jet)."""
         if not isinstance(t, Jet):
             if order is None:
                 raise ValueError("order required when seeding from a float center")
             t = Jet.variable(jet_space(1, int(order)), 0, float(t))
-        return _grid(self._evaluator(t))
+        return self._evaluator(t)
 
     def value(self, t: float) -> np.ndarray:
-        return Jet.stack(self.jets(float(t), 0)).value
+        return self.jets(float(t), 0).value
 
     def derivative(self, k: int) -> np.ndarray:
         """k-th derivative of the curve at t = 0."""
@@ -159,7 +155,7 @@ class MatrixCurve:
 
     def derivatives(self, max_order: int) -> list[np.ndarray]:
         """Derivatives 0..max_order at t = 0 from one jet evaluation."""
-        M = Jet.stack(self.jets(0.0, int(max_order)))
+        M = self.jets(0.0, int(max_order))
         return [M.derivative(m) for m in range(int(max_order) + 1)]
 
     # -- constructors ----------------------------------------------------------
@@ -308,10 +304,11 @@ class CommutatorFamily:
         P = self.psi._evaluator(s)
         return _mat_mul(_mat_mul(P, F), _mat_mul(_mat_inv(P), _mat_inv(F)))
 
-    def jets(self, t: Jet, s: Jet) -> np.ndarray:
+    def jets(self, t: Jet, s: Jet) -> Jet:
+        """The matrix jet c(t, s), of value shape (n, n)."""
         if t.space is not s.space:
             raise ValueError("t and s must be seeded in one two-parameter space")
-        return _grid(self._matrix(t, s))
+        return self._matrix(t, s)
 
     def value(self, t: float, s: float) -> np.ndarray:
         space = jet_space(2, 0)
@@ -333,11 +330,6 @@ class CommutatorFamily:
             lambda tj: self._matrix(tj, tj),
             name=name or f"diag({self.name})",
         )
-
-
-def commutator_curve(phi: MatrixCurve, psi: MatrixCurve) -> CommutatorFamily:
-    """Commutator family of two curves; see CommutatorFamily for the sign."""
-    return CommutatorFamily(phi, psi)
 
 
 def diagonal_bracket_factor(k: int, l: int) -> int:

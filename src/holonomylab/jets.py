@@ -565,21 +565,6 @@ class Jet:
         take = self.space.truncation(groups)
         return Jet(JetSpace.create(groups), self.coeffs[take])
 
-    def drop_zero_vars(self, keep: Sequence[int], groups) -> "Jet":
-        """Restrict to the sub-table where all dropped variables have degree 0.
-
-        `keep` lists surviving variable positions, `groups` describes the
-        target space over exactly those variables.
-        """
-        dst = JetSpace.create(tuple(groups))
-        take = np.empty(dst.size, dtype=np.int64)
-        for i, t in enumerate(dst.tuples):
-            full = [0] * self.space.num_vars
-            for v, d in zip(keep, t):
-                full[v] = d
-            take[i] = self.space.position[tuple(full)]
-        return Jet(dst, self.coeffs[take])
-
 
 def jet_point(space: JetSpace, values) -> list[Jet]:
     """Seed one jet per variable, carrying `values` as the expansion point."""
@@ -682,11 +667,12 @@ def compose_table(table: Jet, args: Sequence[Jet], center) -> Jet:
 class SmoothMap:
     """A pure function of jets, or of floats, with an axis-aligned validity box.
 
-    The evaluator receives one argument per domain variable and returns one
-    per codomain component.  :meth:`jets` passes jets (all in one space) and
-    needs jets back; :meth:`value` passes the point's coordinates as floats
-    (numpy scalars, or arrays for a batch of points), so the evaluator must
-    accept those too.  On floats it does the IEEE operations an order-0 jet
+    The evaluator receives one argument per domain variable and returns a
+    list of one per codomain component.  :meth:`jets` passes jets (all in one
+    space), needs jets back and returns them stacked into one jet of value
+    shape (components, *batch); :meth:`value` passes the point's coordinates
+    as floats (numpy scalars, or arrays for a batch of points), so the
+    evaluator must accept those too.  On floats it does the IEEE operations an order-0 jet
     would do, except that a product of two jets is summed onto +0.0, so
     ``-0.0`` from a float product reads ``+0.0`` on jets.  Evaluation outside
     the box raises, never extrapolates; a relative slack of 1e-9 absorbs
@@ -726,13 +712,12 @@ class SmoothMap:
                     f"{self.name or 'map'}: point above domain box {self.hi}"
                 )
 
-    def jets(self, args: Sequence[Jet]) -> list[Jet]:
+    def jets(self, args: Sequence[Jet]) -> Jet:
         if len(args) != self.dim_in:
             raise JetShapeError(f"{self.name}: expected {self.dim_in} arguments")
         values = np.stack([np.asarray(a.value) for a in args])
         self._check_domain(values)
-        out = self.fun(list(args))
-        return list(out)
+        return Jet.stack(self.fun(list(args)))
 
     def value(self, x) -> np.ndarray:
         """The map at the point x (shape (dim_in,), or (dim_in, batch)), on floats."""

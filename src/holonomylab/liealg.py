@@ -1,11 +1,11 @@
 """Lie brackets of evaluable vector fields and numerical span estimation.
 
 A vector field here is anything with `.dim` and `.taylor(center, order)`
-returning one jet per component; centers may carry a trailing batch axis, in
-which case all evaluation is columnwise.  Brackets are formed lazily:
-[X, Y]^i = X^j dY^i/dx^j - Y^j dX^i/dx^j consumes one jet order from each
-parent, so a field of finite order capability eventually exhausts and the
-bracket reports the order it would have needed.
+returning one jet of value shape (dim, *batch); centers may carry a trailing
+batch axis, in which case all evaluation is columnwise.  Brackets are formed
+lazily: [X, Y]^i = X^j dY^i/dx^j - Y^j dX^i/dx^j consumes one jet order from
+each parent, so a field of finite order capability eventually exhausts and
+the bracket reports the order it would have needed.
 
 Spans are measured numerically: fields are evaluated on a fixed list of
 sample points, stacked into a matrix, and the rank is the number of singular
@@ -37,7 +37,6 @@ __all__ = [
     "ExpressionField",
     "CallableField",
     "BracketField",
-    "lie_bracket",
     "field_values",
     "FieldSpan",
     "RankReport",
@@ -83,7 +82,7 @@ class PolynomialField:
         self.name = name
         self.max_order = None
 
-    def taylor(self, center, order: int) -> list:
+    def taylor(self, center, order: int) -> Jet:
         seeds = jet_point(jet_space(self.dim, order), center)
         out = []
         for comp in self.components:
@@ -95,7 +94,7 @@ class PolynomialField:
                         term = term * v
                 acc = acc + term
             out.append(acc)
-        return out
+        return Jet.stack(out)
 
 
 class ExpressionField:
@@ -112,13 +111,14 @@ class ExpressionField:
         self.name = name
         self.max_order = None
 
-    def taylor(self, center, order: int) -> list:
+    def taylor(self, center, order: int) -> Jet:
         seeds = jet_point(jet_space(self.dim, order), center)
-        return [expr(*seeds) for expr in self.exprs]
+        return Jet.stack([expr(*seeds) for expr in self.exprs])
 
 
 class CallableField:
-    """A vector field from a jets-to-jets callable.
+    """A vector field from a callable mapping the coordinate jets to a list
+    of component jets.
 
     `max_order` declares the largest jet order the callable can honestly
     produce (None for unlimited); requests beyond it are rejected so
@@ -132,13 +132,13 @@ class CallableField:
         self.name = name
         self.max_order = max_order
 
-    def taylor(self, center, order: int) -> list:
+    def taylor(self, center, order: int) -> Jet:
         if self.max_order is not None and order > self.max_order:
             raise JetOrderError(
                 f"{field_label(self)}: order {order} requested, "
                 f"but the field only supports {self.max_order}"
             )
-        return list(self.fun(jet_point(jet_space(self.dim, order), center)))
+        return Jet.stack(self.fun(jet_point(jet_space(self.dim, order), center)))
 
 
 class BracketField:
@@ -165,26 +165,21 @@ class BracketField:
         ]
         self.max_order = min(capacities) - 1 if capacities else None
 
-    def taylor(self, center, order: int) -> list:
+    def taylor(self, center, order: int) -> Jet:
         if self.max_order is not None and order > self.max_order:
             raise JetOrderError(
                 f"{self.label}: bracket at order {order} needs order {order + 1} "
                 f"parent jets, but only {self.max_order + 1} are available"
             )
-        tx = Jet.stack(self.X.taylor(center, order + 1))
-        ty = Jet.stack(self.Y.taylor(center, order + 1))
+        tx = self.X.taylor(center, order + 1)
+        ty = self.Y.taylor(center, order + 1)
         target, xs = ((self.dim, order),), range(self.dim)
         # [i, j] = X^j dY^i/dx^j - Y^j dX^i/dx^j, summed over j in order
         terms = (
             tx.truncated(target) * ty.gradient(xs, axis=1)
             - ty.truncated(target) * tx.gradient(xs, axis=1)
         )
-        return terms.sum(axis=1).unstack()
-
-
-def lie_bracket(X, Y) -> BracketField:
-    """The bracket field of two jet-evaluable fields on a common domain."""
-    return BracketField(X, Y)
+        return terms.sum(axis=1)
 
 
 # -- spans and ranks -----------------------------------------------------------
@@ -195,9 +190,7 @@ def field_values(f, points: np.ndarray) -> np.ndarray:
     points = np.asarray(points, dtype=float)
     if points.ndim == 1:
         points = points[:, None]
-    if hasattr(f, "values"):
-        return np.asarray(f.values(points), dtype=float)
-    return Jet.stack(f.taylor(points, 0)).value
+    return np.array(f.taylor(points, 0).value)
 
 
 class FieldSpan:

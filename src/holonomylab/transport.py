@@ -12,7 +12,7 @@ when its estimate is at most 1.  Any other attempt, as one whose estimate is
 not finite or that leaves the chart or a vector field's domain box, is
 rejected and retried smaller from the same state, reusing rhs(t, y), so a
 solve that cannot meet the tolerance ends in TransportFailure.  The module
-constants ATOL, RTOL, MAX_STEPS, DRIFT_TOL, FLOW_NODES and BISECTION_STEPS
+constants ATOL, RTOL, MAX_STEPS, FLOW_NODES, BISECTION_STEPS and H_SCHEDULE
 fix the accuracy and are read at call time.  States may carry a trailing
 batch axis, so a whole fan of vectors rides along one curve in a single
 solve.  A curve is a list of pieces over u in [0, 1], each only a `dim` and a
@@ -83,7 +83,6 @@ __all__ = [
 ATOL = 1e-10
 RTOL = 1e-9
 MAX_STEPS = 200000
-DRIFT_TOL = 1e-8  # relative norm drift past which a transport is flagged
 FLOW_NODES = 16  # Gauss-Lobatto nodes per flow segment of a parallelogram loop
 BISECTION_STEPS = 12  # halvings in the search for the largest admissible scale
 H_SCHEDULE = (0.08, 0.04, 0.02, 0.01)
@@ -336,21 +335,6 @@ class CurveSpec:
     def end(self):
         return self.pieces[-1].point_velocity(1.0)[0]
 
-    def point(self, t: float) -> np.ndarray:
-        k, u = self._locate(t)
-        return self.pieces[k].point_velocity(u)[0]
-
-    def velocity(self, t: float) -> np.ndarray:
-        k, u = self._locate(t)
-        return len(self.pieces) * self.pieces[k].point_velocity(u)[1]
-
-    def _locate(self, t: float):
-        m = len(self.pieces)
-        if not 0.0 <= t <= 1.0:
-            raise ValueError("curve parameter must lie in [0, 1]")
-        k = min(int(t * m), m - 1)
-        return k, t * m - k
-
     def reverse(self) -> "CurveSpec":
         return CurveSpec([_ReversedPiece(p) for p in reversed(self.pieces)])
 
@@ -404,7 +388,6 @@ class TransportResult:
     accepted_steps: int
     rejected_steps: int
     max_local_error: float
-    flagged: bool = False
 
 
 def _contract(Gj, W, dx):
@@ -423,9 +406,8 @@ def parallel_transport(norm: FinslerNorm, curve: CurveSpec, y0) -> TransportResu
     """Transport y0 along the curve; y0 may be (n,) or a batch (n, B).
 
     Every step meets the integrator's one acceptance rule, and a transport
-    that cannot meet it raises TransportFailure.  The result is flagged when
-    |F(end) - F(start)| exceeds DRIFT_TOL * F(start), with drift measured on
-    the worst batch member.
+    that cannot meet it raises TransportFailure.  The norm drift
+    |F(end) - F(start)| is measured on the worst batch member.
     """
     return parallel_transports(norm, [curve], [y0])[0]
 
@@ -448,17 +430,15 @@ def _transport_member(norm, curve, y0):
         stats.append(piece_stats)
     x_end = curve.end
     f1 = norm.value(x_end, V)
-    drift = float(np.max(np.abs(f1 - f0)))
     return TransportResult(
         y_end=V,
         x_end=x_end,
         norm_start=float(np.max(f0)),
         norm_end=float(np.max(f1)),
-        norm_drift=drift,
+        norm_drift=float(np.max(np.abs(f1 - f0))),
         accepted_steps=sum(s["accepted"] for s in stats),
         rejected_steps=sum(s["rejected"] for s in stats),
         max_local_error=max([0.0] + [s["max_local_error"] for s in stats]),
-        flagged=drift > DRIFT_TOL * max(float(np.max(f0)), 1e-300),
     )
 
 
@@ -639,18 +619,18 @@ class ParallelogramTransporter:
             return samples.copy()
         return parallel_transport(self.norm, self.loop(t), samples).y_end
 
-    def difference_quotients(self, v, schedule=H_SCHEDULE):
+    def difference_quotients(self, v):
         """Central first and second differences of t -> h_t(v), one per step.
 
         h_0(v) = v is exact and anchors the second-difference stencil.
-        Returns (firsts, seconds), two lists in the order of `schedule`.
+        Returns (firsts, seconds), two lists in the order of H_SCHEDULE.
         The loops are built in schedule order (+t, -t) and transported in
         one lockstep.  If a loop cannot be built, the transports around the
         loops before it run first, so the error raised is the first one that
         transporting scale by scale would meet.
         """
         v = np.asarray(v, dtype=float)
-        scales = [s for t in schedule for s in (t, -t) if s != 0.0]
+        scales = [s for t in H_SCHEDULE for s in (t, -t) if s != 0.0]
         loops = []
         try:
             for s in scales:
@@ -661,7 +641,7 @@ class ParallelogramTransporter:
         results = parallel_transports(self.norm, loops, [v] * len(loops))
         images = {0.0: v, **{s: r.y_end for s, r in zip(scales, results)}}
         firsts, seconds = [], []
-        for t in schedule:
+        for t in H_SCHEDULE:
             plus, minus = images[t], images[-t]
             firsts.append((plus - minus) / (2.0 * t))
             seconds.append((plus - 2.0 * v + minus) / (t * t))
@@ -718,15 +698,14 @@ def parallelogram_derivatives(
     Y: SmoothMap,
     p,
     v,
-    schedule=H_SCHEDULE,
 ):
     """First and second t-derivatives of t -> h_t(v) at t = 0.
 
-    The difference quotients over the fixed halving schedule, extrapolated
+    The difference quotients over the fixed halving H_SCHEDULE, extrapolated
     in t^2.  Returns (first, second) as DerivativeEstimate-like pairs
     ((value, error), (value, error)).
     """
     tr = ParallelogramTransporter(norm, X, Y, p)
-    firsts, seconds = tr.difference_quotients(v, schedule)
-    return richardson_extrapolate(firsts, schedule), richardson_extrapolate(seconds, schedule)
+    firsts, seconds = tr.difference_quotients(v)
+    return richardson_extrapolate(firsts, H_SCHEDULE), richardson_extrapolate(seconds, H_SCHEDULE)
 

@@ -21,8 +21,8 @@ from holonomylab.curvature import (
 )
 from holonomylab.finsler import catalog_names, catalog_norm, indicatrix_samples
 from holonomylab.grouplab import (
+    CommutatorFamily,
     MatrixCurve,
-    commutator_curve,
     exp_iterate,
     order_of_contact,
     scale_curve,
@@ -30,10 +30,10 @@ from holonomylab.grouplab import (
 )
 from holonomylab.jets import SmoothMap
 from holonomylab.liealg import (
+    BracketField,
     PolynomialField,
     field_values,
     inclusion_chain_report,
-    lie_bracket,
     lie_closure,
     numerical_rank,
 )
@@ -85,7 +85,7 @@ CATALOG = catalog_names()
 def test_commutator_mixed_derivative_and_diagonal():
     t0 = time.perf_counter()
     X, Y = unit(2, 0, 1), unit(2, 1, 0)
-    fam = commutator_curve(direction_curve(X, 1), direction_curve(Y, 1))
+    fam = CommutatorFamily(direction_curve(X, 1), direction_curve(Y, 1))
     bracket = Y @ X - X @ Y  # = E22 - E11
     mixed_defect = float(np.max(np.abs(fam.mixed_derivative() - bracket)))
     rec = order_of_contact(fam.diagonal(), max_order=3)
@@ -203,7 +203,7 @@ def test_unitriangular_closure_randomized():
         counts[op] += 1
         k, l = int(rng.integers(1, 3)), int(rng.integers(1, 3))
         if op == "commutator":
-            fam = commutator_curve(direction_curve(strict_upper(), k), direction_curve(strict_upper(), l))
+            fam = CommutatorFamily(direction_curve(strict_upper(), k), direction_curve(strict_upper(), l))
             direction = fam.mixed_derivative()
         elif op == "sum":
             c = sum_curve(direction_curve(strict_upper(), k), direction_curve(strict_upper(), l))
@@ -410,16 +410,16 @@ def test_bracket_algebra_randomized_invariants():
     for _ in range(350):
         X, Y = (random_polynomial_field(rng) for _ in range(2))
         pts = rng.uniform(-1.0, 1.0, size=(2, 4))
-        defect = field_values(lie_bracket(X, Y), pts) + field_values(lie_bracket(Y, X), pts)
+        defect = field_values(BracketField(X, Y), pts) + field_values(BracketField(Y, X), pts)
         worst_anti = max(worst_anti, float(np.max(np.abs(defect))))
     worst_jacobi = 0.0
     for _ in range(250):
         X, Y, Z = (random_polynomial_field(rng) for _ in range(3))
         pts = rng.uniform(-1.0, 1.0, size=(2, 3))
         cyc = (
-            field_values(lie_bracket(X, lie_bracket(Y, Z)), pts)
-            + field_values(lie_bracket(Y, lie_bracket(Z, X)), pts)
-            + field_values(lie_bracket(Z, lie_bracket(X, Y)), pts)
+            field_values(BracketField(X, BracketField(Y, Z)), pts)
+            + field_values(BracketField(Y, BracketField(Z, X)), pts)
+            + field_values(BracketField(Z, BracketField(X, Y)), pts)
         )
         worst_jacobi = max(worst_jacobi, float(np.max(np.abs(cyc))))
     idempotent = True

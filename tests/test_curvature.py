@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from holonomylab import curvature
+from holonomylab import curvature, transport
 from holonomylab.curvature import (
     GeneratorSet,
     IndicatrixVectorField,
@@ -53,7 +53,7 @@ def field_rank(fields, norm, p, count=25, tol=1e-7):
 
 def bundle_bracket_value(A, B, z):
     # [A, B]^i = A^j d_j B^i - B^j d_j A^i from order-1 Taylor tables
-    ta, tb = A.taylor(z, 1), B.taylor(z, 1)
+    ta, tb = A.taylor(z, 1).unstack(), B.taylor(z, 1).unstack()
     m = len(ta)
     av = np.array([float(t.value) for t in ta])
     bv = np.array([float(t.value) for t in tb])
@@ -145,7 +145,7 @@ def test_riemannian_fields_are_linear_in_y(sphere):
     for i in range(n):
         for a in range(n):
             for b in range(n):
-                d2 = jets[i].derivative_table(n + a).derivative_table(n + b).value
+                d2 = jets.at(i).derivative_table(n + a).derivative_table(n + b).value
                 assert abs(float(d2)) < 1e-8
 
 
@@ -156,7 +156,7 @@ def test_funk_fields_are_not_linear_in_y(funk):
     jets = curvature_field(funk, e0, e1, q).bundle_jets(0, 2, y)
     n = 2
     worst = max(
-        abs(float(jets[i].derivative_table(n + a).derivative_table(n + b).value))
+        abs(float(jets.at(i).derivative_table(n + a).derivative_table(n + b).value))
         for i in range(n)
         for a in range(n)
         for b in range(n)
@@ -189,7 +189,7 @@ def test_radialized_euler_identity(funk):
     jets = rad.bundle_jets(0, 1, y)
     n = 2
     for i in range(n):
-        radial = sum(y[k] * float(jets[i].derivative_table(n + k).value) for k in range(n))
+        radial = sum(y[k] * float(jets.at(i).derivative_table(n + k).value) for k in range(n))
         assert abs(radial) < 1e-12
 
 
@@ -202,7 +202,7 @@ def composed_radialization(field, xcap, ycap, yc):
     E = norm.energy_jet(p, list(yc), xcap=xcap, ycap=ycap)
     y = Jet.stack([Jet.variable(space, n + i, yc[i]) for i in range(n)])
     u = y / (2.0 * E).sqrt()
-    table = Jet.stack(field.bundle_jets(xcap, xcap + ycap, u.value))
+    table = field.bundle_jets(xcap, xcap + ycap, u.value)
     batch = np.zeros(yc.shape[1:])
     xj = [Jet.variable(space, i, p[i]) + batch for i in range(n)]
     center = np.concatenate([p.reshape(p.shape + (1,) * batch.ndim) + batch, u.value])
@@ -237,7 +237,7 @@ def test_radialized_matches_composition(norm, q):
     for xcap, ycap in ((0, 0), (0, 2), (1, 1), (2, 2), (1, 3)):
         for yc in (on, 0.5 * on, 3.0 * on, batch):
             want = composed_radialization(raw, xcap, ycap, yc)
-            got = Jet.stack(rad.bundle_jets(xcap, ycap, yc))
+            got = rad.bundle_jets(xcap, ycap, yc)
             assert got.space is want.space and got.shape == want.shape
             scale = np.max(np.abs(want.coeffs))
             assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-10 * scale, (xcap, ycap)
@@ -286,9 +286,9 @@ def test_dominated_reads_equal_fresh_evaluations(norm, q):
             field.bundle_jets(1, 2, yc)
             for caps in itertools.product(range(2), range(3)):
                 with tally() as counts:
-                    got = Jet.stack(field.bundle_jets(*caps, yc))
+                    got = field.bundle_jets(*caps, yc)
                 assert counts["spray_tables"]["requests"] == 0
-                want = Jet.stack(field_kinds(norm, q, base)[kind].bundle_jets(*caps, yc))
+                want = field_kinds(norm, q, base)[kind].bundle_jets(*caps, yc)
                 assert_same_bits(got, want, (kind, base[0].name, caps))
     for yc in (ys[:, 0], ys):
         memo = curvature._SprayMemo(norm, q)
@@ -297,7 +297,7 @@ def test_dominated_reads_equal_fresh_evaluations(norm, q):
             with tally() as counts:
                 got = memo.get(*caps, yc)
             assert counts["spray_tables"] == {"requests": 1, "computed": 0}
-            want = Jet.stack(spray_jets(norm, q, list(yc), xorder=caps[0], yorder=caps[1]))
+            want = spray_jets(norm, q, list(yc), xorder=caps[0], yorder=caps[1])
             assert_same_bits(got, want, ("spray", caps))
 
 
@@ -331,7 +331,7 @@ def test_radialized_rejects_fields_without_degree_one(funk):
         derived.radialized()
 
     def evaluator(xcap, ycap, yc):
-        return Jet.stack(xi.bundle_jets(xcap, ycap, yc))
+        return xi.bundle_jets(xcap, ycap, yc)
 
     for degree in (None, 2):
         user = IndicatrixVectorField(funk, q, evaluator, "user", "my-field", homogeneity=degree)
@@ -365,10 +365,10 @@ def test_taylor_lands_in_fiber_space(funk):
     xi = curvature_field(funk, e0, e1, q).radialized()
     y = funk.normalize(q, np.array([0.6, 0.8]))
     tab = xi.taylor(y, 2)
-    assert len(tab) == 2
-    assert tab[0].space is jet_space(2, 2)
+    assert tab.shape == (2,)
+    assert tab.space is jet_space(2, 2)
     bj = xi.bundle_jets(0, 2, y)
-    assert np.allclose(tab[0].derivative((1, 1)), bj[0].derivative((0, 0, 1, 1)))
+    assert np.allclose(tab.at(0).derivative((1, 1)), bj.at(0).derivative((0, 0, 1, 1)))
 
 
 # -- covariant derivative ----------------------------------------------------------
@@ -434,7 +434,7 @@ def test_bracket_antisymmetry_and_base_point_check(funk, sphere):
 
 
 def test_euclidean_generators_are_zero():
-    euc = catalog_norm("euclidean", dim=2)
+    euc = catalog_norm("euclidean")
     gen = ihol_generators(euc, [0.2, -0.5], depth=2)
     assert len(gen) == 9
     ys = indicatrix_samples(euc, gen.p, 12)
@@ -536,7 +536,7 @@ def test_memoized_reads_match_a_fresh_generator_set(name):
         out = []
         for f in gen:
             out.append(f.values(ys))
-            out.extend(j.coeffs for j in f.taylor(ys, 2))
+            out.extend(j.coeffs for j in f.taylor(ys, 2).unstack())
         return [(a.shape, a.tobytes()) for a in out]
 
     warm = ihol_generators(norm, p, depth=1)
@@ -546,10 +546,10 @@ def test_memoized_reads_match_a_fresh_generator_set(name):
 
     field = warm.fields[-1]
     jets = field.bundle_jets(1, 1, ys)
-    before = jets[0].coeffs.copy()
+    before = jets.at(0).coeffs.copy()
     with pytest.raises(ValueError):
-        jets[0].coeffs[0, 0] = 1.0
-    assert np.array_equal(field.bundle_jets(1, 1, ys)[0].coeffs, before)
+        jets.at(0).coeffs[0, 0] = 1.0
+    assert np.array_equal(field.bundle_jets(1, 1, ys).at(0).coeffs, before)
 
 
 def test_transport_oracle_never_reads_the_memos(funk, monkeypatch):
@@ -558,10 +558,10 @@ def test_transport_oracle_never_reads_the_memos(funk, monkeypatch):
     Y = constant_base_field(funk.manifold, [0.0, 1.0], "Y")
     v = funk.normalize(q, np.array([0.2, 0.9]))
     curve = CurveSpec.line_segment(q, q + np.array([0.1, 0.2]))
-    schedule = (0.1, 0.05)
+    monkeypatch.setattr(transport, "H_SCHEDULE", (0.1, 0.05))
 
     def run():
-        firsts, seconds = ParallelogramTransporter(funk, X, Y, q).difference_quotients(v, schedule)
+        firsts, seconds = ParallelogramTransporter(funk, X, Y, q).difference_quotients(v)
         return firsts + seconds + [parallel_transport(funk, curve, v).y_end]
 
     want = run()

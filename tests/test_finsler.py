@@ -192,7 +192,7 @@ def test_spray_jets_retain_x_derivatives():
                 alpha = [0, 0, 0, 0]
                 alpha[k] += 1
                 alpha[2 + j] += 1
-                jet_val = G[i].derivative(tuple(alpha))
+                jet_val = G.at(i).derivative(tuple(alpha))
                 xp, xm = x.copy(), x.copy()
                 xp[k] += h
                 xm[k] -= h
@@ -268,6 +268,6 @@ def test_spray_jets_truncate_to_lower_caps_bitwise(name):
             for b in range(9):
                 low = spray_jets(norm, x, list(y), a, b)
                 for i in range(n):
-                    cut = top[i].truncated(((n, a), (n, b)))
-                    assert cut.space is low[i].space
-                    assert np.array_equal(cut.coeffs, low[i].coeffs), (a, b, i)
+                    cut = top.at(i).truncated(((n, a), (n, b)))
+                    assert cut.space is low.at(i).space
+                    assert np.array_equal(cut.coeffs, low.at(i).coeffs), (a, b, i)

@@ -17,8 +17,8 @@ from scipy.linalg import expm
 from holonomylab.grouplab import (
     CONTACT_TOL,
     IterationResult,
+    CommutatorFamily,
     MatrixCurve,
-    commutator_curve,
     diagonal_bracket_factor,
     exp_iterate,
     one_sided_derivative,
@@ -132,7 +132,7 @@ def test_inverse_is_pointwise_inverse():
     eye = np.eye(2)
     for i in range(2):
         for j in range(2):
-            coeffs = prod[i, j].coeffs.copy()
+            coeffs = prod.coeffs[:, i, j].copy()
             coeffs[0] -= eye[i, j]
             assert float(np.max(np.abs(coeffs))) < 1e-12
 
@@ -170,7 +170,7 @@ def test_commutator_fixture_case(case):
     assert np.allclose(phi.derivative(case["k"]), X, rtol=0.0, atol=1e-12)
     assert np.allclose(psi.derivative(case["l"]), Y, rtol=0.0, atol=1e-12)
 
-    family = commutator_curve(phi, psi)
+    family = CommutatorFamily(phi, psi)
     mixed = family.mixed_derivative()
     assert np.allclose(mixed, np.array(case["mixed"]), rtol=0.0, atol=1e-10)
     assert np.allclose(mixed, Y @ X - X @ Y, rtol=0.0, atol=1e-10)
@@ -187,14 +187,14 @@ def test_commutator_swap_flips_sign():
     case = FIXTURES["commutator_cases"][0]
     phi = build_curve(case["phi"])
     psi = build_curve(case["psi"])
-    forward = commutator_curve(phi, psi).mixed_derivative()
-    swapped = commutator_curve(psi, phi).mixed_derivative()
+    forward = CommutatorFamily(phi, psi).mixed_derivative()
+    swapped = CommutatorFamily(psi, phi).mixed_derivative()
     assert np.allclose(swapped, -forward, rtol=0.0, atol=1e-10)
 
 
 def test_commutator_richardson_cross_check():
     case = FIXTURES["commutator_cases"][0]
-    family = commutator_curve(build_curve(case["phi"]), build_curve(case["psi"]))
+    family = CommutatorFamily(build_curve(case["phi"]), build_curve(case["psi"]))
     est = mixed_partial(family_map(family), 1, 1, mode="richardson")
     assert est.converged
     assert np.allclose(est.value, np.array(case["mixed"]), rtol=0.0, atol=1e-6)
@@ -209,7 +209,7 @@ def test_commutator_richardson_cross_check():
 def test_commuting_pair_gives_identity_family():
     X = np.diag([0.4, -0.2])
     Y = np.diag([-1.0, 0.3])
-    family = commutator_curve(MatrixCurve.exponential(X), MatrixCurve.exponential(Y))
+    family = CommutatorFamily(MatrixCurve.exponential(X), MatrixCurve.exponential(Y))
     for t, s in [(0.3, 0.7), (-0.5, 0.2), (1.0, 1.0)]:
         assert np.allclose(family.value(t, s), np.eye(2), rtol=0.0, atol=1e-14)
     assert order_of_contact(family.diagonal(), 4).order is None
@@ -222,7 +222,7 @@ def test_commutator_mixed_derivative_for_polynomial_curves():
     M = np.array([[0.3, 0.1], [-0.2, 0.5]])
     phi = MatrixCurve.polynomial(2, {1: X, 2: M})
     psi = MatrixCurve.polynomial(2, {1: Y, 2: M.T})
-    mixed = commutator_curve(phi, psi).mixed_derivative()
+    mixed = CommutatorFamily(phi, psi).mixed_derivative()
     assert np.allclose(mixed, Y @ X - X @ Y, rtol=0.0, atol=1e-10)
 
 
@@ -426,7 +426,7 @@ def test_unitriangular_constructions_stay_in_the_algebra():
     def strictly_upper_defect(D):
         return float(np.max(np.abs(np.tril(D))))
 
-    family = commutator_curve(phi, psi)
+    family = CommutatorFamily(phi, psi)
     diag_record = order_of_contact(family.diagonal(), 4)
     assert strictly_upper_defect(family.mixed_derivative()) < 1e-9
     assert strictly_upper_defect(diag_record.direction) < 1e-9
@@ -439,10 +439,10 @@ def test_trace_free_directions_stay_trace_free():
     Y = np.array([[0.0, -0.8], [1.2, 0.0]])
     phi = MatrixCurve.exponential(X)
     psi = MatrixCurve.exponential(Y)
-    mixed = commutator_curve(phi, psi).mixed_derivative()
+    mixed = CommutatorFamily(phi, psi).mixed_derivative()
     assert abs(np.trace(mixed)) < 1e-9
     assert abs(np.trace(sum_curve(phi, psi).derivative(1))) < 1e-9
-    record = order_of_contact(commutator_curve(phi, psi).diagonal(), 3)
+    record = order_of_contact(CommutatorFamily(phi, psi).diagonal(), 3)
     assert abs(np.trace(record.direction)) < 1e-9
 
 
@@ -451,7 +451,7 @@ def test_rotation_scaling_pair_spans_its_plane():
     S = np.eye(2)
     phi = MatrixCurve.exponential(J)
     psi = MatrixCurve.exponential(S)
-    family = commutator_curve(phi, psi)
+    family = CommutatorFamily(phi, psi)
     assert np.allclose(family.value(0.8, -0.4), np.eye(2), rtol=0.0, atol=1e-13)
     direction = sum_curve(phi, psi).derivative(1)
     basis = np.stack([J.ravel(), S.ravel()]).T

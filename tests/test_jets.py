@@ -261,7 +261,7 @@ def test_jet_point_seeds_all_variables():
 def test_smoothmap_jacobian_and_domain_box():
     m = SmoothMap(lambda a: [a[0] * a[1], a[0].sin()], 2, lo=[-1, -1], hi=[1, 1])
     out = m.jets(jet_point(jet_space(2, 1), np.array([0.5, 0.25])))
-    J = [[j.derivative((1, 0)), j.derivative((0, 1))] for j in out]
+    J = [[j.derivative((1, 0)), j.derivative((0, 1))] for j in out.unstack()]
     np.testing.assert_allclose(J, [[0.25, 0.5], [np.cos(0.5), 0.0]], atol=1e-14)
     with pytest.raises(DomainBoxError):
         m.value(np.array([1.5, 0.0]))
@@ -274,7 +274,7 @@ def order0_jets(m, x):
 
 
 def order0_values(m, x):
-    return np.stack([j.value for j in order0_jets(m, x)])
+    return np.stack([j.value for j in order0_jets(m, x).unstack()])
 
 
 def rotation_field(manifold):

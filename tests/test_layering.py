@@ -1,19 +1,23 @@
 """Layering: holonomylab modules import each other at module level only, so
 the import graph is the one a reader sees at the top of each file; the
 accuracy of transport, of grouplab's measurements and of the Richardson
-oracle is set by module constants alone; command handlers return
-measurements that `run_config` alone grades against the tolerance profile;
-results are plain dataclasses without a verdict, that only the CLI turns
-into JSON or CSV; and every public name serves the package or the demos, or
-is a listed oracle or piece of public API."""
+oracle is set by module constants alone, and catalog norms take no
+parameters; command handlers return measurements that `run_config` alone
+grades against the tolerance profile; results are plain dataclasses without
+a verdict, that only the CLI turns into JSON or CSV; every public name and
+public method serves the package or the demos, or is a listed oracle or
+piece of public API; and every library call returning several components
+returns one Jet, which the package never stacks again."""
 
 import ast
 import importlib
 import inspect
 from pathlib import Path
 
+import numpy as np
+
 import holonomylab
-from holonomylab import cli, grouplab, jets, transport
+from holonomylab import cli, curvature, finsler, grouplab, jets, liealg, transport
 
 PACKAGE = Path(holonomylab.__file__).parent
 DEMOS = PACKAGE.parents[1] / "demos"
@@ -45,7 +49,9 @@ def test_no_function_local_package_imports():
     assert sorted(set(misplaced)) == []
 
 
-ACCURACY_KNOBS = {"atol", "rtol", "drift_tolerance", "max_steps", "nodes", "iterations"}
+ACCURACY_KNOBS = {
+    "atol", "rtol", "drift_tolerance", "max_steps", "nodes", "iterations", "schedule"
+}
 
 
 def _knobs(module, names, knobs) -> list:
@@ -80,6 +86,10 @@ def test_richardson_oracle_takes_no_accuracy_parameters():
     assert _knobs(jets, names, {"schedule", "threshold", "x0"}) == []
 
 
+def test_catalog_norms_take_no_parameters():
+    assert _knobs(finsler, ("catalog_norm",), {"params"}) == []
+
+
 def test_handlers_return_measurements_for_run_config_to_grade():
     signatures = {
         command: list(inspect.signature(handler).parameters)
@@ -109,7 +119,8 @@ def test_no_result_carries_its_own_verdict():
                 verdicts.extend(
                     f"{path.stem}.{node.name}"
                     for item in node.body
-                    if isinstance(item, ast.AnnAssign) and ast.unparse(item.target) == "passed"
+                    if isinstance(item, ast.AnnAssign)
+                    and ast.unparse(item.target) in {"passed", "flagged"}
                 )
     assert verdicts == []
 
@@ -137,8 +148,9 @@ def test_only_the_cli_serializes():
     assert imports == [] and methods == []
 
 
-# Public names that nothing in the package or the demos calls, each with the
-# use it serves and the test that uses it.
+# Public names, and public methods of public classes, that nothing in the
+# package or the demos calls, each with the use it serves and the test that
+# uses it.
 ORACLES_AND_API = {
     # independent routes that tests check the package's own routes against
     "jets.compose_table": "Taylor composition; test_radialized_matches_composition",
@@ -146,18 +158,19 @@ ORACLES_AND_API = {
     "jets.mixed_partial": "Richardson in (t, s); test_commutator_richardson_cross_check",
     "finsler.geodesic_coefficients": "G at a point; test_sphere_spray_matches_geodesic_equations",
     "transport.flow_transport_discrepancy": "flow against transport; test_flow_equals_transport",
+    "transport.CurveSpec.reverse": "transport back along the reversal; test_reversal_inverts",
     "curvature.horizontal_field": "bundle commutator; test_berwald_equals_bundle_commutator",
     "curvature.vertical_field": "bundle commutator; test_berwald_equals_bundle_commutator",
     # public API
     "transport.parallelogram_holonomy": "h_t; test_parallelogram_flow_escape_reports_max_scale",
     "liealg.PolynomialField": "polynomial fields; test_bracket_algebra_randomized_invariants",
     "liealg.CallableField": "fields from functions; test_bracket_order_exhaustion_diagnostic",
-    "liealg.lie_bracket": "base-field brackets; test_rotation_bracket_symbolic_oracle",
 }
 
 
 def _top_level_public(tree) -> dict:
-    """name -> defining statement, for every public top-level def, class and constant."""
+    """name -> defining statement, for every public top-level def, class and
+    constant, and `Class.method` for every public method of a public class."""
     found = {}
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -165,7 +178,13 @@ def _top_level_public(tree) -> dict:
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             found.update((t.id, node) for t in targets if isinstance(t, ast.Name))
-    return {name: node for name, node in found.items() if not name.startswith("_")}
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            found.update(
+                (f"{node.name}.{item.name}", item)
+                for item in node.body
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            )
+    return {name: node for name, node in found.items() if not name.split(".")[-1].startswith("_")}
 
 
 def _loaded(tree, skip=None) -> set:
@@ -194,11 +213,12 @@ def test_public_names_have_callers():
     uncalled = []
     for path, tree in package.items():
         for name, node in _top_level_public(tree).items():
-            if not any(name in _loaded(t, node if p == path else None) for p, t in callers.items()):
+            attr = name.split(".")[-1]
+            if not any(attr in _loaded(t, node if p == path else None) for p, t in callers.items()):
                 uncalled.append(f"{path.stem}.{name}")
     assert sorted(set(uncalled) - set(ORACLES_AND_API)) == []  # delete these, or list them
     assert sorted(set(ORACLES_AND_API) - set(uncalled)) == []  # called now: unlist them
-    assert sorted(n for n in ORACLES_AND_API if n.split(".")[1] not in in_tests) == []
+    assert sorted(n for n in ORACLES_AND_API if n.split(".")[-1] not in in_tests) == []
 
 
 def test_every_exported_name_resolves():
@@ -208,3 +228,65 @@ def test_every_exported_name_resolves():
         exported = getattr(module, "__all__", ())
         missing.extend(f"{path.stem}.{n}" for n in exported if not hasattr(module, n))
     assert missing == []
+
+
+
+def _one_jet_calls() -> list:
+    """(label, result, component count) for each library call that returns a
+    quantity with several components."""
+    funk = finsler.catalog_norm("funk_disk")
+    p, ys = np.array([0.3, 0.0]), np.array([[0.6, -0.2, 0.1], [0.8, 0.9, -1.0]])
+    e0, e1 = curvature.coordinate_fields(funk.manifold)
+    xi = curvature.curvature_field(funk, e0, e1, p)
+    rot = liealg.PolynomialField(2, [{(0, 1): -1.0}, {(1, 0): 1.0}], name="rot")
+    fields = {
+        "PolynomialField": rot,
+        "ExpressionField": liealg.ExpressionField(("x", "y"), ("-y", "x")),
+        "CallableField": liealg.CallableField(2, lambda s: [s[1], s[0] * s[1]]),
+        "BracketField": liealg.BracketField(rot, liealg.ExpressionField(("x", "y"), ("x*y", "1"))),
+    }
+    z = np.concatenate([p, ys[:, 0]])
+    phi = grouplab.MatrixCurve.exponential(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    psi = grouplab.MatrixCurve.exponential(np.array([[0.0, 0.0], [1.0, 0.0]]))
+    seeds = jets.jet_point(jets.jet_space(2, 2), [0.1, 0.2])
+    smooth = jets.SmoothMap(lambda a: [a[0] * a[1], a[0].sin(), a[1]], 2)
+    return [
+        ("spray_jets", finsler.spray_jets(funk, p, ys, 1, 2), 2),
+        ("IndicatrixVectorField.bundle_jets", xi.bundle_jets(1, 1, ys), 2),
+        ("IndicatrixVectorField.taylor", xi.taylor(ys, 2), 2),
+        *((f"{name}.taylor", f.taylor(ys, 2), 2) for name, f in fields.items()),
+        ("horizontal_field.taylor", curvature.horizontal_field(funk, e0).taylor(z, 1), 4),
+        ("vertical_field.taylor", curvature.vertical_field(xi).taylor(z, 1), 4),
+        ("MatrixCurve.jets", phi.jets(0.2, 3), 2),
+        ("CommutatorFamily.jets", grouplab.CommutatorFamily(phi, psi).jets(*seeds), 2),
+        ("SmoothMap.jets", smooth.jets(seeds), 3),
+    ]
+
+
+def _wraps_a_call(node, names) -> bool:
+    """Whether an argument of the call `node` contains a call of one of `names`."""
+    return any(
+        isinstance(inner, ast.Call)
+        and (getattr(inner.func, "attr", None) or getattr(inner.func, "id", None)) in names
+        for arg in node.args
+        for inner in ast.walk(arg)
+    )
+
+
+def test_library_values_are_one_jet():
+    calls = _one_jet_calls()
+    shapes = {
+        label: (type(r).__name__, r.shape[:1] if isinstance(r, jets.Jet) else None)
+        for label, r, _ in calls
+    }
+    assert shapes == {label: ("Jet", (k,)) for label, _, k in calls}
+    names = {"spray_jets", "bundle_jets", "taylor", "jets"}
+    restacked = [
+        f"{path.name}:{node.lineno}"
+        for path, tree in _parse(sorted(PACKAGE.glob("*.py"))).items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and ast.unparse(node.func) == "Jet.stack"
+        and _wraps_a_call(node, names)
+    ]
+    assert restacked == []
