@@ -46,7 +46,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .curvature import constant_base_field, coordinate_fields, curvature_field
+from .curvature import constant_base_field, coordinate_fields, curvature_field, ihol_generators
 from .finsler import FinslerNorm, catalog_norm, indicatrix_samples, norm_diagnostics
 from .grouplab import (
     CommutatorFamily,
@@ -371,13 +371,8 @@ def _run_curvature(task, norm, rng):
     samples = indicatrix_samples(norm, p, count)
     frame = coordinate_fields(norm.manifold)
     n = norm.dim
-    fields = []
-    tangency = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            field = curvature_field(norm, frame[i], frame[j], p).radialized()
-            fields.append(field)
-            tangency = max(tangency, field.tangency_residual(samples))
+    fields = ihol_generators(norm, p, frame, depth=0)
+    tangency = max([0.0] + [field.tangency_residual(samples) for field in fields])
     degenerate = curvature_field(norm, frame[0], frame[0], p)
     antisym = float(np.max(np.abs(degenerate.values(samples))))
     values = fields[0].values(samples)
@@ -594,21 +589,28 @@ def run_config(config: dict, seed: int, profile: str):
     """Execute every task; returns (report dict, per-task CSV tables).
 
     Tasks are independent and run sequentially in config order so the
-    report assembly stays deterministic.  A task that finds a value it
-    cannot use raises ConfigError naming tasks/<index>/<field>.
+    report assembly stays deterministic.  Every task's metric is resolved
+    before any task runs, so a bad one runs nothing.  A metric or a value a
+    task cannot use raises ConfigError naming tasks/<index>/<field>.
     """
     normalized = normalize_config(config)
     tol = TOLERANCES[profile]
+    norms = [None] * len(normalized["tasks"])
+    for index, task in enumerate(normalized["tasks"]):
+        if task["command"] in _NEEDS_METRIC:
+            try:
+                norms[index] = resolve_metric(task["metric"])
+            except ConfigError as exc:
+                raise ConfigError(f"tasks/{index}/metric: {exc}") from None
     tasks_out = []
     tables_out = []
     tasks_meta = []
     failures = []
     num_checks = 0
-    for index, task in enumerate(normalized["tasks"]):
+    for index, (task, norm) in enumerate(zip(normalized["tasks"], norms)):
         label = task.get("label", f"task{index}-{task['command']}")
         start = time.perf_counter()
         rng = _task_rng(seed, index, task)
-        norm = resolve_metric(task["metric"]) if task["command"] in _NEEDS_METRIC else None
         entry = {"label": label, "command": task["command"]}
         error = None
         with tally() as counts:
@@ -764,16 +766,6 @@ def main(argv=None) -> int:
     normalized = normalize_config(config)
     seed = args.seed if args.seed is not None else normalized.get("seed", 0)
     profile = args.tolerance_profile or normalized.get("tolerance_profile", "default")
-
-    # resolve every metric up front: a bad metric is a config error, not a
-    # numeric failure
-    for index, task in enumerate(normalized["tasks"]):
-        if task["command"] in _NEEDS_METRIC:
-            try:
-                resolve_metric(task["metric"])
-            except ConfigError as exc:
-                print(f"config error: tasks/{index}/metric: {exc}", file=sys.stderr)
-                return EXIT_CONFIG
 
     try:
         report, tables = run_config(config, seed, profile)

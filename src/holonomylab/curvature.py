@@ -27,22 +27,21 @@ by Euler's identity xi(x, y / F) = xi(x, y) / F(x, y): one jet division.
 Radial y-derivatives then vanish; values on the indicatrix stay unchanged.
 
 Spray tables, fields and base vector fields are each one jet whose first
-value axis runs over their components.  A curvature field owns a memo of
-spray tables at its norm and base point, shared by its radialization, its
-covariant derivatives and every field of an `ihol_generators` set; every
-field also memoizes its evaluator in `bundle_jets`.  Both memos key entries
-by the exact y-batch shape and bytes, then by caps, and read a request that a
-stored entry dominates as that entry's truncation: bit for bit a fresh
-evaluation, since truncation commutes with every jet operation.  A family
-asked for its widest caps first thus computes one spray table per y-batch.
-Cached arrays are read-only and live as long as their fields; `spray_tables`
-in `jets.tally` counts requests and computed tables.  The parallelogram
-transport oracle never reads them.
+value axis runs over their components.  The fields over one base point form
+a family with one norm and one memo of spray tables: a new curvature field
+starts a family, and its radialization, covariant derivatives and brackets
+join it, receiving the memo at construction, so an `ihol_generators` list
+builds one memo.  Every field also memoizes its evaluator in `bundle_jets`.
+Both memos key entries by the exact y-batch shape and bytes, then by caps,
+and read a request that a stored entry dominates as that entry's truncation:
+bit for bit a fresh evaluation, since truncation commutes with every jet
+operation.  A family asked for its widest caps first thus computes one spray
+table per y-batch.  Cached arrays are read-only and live as long as their
+fields; `spray_tables` in `jets.tally` counts requests and computed tables.
+The parallelogram transport oracle never reads them.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,7 +58,6 @@ __all__ = [
     "fiber_bracket",
     "horizontal_field",
     "vertical_field",
-    "GeneratorSet",
     "ihol_generators",
 ]
 
@@ -121,7 +119,9 @@ class IndicatrixVectorField:
     is known: 1 for raw curvature fields, 0 after `radialized()`, None for
     fields without a definite degree (covariant derivatives, brackets, user
     fields).  The field memoizes its evaluations and carries the spray memo
-    of its family; see the module docstring.
+    `sprays` of its family: a field derived from another passes its parent's,
+    and a field given none starts a family with a new memo; see the module
+    docstring.
     """
 
     def __init__(
@@ -134,6 +134,7 @@ class IndicatrixVectorField:
         homogeneity=None,
         depth: int = 0,
         parents: tuple = (),
+        sprays: _SprayMemo | None = None,
     ):
         if provenance not in PROVENANCE_TAGS:
             raise ValueError(
@@ -147,7 +148,7 @@ class IndicatrixVectorField:
         self.homogeneity = homogeneity
         self.depth = depth
         self.parents = tuple(parents)
-        self._sprays = _SprayMemo(norm, self.p)
+        self._sprays = _SprayMemo(norm, self.p) if sprays is None else sprays
         self._bundle: dict = {}
 
     @property
@@ -224,7 +225,7 @@ class IndicatrixVectorField:
             F = (2.0 * norm.energy_jet(p, list(yc), xcap=xcap, ycap=ycap)).sqrt()
             return self.bundle_jets(xcap, ycap, yc) / F
 
-        out = IndicatrixVectorField(
+        return IndicatrixVectorField(
             norm,
             p,
             evaluator,
@@ -233,9 +234,8 @@ class IndicatrixVectorField:
             homogeneity=0,
             depth=self.depth,
             parents=self.parents,
+            sprays=self._sprays,
         )
-        out._sprays = self._sprays
-        return out
 
 
 # -- base vector fields --------------------------------------------------------
@@ -286,10 +286,11 @@ def curvature_field(norm: FinslerNorm, X: SmoothMap, Y: SmoothMap, p) -> Indicat
     in y; the value at y depends on X and Y only through X(p), Y(p).
     """
     p = norm.manifold.require(np.asarray(p, dtype=float))
-    return _curvature_field(norm, X, Y, p, _SprayMemo(norm, p))
+    return _curvature_field(X, Y, _SprayMemo(norm, p))
 
 
-def _curvature_field(norm, X, Y, p, sprays: _SprayMemo) -> IndicatrixVectorField:
+def _curvature_field(X, Y, sprays: _SprayMemo) -> IndicatrixVectorField:
+    norm, p = sprays.norm, sprays.p
     n = norm.dim
     xs, ys = range(n), range(n, 2 * n)
 
@@ -318,36 +319,34 @@ def _curvature_field(norm, X, Y, p, sprays: _SprayMemo) -> IndicatrixVectorField
         return acc
 
     label = f"R({X.name or 'X'},{Y.name or 'Y'})"
-    field = IndicatrixVectorField(norm, p, evaluator, "curvature", label, homogeneity=1)
-    field._sprays = sprays
-    return field
+    return IndicatrixVectorField(
+        norm, p, evaluator, "curvature", label, homogeneity=1, sprays=sprays
+    )
 
 
 # -- derived fields ------------------------------------------------------------
 
 
-def berwald_covariant_derivative(
-    norm: FinslerNorm, xi: IndicatrixVectorField, X: SmoothMap
-) -> IndicatrixVectorField:
+def berwald_covariant_derivative(xi: IndicatrixVectorField, X: SmoothMap) -> IndicatrixVectorField:
     """The horizontal covariant derivative D_X xi along the base field X,
 
         (D_X xi)^i = X^j (d xi^i/dx^j - G^k_j d xi^i/dy^k + G^i_{jk} xi^k),
 
-    which equals the bundle commutator [X^h, xi] of the horizontal lift of X
-    with the vertical field xi.  A field of known homogeneity degree 1 is
-    radially extended to degree 0 first, so that y-derivatives act on the
-    extension the algebra actually uses.
+    with the spray G of xi's norm, which equals the bundle commutator [X^h, xi]
+    of the horizontal lift of X with the vertical field xi.  A field of known
+    homogeneity degree 1 is radially extended to degree 0 first, so that
+    y-derivatives act on the extension the algebra actually uses.  The result
+    joins xi's family and reads its spray memo.
     """
     if xi.homogeneity == 1:
         xi = xi.radialized()
     p, n = xi.p, xi.dim
     xs, ys = range(n), range(n, 2 * n)
-    sprays = xi._sprays if norm is xi.norm else _SprayMemo(norm, p)
 
     def evaluator(xcap, ycap, yc):
         target = ((n, xcap), (n, ycap))
         parent = xi.bundle_jets(xcap + 1, ycap + 1, yc)
-        G = sprays.get(xcap, ycap + 2, yc)
+        G = xi._sprays.get(xcap, ycap + 2, yc)
         # [i, j, k] = G^k_j d xi^i/dy^k and G^i_jk xi^k, for every k at once
         Gy = G.gradient(ys).truncated(target).at(None)
         Gy_xiy = Gy * parent.gradient(ys, axis=1).truncated(target).at(np.s_[:, None])
@@ -364,8 +363,8 @@ def berwald_covariant_derivative(
         return acc
 
     label = f"D[{X.name or 'X'}]{xi.label}"
-    out = IndicatrixVectorField(
-        norm,
+    return IndicatrixVectorField(
+        xi.norm,
         p,
         evaluator,
         "covariant-derivative",
@@ -373,9 +372,8 @@ def berwald_covariant_derivative(
         homogeneity=None,
         depth=xi.depth + 1,
         parents=(xi.label, X.name or "X"),
+        sprays=xi._sprays,
     )
-    out._sprays = sprays
-    return out
 
 
 def fiber_bracket(
@@ -411,7 +409,7 @@ def fiber_bracket(
         return acc
 
     label = f"[{xi.label},{eta.label}]"
-    out = IndicatrixVectorField(
+    return IndicatrixVectorField(
         xi.norm,
         xi.p,
         evaluator,
@@ -420,9 +418,8 @@ def fiber_bracket(
         homogeneity=None,
         depth=xi.depth + eta.depth + 1,
         parents=(xi.label, eta.label),
+        sprays=xi._sprays,  # eta's would serve too: same norm, same base point
     )
-    out._sprays = xi._sprays  # eta's would serve too: same norm, same base point
-    return out
 
 
 # -- bundle-field adapters -----------------------------------------------------
@@ -470,45 +467,22 @@ def vertical_field(xi: IndicatrixVectorField) -> _BundleField:
     return _BundleField(2 * n, taylor, name=xi.label)
 
 
-# -- generator sets ------------------------------------------------------------
+# -- generator lists -----------------------------------------------------------
 
 
-@dataclass(eq=False)  # identity equality: == on the array p has no truth value
-class GeneratorSet:
-    """An ordered family of indicatrix fields over one base point.
-
-    Each field carries its label, provenance (curvature pairing, covariant
-    derivative, bracket), depth and parents, so the list of fields is the
-    replayable record of the construction.
-    """
-
-    norm: FinslerNorm
-    p: np.ndarray
-    fields: list
-    base_fields: list
-    depth: int
-
-    def __len__(self) -> int:
-        return len(self.fields)
-
-    def __iter__(self):
-        return iter(self.fields)
-
-    def up_to_depth(self, depth: int) -> list:
-        return [f for f in self.fields if f.depth <= depth]
-
-
-def ihol_generators(
-    norm: FinslerNorm, p, fields=None, depth: int = 2
-) -> GeneratorSet:
+def ihol_generators(norm: FinslerNorm, p, fields=None, depth: int = 2) -> list:
     """Generators of the infinitesimal holonomy algebra at p, up to `depth`.
 
     Starts from the curvature fields R(e_a, e_b) of the given base fields
     (coordinate fields by default), radially extended to degree 0, and closes
     under covariant derivatives along the base fields and fiber brackets.
     Depth counts applications along a construction path: D_X adds one, a
-    bracket adds one plus the depths of its arguments.  Every produced field
-    is kept, including zero fields; rank decisions belong to the caller.
+    bracket adds one plus the depths of its arguments.  Returns the list of
+    fields in construction order, every produced field kept, zero fields
+    included; rank decisions belong to the caller.  Each field carries its
+    label, provenance, depth and parents, so the list is the replayable
+    record of the construction.  All fields form one family with one spray
+    memo.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
@@ -519,14 +493,14 @@ def ihol_generators(
     base = []
     for a in range(len(fields)):
         for b in range(a + 1, len(fields)):
-            base.append(_curvature_field(norm, fields[a], fields[b], p, sprays).radialized())
+            base.append(_curvature_field(fields[a], fields[b], sprays).radialized())
     by_depth = {0: base}
     out = list(base)
     for d in range(1, depth + 1):
         new = []
         for f in by_depth[d - 1]:
             for X in fields:
-                new.append(berwald_covariant_derivative(norm, f, X))
+                new.append(berwald_covariant_derivative(f, X))
         for da in range(d):
             db = d - 1 - da
             if da > db:
@@ -538,4 +512,4 @@ def ihol_generators(
                     new.append(fiber_bracket(f, g))
         by_depth[d] = new
         out.extend(new)
-    return GeneratorSet(norm, p, out, list(fields), int(depth))
+    return out

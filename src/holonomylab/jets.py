@@ -534,7 +534,7 @@ class Jet:
             if np.any(np.asarray(self.value) < 0.0):
                 raise JetDomainError("sqrt of a negative value part")
             return Jet(self.space, np.sqrt(self.coeffs))
-        return self._analytic(_sqrt_series, "sqrt", positive=True)
+        return self._analytic(_pow_series(0.5), "sqrt", positive=True)
 
     def exp(self) -> "Jet":
         return self._analytic(_exp_series, "exp")
@@ -605,13 +605,6 @@ def _cos_series(c, m):
     s, co = np.sin(c), np.cos(c)
     cycle = [co, -s, -co, s]
     return _stack([cycle[j % 4] / math.factorial(j) for j in range(m + 1)])
-
-
-def _sqrt_series(c, m):
-    rows = [np.sqrt(c)]
-    for j in range(1, m + 1):
-        rows.append(rows[-1] * (0.5 - (j - 1)) / (j * c))
-    return _stack(rows)
 
 
 def _recip_series(c, m):

@@ -12,8 +12,8 @@ sample points, stacked into a matrix, and the rank is the number of singular
 values above a relative tolerance.  The closure generator brackets fields
 breadth first and admits a candidate only if it raises that rank, so the
 result is a finite-dimensional lower bound of the generated algebra, never a
-claim about its full size.  A candidate's row is the one the returned span
-holds, `field_values` of its BracketField, so admission and report read one
+claim about its full size.  Each field is evaluated once: the closure admits
+a candidate's row into the span it returns, so admission and report read one
 matrix.  The inclusion chain report applies this to the
 curvature fields and the covariant-derivative closure over one base point,
 whose spans bound the holonomy algebra from below; the holonomy algebra
@@ -329,21 +329,15 @@ def lie_closure(generators, depth: int = 3, tau: float = DEFAULT_TAU, points=Non
     up front, then admission runs in index order, keeping a candidate only
     if it raises the numerical rank on the sample points.  Terminates when a
     full generation admits nothing (rank-stable) or at the depth limit.
-    Returns (FieldSpan of admitted fields, ClosureTrace).
+    Returns (FieldSpan of admitted fields, ClosureTrace); the span starts as
+    the generators' and gains each admitted candidate's row.
     """
     generators = list(generators)
-    if not generators:
-        raise ValueError("need at least one generator")
-    if points is None:
+    if points is None and generators:
         points = _default_points(generators[0])
-    points = np.asarray(points, dtype=float)
-    if points.ndim == 1:
-        points = points[:, None]
-
-    fields = list(generators)
-    rows = [field_values(f, points).T.ravel() for f in fields]
-    matrix = np.stack(rows)
-    rank, _ = _matrix_rank(matrix, tau)
+    span = FieldSpan(generators, points)
+    fields, points = span.fields, span.points
+    rank, _ = _matrix_rank(span.matrix, tau)
     trace = ClosureTrace()
     frontier = list(range(len(fields)))
 
@@ -359,19 +353,17 @@ def lie_closure(generators, depth: int = 3, tau: float = DEFAULT_TAU, points=Non
         for a, b in pairs:
             cand = BracketField(fields[a], fields[b])
             try:
-                # the row FieldSpan builds for this field, so admission and
-                # the returned span read one matrix
-                row = field_values(cand, points).T.ravel()
+                row = field_values(cand, points).T.ravel()  # the row FieldSpan builds
             except JetOrderError as exc:
                 trace.notes.append(f"generation {g}: {cand.label} truncated: {exc}")
                 continue
             candidates.append((a, b, cand, row))
         new_labels, parents, new_indices = [], [], []
         for a, b, cand, row in candidates:
-            trial = np.vstack([matrix, row])
+            trial = np.vstack([span.matrix, row])
             trial_rank, _ = _matrix_rank(trial, tau)
             if trial_rank > rank:
-                matrix = trial
+                span.matrix = trial
                 rank = trial_rank
                 new_indices.append(len(fields))
                 fields.append(cand)
@@ -386,8 +378,6 @@ def lie_closure(generators, depth: int = 3, tau: float = DEFAULT_TAU, points=Non
         frontier = new_indices
     else:
         trace.termination = "depth-limit"
-
-    span = FieldSpan(fields, points)
     return span, trace
 
 
@@ -437,11 +427,11 @@ def inclusion_chain_report(
     p = np.asarray(p, dtype=float)
     gen = ihol_generators(norm, p, depth=depth)
     points = indicatrix_samples(norm, p, num_points)
-    max(gen.fields, key=lambda f: f.depth).taylor(points, depth)
+    max(gen, key=lambda f: f.depth).taylor(points, depth)
 
-    base = gen.up_to_depth(0)
+    base = [f for f in gen if f.depth == 0]
     curv_span, curv_trace = lie_closure(base, depth=depth, tau=tau, points=points)
-    ihol_span, ihol_trace = lie_closure(list(gen), depth=depth, tau=tau, points=points)
+    ihol_span, ihol_trace = lie_closure(gen, depth=depth, tau=tau, points=points)
     curv_report = numerical_rank(curv_span, points, tau)
     ihol_report = numerical_rank(ihol_span, points, tau)
     ambient = (norm.dim - 1) * num_points

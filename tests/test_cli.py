@@ -15,12 +15,13 @@ import numpy as np
 import pytest
 
 import holonomylab
-from holonomylab import transport
+from holonomylab import cli, transport
 from holonomylab.cli import (
     EXIT_CONFIG,
     EXIT_IO,
     EXIT_NUMERIC,
     EXIT_PASS,
+    ConfigError,
     emit,
     load_schema,
     main,
@@ -477,6 +478,27 @@ def test_run_config_callable_directly():
     expected = np.array(task["results"]["expected_bracket"])
     assert np.allclose(mixed, expected, atol=1e-9)
     assert task["results"]["diagonal_order"] == 2
+
+
+def test_run_config_resolves_every_metric_before_any_task(monkeypatch):
+    # a bad metric at task 1 raises with its config path, and task 0 never runs
+    ran = []
+    real = cli._HANDLERS["metric-check"]
+
+    def spy(task, norm, rng):
+        ran.append(task["metric"])
+        return real(task, norm, rng)
+
+    monkeypatch.setitem(cli._HANDLERS, "metric-check", spy)
+    config = {
+        "tasks": [
+            {"metric": "euclidean", "command": "metric-check"},
+            {"metric": "hyperbolic", "command": "metric-check"},
+        ]
+    }
+    with pytest.raises(ConfigError, match=r"^tasks/1/metric: .*hyperbolic"):
+        run_config(config, 0, "default")
+    assert ran == []
 
 
 def _reject_constant(name):

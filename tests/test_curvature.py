@@ -1,12 +1,13 @@
+import ast
 import itertools
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from holonomylab import curvature, transport
 from holonomylab.curvature import (
-    GeneratorSet,
     IndicatrixVectorField,
     berwald_covariant_derivative,
     constant_base_field,
@@ -261,9 +262,9 @@ def field_kinds(norm, q, base):
     gen = ihol_generators(norm, q, fields=base, depth=1)
     return {
         "curvature": curvature_field(norm, *base, q),
-        "radialized": gen.fields[0],
-        "covariant-derivative": gen.fields[2],
-        "bracket": fiber_bracket(gen.fields[1], gen.fields[2]),
+        "radialized": gen[0],
+        "covariant-derivative": gen[2],
+        "bracket": fiber_bracket(gen[1], gen[2]),
     }
 
 
@@ -326,7 +327,7 @@ def test_radialized_rejects_fields_without_degree_one(funk):
     q = np.array([0.3, 0.0])
     e0, e1 = coordinate_fields(funk.manifold)
     xi = curvature_field(funk, e0, e1, q).radialized()
-    derived = berwald_covariant_derivative(funk, xi, e0)
+    derived = berwald_covariant_derivative(xi, e0)
     with pytest.raises(ValueError, match=re.escape(derived.label)):
         derived.radialized()
 
@@ -380,7 +381,7 @@ def test_berwald_equals_bundle_commutator(sphere, funk):
         X = constant_base_field(man, [0.7, -0.4], "X")
         e0, e1 = coordinate_fields(man)
         xi = curvature_field(norm, e0, e1, q).radialized()
-        dxi = berwald_covariant_derivative(norm, xi, X)
+        dxi = berwald_covariant_derivative(xi, X)
         for seed in ([0.6, 0.8], [-1.0, 0.3]):
             v = norm.normalize(q, np.asarray(seed))
             z = np.concatenate([q, v])
@@ -396,8 +397,8 @@ def test_berwald_sphere_closed_form(sphere):
     s, c = np.sin(q[0]), np.cos(q[0])
     e0, e1 = coordinate_fields(sphere.manifold)
     xi = curvature_field(sphere, e0, e1, q).radialized()
-    d0 = berwald_covariant_derivative(sphere, xi, e0)
-    d1 = berwald_covariant_derivative(sphere, xi, e1)
+    d0 = berwald_covariant_derivative(xi, e0)
+    d1 = berwald_covariant_derivative(xi, e1)
     for seed in ([0.6, 0.8], [0.6, -0.8], [-1.0, 0.3]):
         v = sphere.normalize(q, np.asarray(seed))
         want = np.array([-s * c * v[1], (c / s) * v[0]])
@@ -411,8 +412,8 @@ def test_berwald_radializes_degree_one_input(sphere):
     e0, e1 = coordinate_fields(sphere.manifold)
     raw = curvature_field(sphere, e0, e1, q)
     v = sphere.normalize(q, np.array([0.5, 1.0]))
-    a = berwald_covariant_derivative(sphere, raw, e0).values(v)
-    b = berwald_covariant_derivative(sphere, raw.radialized(), e0).values(v)
+    a = berwald_covariant_derivative(raw, e0).values(v)
+    b = berwald_covariant_derivative(raw.radialized(), e0).values(v)
     assert np.allclose(a, b, atol=1e-12)
 
 
@@ -420,7 +421,7 @@ def test_bracket_antisymmetry_and_base_point_check(funk, sphere):
     q = np.array([0.3, 0.0])
     e0, e1 = coordinate_fields(funk.manifold)
     xi = curvature_field(funk, e0, e1, q).radialized()
-    eta = berwald_covariant_derivative(funk, xi, e0)
+    eta = berwald_covariant_derivative(xi, e0)
     ys = indicatrix_samples(funk, q, 6)
     ab = fiber_bracket(xi, eta).values(ys)
     ba = fiber_bracket(eta, xi).values(ys)
@@ -435,35 +436,38 @@ def test_bracket_antisymmetry_and_base_point_check(funk, sphere):
 
 def test_euclidean_generators_are_zero():
     euc = catalog_norm("euclidean")
-    gen = ihol_generators(euc, [0.2, -0.5], depth=2)
+    q = np.array([0.2, -0.5])
+    gen = ihol_generators(euc, q, depth=2)
     assert len(gen) == 9
-    ys = indicatrix_samples(euc, gen.p, 12)
+    ys = indicatrix_samples(euc, q, 12)
     for f in gen:
         assert np.max(np.abs(f.values(ys))) < 1e-12
-    assert field_rank(list(gen), euc, gen.p) == 0
+    assert field_rank(gen, euc, q) == 0
 
 
 def test_sphere_depth_zero_rank_one(sphere):
-    gen = ihol_generators(sphere, [0.9, 0.4], depth=0)
+    q = np.array([0.9, 0.4])
+    gen = ihol_generators(sphere, q, depth=0)
     assert len(gen) == 1
-    assert field_rank(list(gen), sphere, gen.p) == 1
+    assert field_rank(gen, sphere, q) == 1
 
 
 def test_funk_rank_grows_with_depth(funk):
-    gen = ihol_generators(funk, [0.3, 0.0], depth=2)
-    r0 = field_rank(gen.up_to_depth(0), funk, gen.p)
-    r2 = field_rank(list(gen), funk, gen.p)
+    q = np.array([0.3, 0.0])
+    gen = ihol_generators(funk, q, depth=2)
+    r0 = field_rank([f for f in gen if f.depth <= 0], funk, q)
+    r2 = field_rank(gen, funk, q)
     assert r0 == 1
     assert r2 > r0
     # rank stable against sample refinement
-    assert field_rank(list(gen), funk, gen.p, count=50) == r2
+    assert field_rank(gen, funk, q, count=50) == r2
 
 
 def test_generator_log_is_replayable(funk):
     gen = ihol_generators(funk, [0.3, 0.0], depth=2)
-    base_names = {b.name for b in gen.base_fields}
+    base_names = {b.name for b in coordinate_fields(funk.manifold)}
     seen = set()
-    for f in gen.fields:
+    for f in gen:
         if f.provenance == "curvature":
             assert f.depth == 0
         elif f.provenance == "covariant-derivative":
@@ -471,7 +475,7 @@ def test_generator_log_is_replayable(funk):
         else:
             assert set(f.parents) <= seen
         seen.add(f.label)
-    depths = [f.depth for f in gen.fields]
+    depths = [f.depth for f in gen]
     assert depths == sorted(depths)
 
 
@@ -526,6 +530,43 @@ def test_chain_computes_each_spray_table_once(funk, monkeypatch):
     assert sprays["requests"] > sprays["computed"]
 
 
+def test_a_generator_list_is_one_family(funk, monkeypatch):
+    # every field of an ihol list, derived ones included, reads the one
+    # spray memo that the list built
+    built = []
+
+    class CountedMemo(curvature._SprayMemo):
+        def __init__(self, norm, p):
+            built.append(p)
+            super().__init__(norm, p)
+
+    monkeypatch.setattr(curvature, "_SprayMemo", CountedMemo)
+    gen = ihol_generators(funk, (0.3, 0.0), depth=2)
+    assert len(gen) == 9
+    assert len(built) == 1
+    assert all(f._sprays is gen[0]._sprays for f in gen)
+
+
+def test_only_the_constructor_assigns_the_family_memo():
+    package = Path(curvature.__file__).parent
+    stores, allowed = [], set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name == "IndicatrixVectorField":
+                init = next(f for f in node.body if getattr(f, "name", None) == "__init__")
+                allowed.update(id(n) for n in ast.walk(init))
+        stores.extend(
+            (path.name, node.lineno, id(node))
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and node.attr == "_sprays"
+            and isinstance(node.ctx, ast.Store)
+        )
+    assert len([s for s in stores if s[2] in allowed]) == 1
+    assert [s[:2] for s in stores if s[2] not in allowed] == []
+
+
 @pytest.mark.parametrize("name", catalog_names())
 def test_memoized_reads_match_a_fresh_generator_set(name):
     norm = catalog_norm(name)
@@ -544,7 +585,7 @@ def test_memoized_reads_match_a_fresh_generator_set(name):
     fresh = tables(ihol_generators(norm, p, depth=1))
     assert first == second == fresh
 
-    field = warm.fields[-1]
+    field = warm[-1]
     jets = field.bundle_jets(1, 1, ys)
     before = jets.at(0).coeffs.copy()
     with pytest.raises(ValueError):

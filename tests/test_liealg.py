@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from holonomylab import liealg
 from holonomylab.curvature import coordinate_fields, curvature_field, fiber_bracket
 from holonomylab.finsler import catalog_norm, indicatrix_samples
 from holonomylab.jets import JetOrderError, jet_space, Jet
@@ -144,7 +145,7 @@ def test_fiber_bracket_cross_check():
     xi = curvature_field(funk, e0, e1, q).radialized()
     from holonomylab.curvature import berwald_covariant_derivative
 
-    eta = berwald_covariant_derivative(funk, xi, e0)
+    eta = berwald_covariant_derivative(xi, e0)
     ys = indicatrix_samples(funk, q, 6)
     generic = values_at(BracketField(xi, eta), ys)
     bundle = fiber_bracket(xi, eta).values(ys)
@@ -302,6 +303,34 @@ def test_closure_trace_serialization():
     payload = dataclasses.asdict(trace)
     assert payload["termination"] == "rank-stable"
     assert payload["generations"][0]["rank_after"] == 3
+
+
+def test_closure_evaluates_each_field_once(monkeypatch):
+    # one field_values call per generator and per candidate: the returned
+    # span keeps the rows that admission read
+    evaluated, candidates = [], []
+    bare = liealg.field_values
+
+    def counted(f, points):
+        evaluated.append(f)
+        return bare(f, points)
+
+    class CountedBracket(BracketField):
+        def __init__(self, X, Y):
+            super().__init__(X, Y)
+            candidates.append(self)
+
+    monkeypatch.setattr(liealg, "field_values", counted)
+    monkeypatch.setattr(liealg, "BracketField", CountedBracket)
+    X = d_dx(3, 0)
+    Y = PolynomialField(3, [{}, {(0, 0, 0): 1.0}, {(1, 0, 0): 1.0}], name="dy+x dz")
+    pts = np.random.default_rng(2).uniform(-1.0, 1.0, size=(3, 10))
+    span, trace = lie_closure([X, Y], depth=3, points=pts)
+    assert len(span.fields) == 3 and candidates
+    assert len(evaluated) == 2 + len(candidates)
+    assert len({id(f) for f in evaluated}) == len(evaluated)
+    monkeypatch.undo()
+    assert np.array_equal(span.matrix, FieldSpan(span.fields, pts).matrix)
 
 
 def test_closure_notes_truncation():
