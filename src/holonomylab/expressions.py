@@ -2,11 +2,13 @@
 
 Norms, vector fields, and curves can be given on the command line or in config
 files as strings like ``"sqrt(y1^2 + sin(x1)^2 * y2^2)"``.  We parse them with
-the stdlib ``ast`` module against a strict whitelist: binary ``+ - * / ^``,
-unary minus, parentheses, the functions sqrt/sin/cos/exp/log, the constant
-``pi``, numeric literals, and exactly the variable names declared by the
-caller.  Anything else is rejected, so config files cannot smuggle in
-attribute access or calls.
+the stdlib ``ast`` module, then one recursive pass over the syntax tree checks
+each node against a strict whitelist and compiles it into a closure: binary
+``+ - * / ^``, unary minus, parentheses, the functions sqrt/sin/cos/exp/log,
+the constant ``pi``, numeric literals, and exactly the variable names declared
+by the caller.  Anything else is rejected, so config files cannot smuggle in
+attribute access or calls; a string with several violations names the first
+in depth-first order.
 
 Evaluation is generic over the operand type: floats, numpy arrays, and jets
 all work because only arithmetic dunders and the five named functions are
@@ -20,6 +22,7 @@ from __future__ import annotations
 import ast
 import math
 import numbers
+import operator
 import sys
 import warnings
 
@@ -31,15 +34,15 @@ __all__ = ["Expression", "ExpressionError", "parse_expression"]
 
 _FUNCTIONS = ("sqrt", "sin", "cos", "exp", "log")
 
-# Evaluation recurses once per tree level; this keeps the deepest accepted
-# tree well inside the interpreter's recursion limit (1000 by default).
+# Compilation and evaluation recurse once per tree level; this keeps the
+# deepest accepted tree well inside the interpreter's recursion limit.
 MAX_DEPTH = 200
 
 _BINOPS = {
-    ast.Add: lambda a, b: a + b,
-    ast.Sub: lambda a, b: a - b,
-    ast.Mult: lambda a, b: a * b,
-    ast.Div: lambda a, b: a / b,
+    ast.Add: operator.add,
+    ast.Sub: operator.sub,
+    ast.Mult: operator.mul,
+    ast.Div: operator.truediv,
 }
 
 
@@ -60,10 +63,10 @@ class Expression:
     a name-to-value mapping.  Values may be numbers, arrays, or jets.
     """
 
-    def __init__(self, text: str, variables: tuple[str, ...], tree: ast.expr):
+    def __init__(self, text: str, variables: tuple[str, ...], compiled):
         self.text = text
         self.variables = variables
-        self._tree = tree
+        self._compiled = compiled
 
     def __repr__(self):
         return f"Expression({self.text!r}, variables={self.variables})"
@@ -72,7 +75,7 @@ class Expression:
         missing = [v for v in self.variables if v not in env]
         if missing:
             raise ExpressionError(f"missing values for {missing}")
-        result = self._eval(self._tree, env)
+        result = self._compiled(env)
         jets = [env[v] for v in self.variables if isinstance(env[v], Jet)]
         if isinstance(result, Jet) or not jets:
             return result
@@ -87,74 +90,61 @@ class Expression:
             )
         return self.evaluate(dict(zip(self.variables, values)))
 
-    def _eval(self, node, env):
-        if isinstance(node, ast.BinOp):
-            kind = type(node.op)
-            if kind in _BINOPS:
-                return _BINOPS[kind](self._eval(node.left, env), self._eval(node.right, env))
-            if kind is ast.Pow:
-                base = self._eval(node.left, env)
-                exponent = self._eval(node.right, env)
+
+def _compile(node, variables: tuple[str, ...]):
+    """The evaluator env -> value of `node`, checked against the grammar on
+    the way down; raises ExpressionError for anything outside it."""
+    if isinstance(node, ast.BinOp):
+        kind = type(node.op)
+        if kind not in _BINOPS and kind is not ast.Pow:
+            raise ExpressionError(f"operator {kind.__name__} is not allowed")
+        left, right = _compile(node.left, variables), _compile(node.right, variables)
+        if kind is ast.Pow:
+
+            def power(env):
+                base = left(env)
+                exponent = right(env)
                 if isinstance(exponent, Jet):
                     raise ExpressionError("exponents must be numbers, not expressions in variables")
                 return base ** exponent
-            raise ExpressionError(f"operator {kind.__name__} is not allowed")
-        if isinstance(node, ast.UnaryOp):
-            if isinstance(node.op, ast.USub):
-                return -self._eval(node.operand, env)
-            if isinstance(node.op, ast.UAdd):
-                return self._eval(node.operand, env)
+
+            return power
+        op = _BINOPS[kind]
+        return lambda env: op(left(env), right(env))
+    if isinstance(node, ast.UnaryOp):
+        if not isinstance(node.op, (ast.USub, ast.UAdd)):
             raise ExpressionError(f"operator {type(node.op).__name__} is not allowed")
-        if isinstance(node, ast.Constant):
-            return node.value
-        if isinstance(node, ast.Name):
-            if node.id == "pi":
-                return math.pi
-            return env[node.id]
-        if isinstance(node, ast.Call):
-            return _apply_function(node.func.id, self._eval(node.args[0], env))
-        raise ExpressionError(f"node {type(node).__name__} is not allowed")
-
-
-def _validate(node, variables: tuple[str, ...]) -> None:
-    # names acting as function heads are checked by the Call branch, not as variables
-    heads = {
-        id(sub.func)
-        for sub in ast.walk(node)
-        if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)
-    }
-    for sub in ast.walk(node):
-        if isinstance(sub, (ast.Expression, ast.Load)):
-            continue
-        elif isinstance(sub, ast.BinOp):
-            if type(sub.op) not in (*_BINOPS, ast.Pow):
-                raise ExpressionError(f"operator {type(sub.op).__name__} is not allowed")
-        elif isinstance(sub, (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow, ast.USub, ast.UAdd)):
-            continue
-        elif isinstance(sub, ast.UnaryOp):
-            if not isinstance(sub.op, (ast.USub, ast.UAdd)):
-                raise ExpressionError(f"operator {type(sub.op).__name__} is not allowed")
-        elif isinstance(sub, ast.Constant):
-            if not isinstance(sub.value, numbers.Real) or isinstance(sub.value, bool):
-                raise ExpressionError(f"literal {sub.value!r} is not a number")
-            if not abs(sub.value) <= sys.float_info.max:  # 1e999 reads as inf
-                raise ExpressionError(f"literal {sub.value!r:.40} is out of float range")
-        elif isinstance(sub, ast.Name):
-            if id(sub) in heads:
-                continue
-            if sub.id != "pi" and sub.id not in variables:
-                raise ExpressionError(
-                    f"unknown name {sub.id!r}; allowed: {', '.join(variables)} and pi"
-                )
-        elif isinstance(sub, ast.Call):
-            if not isinstance(sub.func, ast.Name) or sub.func.id not in _FUNCTIONS:
-                raise ExpressionError(
-                    f"only {', '.join(_FUNCTIONS)} may be called"
-                )
-            if len(sub.args) != 1 or sub.keywords:
-                raise ExpressionError(f"{sub.func.id} takes exactly one argument")
-        else:
-            raise ExpressionError(f"syntax {type(sub).__name__} is not allowed")
+        operand = _compile(node.operand, variables)
+        if isinstance(node.op, ast.USub):
+            return lambda env: -operand(env)
+        return operand
+    if isinstance(node, ast.Constant):
+        value = node.value
+        if not isinstance(value, numbers.Real) or isinstance(value, bool):
+            raise ExpressionError(f"literal {value!r} is not a number")
+        if not abs(value) <= sys.float_info.max:  # 1e999 reads as inf
+            raise ExpressionError(f"literal {value!r:.40} is out of float range")
+        return lambda env: value
+    if isinstance(node, ast.Name):
+        name = node.id
+        if name == "pi":
+            return lambda env: math.pi
+        if name not in variables:
+            raise ExpressionError(
+                f"unknown name {name!r}; allowed: {', '.join(variables)} and pi"
+            )
+        return lambda env: env[name]
+    if isinstance(node, ast.Call):
+        if not isinstance(node.func, ast.Name) or node.func.id not in _FUNCTIONS:
+            raise ExpressionError(
+                f"only {', '.join(_FUNCTIONS)} may be called"
+            )
+        name = node.func.id
+        if len(node.args) != 1 or node.keywords:
+            raise ExpressionError(f"{name} takes exactly one argument")
+        argument = _compile(node.args[0], variables)
+        return lambda env: _apply_function(name, argument(env))
+    raise ExpressionError(f"syntax {type(node).__name__} is not allowed")
 
 
 def _depth(tree: ast.AST) -> int:
@@ -195,5 +185,4 @@ def parse_expression(text: str, variables) -> Expression:
     depth = _depth(tree)
     if depth > MAX_DEPTH:
         raise ExpressionError(f"expression nests {depth} levels deep; at most {MAX_DEPTH} allowed")
-    _validate(tree, variables)
-    return Expression(text, variables, tree.body)
+    return Expression(text, variables, _compile(tree.body, variables))

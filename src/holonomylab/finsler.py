@@ -437,14 +437,7 @@ def horizontal_lift(norm: FinslerNorm, x, y, X) -> np.ndarray:
     Returns the 2n bundle vector (X, -G_j X) with (G_j X)^i = G^i_j X^j.
     """
     X = np.asarray(X, dtype=float)
-    Gj = connection_values(norm, x, y)
-    if Gj.ndim == 3:
-        vert = -np.einsum("ijb,jb->ib" if X.ndim > 1 else "ijb,j->ib", Gj, X)
-        base = X if X.ndim > 1 else np.broadcast_to(X[:, None], vert.shape)
-    else:
-        vert = -Gj @ X
-        base = X
-    return np.concatenate([base, vert])
+    return np.concatenate([X, -connection_values(norm, x, y) @ X])
 
 
 # -- diagnostics ---------------------------------------------------------------

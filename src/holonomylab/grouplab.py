@@ -110,21 +110,15 @@ class MatrixCurve:
     """A jet-evaluable curve of invertible matrices through the identity.
 
     The evaluator maps a scalar jet t to the matrix jet of the curve: one
-    Jet in the same space of value shape (n, n).  An evaluator may instead
-    return an n x n grid (nested lists or an object array) of scalar jets;
-    the curve stacks it into a matrix jet.  The constructor checks that the
-    value at t = 0 is the identity within IDENTITY_TOL.  `order`, when set,
-    declares the contact order the construction guarantees; it is a trusted
-    hint, and order_of_contact measures the truth.
+    Jet in the same space of value shape (n, n).  The constructor checks
+    that the value at t = 0 is the identity within IDENTITY_TOL.  `order`,
+    when set, declares the contact order the construction guarantees; it is
+    a trusted hint, and order_of_contact measures the truth.
     """
 
     def __init__(self, n: int, evaluator, name: str = "curve", order: int | None = None):
-        def matrix(tj):
-            out = evaluator(tj)
-            return out if isinstance(out, Jet) else Jet.stack(out)
-
         self.n = int(n)
-        self._evaluator = matrix
+        self._evaluator = evaluator
         self.name = str(name)
         self.order = None if order is None else int(order)
         at_zero = self.value(0.0)

@@ -379,14 +379,6 @@ class Jet:
     def shape(self) -> tuple:
         return self.coeffs.shape[1:]
 
-    @property
-    def order(self) -> int:
-        return self.space.order
-
-    @property
-    def num_vars(self) -> int:
-        return self.space.num_vars
-
     def derivative(self, multi):
         """Mixed partial derivative for a multi-index (int allowed in 1 var)."""
         if isinstance(multi, numbers.Integral):
@@ -660,31 +652,35 @@ def compose_table(table: Jet, args: Sequence[Jet], center) -> Jet:
 class SmoothMap:
     """A pure function of jets, or of floats, with an axis-aligned validity box.
 
-    The evaluator receives one argument per domain variable and returns a
-    list of one per codomain component.  :meth:`jets` passes jets (all in one
-    space), needs jets back and returns them stacked into one jet of value
-    shape (components, *batch); :meth:`value` passes the point's coordinates
-    as floats (numpy scalars, or arrays for a batch of points), so the
-    evaluator must accept those too.  On floats it does the IEEE operations an order-0 jet
-    would do, except that a product of two jets is summed onto +0.0, so
-    ``-0.0`` from a float product reads ``+0.0`` on jets.  Evaluation outside
-    the box raises, never extrapolates; a relative slack of 1e-9 absorbs
-    rounding at the walls.
+    The one vector-field type given by a function of the coordinates: base
+    fields and `liealg`'s polynomial and expression fields alike, so any two
+    of them bracket.  The evaluator receives one argument per domain variable
+    and returns a list of one per codomain component.  :meth:`jets` passes
+    jets (all in one space) and stacks the returned jets into one jet of value
+    shape (components, *batch); :meth:`taylor` seeds them at a center, up to an
+    order no higher than `max_order` (None: no limit).  :meth:`value` passes
+    the point's coordinates as floats (numpy scalars, or arrays for a batch of
+    points) and does the IEEE operations an order-0 jet would do, except that
+    a product of two jets is summed onto +0.0, so ``-0.0`` from a float
+    product reads ``+0.0`` on jets.  Evaluation outside the box raises, never
+    extrapolates; a relative slack of 1e-9 absorbs rounding at the walls.
     """
 
     def __init__(
         self,
         fun: Callable[[list], Sequence],
-        dim_in: int,
+        dim: int,
         lo=None,
         hi=None,
         name: str = "",
+        max_order: int | None = None,
     ):
         self.fun = fun
-        self.dim_in = dim_in
+        self.dim = dim
         self.lo = None if lo is None else np.asarray(lo, dtype=float)
         self.hi = None if hi is None else np.asarray(hi, dtype=float)
         self.name = name
+        self.max_order = max_order
         self._lo_slack = None if lo is None else 1e-9 * np.maximum(1.0, np.abs(self.lo))
         self._hi_slack = None if hi is None else 1e-9 * np.maximum(1.0, np.abs(self.hi))
 
@@ -706,24 +702,30 @@ class SmoothMap:
                 )
 
     def jets(self, args: Sequence[Jet]) -> Jet:
-        if len(args) != self.dim_in:
-            raise JetShapeError(f"{self.name}: expected {self.dim_in} arguments")
-        values = np.stack([np.asarray(a.value) for a in args])
-        self._check_domain(values)
+        if len(args) != self.dim:
+            raise JetShapeError(f"{self.name}: expected {self.dim} arguments")
+        if self.lo is not None or self.hi is not None:
+            self._check_domain(np.stack([np.asarray(a.value) for a in args]))
         return Jet.stack(self.fun(list(args)))
 
+    def taylor(self, center, order: int) -> Jet:
+        """The jet of the map at `center` (shape (dim,) or (dim, batch)) up to `order`."""
+        if self.max_order is not None and order > self.max_order:
+            raise JetOrderError(
+                f"{self.name or 'map'}: order {order} requested, "
+                f"but the map only supports {self.max_order}"
+            )
+        return self.jets(jet_point(jet_space(self.dim, order), center))
+
     def value(self, x) -> np.ndarray:
-        """The map at the point x (shape (dim_in,), or (dim_in, batch)), on floats."""
+        """The map at the point x (shape (dim,), or (dim, batch)), on floats."""
         x = np.asarray(x, dtype=float)
-        if x.shape[0] != self.dim_in:
+        if x.shape[0] != self.dim:
             raise JetShapeError(
-                f"{self.name}: expected {self.dim_in} coordinates, got {x.shape[0]}"
+                f"{self.name}: expected {self.dim} coordinates, got {x.shape[0]}"
             )
         self._check_domain(x)
         return np.array(self.fun(list(x)), dtype=float)
-
-    def __call__(self, x) -> np.ndarray:
-        return self.value(x)
 
 
 @dataclass(frozen=True)

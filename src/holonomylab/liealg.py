@@ -2,10 +2,13 @@
 
 A vector field here is anything with `.dim` and `.taylor(center, order)`
 returning one jet of value shape (dim, *batch); centers may carry a trailing
-batch axis, in which case all evaluation is columnwise.  Brackets are formed
-lazily: [X, Y]^i = X^j dY^i/dx^j - Y^j dX^i/dx^j consumes one jet order from
-each parent, so a field of finite order capability eventually exhausts and
-the bracket reports the order it would have needed.
+batch axis, in which case all evaluation is columnwise.  Fields given by a
+function of the coordinates are `jets.SmoothMap`s: the polynomial and
+expression fields below, and the base fields of the curvature module, so a
+base field brackets directly; indicatrix fields and brackets are the others.
+Brackets are formed lazily: [X, Y]^i = X^j dY^i/dx^j - Y^j dX^i/dx^j consumes
+one jet order from each parent, so a field of finite order capability
+eventually exhausts and the bracket reports the order it would have needed.
 
 Spans are measured numerically: fields are evaluated on a fixed list of
 sample points, stacked into a matrix, and the rank is the number of singular
@@ -28,14 +31,13 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .curvature import ihol_generators
-from .jets import Jet, JetOrderError, jet_point, jet_space
+from .jets import Jet, JetOrderError, SmoothMap
 from .expressions import parse_expression
 from .finsler import indicatrix_samples
 
 __all__ = [
     "PolynomialField",
     "ExpressionField",
-    "CallableField",
     "BracketField",
     "field_values",
     "FieldSpan",
@@ -62,42 +64,41 @@ def field_label(f, index: int | None = None) -> str:
 # -- concrete fields ----------------------------------------------------------
 
 
-class PolynomialField:
+class PolynomialField(SmoothMap):
     """A polynomial vector field; component i is {exponent tuple: coefficient}."""
 
     def __init__(self, dim: int, components, name: str = ""):
-        self.dim = int(dim)
-        if len(components) != self.dim:
+        dim = int(dim)
+        if len(components) != dim:
             raise ValueError("need one component per dimension")
         comps = []
         for comp in components:
             clean = {}
             for expo, coeff in comp.items():
                 expo = tuple(int(e) for e in expo)
-                if len(expo) != self.dim or any(e < 0 for e in expo):
+                if len(expo) != dim or any(e < 0 for e in expo):
                     raise ValueError(f"bad exponent tuple {expo}")
                 clean[expo] = float(coeff)
             comps.append(clean)
         self.components = comps
-        self.name = name
-        self.max_order = None
 
-    def taylor(self, center, order: int) -> Jet:
-        seeds = jet_point(jet_space(self.dim, order), center)
-        out = []
-        for comp in self.components:
-            acc = seeds[0] * 0.0
-            for expo, coeff in sorted(comp.items()):
-                term = coeff
-                for v, e in zip(seeds, expo):
-                    for _ in range(e):
-                        term = term * v
-                acc = acc + term
-            out.append(acc)
-        return Jet.stack(out)
+        def fun(seeds):
+            out = []
+            for comp in comps:
+                acc = seeds[0] * 0.0
+                for expo, coeff in sorted(comp.items()):
+                    term = coeff
+                    for v, e in zip(seeds, expo):
+                        for _ in range(e):
+                            term = term * v
+                    acc = acc + term
+                out.append(acc)
+            return out
+
+        super().__init__(fun, dim, name=name)
 
 
-class ExpressionField:
+class ExpressionField(SmoothMap):
     """A vector field whose components are expression strings in the
     coordinates, e.g. ExpressionField(("x", "y"), ("-y", "x"))."""
 
@@ -106,39 +107,10 @@ class ExpressionField:
         exprs = tuple(exprs)
         if len(exprs) != len(variables):
             raise ValueError("need one component expression per coordinate")
-        self.dim = len(variables)
-        self.exprs = [parse_expression(text, variables) for text in exprs]
-        self.name = name
-        self.max_order = None
-
-    def taylor(self, center, order: int) -> Jet:
-        seeds = jet_point(jet_space(self.dim, order), center)
-        return Jet.stack([expr(*seeds) for expr in self.exprs])
-
-
-class CallableField:
-    """A vector field from a callable mapping the coordinate jets to a list
-    of component jets.
-
-    `max_order` declares the largest jet order the callable can honestly
-    produce (None for unlimited); requests beyond it are rejected so
-    downstream brackets can diagnose exhaustion instead of silently
-    truncating.
-    """
-
-    def __init__(self, dim: int, fun, name: str = "", max_order: int | None = None):
-        self.dim = int(dim)
-        self.fun = fun
-        self.name = name
-        self.max_order = max_order
-
-    def taylor(self, center, order: int) -> Jet:
-        if self.max_order is not None and order > self.max_order:
-            raise JetOrderError(
-                f"{field_label(self)}: order {order} requested, "
-                f"but the field only supports {self.max_order}"
-            )
-        return Jet.stack(self.fun(jet_point(jet_space(self.dim, order), center)))
+        exprs = [parse_expression(text, variables) for text in exprs]
+        super().__init__(
+            lambda seeds: [expr(*seeds) for expr in exprs], len(variables), name=name
+        )
 
 
 class BracketField:

@@ -89,7 +89,7 @@ def test_curve_missing_identity_rejected():
         one = Jet.constant(tj.space, 1.0)
         two = Jet.constant(tj.space, 2.0)
         zero = Jet.constant(tj.space, 0.0)
-        return [[two, zero], [zero, one]]
+        return Jet.stack([[two, zero], [zero, one]])
 
     with pytest.raises(ValueError, match="identity"):
         MatrixCurve(2, evaluator)

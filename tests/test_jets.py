@@ -27,6 +27,7 @@ from holonomylab.jets import (
     richardson_extrapolate,
     tally,
 )
+from holonomylab.liealg import ExpressionField, PolynomialField
 
 try:
     from hypothesis import example, given, settings, strategies as st
@@ -270,7 +271,7 @@ def test_smoothmap_jacobian_and_domain_box():
 
 
 def order0_jets(m, x):
-    return m.jets(jet_point(jet_space(m.dim_in, 0), x))
+    return m.jets(jet_point(jet_space(m.dim, 0), x))
 
 
 def order0_values(m, x):
@@ -291,6 +292,8 @@ def test_smoothmap_value_is_the_order0_jet_bitwise():
             constant_base_field(man, [-0.0, 2.5]),
             constant_base_field(man, rng.standard_normal(2)),
             rotation_field(man),
+            ExpressionField(("x", "y"), ("x^2 - sin(y)", "exp(x) * y + 0.5")),
+            PolynomialField(2, [{(0, 1): -1.0}, {(1, 0): 1.0, (2, 1): 0.5}]),
         ]
         points = [lo + (hi - lo) * rng.uniform(size=2) for _ in range(5)]
         points += [np.clip([-0.0, 0.0], lo, hi), lo, hi]

@@ -6,10 +6,9 @@ import pytest
 from holonomylab import liealg
 from holonomylab.curvature import coordinate_fields, curvature_field, fiber_bracket
 from holonomylab.finsler import catalog_norm, indicatrix_samples
-from holonomylab.jets import JetOrderError, jet_space, Jet
+from holonomylab.jets import JetOrderError, SmoothMap, jet_space, Jet
 from holonomylab.liealg import (
     BracketField,
-    CallableField,
     ExpressionField,
     FieldSpan,
     PolynomialField,
@@ -115,6 +114,19 @@ def test_expression_field_matches_polynomial():
     assert np.allclose(values_at(b, pts), -values_at(d_dx(2, 1), pts), atol=1e-14)
 
 
+def test_base_fields_bracket_directly():
+    # base fields are SmoothMaps with a domain box; [rot, e0] = -d(rot)/dx = -e1
+    man = catalog_norm("funk_disk").manifold
+    rot = SmoothMap(lambda a: [-a[1], a[0]], 2, lo=man.lo, hi=man.hi, name="rot")
+    e0, e1 = coordinate_fields(man)
+    pts = np.array([[0.3, -0.5, 0.1, 0.6], [0.0, 0.4, -0.6, 0.2]])
+    values = values_at(BracketField(rot, e0), pts)
+    assert np.array_equal(values, np.tile([[0.0], [-1.0]], (1, pts.shape[1])))
+    span, trace = lie_closure([rot, e0, e1], depth=2, points=pts)
+    assert trace.termination == "rank-stable"
+    assert len(span.fields) == 3 and numerical_rank(span, pts).rank == 3
+
+
 def test_bracket_dimension_mismatch():
     with pytest.raises(ValueError):
         BracketField(d_dx(2, 0), d_dx(3, 0))
@@ -124,7 +136,7 @@ def test_bracket_order_exhaustion_diagnostic():
     def fun(seeds):
         return [seeds[1], seeds[0] * seeds[1]]
 
-    limited = CallableField(2, fun, name="data", max_order=2)
+    limited = SmoothMap(fun, 2, name="data", max_order=2)
     free = PolynomialField(2, [{(1, 0): 1.0}, {}], name="x dx")
     b = BracketField(limited, free)
     assert b.max_order == 1
@@ -337,7 +349,7 @@ def test_closure_notes_truncation():
     def fun(seeds):
         return [seeds[1], seeds[0]]
 
-    limited = CallableField(2, fun, name="data", max_order=1)
+    limited = SmoothMap(fun, 2, name="data", max_order=1)
     other = PolynomialField(2, [{(0, 1): 1.0}, {(1, 0): 2.0}], name="g")
     pts = np.array([[0.7, -0.4, 1.3], [0.2, 0.9, -0.6]])
     span, trace = lie_closure([limited, other], depth=2, points=pts)
