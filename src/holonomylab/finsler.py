@@ -13,10 +13,11 @@ the spray coefficients via the Euler-Lagrange form
 and the nonlinear connection G^i_j = dG^i/dy^j together with its
 y-derivatives G^i_{jk} (the Berwald connection).  All of these come out of a
 single jet pipeline: seed (x, y) in a bundle jet space whose per-group caps
-are exactly what the requested output needs, shift to differentiate, truncate
-to the common target, and solve the small linear system with jet-valued
-Gaussian elimination.  Positive definiteness of g makes elimination without
-pivoting safe.
+are exactly what the requested output needs, read every table the system
+needs by one gather from E's coefficients (the positions of each shift and
+truncation to the common target are cached per space), and solve the small
+linear system with jet-valued Gaussian elimination.  Positive definiteness
+of g makes elimination without pivoting safe.
 
 Caps are chosen per call:  output retaining xorder x-derivatives and yorder
 y-derivatives of G^i needs E with caps (xorder + 1, yorder + 2).  Jet
@@ -101,17 +102,21 @@ class ChartManifold:
             raise ValueError("bounds must have one entry per dimension")
         if any(a >= b for a, b in zip(lo, hi)):
             raise ValueError("chart box must have lo < hi in every coordinate")
+        # tolerate roundoff at the walls, an ODE step landing 1e-15 outside is fine
+        slack = 1e-9 * np.maximum(np.asarray(hi) - np.asarray(lo), 1.0)
+        walls = (np.asarray(lo) - slack, np.asarray(hi) + slack)
+        object.__setattr__(self, "_walls", walls + (list(zip(*(w.tolist() for w in walls))),))
 
     def require(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.shape[0] != self.dim:
             raise ValueError(f"point has {x.shape[0]} coordinates, chart has {self.dim}")
-        # tolerate roundoff at the walls, an ODE step landing 1e-15 outside is fine
-        span = np.asarray(self.hi) - np.asarray(self.lo)
-        slack = 1e-9 * np.maximum(span, 1.0)
-        lo = (np.asarray(self.lo) - slack)[:, None] if x.ndim > 1 else np.asarray(self.lo) - slack
-        hi = (np.asarray(self.hi) + slack)[:, None] if x.ndim > 1 else np.asarray(self.hi) + slack
-        if np.any(x < lo) or np.any(x > hi):
+        lo, hi, pairs = self._walls
+        if x.ndim == 1:  # one point: plain float comparisons
+            outside = any(c < a or c > b for c, (a, b) in zip(x.tolist(), pairs))
+        else:
+            outside = np.any(x < lo[:, None]) or np.any(x > hi[:, None])
+        if outside:
             raise ChartDomainError(
                 f"{self.name}: point outside chart box "
                 f"(lo={self.lo}, hi={self.hi})"
@@ -389,6 +394,34 @@ def _jet_solve(aug: Jet) -> list:
     return w
 
 
+def _spray_positions(space, n: int, target: tuple):
+    """Positions in E's `space` of the tables `spray_jets` reads, and the
+    scale of each shift, y first as in `derivative_table`, truncated to
+    `target`: arrays of shape (target size, n, 2n + 1) whose row i holds
+    d^2E/dx^i dy^c at c < n, g_ij = d^2E/dy^min(i,j) dy^max(i,j) at c = n + j,
+    and dE/dx^i at c = 2n (second scale 1).  Cached in `space._trunc`."""
+    key = ("spray", target)
+    if key not in space._trunc:
+
+        def read(t, a, b=None):
+            u = list(t)
+            u[a] += 1
+            if b is None:
+                return space.position[tuple(u)], u[a], 1
+            u[b] += 1
+            return space.position[tuple(u)], u[a], t[b] + 1
+
+        reads = np.array([
+            [[read(t, n + c, i) for c in range(n)]
+             + [read(t, n + min(i, c), n + max(i, c)) for c in range(n)] + [read(t, i)]
+             for i in range(n)]
+            for t in grouped_space(target).tuples
+        ])
+        pos, s1, s2 = np.moveaxis(reads, -1, 0)
+        space._trunc[key] = (pos, s1.astype(float), s2.astype(float))
+    return space._trunc[key]
+
+
 def spray_jets(norm: FinslerNorm, x, y, xorder: int = 0, yorder: int = 0) -> Jet:
     """The jet of the spray coefficients G^i at (x, y), of value shape (n, *batch).
 
@@ -401,19 +434,15 @@ def spray_jets(norm: FinslerNorm, x, y, xorder: int = 0, yorder: int = 0) -> Jet
     E = norm.energy_jet(x, list(y), xcap=xorder + 1, ycap=yorder + 2)
     target = ((n, xorder), (n, yorder))
     space = grouped_space(target)
-    xs, ys = range(n), range(n, 2 * n)
-
-    Ey = E.gradient(ys)  # caps (xorder+1, yorder+1)
-    rhs = None
-    for k in range(n):
-        term = Jet.variable(space, n + k, y[k]) * Ey.derivative_table(k).truncated(target)
-        rhs = term if rhs is None else rhs + term
-    rhs = rhs - E.gradient(xs).truncated(target)
-    # [l, j] = d^2 E/dy^j dy^l, then the right-hand side as column n; g_lj is
-    # read at j >= l and mirrored, since the two orders round differently
-    cols = Jet.stack([Ey.derivative_table(v).truncated(target) for v in ys] + [rhs], axis=1)
-    l, j = np.indices((n, n + 1))
-    return Jet.stack(_jet_solve(cols.at((np.minimum(l, j), np.maximum(l, j))))) * 0.5
+    pos, s1, s2 = _spray_positions(E.space, n, target)
+    batch = (1,) * (E.coeffs.ndim - 1)
+    tables = (E.coeffs[pos] * s1.reshape(s1.shape + batch)) * s2.reshape(s2.shape + batch)
+    # y^k d^2E/dx^k dy^l for every (k, l) in one multiply, summed in k order
+    ys = Jet.stack([Jet.variable(space, n + k, y[k]) for k in range(n)])
+    rhs = (Jet(space, ys.coeffs[:, :, None]) * Jet(space, tables[:, :, :n])).sum(0)
+    # the right-hand side replaces dE/dx as column 2n: [g | rhs] is the system
+    tables[:, :, 2 * n] = (rhs - Jet(space, tables[:, :, 2 * n])).coeffs
+    return Jet.stack(_jet_solve(Jet(space, tables[:, :, n:]))) * 0.5
 
 
 def geodesic_coefficients(norm: FinslerNorm, x, y, with_second: bool = True) -> SprayData:

@@ -75,7 +75,7 @@ def tally():
     """Yield {group: {name: 0}} for every counter, which `count` fills in
     within the block.  A nested block counts into its own set only, and the
     enclosing block resumes when it ends.  Lockstep members are transports
-    only: the ODE solves of `transport.integrate` do not count."""
+    only: `transport.integrate` solves and chain points do not count."""
     counts = {group: dict.fromkeys(names, 0) for group, names in _COUNTERS.items()}
     token = _TALLY.set(counts)
     try:
@@ -167,7 +167,7 @@ class JetSpace:
         self._mul = None
         self._flat: dict[int, np.ndarray] = {}
         self._shift: dict[int, tuple["JetSpace", np.ndarray, np.ndarray]] = {}
-        self._trunc: dict[tuple, np.ndarray] = {}
+        self._trunc: dict[tuple, object] = {}  # truncation positions, and finsler's spray reads
         self._mono_parent: tuple[np.ndarray, np.ndarray] | None = None
 
     @classmethod
@@ -649,6 +649,15 @@ def compose_table(table: Jet, args: Sequence[Jet], center) -> Jet:
 # -- smooth maps --------------------------------------------------------------
 
 
+def _wall(bound, dim: int):
+    """A domain wall as (bound, -slack) arrays and as one float pair per
+    coordinate; x is outside when x - lo < -slack or hi - x < -slack."""
+    if bound is None:
+        return None
+    floor = -1e-9 * np.maximum(1.0, np.abs(bound))
+    return bound, floor, np.broadcast_to(np.stack([bound, floor], -1), (dim, 2)).tolist()
+
+
 class SmoothMap:
     """A pure function of jets, or of floats, with an axis-aligned validity box.
 
@@ -681,25 +690,23 @@ class SmoothMap:
         self.hi = None if hi is None else np.asarray(hi, dtype=float)
         self.name = name
         self.max_order = max_order
-        self._lo_slack = None if lo is None else 1e-9 * np.maximum(1.0, np.abs(self.lo))
-        self._hi_slack = None if hi is None else 1e-9 * np.maximum(1.0, np.abs(self.hi))
+        self._lo_wall = _wall(self.lo, dim)
+        self._hi_wall = _wall(self.hi, dim)
 
     def _check_domain(self, values: np.ndarray):
-        if self.lo is None and self.hi is None:
-            return
         v = np.asarray(values)
-        if self.lo is not None:
-            low = v.T - self.lo if v.ndim > 1 else v - self.lo
-            if (low < -self._lo_slack).any():
-                raise DomainBoxError(
-                    f"{self.name or 'map'}: point below domain box {self.lo}"
-                )
-        if self.hi is not None:
-            high = self.hi - v.T if v.ndim > 1 else self.hi - v
-            if (high < -self._hi_slack).any():
-                raise DomainBoxError(
-                    f"{self.name or 'map'}: point above domain box {self.hi}"
-                )
+        lo, hi = self._lo_wall, self._hi_wall
+        if v.ndim == 1:  # one point: plain float comparisons
+            x = v.tolist()
+            below = lo is not None and any(c - a < f for c, (a, f) in zip(x, lo[2]))
+            above = hi is not None and any(a - c < f for c, (a, f) in zip(x, hi[2]))
+        else:
+            below = lo is not None and bool((v.T - lo[0] < lo[1]).any())
+            above = hi is not None and bool((hi[0] - v.T < hi[1]).any())
+        if below:
+            raise DomainBoxError(f"{self.name or 'map'}: point below domain box {self.lo}")
+        if above:
+            raise DomainBoxError(f"{self.name or 'map'}: point above domain box {self.hi}")
 
     def jets(self, args: Sequence[Jet]) -> Jet:
         if len(args) != self.dim:

@@ -22,16 +22,18 @@ order-1 jet in u.
 The step-doubling loop is a generator of stage requests.  Stages 2-4 of the
 full step do not depend on stages 2-4 of the first half step, so they are
 asked for in pairs, and an attempt takes 8 rounds for its 11 stages.
-`_lockstep` is the one driver of these generators: `integrate` runs its
-solve as a lockstep of one member that calls rhs once per request, and
-`parallel_transports` steps independent transports together, gathering the
-pending requests of all of them into one batched `connection_values` call
-per round.  A single `parallel_transport` is that lockstep with one member.
-Since the spray pipeline works column by column, every transport keeps the
-bits it has alone.  If a round's call raises, each transport's requests are
-evaluated alone, so a transport that leaves the chart or meets a degenerate
-metric stops no other; the first failure in input order is raised at the
-end, as transporting them one after another would raise it.
+`_lockstep` is the one driver of these generators: `integrate` runs flow
+legs and `horizontal_flow` as a lockstep of one member that calls rhs once
+per request, `parallel_transports` steps independent transports together
+with one batched `connection_values` call per round (a single
+`parallel_transport` is its one-member case), and a parallelogram loop's
+chain points step together with one batched `SmoothMap.value` per field
+and round.  Batched evaluations work column by column, so every member
+keeps the bits it has alone.  If a round's call raises, each member's
+requests are evaluated alone, so a member that leaves the chart or a
+field's box, or meets a degenerate metric, stops no other; the first
+failure in input order is raised at the end, as running them one after
+another would raise it.
 
 Parallelogram loops:  for vector fields X, Y with flows phi, psi the outward
 path alpha_t is the four flow segments (X for time t, Y for t, X for -t,
@@ -188,13 +190,10 @@ def integrate(rhs, t0, t1, y0):
     cannot be stepped over.  Any other exception of rhs is raised as is.
     The solve is `_steps` run as the one member of `_lockstep`.
     """
-    (outcome,) = _lockstep(
+    return _settled(_lockstep(
         [_steps(t0, t1, y0)],
         lambda batch: [_answer(rhs, requests) for requests in batch],
-    )
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
+    ))[0]
 
 
 def _answer(f, requests):
@@ -235,6 +234,42 @@ def _lockstep(members, evaluate) -> list:
             for i, values in zip(pending, evaluate(batch))
         ]
     return outcomes
+
+
+def _settled(outcomes) -> list:
+    """The outcomes of `_lockstep`, or the first exception among them raised."""
+    for outcome in outcomes:
+        if isinstance(outcome, Exception):
+            raise outcome
+    return outcomes
+
+
+def _batched_round(batch, together, alone) -> list:
+    """One lockstep round, answered by `together(requests)` on every request
+    of the round in order.  If it raises, each member's requests are answered
+    one by one with `alone(*request)` instead, which hands every member the
+    exception its own evaluation would raise."""
+    try:
+        values = iter(together([request for requests in batch for request in requests]))
+    except Exception:  # each member meets its own exception again below
+        return [_answer(alone, requests) for requests in batch]
+    return [[next(values) for _ in requests] for requests in batch]
+
+
+def _field_round(batch) -> list:
+    """The flow right-hand sides F.value(z) of one lockstep round of
+    requests (F, t, z): one `SmoothMap.value` per field on the stacked points,
+    each column of which has the bits of that point evaluated alone."""
+
+    def together(requests):
+        fields = [F for F, _, _ in requests]
+        columns = {  # a value that is not (d, points) raises here, not later
+            F: iter(np.swapaxes(F.value(np.stack([z for G, _, z in requests if G is F], 1)), 0, 1))
+            for F in dict.fromkeys(fields)
+        }
+        return [next(columns[F]) for F in fields]
+
+    return _batched_round(batch, together, lambda F, t, z: F.value(z))
 
 
 # -- curve pieces ---------------------------------------------------------------
@@ -449,13 +484,11 @@ def _connection_round(norm: FinslerNorm, batch) -> list:
     columns of every request; each request's slice of G^i_j is made
     contiguous and contracted as `_piece_rhs` contracts it.  The spray
     pipeline works column by column, so each slice has the bits of that
-    request evaluated alone.  If anything in the round raises, each member's
-    requests are evaluated one by one with `_piece_rhs` instead, which hands
-    every member the exception its own evaluation would raise.
+    request evaluated alone, and `_piece_rhs` is the per-member fallback.
     """
-    requests = [request for member_requests in batch for request in member_requests]
-    count("lockstep", rounds=1, requests=len(requests))
-    try:
+    count("lockstep", rounds=1, requests=sum(map(len, batch)))
+
+    def together(requests):
         geometry = [piece.point_velocity(u) for piece, u, _ in requests]
         columns = [W.reshape(W.shape[0], -1) for _, _, W in requests]
         X = np.concatenate(
@@ -463,19 +496,15 @@ def _connection_round(norm: FinslerNorm, batch) -> list:
             axis=1,
         )
         G = connection_values(norm, X, np.concatenate(columns, axis=1))
-    except Exception:  # each member meets its own exception again below
-        return [_answer(partial(_piece_rhs, norm), member_requests) for member_requests in batch]
-    values, start = [], 0
-    for (_, dx), (_, _, W), w in zip(geometry, requests, columns):
-        stop = start + w.shape[1]
-        Gj = G[:, :, start] if W.ndim == 1 else G[:, :, start:stop]
-        values.append(_contract(np.ascontiguousarray(Gj), W, dx))
-        start = stop
-    out, start = [], 0
-    for member_requests in batch:
-        out.append(values[start:start + len(member_requests)])
-        start += len(member_requests)
-    return out
+        values, start = [], 0
+        for (_, dx), (_, _, W), w in zip(geometry, requests, columns):
+            stop = start + w.shape[1]
+            Gj = G[:, :, start] if W.ndim == 1 else G[:, :, start:stop]
+            values.append(_contract(np.ascontiguousarray(Gj), W, dx))
+            start = stop
+        return values
+
+    return _batched_round(batch, together, partial(_piece_rhs, norm))
 
 
 def parallel_transports(norm: FinslerNorm, curves, ys) -> list[TransportResult]:
@@ -490,11 +519,7 @@ def parallel_transports(norm: FinslerNorm, curves, ys) -> list[TransportResult]:
     """
     members = [_transport_member(norm, curve, y0) for curve, y0 in zip(curves, ys, strict=True)]
     count("lockstep", members=len(members))
-    outcomes = _lockstep(members, partial(_connection_round, norm))
-    for outcome in outcomes:
-        if isinstance(outcome, Exception):
-            raise outcome
-    return outcomes
+    return _settled(_lockstep(members, partial(_connection_round, norm)))
 
 
 def holonomy_map(norm: FinslerNorm, loop: CurveSpec, samples) -> np.ndarray:
@@ -586,12 +611,18 @@ class ParallelogramTransporter:
         self.Y = Y
         self.p = np.asarray(p, dtype=float)
 
-    def _chain_point(self, s: float) -> np.ndarray:
-        # psi_{-s} phi_{-s} psi_s phi_s (p)
-        x = self.p
-        for F, T in ((self.X, s), (self.Y, s), (self.X, -s), (self.Y, -s)):
-            x, _ = integrate(lambda t, z, F=F: F.value(z), 0.0, T, x)
-        return x
+    def _chain_points(self, ss) -> list:
+        """psi_{-s} phi_{-s} psi_s phi_s (p) for each s in ss, in one lockstep;
+        each has the bits of four `integrate` legs, and the first failure in
+        the order of ss is raised."""
+
+        def chain(s):
+            x = self.p
+            for F, T in ((self.X, s), (self.Y, s), (self.X, -s), (self.Y, -s)):
+                x, _ = yield from _steps(0.0, T, x, (F,))
+            return x
+
+        return _settled(_lockstep([chain(s) for s in ss], _field_round))
 
     def loop(self, t: float) -> LoopSpec:
         """Build the realized loop alpha_t * beta_t^{-1} at scale t."""
@@ -604,11 +635,7 @@ class ParallelogramTransporter:
         # beta over s in [0, t]; its first/last nodes reuse p and alpha's
         # endpoint exactly, which is what closes the realized loop bitwise
         us = _lobatto_nodes(FLOW_NODES)
-        values = np.empty((FLOW_NODES + 1, self.p.shape[0]))
-        values[0] = self.p
-        values[-1] = a4.end_state
-        for i in range(1, FLOW_NODES):
-            values[i] = self._chain_point(us[i] * t)
+        values = np.array([self.p, *self._chain_points(us[1:-1] * t), a4.end_state])
         beta = _fit_chebyshev(us, values)
         return LoopSpec([a1, a2, a3, a4, _ReversedPiece(beta)])
 

@@ -378,6 +378,25 @@ def test_parallelogram_command_flat_metric(tmp_path):
     assert next(out.glob("*derivative_vs_step.csv")).read_text().startswith("step,")
 
 
+def test_parallelogram_task_reaches_transport_integrate(tmp_path, monkeypatch):
+    # perfbench's tracer binds `transport.integrate` by name, and its REQUIRED
+    # groups need it reached on the demo and transport workloads; loop builds
+    # keep their flow legs on it until the tracer reads the library's own
+    # counters (ROADMAP item 3)
+    calls = []
+    real = transport.integrate
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(transport, "integrate", counted)
+    payload = {"metric": "sphere", "command": "parallelogram", "point": [1.0, 0.2]}
+    code, _ = run_cli(tmp_path, payload)
+    assert code == EXIT_PASS
+    assert calls
+
+
 def test_curvature_command_sphere(tmp_path):
     payload = {"metric": "sphere", "command": "curvature", "point": [1.1, 0.4], "samples": 8}
     code, out = run_cli(tmp_path, payload)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from holonomylab import finsler
+from holonomylab.jets import DomainBoxError, Jet, JetSpace, SmoothMap
 from holonomylab.finsler import (
     ChartDomainError,
     ChartManifold,
@@ -17,6 +18,11 @@ from holonomylab.finsler import (
     norm_diagnostics,
     spray_jets,
 )
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # the property test below skips itself
+    st = None
 
 
 # Hand-derived reference for the round sphere in polar coordinates (theta, phi):
@@ -271,3 +277,126 @@ def test_spray_jets_truncate_to_lower_caps_bitwise(name):
                     cut = top.at(i).truncated(((n, a), (n, b)))
                     assert cut.space is low.at(i).space
                     assert np.array_equal(cut.coeffs, low.at(i).coeffs), (a, b, i)
+
+
+def _spray_by_composition(norm, x, y, xorder, yorder):
+    # spray_jets as the gradient / derivative_table / truncated composition:
+    # G = 1/2 g^{-1} (y^k d^2E/dx^k dy - dE/dx), g read at (min, max) indices
+    y = np.asarray(y, dtype=float)
+    n = norm.dim
+    E = norm.energy_jet(x, list(y), xcap=xorder + 1, ycap=yorder + 2)
+    target = ((n, xorder), (n, yorder))
+    space = JetSpace.create(target)
+    xs, ys = range(n), range(n, 2 * n)
+    Ey = E.gradient(ys)
+    rhs = None
+    for k in range(n):
+        term = Jet.variable(space, n + k, y[k]) * Ey.derivative_table(k).truncated(target)
+        rhs = term if rhs is None else rhs + term
+    rhs = rhs - E.gradient(xs).truncated(target)
+    cols = Jet.stack([Ey.derivative_table(v).truncated(target) for v in ys] + [rhs], axis=1)
+    l, j = np.indices((n, n + 1))
+    return Jet.stack(finsler._jet_solve(cols.at((np.minimum(l, j), np.maximum(l, j))))) * 0.5
+
+
+SKEWED_3D = "sqrt(y1^2 + (1 + 0.2*x1^2)*y2^2 + exp(0.3*x2)*y3^2 + 0.4*x3*y1*y2) + 0.1*sin(x1)*y3"
+
+
+@pytest.mark.parametrize("name", finsler.catalog_names() + ("skewed_3d",))
+def test_spray_jets_is_the_gradient_composition_bitwise(name):
+    if name == "skewed_3d":
+        norm = FinslerNorm.from_expression(SKEWED_3D, [-0.5] * 3, [0.5] * 3, name=name)
+    else:
+        norm = catalog_norm(name)
+    lo, hi = np.asarray(norm.manifold.lo), np.asarray(norm.manifold.hi)
+    rng = np.random.default_rng(11)
+    n = norm.dim
+    for _ in range(2):
+        x = lo + rng.uniform(0.2, 0.8, size=n) * (hi - lo)
+        for y in (rng.normal(size=n), rng.normal(size=(n, 5))):
+            for caps in ((0, 1), (1, 2), (2, 3)):
+                got = spray_jets(norm, x, list(y), *caps)
+                want = _spray_by_composition(norm, x, y, *caps)
+                assert got.space is want.space and got.shape == want.shape
+                assert got.coeffs.tobytes() == want.coeffs.tobytes(), caps
+
+
+def test_spray_jets_still_reject_zero_and_degenerate_metrics():
+    sphere = catalog_norm("sphere")
+    with pytest.raises(finsler.ConicDomainError):
+        spray_jets(sphere, np.array([1.0, 0.0]), [0.0, 0.0], 0, 1)
+    with pytest.raises(finsler.ConicDomainError):
+        spray_jets(sphere, np.array([1.0, 0.0]), [np.array([1.0, 0.0]), np.array([0.5, 0.0])], 1, 2)
+    # g = diag(1, x1^2) is singular on x1 = 0
+    singular = FinslerNorm.from_expression("sqrt(y1^2 + x1^2*y2^2)", [-1.0, -1.0], [1.0, 1.0])
+    with pytest.raises(MetricDegeneracyError):
+        spray_jets(singular, np.array([0.0, 0.3]), [0.6, 0.8], 0, 1)
+
+
+def _smoothmap_verdict_by_arrays(lo, hi, v):
+    # SmoothMap's box test on numpy arrays: x - lo < -slack or hi - x < -slack
+    low = v.T - lo if v.ndim > 1 else v - lo
+    if (low < -1e-9 * np.maximum(1.0, np.abs(lo))).any():
+        return "below"
+    high = hi - v.T if v.ndim > 1 else hi - v
+    if (high < -1e-9 * np.maximum(1.0, np.abs(hi))).any():
+        return "above"
+    return None
+
+
+def _chart_verdict_by_arrays(lo, hi, x):
+    # ChartManifold's box test on numpy arrays, walls widened by the slack
+    slack = 1e-9 * np.maximum(hi - lo, 1.0)
+    low, high = lo - slack, hi + slack
+    if x.ndim > 1:
+        low, high = low[:, None], high[:, None]
+    return bool(np.any(x < low) or np.any(x > high))
+
+
+if st is None:
+
+    def test_domain_checks_keep_their_verdicts_at_the_walls():
+        pytest.skip("hypothesis is not installed")
+
+else:
+
+    @st.composite
+    def _boxes_and_points(draw):
+        d = draw(st.integers(1, 3))
+        lo = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=d, max_size=d)))
+        hi = lo + np.array(draw(st.lists(st.floats(1e-3, 1e3), min_size=d, max_size=d)))
+        walls = [
+            lo - 1e-9 * np.maximum(1.0, np.abs(lo)), hi + 1e-9 * np.maximum(1.0, np.abs(hi)),
+            lo - 1e-9 * np.maximum(hi - lo, 1.0), hi + 1e-9 * np.maximum(hi - lo, 1.0),
+            lo, hi, 0.5 * (lo + hi), np.full(d, np.nan),
+        ]
+        batch = draw(st.sampled_from((None, 1, 3)))
+        shape = (d,) if batch is None else (d, batch)
+        x = np.empty(shape)
+        for index in np.ndindex(shape):
+            x[index] = walls[draw(st.integers(0, len(walls) - 1))][index[0]]
+            ulps = draw(st.integers(-3, 3))
+            for _ in range(abs(ulps)):
+                x[index] = np.nextafter(x[index], np.inf if ulps > 0 else -np.inf)
+        return lo, hi, x
+
+    @settings(max_examples=400, deadline=None)
+    @given(_boxes_and_points())
+    def test_domain_checks_keep_their_verdicts_at_the_walls(case):
+        # the walls are computed once per box; single points compare floats,
+        # batches compare arrays, and both give the array expressions' verdict
+        lo, hi, x = case
+        field = SmoothMap(lambda a: list(a), len(lo), lo=lo, hi=hi)
+        try:
+            field._check_domain(x)
+            got = None
+        except DomainBoxError as exc:
+            got = "below" if "below" in str(exc) else "above"
+        assert got == _smoothmap_verdict_by_arrays(lo, hi, x)
+        chart = ChartManifold(len(lo), lo, hi)
+        try:
+            chart.require(x)
+            outside = False
+        except ChartDomainError:
+            outside = True
+        assert outside == _chart_verdict_by_arrays(lo, hi, x)

@@ -529,3 +529,56 @@ def test_lockstep_isolates_members_whose_rhs_is_nan():
         y, stats = outcomes[i]
         y_alone, stats_alone = integrate(lambda t, y: np.cos(y), 0.0, spans[i], np.array([0.3]))
         assert y.tobytes() == y_alone.tobytes() and stats == stats_alone
+
+
+def _chain_by_integrate(X, Y, p, s, rejected):
+    # psi_{-s} phi_{-s} psi_s phi_s (p), one integrate per leg; every stage
+    # that leaves a field's box is named in `rejected`
+    def rhs(F):
+        def value(t, z):
+            try:
+                return F.value(z)
+            except DomainBoxError:
+                rejected.append(F.name)
+                raise
+        return value
+
+    x = p
+    for F, T in ((X, s), (Y, s), (X, -s), (Y, -s)):
+        x, _ = integrate(rhs(F), 0.0, T, x)
+    return x
+
+
+def test_chain_points_in_lockstep_are_the_integrate_route_bitwise():
+    # X pulls x1 to 0.9 so fast that early stages of the longer legs
+    # overshoot the wall x1 = 1: those members are rejected and retried
+    lo, hi = [-1.0, -1.0], [1.0, 1.0]
+    X = SmoothMap(lambda a: [-20.0 * (a[0] - 0.9), a[1] * 0.0], 2, lo=lo, hi=hi, name="sink")
+    Y = SmoothMap(lambda a: [a[0] * 0.0, a[1] * 0.0 + 1.0], 2, lo=lo, hi=hi, name="e1")
+    p = np.array([0.5, 0.0])
+    ss = transport._lobatto_nodes(transport.FLOW_NODES)[1:-1] * 0.3
+    rejected = [[] for _ in ss]
+    alone = [_chain_by_integrate(X, Y, p, s, r) for s, r in zip(ss, rejected)]
+    assert not rejected[0] and "sink" in rejected[-1]
+    tr = ParallelogramTransporter(None, X, Y, p)
+    with tally() as counts:
+        together = tr._chain_points(ss)
+    assert [x.tobytes() for x in together] == [x.tobytes() for x in alone]
+    assert tr._chain_points(ss[:1])[0].tobytes() == alone[0].tobytes()
+    # chain points are no transports: the lockstep counters stay at zero
+    assert counts["lockstep"] == {"members": 0, "rounds": 0, "requests": 0}
+
+
+def test_chain_points_raise_the_first_failure_in_order():
+    lo, hi = [-1.0, -1.0], [1.0, 1.0]
+    X = SmoothMap(lambda a: [a[0] * 0.0 + 1.0, a[1] * 0.0], 2, lo=lo, hi=hi, name="e0")
+    Y = SmoothMap(lambda a: [a[0] * 0.0, a[1] * 0.0 + 1.0], 2, lo=lo, hi=hi, name="e1")
+    p = np.array([0.5, 0.8])
+    ss = [0.05, 0.3, 0.25, 0.1]  # legs past x2 = 1 cannot be stepped over
+    with pytest.raises(TransportFailure) as first:
+        for s in ss:
+            _chain_by_integrate(X, Y, p, s, [])
+    with pytest.raises(TransportFailure) as together:
+        ParallelogramTransporter(None, X, Y, p)._chain_points(ss)
+    assert str(together.value) == str(first.value)
+    assert together.value.last_state.tobytes() == first.value.last_state.tobytes()
