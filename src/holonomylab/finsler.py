@@ -14,10 +14,10 @@ and the nonlinear connection G^i_j = dG^i/dy^j together with its
 y-derivatives G^i_{jk} (the Berwald connection).  All of these come out of a
 single jet pipeline: seed (x, y) in a bundle jet space whose per-group caps
 are exactly what the requested output needs, read every table the system
-needs by one gather from E's coefficients (the positions of each shift and
-truncation to the common target are cached per space), and solve the small
-linear system with jet-valued Gaussian elimination.  Positive definiteness
-of g makes elimination without pivoting safe.
+needs from E in one `Jet.read` (one cached gather, truncated to the common
+target), and solve the small linear system with jet-valued Gaussian
+elimination.  Positive definiteness of g makes elimination without pivoting
+safe.
 
 Caps are chosen per call:  output retaining xorder x-derivatives and yorder
 y-derivatives of G^i needs E with caps (xorder + 1, yorder + 2).  Jet
@@ -35,6 +35,7 @@ draws the points of F(p, .) = 1 at which fields and holonomy maps are read.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -346,13 +347,8 @@ def metric_tensor(norm: FinslerNorm, x, y) -> MetricTensor:
         raise ValueError("metric_tensor takes a single tangent vector")
     n = norm.dim
     E = norm.energy_jet(x, y, xcap=0, ycap=2)
-    g = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            alpha = [0] * (2 * n)
-            alpha[n + i] += 1
-            alpha[n + j] += 1
-            g[i, j] = g[j, i] = E.derivative(tuple(alpha))
+    steps = [(n + i, n + j) for i in range(n) for j in range(n)]
+    g = E.read(steps, ((n, 0), (n, 0))).value.reshape(n, n)
     eig = np.linalg.eigvalsh(g)
     if eig[0] <= 0.0:
         raise MetricDegeneracyError(
@@ -394,32 +390,16 @@ def _jet_solve(aug: Jet) -> list:
     return w
 
 
-def _spray_positions(space, n: int, target: tuple):
-    """Positions in E's `space` of the tables `spray_jets` reads, and the
-    scale of each shift, y first as in `derivative_table`, truncated to
-    `target`: arrays of shape (target size, n, 2n + 1) whose row i holds
-    d^2E/dx^i dy^c at c < n, g_ij = d^2E/dy^min(i,j) dy^max(i,j) at c = n + j,
-    and dE/dx^i at c = 2n (second scale 1).  Cached in `space._trunc`."""
-    key = ("spray", target)
-    if key not in space._trunc:
-
-        def read(t, a, b=None):
-            u = list(t)
-            u[a] += 1
-            if b is None:
-                return space.position[tuple(u)], u[a], 1
-            u[b] += 1
-            return space.position[tuple(u)], u[a], t[b] + 1
-
-        reads = np.array([
-            [[read(t, n + c, i) for c in range(n)]
-             + [read(t, n + min(i, c), n + max(i, c)) for c in range(n)] + [read(t, i)]
-             for i in range(n)]
-            for t in grouped_space(target).tuples
-        ])
-        pos, s1, s2 = np.moveaxis(reads, -1, 0)
-        space._trunc[key] = (pos, s1.astype(float), s2.astype(float))
-    return space._trunc[key]
+@functools.cache
+def _spray_reads(n: int) -> tuple:
+    """The reads of E's tables in `spray_jets`, y step first, row by row: row
+    i holds d^2E/dy^c dx^i in column c < n, g_ic = d^2E/dy^min(i,c) dy^max(i,c)
+    in column n + c and dE/dx^i in column 2n."""
+    rows = [
+        [(n + c, i) for c in range(n)] + [(n + min(i, c), n + max(i, c)) for c in range(n)] + [(i,)]
+        for i in range(n)
+    ]
+    return tuple(sum(rows, []))
 
 
 def spray_jets(norm: FinslerNorm, x, y, xorder: int = 0, yorder: int = 0) -> Jet:
@@ -434,9 +414,8 @@ def spray_jets(norm: FinslerNorm, x, y, xorder: int = 0, yorder: int = 0) -> Jet
     E = norm.energy_jet(x, list(y), xcap=xorder + 1, ycap=yorder + 2)
     target = ((n, xorder), (n, yorder))
     space = grouped_space(target)
-    pos, s1, s2 = _spray_positions(E.space, n, target)
-    batch = (1,) * (E.coeffs.ndim - 1)
-    tables = (E.coeffs[pos] * s1.reshape(s1.shape + batch)) * s2.reshape(s2.shape + batch)
+    tables = E.read(_spray_reads(n), target).coeffs
+    tables = tables.reshape((space.size, n, 2 * n + 1) + tables.shape[2:])
     # y^k d^2E/dx^k dy^l for every (k, l) in one multiply, summed in k order
     ys = Jet.stack([Jet.variable(space, n + k, y[k]) for k in range(n)])
     rhs = (Jet(space, ys.coeffs[:, :, None]) * Jet(space, tables[:, :, :n])).sum(0)

@@ -309,10 +309,10 @@ class CommutatorFamily:
         M = self._matrix(Jet.constant(space, float(t)), Jet.constant(space, float(s)))
         return M.value
 
-    def mixed_derivative(self, k: int | None = None, l: int | None = None) -> np.ndarray:
-        """The d^{k+l} c / dt^k ds^l derivative at the origin."""
-        k = _tangent_order(self.phi) if k is None else int(k)
-        l = _tangent_order(self.psi) if l is None else int(l)
+    def mixed_derivative(self) -> np.ndarray:
+        """The d^{k+l} c / dt^k ds^l derivative at the origin, for the contact
+        orders k of phi and l of psi."""
+        k, l = _tangent_order(self.phi), _tangent_order(self.psi)
         space = grouped_space(((1, k), (1, l)))
         M = self._matrix(Jet.variable(space, 0, 0.0), Jet.variable(space, 1, 0.0))
         return M.derivative((k, l))

@@ -143,8 +143,6 @@ class JetSpace:
         self.num_vars = sum(size for size, _ in groups)
         self.caps = tuple(cap for _, cap in groups)
         self.max_total = sum(self.caps)
-        # Largest total degree for which *all* multi-indices are present.
-        self.order = min(self.caps) if groups else 0
 
         per_group = [_group_indices(size, cap) for size, cap in groups]
         tuples: list[tuple[int, ...]] = [()]
@@ -159,15 +157,11 @@ class JetSpace:
             [math.prod(math.factorial(d) for d in t) for t in tuples], dtype=float
         )
 
-        # var -> group lookup
-        self._group_of_var = []
-        for g, (size, _) in enumerate(groups):
-            self._group_of_var.extend([g] * size)
+        self._group_of_var = [g for g, (size, _) in enumerate(groups) for _ in range(size)]
 
         self._mul = None
         self._flat: dict[int, np.ndarray] = {}
-        self._shift: dict[int, tuple["JetSpace", np.ndarray, np.ndarray]] = {}
-        self._trunc: dict[tuple, object] = {}  # truncation positions, and finsler's spray reads
+        self._reads: dict[tuple, tuple["JetSpace", np.ndarray, np.ndarray]] = {}
         self._mono_parent: tuple[np.ndarray, np.ndarray] | None = None
 
     @classmethod
@@ -240,38 +234,33 @@ class JetSpace:
 
     # -- structural maps -------------------------------------------------
 
-    def shift(self, var: int):
-        """Space and index maps realizing the table of d/d(var)."""
-        hit = self._shift.get(var)
-        if hit is not None:
-            return hit
-        g = self._group_of_var[var]
-        if self.caps[g] == 0:
-            raise JetOrderError(
-                f"derivative in variable {var} needs group cap >= 1, space has {self.groups}"
-            )
-        groups = tuple(
-            (size, cap - 1) if i == g else (size, cap)
-            for i, (size, cap) in enumerate(self.groups)
-        )
-        dst = JetSpace.create(groups)
-        src_pos = np.empty(dst.size, dtype=np.int64)
-        scale = np.empty(dst.size, dtype=float)
-        for i, t in enumerate(dst.tuples):
-            lifted = list(t)
-            lifted[var] += 1
-            src_pos[i] = self.position[tuple(lifted)]
-            scale[i] = lifted[var]
-        self._shift[var] = (dst, src_pos, scale)
-        return self._shift[var]
+    def reads(self, steps: tuple, target: tuple) -> tuple["JetSpace", np.ndarray, np.ndarray]:
+        """Where the tables of `steps` sit in a jet of this space, truncated to
+        the space `dst` of groups `target`: (dst, pos, scale), built once per
+        (steps, target).
 
-    def truncation(self, groups: tuple[tuple[int, int], ...]) -> np.ndarray:
-        """Positions in self of every index of the (smaller) target space."""
-        hit = self._trunc.get(groups)
+        Each read is a tuple of variables differentiated in order, () a plain
+        truncation.  Entry i of read j's table is c[pos[i, j]] times scale[0,
+        i, j], then scale[1, i, j] and so on: one factor (t_v + 1) per step,
+        padded with 1.0, so it rounds as the steps taken one at a time do.
+        """
+        hit = self._reads.get((steps, target))
         if hit is None:
-            dst = JetSpace.create(groups)
-            hit = np.array([self.position[t] for t in dst.tuples], dtype=np.int64)
-            self._trunc[groups] = hit
+            dst = JetSpace.create(target)
+            if dst.num_vars != self.num_vars:
+                raise JetShapeError(f"{dst.groups} and {self.groups} differ in variables")
+            pos = np.empty((dst.size, len(steps)), dtype=np.int64)
+            scale = np.ones((max(map(len, steps), default=0), dst.size, len(steps)))
+            for i, t in enumerate(dst.tuples):
+                for j, read in enumerate(steps):
+                    lifted = list(t)
+                    for k in range(len(read) - 1, -1, -1):  # the last step is taken at t
+                        lifted[read[k]] += 1
+                        scale[k, i, j] = lifted[read[k]]
+                    if tuple(lifted) not in self.position:
+                        raise JetOrderError(f"read {read} into {dst.groups} exceeds {self.groups}")
+                    pos[i, j] = self.position[tuple(lifted)]
+            hit = self._reads[(steps, target)] = (dst, pos, scale)
         return hit
 
     def monomial_parents(self):
@@ -542,20 +531,30 @@ class Jet:
 
     # -- structural operations ----------------------------------------------
 
+    def read(self, steps, target) -> "Jet":
+        """The jet in `target` of value shape (len(steps), *shape) whose entry j
+        is the table of read j of `steps` (see :meth:`JetSpace.reads`)."""
+        dst, pos, scale = self.space.reads(tuple(map(tuple, steps)), tuple(target))
+        coeffs = self.coeffs[pos]
+        for factor in scale:
+            coeffs = coeffs * factor.reshape(factor.shape + (1,) * (coeffs.ndim - 2))
+        return Jet(dst, coeffs)
+
     def derivative_table(self, var: int) -> "Jet":
         """The jet of d(self)/d(var), one cap lower in var's group."""
-        dst, src_pos, scale = self.space.shift(var)
-        coeffs = self.coeffs[src_pos]
-        return Jet(dst, coeffs * scale.reshape(scale.shape + (1,) * (coeffs.ndim - 1)))
+        return self.gradient((var,)).at(0)
 
     def gradient(self, variables, axis: int = 0) -> "Jet":
-        """The derivative tables in `variables`, stacked along value axis `axis`."""
-        return Jet.stack([self.derivative_table(v) for v in variables], axis)
+        """The derivative tables in `variables`, all of one group, stacked
+        along value axis `axis`; that group's cap is one lower."""
+        g = self.space._group_of_var[variables[0]]
+        # a group at cap 0 stays there, where `reads` finds no entry to read
+        lowered = tuple((s, max(c - (i == g), 0)) for i, (s, c) in enumerate(self.space.groups))
+        table = self.read([(v,) for v in variables], lowered)
+        return Jet(table.space, np.ascontiguousarray(np.moveaxis(table.coeffs, 1, 1 + axis)))
 
     def truncated(self, groups) -> "Jet":
-        groups = tuple(groups)
-        take = self.space.truncation(groups)
-        return Jet(JetSpace.create(groups), self.coeffs[take])
+        return self.read(((),), groups).at(0)
 
 
 def jet_point(space: JetSpace, values) -> list[Jet]:

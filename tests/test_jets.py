@@ -1,4 +1,5 @@
 import contextlib
+import itertools
 import operator
 
 import numpy as np
@@ -143,6 +144,81 @@ def test_truncation_to_lower_caps():
     assert g.derivative((1, 2)) == pytest.approx(f.derivative((1, 2)))
     with pytest.raises(JetOrderError):
         g.derivative((2, 0))
+
+
+def test_reads_beyond_the_jet_raise_typed_errors():
+    x = Jet.variable(jet_space(2, 1), 0, 0.5)
+    for target, error in ((((2, 2),), JetOrderError), (((3, 1),), JetShapeError)):
+        with pytest.raises(error) as err:
+            x.truncated(target)
+        assert str(target) in str(err.value) and "((2, 1),)" in str(err.value)
+    with pytest.raises(JetOrderError):
+        x.read([(0, 0)], ((2, 0),))
+    with pytest.raises(JetOrderError):  # no x-derivative in a space of x-cap 0
+        Jet.variable(grouped_space(((1, 0), (1, 2))), 1, 0.5).derivative_table(0)
+
+
+def _reference_read(jet, steps, target):
+    """The tables of `steps` in `target` by brute force: the coefficients as
+    {multi-index: value}, each step d/dv mapping a table T to the table
+    u -> T[u + e_v] * (u_v + 1) on the u with u + e_v in T; None when some
+    index of `target` is missing after the steps."""
+
+    def indices(groups):
+        bounds = np.cumsum([0] + [size for size, _ in groups])
+        caps = [cap for _, cap in groups]
+        box = itertools.product(range(max(caps) + 1), repeat=int(bounds[-1]))
+        kept = [t for t in box if all(sum(t[a:b]) <= c for a, b, c in zip(bounds, bounds[1:], caps))]
+        return sorted(kept, key=lambda t: (sum(t), t))
+
+    columns = []
+    for read in steps:
+        table = dict(zip(indices(jet.space.groups), jet.coeffs))
+        for v in read:
+            table = {w[:v] + (w[v] - 1,) + w[v + 1:]: c * w[v] for w, c in table.items() if w[v]}
+        if any(t not in table for t in indices(target)):
+            return None
+        columns.append([table[t] for t in indices(target)])
+    return np.array(columns).swapaxes(0, 1)
+
+
+if st is None:
+
+    def test_reads_match_the_stepwise_taylor_shift():
+        pytest.skip("hypothesis is not installed")
+
+else:
+
+    @st.composite
+    def read_cases(draw):
+        groups = draw(st.lists(st.tuples(st.integers(1, 2), st.integers(0, 3)), min_size=1, max_size=3))
+        target = tuple((size, draw(st.integers(0, cap))) for size, cap in groups)
+        variables = st.integers(0, sum(size for size, _ in groups) - 1)
+        steps = draw(st.lists(st.lists(variables, max_size=3).map(tuple), min_size=1, max_size=3))
+        shape = draw(st.sampled_from(((), (2,), (2, 3))))
+        return tuple(groups), target, steps, shape, draw(st.integers(0, 2**32 - 1))
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(read_cases())
+    @example((((2, 3),), ((2, 1),), [(0, 1), (1, 1), ()], (2,), 0))
+    @example((((1, 2), (2, 3), (1, 1)), ((1, 1), (2, 1), (1, 0)), [(3, 1, 0), (2,)], (2, 3), 1))
+    # scales 3 then 3 round otherwise than one scale of 9
+    @example((((1, 3), (1, 3)), ((1, 2), (1, 2)), [(0, 1), (1, 0)], (2, 3), 2))
+    def test_reads_match_the_stepwise_taylor_shift(case):
+        """`Jet.read` through `JetSpace.reads` is the per-step Taylor shift,
+        scales applied in step order, bit for bit, and raises JetOrderError
+        exactly where the shifted table lacks an index of the target."""
+        groups, target, steps, shape, seed = case
+        space = grouped_space(groups)
+        jet = Jet(space, np.random.default_rng(seed).uniform(-1.0, 1.0, (space.size,) + shape))
+        want = _reference_read(jet, steps, target)
+        if want is None:
+            with pytest.raises(JetOrderError):
+                jet.read(steps, target)
+            return
+        got = jet.read(steps, target)
+        assert got.space is grouped_space(target)
+        assert got.coeffs.shape == want.shape and got.coeffs.tobytes() == want.tobytes()
 
 
 TRUNCATION_OPS = {

@@ -7,7 +7,8 @@ grades against the tolerance profile; results are plain dataclasses without
 a verdict, that only the CLI turns into JSON or CSV; every public name and
 public method serves the package or the demos, or is a listed oracle or
 piece of public API; and every library call returning several components
-returns one Jet, which the package never stacks again."""
+returns one Jet, which the package never stacks again; and only `jets`
+reads the index layout of a JetSpace."""
 
 import ast
 import importlib
@@ -163,6 +164,7 @@ ORACLES_AND_API = {
     "curvature.horizontal_field": "bundle commutator; test_berwald_equals_bundle_commutator",
     "curvature.vertical_field": "bundle commutator; test_berwald_equals_bundle_commutator",
     # public API
+    "jets.Jet.derivative_table": "one partial's table; test_shift_acts_as_partial_derivative",
     "transport.parallelogram_holonomy": "h_t; test_parallelogram_flow_escape_reports_max_scale",
     "liealg.PolynomialField": "polynomial fields; test_bracket_algebra_randomized_invariants",
 }
@@ -230,6 +232,25 @@ def test_public_names_have_callers():
     assert sorted(set(uncalled) - set(ORACLES_AND_API)) == []  # delete these, or list them
     assert sorted(set(ORACLES_AND_API) - set(uncalled)) == []  # called now: unlist them
     assert sorted(n for n in ORACLES_AND_API if n.split(".")[-1] not in in_tests) == []
+
+
+# a JetSpace's index layout; outside `jets` tables are read with `Jet.read`
+JET_LAYOUT = {"position", "tuples", "multi", "fact"}
+
+
+def test_only_jets_reads_the_jet_layout():
+    readers = [
+        f"{path.name}:{node.lineno}: {ast.unparse(node)}"
+        for path, tree in _parse(sorted(PACKAGE.glob("*.py"))).items()
+        if path.name != "jets.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and (
+            node.attr in JET_LAYOUT
+            or node.attr.startswith("_") and "space" in ast.unparse(node.value).lower()
+        )
+    ]
+    assert readers == []
 
 
 def test_every_exported_name_resolves():
