@@ -21,10 +21,10 @@ measurements; `run_config` alone grades them against the tolerance profile,
 so a task's `checks` and `passed` are its only verdicts.
 
 Exit codes: 0 all declared tolerance checks pass, 1 a numeric check failed
-(report still written), 2 config errors (schema violations, unknown metric,
-unreadable file, a value the schema accepts but the command cannot use;
-diagnostics name the offending field, and no report is written), 3 output
-I/O errors.
+(report still written), 2 config errors (a file unreadable as UTF-8 JSON of
+finite numbers, schema violations, unknown metric, a value the schema accepts
+but the command cannot use; diagnostics name the offending field, and no
+report is written), 3 output I/O errors.
 """
 
 from __future__ import annotations
@@ -168,6 +168,13 @@ def _check(name: str, value, tol) -> dict:
 
 def _non_finite(name: str):
     raise ConfigError(f"{name} is not a JSON number")
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if math.isinf(value):
+        raise ConfigError(f"{text} is out of float range")
+    return value
 
 
 def validate_config(config) -> list:
@@ -606,33 +613,25 @@ def run_config(config: dict, seed: int, profile: str):
     tables_out = []
     tasks_meta = []
     failures = []
-    num_checks = 0
     for index, (task, norm) in enumerate(zip(normalized["tasks"], norms)):
         label = task.get("label", f"task{index}-{task['command']}")
         start = time.perf_counter()
         rng = _task_rng(seed, index, task)
         entry = {"label": label, "command": task["command"]}
-        error = None
         with tally() as counts:
             try:
                 results, measured, tables = _HANDLERS[task["command"]](task, norm, rng)
             except ConfigError as exc:
                 raise ConfigError(f"tasks/{index}/{exc}") from None
             except _TASK_ERRORS as exc:
-                error = exc
+                # a failed task is measured as nothing: no checks, one failure line
+                results, measured, tables = {}, {}, {}
+                entry["error"] = f"{type(exc).__name__}: {exc}"
+                failures.append(f"{label}: {type(exc).__name__}")
         wall_s = time.perf_counter() - start
         tasks_meta.append({"label": label, "command": task["command"], "wall_s": wall_s, **counts})
-        if error is not None:
-            entry.update(
-                results={}, checks=[], error=f"{type(error).__name__}: {error}", passed=False
-            )
-            failures.append(f"{label}: {type(error).__name__}")
-            tasks_out.append(entry)
-            tables_out.append({})
-            continue
         checks = [_check(name, value, tol[name]) for name, value in measured.items()]
-        passed = all(c["passed"] for c in checks)
-        num_checks += len(checks)
+        passed = "error" not in entry and all(c["passed"] for c in checks)
         failures.extend(f"{label}: {c['name']}" for c in checks if not c["passed"])
         entry.update(results=_py(results), checks=checks, passed=passed)
         tasks_out.append(entry)
@@ -651,7 +650,7 @@ def run_config(config: dict, seed: int, profile: str):
         "summary": {
             "passed": not failures,
             "num_tasks": len(tasks_out),
-            "num_checks": num_checks,
+            "num_checks": sum(len(entry["checks"]) for entry in tasks_out),
             "failures": failures,
         },
     })
@@ -725,49 +724,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_config(path: str):
+    """The schema-valid config in the UTF-8 JSON file `path`; raises
+    ConfigError when the file cannot be read, parsed or validated."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(str(exc)) from None
+    try:
+        config = json.loads(text, parse_constant=_non_finite, parse_float=_finite_float)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+    except ConfigError as exc:
+        raise ConfigError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise ConfigError("invalid JSON: nesting too deep to parse") from None
+    problems = validate_config(config)
+    if problems:
+        raise ConfigError("\n  ".join(["schema validation failed", *problems]))
+    return config
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
     try:
-        text = Path(args.config).read_text(encoding="utf-8")
-    except OSError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        config = json.loads(text, parse_constant=_non_finite)
-    except json.JSONDecodeError as exc:
-        print(
-            f"config error: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}",
-            file=sys.stderr,
-        )
-        return EXIT_CONFIG
-    except ConfigError as exc:
-        print(f"config error: invalid JSON: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    problems = validate_config(config)
-    if problems:
-        print("config error: schema validation failed", file=sys.stderr)
-        for line in problems:
-            print(f"  {line}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
+        config = _read_config(args.config)
         formats = _parse_formats(args.format)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    if args.seed is not None and args.seed < 0:
-        print(f"config error: --seed must be >= 0, got {args.seed}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    normalized = normalize_config(config)
-    seed = args.seed if args.seed is not None else normalized.get("seed", 0)
-    profile = args.tolerance_profile or normalized.get("tolerance_profile", "default")
-
-    try:
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+        normalized = normalize_config(config)
+        seed = args.seed if args.seed is not None else normalized.get("seed", 0)
+        profile = args.tolerance_profile or normalized.get("tolerance_profile", "default")
         report, tables = run_config(config, seed, profile)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

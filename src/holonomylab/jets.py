@@ -102,7 +102,7 @@ class JetDomainError(ValueError):
 
 
 class JetShapeError(ValueError):
-    """Operands live in different jet spaces."""
+    """Operands live in different jet spaces, or a space's groups are malformed."""
 
 
 class JetOrderError(ValueError):
@@ -168,6 +168,8 @@ class JetSpace:
     def create(cls, groups: tuple[tuple[int, int], ...]) -> "JetSpace":
         space = cls._cache.get(groups)
         if space is None:
+            if any(size < 0 or cap < 0 for size, cap in groups):
+                raise JetShapeError(f"groups {groups}: a group size or cap is negative")
             space = cls._cache[groups] = cls(groups)
         return space
 

@@ -121,6 +121,34 @@ def test_missing_config_file_exits_2(tmp_path):
     assert code == EXIT_CONFIG
 
 
+@pytest.mark.parametrize(
+    "content, expected",
+    [
+        (None, "No such file or directory"),
+        ("directory", "Is a directory"),
+        (b'{"metric": "euclidean",}', "invalid JSON at line 1 column 24"),
+        (b'{"command": "grouplab", "op": "scale", "lambda": NaN}', "invalid JSON: NaN is not a JSON number"),
+        (b"\xff\xfe{}", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+        (b"[" * 100_000 + b"]" * 100_000, "invalid JSON: nesting too deep"),
+        (b'{"command": "grouplab", "op": "exp-iterate", "t": 1e400}', "invalid JSON: 1e400 is out of float range"),
+    ],
+    ids=["missing", "directory", "trailing-comma", "nan", "not-utf8", "deep-nesting", "float-overflow"],
+)
+def test_unusable_config_file_exits_2(tmp_path, capsys, content, expected):
+    # nothing runs and no output directory is made for a file that is not a config
+    cfg = tmp_path / "config.json"
+    if content == "directory":
+        cfg.mkdir()
+    elif content is not None:
+        cfg.write_bytes(content)
+    out = tmp_path / "out"
+    code = main(["--config", str(cfg), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert err.startswith("config error: ") and expected in err
+    assert not out.exists()
+
+
 NILPOTENT = [[0, 1], [0, 0]]
 
 

@@ -156,6 +156,8 @@ def test_reads_beyond_the_jet_raise_typed_errors():
         x.read([(0, 0)], ((2, 0),))
     with pytest.raises(JetOrderError):  # no x-derivative in a space of x-cap 0
         Jet.variable(grouped_space(((1, 0), (1, 2))), 1, 0.5).derivative_table(0)
+    with pytest.raises(JetShapeError, match=r"\(\(2, -1\),\)"):  # a negative cap
+        Jet.variable(jet_space(2, 2), 0, 0.5).truncated(((2, -1),))
 
 
 def _reference_read(jet, steps, target):
