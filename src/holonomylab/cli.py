@@ -739,7 +739,12 @@ def _read_config(path: str):
         raise ConfigError(f"invalid JSON: {exc}") from None
     except RecursionError:
         raise ConfigError("invalid JSON: nesting too deep to parse") from None
-    problems = validate_config(config)
+    except ValueError as exc:  # an integer literal past Python's digit limit
+        raise ConfigError(f"invalid JSON: {exc}") from None
+    try:
+        problems = validate_config(config)
+    except RecursionError:
+        raise ConfigError("schema validation failed: nesting too deep to validate") from None
     if problems:
         raise ConfigError("\n  ".join(["schema validation failed", *problems]))
     return config

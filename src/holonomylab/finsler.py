@@ -16,8 +16,9 @@ single jet pipeline: seed (x, y) in a bundle jet space whose per-group caps
 are exactly what the requested output needs, read every table the system
 needs from E in one `Jet.read` (one cached gather, truncated to the common
 target), and solve the small linear system with jet-valued Gaussian
-elimination.  Positive definiteness of g makes elimination without pivoting
-safe.
+elimination on its augmented coefficient table, with the bits of the same
+steps in `Jet` arithmetic but not its dispatch.  Positive definiteness of g
+makes elimination without pivoting safe.
 
 Caps are chosen per call:  output retaining xorder x-derivatives and yorder
 y-derivatives of G^i needs E with caps (xorder + 1, yorder + 2).  Jet
@@ -362,31 +363,43 @@ def metric_tensor(norm: FinslerNorm, x, y) -> MetricTensor:
     return MetricTensor(g, np.linalg.inv(g), condition, eig)
 
 
-def _jet_solve(aug: Jet) -> list:
-    """Solve A w = b for the augmented rows [A | b] of a jet matrix A, symmetric
-    positive definite by value part.
+def _product(space, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The jet product of two coefficient tables of one shape, flattened
+    into the columns of one `JetSpace.multiply` as `Jet.__mul__` does."""
+    if a.ndim <= 2:
+        return space.multiply(a, b)
+    return space.multiply(a.reshape(a.shape[0], -1), b.reshape(b.shape[0], -1)).reshape(a.shape)
+
+
+def _jet_solve(space, aug: np.ndarray) -> list:
+    """Solve A w = b for the augmented coefficient table aug = [A | b] of
+    shape (space.size, n, n + 1, *batch), A symmetric positive definite by
+    value part; returns the tables of w^0 .. w^{n-1}.
 
     Plain elimination without pivoting, one whole-row operation per
-    eliminated entry; PD of the value part keeps pivots away from zero, and
-    we check anyway.  Row r is kept from column r on.
+    eliminated entry: each product is one `_product`, each difference
+    a + (-b) and each reciprocal `1.0 / Jet`, as jet arithmetic does them.
+    PD of the value part keeps pivots away from zero, and we check anyway.
+    Row r is kept from column r on.
     """
-    n = aug.shape[0]
-    rows = aug.unstack()
+    n = aug.shape[1]
+    rows = list(aug.swapaxes(0, 1))
     inv = []
     for col in range(n):
-        piv = rows[col].at(0)
-        if np.min(np.abs(np.asarray(piv.value))) < 1e-14:
+        piv = rows[col][:, 0]
+        if np.min(np.abs(piv[0])) < 1e-14:
             raise MetricDegeneracyError("zero pivot in fundamental tensor solve")
-        inv.append(1.0 / piv)
+        inv.append((1.0 / Jet(space, piv)).coeffs)
         for r in range(col + 1, n):
-            factor = rows[r].at(0) * inv[col]
-            rows[r] = rows[r].at(np.s_[1:]) - factor * rows[col].at(np.s_[1:])
+            factor = _product(space, rows[r][:, 0], inv[col])
+            rest = rows[col][:, 1:]
+            rows[r] = rows[r][:, 1:] + -_product(space, factor[:, None].repeat(rest.shape[1], 1), rest)
     w = [None] * n
     for row in range(n - 1, -1, -1):
-        acc = rows[row].at(n - row)
+        acc = rows[row][:, n - row]
         for c in range(row + 1, n):
-            acc = acc - rows[row].at(c - row) * w[c]
-        w[row] = acc * inv[row]
+            acc = acc + -_product(space, rows[row][:, c - row], w[c])
+        w[row] = _product(space, acc, inv[row])
     return w
 
 
@@ -417,11 +430,12 @@ def spray_jets(norm: FinslerNorm, x, y, xorder: int = 0, yorder: int = 0) -> Jet
     tables = E.read(_spray_reads(n), target).coeffs
     tables = tables.reshape((space.size, n, 2 * n + 1) + tables.shape[2:])
     # y^k d^2E/dx^k dy^l for every (k, l) in one multiply, summed in k order
-    ys = Jet.stack([Jet.variable(space, n + k, y[k]) for k in range(n)])
-    rhs = (Jet(space, ys.coeffs[:, :, None]) * Jet(space, tables[:, :, :n])).sum(0)
+    ys = Jet.stack([Jet.variable(space, n + k, y[k]) for k in range(n)]).coeffs
+    terms = _product(space, ys[:, :, None].repeat(n, 2), tables[:, :, :n])
+    rhs = functools.reduce(np.add, terms.swapaxes(0, 1))
     # the right-hand side replaces dE/dx as column 2n: [g | rhs] is the system
-    tables[:, :, 2 * n] = (rhs - Jet(space, tables[:, :, 2 * n])).coeffs
-    return Jet.stack(_jet_solve(Jet(space, tables[:, :, n:]))) * 0.5
+    tables[:, :, 2 * n] = rhs + -tables[:, :, 2 * n]
+    return Jet(space, np.stack(_jet_solve(space, tables[:, :, n:]), 1) * 0.5)
 
 
 def geodesic_coefficients(norm: FinslerNorm, x, y, with_second: bool = True) -> SprayData:

@@ -17,7 +17,8 @@ fix the accuracy and are read at call time.  States may carry a trailing
 batch axis, so a whole fan of vectors rides along one curve in a single
 solve.  A curve is a list of pieces over u in [0, 1], each only a `dim` and a
 `point_velocity(u)`; expression pieces differentiate their components on an
-order-1 jet in u.
+order-1 jet in u, and Chebyshev pieces run numpy's Clenshaw recurrence on
+floats.
 
 The step-doubling loop is a generator of stage requests.  Stages 2-4 of the
 full step do not depend on stages 2-4 of the first half step, so they are
@@ -28,7 +29,8 @@ per request, `parallel_transports` steps independent transports together
 with one batched `connection_values` call per round (a single
 `parallel_transport` is its one-member case), and a parallelogram loop's
 chain points step together with one batched `SmoothMap.value` per field
-and round.  Batched evaluations work column by column, so every member
+and round; a connection round of one request is evaluated at its own
+base point.  Batched evaluations work column by column, so every member
 keeps the bits it has alone.  If a round's call raises, each member's
 requests are evaluated alone, so a member that leaves the chart or a
 field's box, or meets a degenerate metric, stops no other; the first
@@ -287,17 +289,27 @@ class _AffinePiece:
         return self.a + (self.b - self.a) * u, self.b - self.a
 
 
+def _clenshaw(c, x):
+    """numpy's `chebval(x, c)` recurrence on one list of floats, step for step."""
+    c0, c1 = (c[0], 0) if len(c) == 1 else (c[-2], c[-1])
+    x2 = 2 * x
+    for i in range(3, len(c) + 1):
+        c0, c1 = c[-i] - c1, c0 + c1 * x2
+    return c0 + c1 * x
+
+
 class _ChebPiece:
-    """Chebyshev-series curve over u in [0, 1] (s = 2u - 1 internally)."""
+    """Chebyshev-series curve over u in [0, 1] (s = 2u - 1 internally),
+    evaluated by `_clenshaw` on the coefficient rows of each component."""
 
     def __init__(self, coeffs: np.ndarray):
-        self.coeffs = np.asarray(coeffs, dtype=float)
-        self.dim = self.coeffs.shape[1]
-        self._dcoeffs = 2.0 * _cheb.chebder(self.coeffs, axis=0)
+        coeffs = np.asarray(coeffs, dtype=float)
+        self.dim = coeffs.shape[1]
+        self._rows = (coeffs.T.tolist(), (2.0 * _cheb.chebder(coeffs, axis=0)).T.tolist())
 
     def point_velocity(self, u):
         s = 2.0 * u - 1.0
-        return _cheb.chebval(s, self.coeffs), _cheb.chebval(s, self._dcoeffs)
+        return tuple(np.array([_clenshaw(c, s) for c in rows]) for rows in self._rows)
 
 
 class _ReversedPiece:
@@ -480,13 +492,17 @@ def _transport_member(norm, curve, y0):
 def _connection_round(norm: FinslerNorm, batch) -> list:
     """The right-hand sides of one lockstep round, from one connection_values call.
 
-    X repeats each request's base point over its columns and W stacks the
+    A lone request is `_piece_rhs` at its own base point.  Otherwise X
+    repeats each request's base point over its columns and W stacks the
     columns of every request; each request's slice of G^i_j is made
     contiguous and contracted as `_piece_rhs` contracts it.  The spray
     pipeline works column by column, so each slice has the bits of that
     request evaluated alone, and `_piece_rhs` is the per-member fallback.
     """
-    count("lockstep", rounds=1, requests=sum(map(len, batch)))
+    total = sum(map(len, batch))
+    count("lockstep", rounds=1, requests=total)
+    if total == 1:
+        return [_answer(partial(_piece_rhs, norm), member) for member in batch]
 
     def together(requests):
         geometry = [piece.point_velocity(u) for piece, u, _ in requests]

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import jsonschema
@@ -131,20 +132,29 @@ def test_missing_config_file_exits_2(tmp_path):
         (b"\xff\xfe{}", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
         (b"[" * 100_000 + b"]" * 100_000, "invalid JSON: nesting too deep"),
         (b'{"command": "grouplab", "op": "exp-iterate", "t": 1e400}', "invalid JSON: 1e400 is out of float range"),
+        (b'{"command": "grouplab", "op": "exp-iterate", "t": ' + b"1" * 5000 + b"}",
+         "invalid JSON: Exceeds the limit (4300 digits) for integer string conversion"),
+        (b"[" * 990 + b"]" * 990, "nesting too deep"),
     ],
-    ids=["missing", "directory", "trailing-comma", "nan", "not-utf8", "deep-nesting", "float-overflow"],
+    ids=["missing", "directory", "trailing-comma", "nan", "not-utf8", "deep-nesting", "float-overflow",
+         "long-integer", "deep-valid-json"],
 )
 def test_unusable_config_file_exits_2(tmp_path, capsys, content, expected):
-    # nothing runs and no output directory is made for a file that is not a config
+    # nothing runs and no output directory is made for a file that is not a config;
+    # main runs near the bottom of a fresh thread's stack, as from the command
+    # line, where 990 nested lists parse and then meet the schema check
     cfg = tmp_path / "config.json"
     if content == "directory":
         cfg.mkdir()
     elif content is not None:
         cfg.write_bytes(content)
     out = tmp_path / "out"
-    code = main(["--config", str(cfg), "--out", str(out)])
+    codes = []  # stays empty if main raises
+    thread = threading.Thread(target=lambda: codes.append(main(["--config", str(cfg), "--out", str(out)])))
+    thread.start()
+    thread.join()
     err = capsys.readouterr().err
-    assert code == EXIT_CONFIG
+    assert codes == [EXIT_CONFIG]
     assert err.startswith("config error: ") and expected in err
     assert not out.exists()
 

@@ -165,14 +165,28 @@ def test_two_spray_routes_agree():
     np.testing.assert_allclose(sd.G, G_alt, atol=1e-12)
 
 
+# the expression norm of the transport tests: x-only factors under exp and log
+WARPED = "sqrt((1 + 0.3*x1^2)*y1^2 + exp(x2)*y2^2) + 0.1*log(2 + x1)*y1"
+
+
 def test_batched_connection_matches_singles():
-    funk = catalog_norm("funk_disk")
-    x = np.array([0.3, -0.2])
-    ys = np.stack([[0.5, 0.1], [-0.3, 0.9], [1.0, 2.0]], axis=1)
-    Gb = connection_values(funk, x, ys)
-    assert Gb.shape == (2, 2, 3)
-    for b in range(3):
-        np.testing.assert_array_equal(Gb[:, :, b], connection_values(funk, x, ys[:, b]))
+    # what a lone transport request relies on: its base point given once,
+    # shape (n,), has the bits of that point repeated over the columns, and
+    # each column has the bits of its tangent vector alone
+    norms = [catalog_norm("sphere"), catalog_norm("funk_disk"),
+             FinslerNorm.from_expression(WARPED, [-1.0, -1.0], [1.0, 1.0])]
+    rng = np.random.default_rng(5)
+    for norm in norms:
+        lo, hi = np.asarray(norm.manifold.lo), np.asarray(norm.manifold.hi)
+        x = lo + rng.uniform(0.2, 0.8, size=2) * (hi - lo)
+        ys = rng.normal(size=(2, 6))
+        Gb = connection_values(norm, x, ys)
+        assert Gb.shape == (2, 2, 6)
+        repeated = connection_values(norm, np.repeat(x[:, None], 6, axis=1), ys)
+        assert Gb.tobytes() == repeated.tobytes(), norm.name
+        for b in range(6):
+            single = connection_values(norm, x, ys[:, b])
+            assert np.ascontiguousarray(Gb[:, :, b]).tobytes() == single.tobytes(), (norm.name, b)
 
 
 def test_horizontal_lift_and_split():
@@ -279,6 +293,27 @@ def test_spray_jets_truncate_to_lower_caps_bitwise(name):
                     assert np.array_equal(cut.coeffs, low.at(i).coeffs), (a, b, i)
 
 
+def _eliminate(aug):
+    # Gaussian elimination without pivoting in jet arithmetic, on the
+    # augmented rows [A | b] of a jet matrix: the reference for the solve
+    # that spray_jets runs on coefficient tables
+    n = aug.shape[0]
+    rows = aug.unstack()
+    inv = []
+    for col in range(n):
+        inv.append(1.0 / rows[col].at(0))
+        for r in range(col + 1, n):
+            factor = rows[r].at(0) * inv[col]
+            rows[r] = rows[r].at(np.s_[1:]) - factor * rows[col].at(np.s_[1:])
+    w = [None] * n
+    for row in range(n - 1, -1, -1):
+        acc = rows[row].at(n - row)
+        for c in range(row + 1, n):
+            acc = acc - rows[row].at(c - row) * w[c]
+        w[row] = acc * inv[row]
+    return w
+
+
 def _spray_by_composition(norm, x, y, xorder, yorder):
     # spray_jets as the gradient / derivative_table / truncated composition:
     # G = 1/2 g^{-1} (y^k d^2E/dx^k dy - dE/dx), g read at (min, max) indices
@@ -296,7 +331,7 @@ def _spray_by_composition(norm, x, y, xorder, yorder):
     rhs = rhs - E.gradient(xs).truncated(target)
     cols = Jet.stack([Ey.derivative_table(v).truncated(target) for v in ys] + [rhs], axis=1)
     l, j = np.indices((n, n + 1))
-    return Jet.stack(finsler._jet_solve(cols.at((np.minimum(l, j), np.maximum(l, j))))) * 0.5
+    return Jet.stack(_eliminate(cols.at((np.minimum(l, j), np.maximum(l, j))))) * 0.5
 
 
 SKEWED_3D = "sqrt(y1^2 + (1 + 0.2*x1^2)*y2^2 + exp(0.3*x2)*y3^2 + 0.4*x3*y1*y2) + 0.1*sin(x1)*y3"

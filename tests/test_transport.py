@@ -6,6 +6,11 @@ import pytest
 from holonomylab import finsler, transport
 from holonomylab.finsler import FinslerNorm, MetricDegeneracyError, catalog_norm, indicatrix_samples
 from holonomylab.jets import DomainBoxError, SmoothMap, tally
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # the property test below skips itself
+    st = None
+
 from holonomylab.transport import (
     CurveSpec,
     FlowEscapeError,
@@ -582,3 +587,33 @@ def test_chain_points_raise_the_first_failure_in_order():
         ParallelogramTransporter(None, X, Y, p)._chain_points(ss)
     assert str(together.value) == str(first.value)
     assert together.value.last_state.tobytes() == first.value.last_state.tobytes()
+
+
+if st is None:
+
+    def test_cheb_piece_is_chebval_bitwise():
+        pytest.skip("hypothesis is not installed")
+
+else:
+    _COEFF = st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False)
+
+    @st.composite
+    def _cheb_cases(draw):
+        rows, dim = draw(st.integers(1, 17)), draw(st.integers(1, 3))
+        row = st.lists(_COEFF, min_size=dim, max_size=dim)
+        coeffs = np.array(draw(st.lists(row, min_size=rows, max_size=rows)))
+        return coeffs, draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+
+    @settings(max_examples=300)
+    @given(_cheb_cases())
+    def test_cheb_piece_is_chebval_bitwise(case):
+        # the float Clenshaw loop of a Chebyshev piece has numpy's bits, for
+        # the point and for the velocity 2 * chebder
+        coeffs, u = case
+        cheb = np.polynomial.chebyshev
+        x, dx = transport._ChebPiece(coeffs).point_velocity(u)
+        s = 2.0 * u - 1.0
+        want_x = cheb.chebval(s, coeffs)
+        want_dx = cheb.chebval(s, 2.0 * cheb.chebder(coeffs, axis=0))
+        assert x.shape == want_x.shape and x.tobytes() == want_x.tobytes()
+        assert dx.shape == want_dx.shape and dx.tobytes() == want_dx.tobytes()
