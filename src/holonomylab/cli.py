@@ -132,6 +132,9 @@ TOLERANCES = {
 }
 
 _TASK_ERRORS = (ValueError, RuntimeError, ArithmeticError, NotImplementedError)
+# deepest nesting of lists and objects in a config file; a schema-valid config
+# nests at most 6 levels, and validating one 64 deep recurses no deeper
+_MAX_NESTING = 64
 
 
 class ConfigError(ValueError):
@@ -724,6 +727,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _nests_too_deep(config) -> bool:
+    """Whether lists and objects nest in `config` deeper than _MAX_NESTING
+    levels, by a walk one level at a time."""
+    level = [config]
+    for _ in range(_MAX_NESTING):
+        nested = [c.values() if isinstance(c, dict) else c for c in level if isinstance(c, (list, dict))]
+        level = [v for c in nested for v in c]
+    return any(isinstance(c, (list, dict)) for c in level)
+
+
 def _read_config(path: str):
     """The schema-valid config in the UTF-8 JSON file `path`; raises
     ConfigError when the file cannot be read, parsed or validated."""
@@ -731,6 +744,7 @@ def _read_config(path: str):
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(str(exc)) from None
+    too_deep = f"lists and objects nest deeper than {_MAX_NESTING} levels"
     try:
         config = json.loads(text, parse_constant=_non_finite, parse_float=_finite_float)
     except json.JSONDecodeError as exc:
@@ -738,13 +752,12 @@ def _read_config(path: str):
     except ConfigError as exc:
         raise ConfigError(f"invalid JSON: {exc}") from None
     except RecursionError:
-        raise ConfigError("invalid JSON: nesting too deep to parse") from None
+        raise ConfigError(too_deep) from None
     except ValueError as exc:  # an integer literal past Python's digit limit
         raise ConfigError(f"invalid JSON: {exc}") from None
-    try:
-        problems = validate_config(config)
-    except RecursionError:
-        raise ConfigError("schema validation failed: nesting too deep to validate") from None
+    if _nests_too_deep(config):
+        raise ConfigError(too_deep)
+    problems = validate_config(config)
     if problems:
         raise ConfigError("\n  ".join(["schema validation failed", *problems]))
     return config

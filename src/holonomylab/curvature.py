@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .jets import Jet, SmoothMap, count, grouped_space, jet_space
+from .jets import Jet, SmoothMap, count, grouped_space
 from .finsler import FinslerNorm, spray_jets
 
 __all__ = [
@@ -175,12 +175,9 @@ class IndicatrixVectorField:
         return _memo_read(self._bundle, (xcap, ycap), yc, lambda: self._evaluator(xcap, ycap, yc))
 
     def taylor(self, center, order: int) -> Jet:
-        """The fiber-only jet at y = center, in jet_space(n, order).
-
-        At x-cap 0 the bundle space lists its indices in the order of
-        jet_space(n, order), so the bundle table is read as it stands.
-        """
-        return Jet(jet_space(self.dim, order), self.bundle_jets(0, order, center).coeffs)
+        """The fiber-only jet at y = center, in jet_space(n, order): the
+        x-cap-0 bundle jet with x held at p."""
+        return self.bundle_jets(0, order, center).truncated(((self.dim, order),), drop=0)
 
     def values(self, ys) -> np.ndarray:
         """Component values at y; accepts shape (n,) or (n, B)."""

@@ -210,16 +210,6 @@ class MatrixCurve:
 
     # -- algebra on curves -----------------------------------------------------
 
-    def multiply(self, other: "MatrixCurve", name: str | None = None) -> "MatrixCurve":
-        """Pointwise product t -> phi(t) psi(t)."""
-        if other.n != self.n:
-            raise ValueError("matrix sizes differ")
-        return MatrixCurve(
-            self.n,
-            lambda tj: _mat_mul(self._evaluator(tj), other._evaluator(tj)),
-            name=name or f"{self.name}*{other.name}",
-        )
-
     def inverse(self, name: str | None = None) -> "MatrixCurve":
         """Pointwise inverse; contact order is kept, the direction negates."""
         return MatrixCurve(
@@ -293,35 +283,26 @@ class CommutatorFamily:
         self.n = phi.n
         self.name = f"comm({phi.name},{psi.name})"
 
-    def _matrix(self, t: Jet, s: Jet) -> Jet:
+    def jets(self, t: Jet, s: Jet) -> Jet:
+        """The matrix jet c(t, s), of value shape (n, n), for t and s seeded
+        in one space."""
         F = self.phi._evaluator(t)
         P = self.psi._evaluator(s)
         return _mat_mul(_mat_mul(P, F), _mat_mul(_mat_inv(P), _mat_inv(F)))
-
-    def jets(self, t: Jet, s: Jet) -> Jet:
-        """The matrix jet c(t, s), of value shape (n, n)."""
-        if t.space is not s.space:
-            raise ValueError("t and s must be seeded in one two-parameter space")
-        return self._matrix(t, s)
-
-    def value(self, t: float, s: float) -> np.ndarray:
-        space = jet_space(2, 0)
-        M = self._matrix(Jet.constant(space, float(t)), Jet.constant(space, float(s)))
-        return M.value
 
     def mixed_derivative(self) -> np.ndarray:
         """The d^{k+l} c / dt^k ds^l derivative at the origin, for the contact
         orders k of phi and l of psi."""
         k, l = _tangent_order(self.phi), _tangent_order(self.psi)
         space = grouped_space(((1, k), (1, l)))
-        M = self._matrix(Jet.variable(space, 0, 0.0), Jet.variable(space, 1, 0.0))
+        M = self.jets(Jet.variable(space, 0, 0.0), Jet.variable(space, 1, 0.0))
         return M.derivative((k, l))
 
     def diagonal(self, name: str | None = None) -> MatrixCurve:
         """The curve t -> c(t, t); contact order k + l when the bracket is nonzero."""
         return MatrixCurve(
             self.n,
-            lambda tj: self._matrix(tj, tj),
+            lambda tj: self.jets(tj, tj),
             name=name or f"diag({self.name})",
         )
 

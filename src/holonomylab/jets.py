@@ -236,33 +236,40 @@ class JetSpace:
 
     # -- structural maps -------------------------------------------------
 
-    def reads(self, steps: tuple, target: tuple) -> tuple["JetSpace", np.ndarray, np.ndarray]:
+    def reads(
+        self, steps: tuple, target: tuple, drop: int | None = None
+    ) -> tuple["JetSpace", np.ndarray, np.ndarray]:
         """Where the tables of `steps` sit in a jet of this space, truncated to
         the space `dst` of groups `target`: (dst, pos, scale), built once per
-        (steps, target).
+        (steps, target, drop).
 
         Each read is a tuple of variables differentiated in order, () a plain
         truncation.  Entry i of read j's table is c[pos[i, j]] times scale[0,
         i, j], then scale[1, i, j] and so on: one factor (t_v + 1) per step,
         padded with 1.0, so it rounds as the steps taken one at a time do.
+        When group `drop` is given, its variables are held at the expansion
+        point: `target` lists the other groups, and each table keeps the
+        entries of degree 0 in the dropped group.
         """
-        hit = self._reads.get((steps, target))
+        hit = self._reads.get((steps, target, drop))
         if hit is None:
             dst = JetSpace.create(target)
-            if dst.num_vars != self.num_vars:
+            start = sum(size for size, _ in self.groups[:drop])
+            held = (0,) * (0 if drop is None else self.groups[drop][0])
+            if dst.num_vars + len(held) != self.num_vars:
                 raise JetShapeError(f"{dst.groups} and {self.groups} differ in variables")
             pos = np.empty((dst.size, len(steps)), dtype=np.int64)
             scale = np.ones((max(map(len, steps), default=0), dst.size, len(steps)))
             for i, t in enumerate(dst.tuples):
                 for j, read in enumerate(steps):
-                    lifted = list(t)
+                    lifted = list(t[:start] + held + t[start:])
                     for k in range(len(read) - 1, -1, -1):  # the last step is taken at t
                         lifted[read[k]] += 1
                         scale[k, i, j] = lifted[read[k]]
                     if tuple(lifted) not in self.position:
                         raise JetOrderError(f"read {read} into {dst.groups} exceeds {self.groups}")
                     pos[i, j] = self.position[tuple(lifted)]
-            hit = self._reads[(steps, target)] = (dst, pos, scale)
+            hit = self._reads[(steps, target, drop)] = (dst, pos, scale)
         return hit
 
     def monomial_parents(self):
@@ -533,10 +540,11 @@ class Jet:
 
     # -- structural operations ----------------------------------------------
 
-    def read(self, steps, target) -> "Jet":
+    def read(self, steps, target, drop: int | None = None) -> "Jet":
         """The jet in `target` of value shape (len(steps), *shape) whose entry j
-        is the table of read j of `steps` (see :meth:`JetSpace.reads`)."""
-        dst, pos, scale = self.space.reads(tuple(map(tuple, steps)), tuple(target))
+        is the table of read j of `steps`, with group `drop` held at the
+        expansion point (see :meth:`JetSpace.reads`)."""
+        dst, pos, scale = self.space.reads(tuple(map(tuple, steps)), tuple(target), drop)
         coeffs = self.coeffs[pos]
         for factor in scale:
             coeffs = coeffs * factor.reshape(factor.shape + (1,) * (coeffs.ndim - 2))
@@ -555,8 +563,10 @@ class Jet:
         table = self.read([(v,) for v in variables], lowered)
         return Jet(table.space, np.ascontiguousarray(np.moveaxis(table.coeffs, 1, 1 + axis)))
 
-    def truncated(self, groups) -> "Jet":
-        return self.read(((),), groups).at(0)
+    def truncated(self, groups, drop: int | None = None) -> "Jet":
+        """The jet in `groups`; with `drop`, restricted to that group's
+        variables at the expansion point, and over the other groups."""
+        return self.read(((),), groups, drop).at(0)
 
 
 def jet_point(space: JetSpace, values) -> list[Jet]:

@@ -254,14 +254,12 @@ class GenerationRecord:
 
 @dataclass
 class ClosureTrace:
-    """Replayable record of a bracket-closure run."""
+    """Replayable record of a bracket-closure run; the rank after each
+    generation is its record's `rank_after`."""
 
     generations: list = dataclass_field(default_factory=list)
     termination: str = ""
     notes: list = dataclass_field(default_factory=list)
-
-    def ranks(self) -> list:
-        return [g.rank_after for g in self.generations]
 
 
 def _radical_inverses(count: int, base: int) -> np.ndarray:

@@ -160,24 +160,29 @@ def test_reads_beyond_the_jet_raise_typed_errors():
         Jet.variable(jet_space(2, 2), 0, 0.5).truncated(((2, -1),))
 
 
-def _reference_read(jet, steps, target):
+def _reference_read(jet, steps, target, drop=None):
     """The tables of `steps` in `target` by brute force: the coefficients as
     {multi-index: value}, each step d/dv mapping a table T to the table
-    u -> T[u + e_v] * (u_v + 1) on the u with u + e_v in T; None when some
-    index of `target` is missing after the steps."""
+    u -> T[u + e_v] * (u_v + 1) on the u with u + e_v in T, then group
+    `drop`, if any, set to 0 and removed; None when some index of `target`
+    is missing after the steps."""
 
     def indices(groups):
         bounds = np.cumsum([0] + [size for size, _ in groups])
         caps = [cap for _, cap in groups]
-        box = itertools.product(range(max(caps) + 1), repeat=int(bounds[-1]))
+        box = itertools.product(range(max(caps, default=0) + 1), repeat=int(bounds[-1]))
         kept = [t for t in box if all(sum(t[a:b]) <= c for a, b, c in zip(bounds, bounds[1:], caps))]
         return sorted(kept, key=lambda t: (sum(t), t))
 
+    bounds = np.cumsum([0] + [size for size, _ in jet.space.groups])
     columns = []
     for read in steps:
         table = dict(zip(indices(jet.space.groups), jet.coeffs))
         for v in read:
             table = {w[:v] + (w[v] - 1,) + w[v + 1:]: c * w[v] for w, c in table.items() if w[v]}
+        if drop is not None:
+            a, b = bounds[drop], bounds[drop + 1]
+            table = {w[:a] + w[b:]: c for w, c in table.items() if not any(w[a:b])}
         if any(t not in table for t in indices(target)):
             return None
         columns.append([table[t] for t in indices(target)])
@@ -194,31 +199,35 @@ else:
     @st.composite
     def read_cases(draw):
         groups = draw(st.lists(st.tuples(st.integers(1, 2), st.integers(0, 3)), min_size=1, max_size=3))
-        target = tuple((size, draw(st.integers(0, cap))) for size, cap in groups)
+        drop = draw(st.none() | st.integers(0, len(groups) - 1))
+        target = tuple((size, draw(st.integers(0, cap))) for g, (size, cap) in enumerate(groups) if g != drop)
         variables = st.integers(0, sum(size for size, _ in groups) - 1)
         steps = draw(st.lists(st.lists(variables, max_size=3).map(tuple), min_size=1, max_size=3))
         shape = draw(st.sampled_from(((), (2,), (2, 3))))
-        return tuple(groups), target, steps, shape, draw(st.integers(0, 2**32 - 1))
+        return tuple(groups), target, steps, shape, draw(st.integers(0, 2**32 - 1)), drop
 
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(read_cases())
-    @example((((2, 3),), ((2, 1),), [(0, 1), (1, 1), ()], (2,), 0))
-    @example((((1, 2), (2, 3), (1, 1)), ((1, 1), (2, 1), (1, 0)), [(3, 1, 0), (2,)], (2, 3), 1))
+    @example((((2, 3),), ((2, 1),), [(0, 1), (1, 1), ()], (2,), 0, None))
+    @example((((1, 2), (2, 3), (1, 1)), ((1, 1), (2, 1), (1, 0)), [(3, 1, 0), (2,)], (2, 3), 1, None))
     # scales 3 then 3 round otherwise than one scale of 9
-    @example((((1, 3), (1, 3)), ((1, 2), (1, 2)), [(0, 1), (1, 0)], (2, 3), 2))
+    @example((((1, 3), (1, 3)), ((1, 2), (1, 2)), [(0, 1), (1, 0)], (2, 3), 2, None))
+    # a fiber-only jet: the x-cap-0 bundle table with x held at p
+    @example((((2, 0), (2, 3)), ((2, 3),), [()], (2, 3), 3, 0))
     def test_reads_match_the_stepwise_taylor_shift(case):
         """`Jet.read` through `JetSpace.reads` is the per-step Taylor shift,
-        scales applied in step order, bit for bit, and raises JetOrderError
-        exactly where the shifted table lacks an index of the target."""
-        groups, target, steps, shape, seed = case
+        scales applied in step order, then the dropped group held at 0, bit
+        for bit, and raises JetOrderError exactly where the shifted table
+        lacks an index of the target."""
+        groups, target, steps, shape, seed, drop = case
         space = grouped_space(groups)
         jet = Jet(space, np.random.default_rng(seed).uniform(-1.0, 1.0, (space.size,) + shape))
-        want = _reference_read(jet, steps, target)
+        want = _reference_read(jet, steps, target, drop)
         if want is None:
             with pytest.raises(JetOrderError):
-                jet.read(steps, target)
+                jet.read(steps, target, drop)
             return
-        got = jet.read(steps, target)
+        got = jet.read(steps, target, drop)
         assert got.space is grouped_space(target)
         assert got.coeffs.shape == want.shape and got.coeffs.tobytes() == want.tobytes()
 

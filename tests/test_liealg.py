@@ -283,7 +283,7 @@ def test_closure_three_dim_heisenberg():
     pts = rng.uniform(-1.0, 1.0, size=(3, 10))
     span, trace = lie_closure([X, Y], depth=3, points=pts)
     assert numerical_rank(span, pts).rank == 3
-    assert trace.ranks()[0] == 3
+    assert trace.generations[0].rank_after == 3
 
 
 def test_closure_idempotent():
@@ -305,7 +305,8 @@ def test_closure_depth_limit_reported():
     pts = rng.uniform(-1.0, 1.0, size=(2, 30))
     span, trace = lie_closure(fields, depth=2, points=pts)
     assert trace.termination == "depth-limit"
-    assert trace.ranks() == sorted(trace.ranks())
+    ranks = [g.rank_after for g in trace.generations]
+    assert ranks == sorted(ranks)
 
 
 def test_closure_trace_serialization():
