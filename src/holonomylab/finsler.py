@@ -21,7 +21,8 @@ steps in `Jet` arithmetic but not its dispatch.  Positive definiteness of g
 makes elimination without pivoting safe.
 
 Caps are chosen per call:  output retaining xorder x-derivatives and yorder
-y-derivatives of G^i needs E with caps (xorder + 1, yorder + 2).  Jet
+y-derivatives of G^i needs E with caps (xorder + 1, yorder + 2) and total
+degree xorder + yorder + 2, the entries its three reads reach.  Jet
 truncation commutes with products on downward-closed index sets, so all
 factors are truncated to the target before multiplying.  For the same
 reason the tables at caps (a, b) equal, bit for bit, the truncation of the
@@ -175,14 +176,15 @@ class FinslerNorm:
 
     # -- jet evaluation ------------------------------------------------------
 
-    def energy_jet(self, x, y, xcap: int, ycap: int) -> Jet:
-        """Jet of E = F^2/2 at (x, y) with per-group caps (xcap, ycap).
+    def energy_jet(self, x, y, xcap: int, ycap: int, total: int | None = None) -> Jet:
+        """Jet of E = F^2/2 at (x, y) with per-group caps (xcap, ycap), cut
+        to total degree `total` when given.
 
         y entries may be (B,) arrays for a batched evaluation at a shared x.
         """
         x = self.manifold.require(np.asarray(x, dtype=float))
         n = self.dim
-        space = grouped_space(((n, xcap), (n, ycap)))
+        space = grouped_space(((n, xcap), (n, ycap)), total)
         xj = [Jet.variable(space, i, x[i]) for i in range(n)]
         yj = [Jet.variable(space, n + i, np.asarray(y[i], dtype=float)) for i in range(n)]
         return self._fsq(xj, yj) * 0.5
@@ -424,7 +426,7 @@ def spray_jets(norm: FinslerNorm, x, y, xorder: int = 0, yorder: int = 0) -> Jet
     """
     y = _check_y(y)
     n = norm.dim
-    E = norm.energy_jet(x, list(y), xcap=xorder + 1, ycap=yorder + 2)
+    E = norm.energy_jet(x, list(y), xcap=xorder + 1, ycap=yorder + 2, total=xorder + yorder + 2)
     target = ((n, xorder), (n, yorder))
     space = grouped_space(target)
     tables = E.read(_spray_reads(n), target).coeffs

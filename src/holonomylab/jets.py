@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+import threading
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -59,6 +60,13 @@ _RICHARDSON_THRESHOLD = 1e-5
 # 1 to 364 columns); below it the sparse fold's Python dispatch dominates,
 # above it bincount's per-element cost does.  Each cached index is <= 32 KB.
 _BINCOUNT_MAX_ELEMENTS = 4096
+# Most elements of one block of pair products in a sparse fold, and of one
+# block of pair codes in a pair table's build (2 MB of floats).  The sparse
+# fold takes a block of columns at a time through two buffers reused per
+# thread, and a pair table is enumerated a block of rows at a time.  A single
+# column with more pairs than this is one block, and the buffers grow to it.
+_PAIR_BUDGET = 2**18
+_PAIR_BUFFERS = threading.local()
 
 # Run telemetry, the one counter set: each group's counter names.  Spray-memo
 # tables come from curvature, lockstep transports and rounds from transport.
@@ -129,25 +137,27 @@ class JetSpace:
 
     A space is described by variable groups ``((size, cap), ...)``: the index
     set holds each multi-index whose total degree inside every group stays at
-    or below that group's cap.  A single group ``(n, m)`` is the ordinary
+    or below that group's cap, and, given `total`, whose total degree over all
+    variables stays at or below it.  A single group ``(n, m)`` is the ordinary
     complete table of mixed partials up to total degree ``m``.  Group caps let
     geometry code carry, say, one x-derivative alongside four y-derivatives
     without paying for a full degree-5 table; truncated products remain exact
-    on every retained index because the index set is downward closed.
+    on every retained index because the index set is downward closed.  Reads
+    (:meth:`reads`) go to spaces without a total cap.
     """
 
     _cache: dict[tuple, "JetSpace"] = {}
 
-    def __init__(self, groups: tuple[tuple[int, int], ...]):
+    def __init__(self, groups: tuple[tuple[int, int], ...], total: int | None = None):
         self.groups = groups
         self.num_vars = sum(size for size, _ in groups)
         self.caps = tuple(cap for _, cap in groups)
-        self.max_total = sum(self.caps)
+        self.max_total = sum(self.caps) if total is None else total
 
         per_group = [_group_indices(size, cap) for size, cap in groups]
         tuples: list[tuple[int, ...]] = [()]
         for block in per_group:
-            tuples = [t + b for t in tuples for b in block]
+            tuples = [t + b for t in tuples for b in block if sum(t) + sum(b) <= self.max_total]
         tuples.sort(key=lambda t: (sum(t), t))
         self.tuples = tuples
         self.size = len(tuples)
@@ -165,12 +175,16 @@ class JetSpace:
         self._mono_parent: tuple[np.ndarray, np.ndarray] | None = None
 
     @classmethod
-    def create(cls, groups: tuple[tuple[int, int], ...]) -> "JetSpace":
-        space = cls._cache.get(groups)
+    def create(cls, groups: tuple[tuple[int, int], ...], total: int | None = None) -> "JetSpace":
+        """The cached space of `groups`; a `total` at or above the sum of the
+        caps cuts nothing and gives the space without one."""
+        if total is not None and total >= sum(cap for _, cap in groups):
+            total = None
+        space = cls._cache.get((groups, total))
         if space is None:
-            if any(size < 0 or cap < 0 for size, cap in groups):
-                raise JetShapeError(f"groups {groups}: a group size or cap is negative")
-            space = cls._cache[groups] = cls(groups)
+            if any(size < 0 or cap < 0 for size, cap in groups) or total is not None and total < 0:
+                raise JetShapeError(f"groups {groups}, total {total}: a size or cap is negative")
+            space = cls._cache[(groups, total)] = cls(groups, total)
         return space
 
     def __repr__(self):  # pragma: no cover
@@ -183,9 +197,10 @@ class JetSpace:
 
         Multi-indices are encoded in a mixed radix wide enough that adding two
         admissible indices never carries, so pair sums can be looked up in a
-        flat table.  Returns (ii, jj, kk, fold): pair p multiplies entries
-        ii[p] and jj[p] into entry kk[p], pairs in row-major (ii, jj) order,
-        and `fold` is the sparse matrix summing each pair into its target.
+        flat table, a block of rows of at most `_PAIR_BUDGET` sums at a time.
+        Returns (ii, jj, kk, fold): pair p multiplies entries ii[p] and jj[p]
+        into entry kk[p], pairs in row-major (ii, jj) order, and `fold` is the
+        sparse matrix summing each pair into its target.
         """
         if self._mul is not None:
             return self._mul
@@ -199,10 +214,13 @@ class JetSpace:
         codes = self.multi @ stride
         lookup = np.full(int(radix.prod()) if self.num_vars else 1, -1, dtype=np.int64)
         lookup[codes] = np.arange(self.size)
-        pair_codes = codes[:, None] + codes[None, :]
-        kk = lookup[pair_codes]
-        ii, jj = np.nonzero(kk >= 0)
-        kk = kk[ii, jj]
+        rows = max(1, _PAIR_BUDGET // self.size)
+        blocks = []
+        for r in range(0, self.size, rows):
+            kk = lookup[codes[r : r + rows, None] + codes]
+            ii, jj = np.nonzero(kk >= 0)
+            blocks.append((ii + r, jj, kk[ii, jj]))
+        ii, jj, kk = map(np.concatenate, zip(*blocks))
         fold = scipy.sparse.csr_matrix(
             (np.ones(len(kk)), (kk, np.arange(len(kk)))), shape=(self.size, len(kk))
         )
@@ -210,29 +228,52 @@ class JetSpace:
         return self._mul
 
     def multiply(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Truncated product of coefficient tables of shape (size,) or (size, columns).
+        """Truncated product of two coefficient tables of one shape, (size,) or (size, columns).
 
         Up to `_BINCOUNT_MAX_ELEMENTS` pair products, `np.bincount` over a
         flat index cached per column count folds them and skips scipy.sparse's
-        Python dispatch; larger products use the sparse fold, which is faster
-        there and caches nothing per column count.  Both folds start every
-        output entry at +0.0 and add its pair products one at a time in pair
-        order, so they agree bit for bit, up to the sign of a NaN that sums
-        two NaNs.
+        Python dispatch.  Larger products use the sparse fold, which is faster
+        there and caches nothing per column count, a block of at most
+        `_PAIR_BUDGET` pair products at a time.  Every output entry starts at
+        +0.0 and adds its pair products one at a time in pair order, column
+        by column, so the folds agree bit for bit, up to the sign of a NaN
+        that sums two NaNs.
         """
-        ii, jj, kk, fold = self._mul_table()
+        ii, jj, kk, _ = self._mul_table()
+        width = a.size // self.size
+        if len(ii) * width > _BINCOUNT_MAX_ELEMENTS:
+            flat = self._fold_blocks(a.reshape(self.size, width), b.reshape(self.size, width))
+            return flat.reshape(a.shape)
         if a.ndim == 1:
             pairs = a[ii] * b[jj]
         else:  # take() gathers the rows of a 2-D table several times faster than a[ii]
             pairs = a.take(ii, 0) * b.take(jj, 0)
-        if pairs.size > _BINCOUNT_MAX_ELEMENTS:
-            return fold @ pairs
-        columns = pairs.shape[1:]
-        width = math.prod(columns)
         flat = self._flat.get(width)
         if flat is None:
             flat = self._flat[width] = (kk[:, None] * width + np.arange(width)).ravel()
-        return np.bincount(flat, pairs.ravel(), self.size * width).reshape((self.size,) + columns)
+        return np.bincount(flat, pairs.ravel(), self.size * width).reshape(a.shape)
+
+    def _fold_blocks(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """The sparse fold of a (size, width) product, as many columns at a
+        time as keep the pair products within `_PAIR_BUDGET` (one at least),
+        gathered and multiplied into this thread's two pair buffers."""
+        ii, jj, _, fold = self._mul_table()
+        npairs, width = len(ii), a.shape[1]
+        step = min(width, max(1, _PAIR_BUDGET // npairs))
+        buffers = getattr(_PAIR_BUFFERS, "pairs", None)
+        if buffers is None or buffers[0].size < npairs * step:
+            buffers = _PAIR_BUFFERS.pairs = (np.empty(npairs * step), np.empty(npairs * step))
+        blocks = []
+        for c in range(0, width, step):
+            n = min(step, width - c)
+            x = buffers[0][: npairs * n].reshape(npairs, n)
+            y = buffers[1][: npairs * n].reshape(npairs, n)
+            # the indices are valid, and clip skips the copy raise makes of `out`
+            a[:, c : c + n].take(ii, 0, out=x, mode="clip")
+            b[:, c : c + n].take(jj, 0, out=y, mode="clip")
+            np.multiply(x, y, out=x)
+            blocks.append(fold @ x)
+        return blocks[0] if len(blocks) == 1 else np.hstack(blocks)
 
     # -- structural maps -------------------------------------------------
 
@@ -295,8 +336,10 @@ def jet_space(num_vars: int, order: int) -> JetSpace:
     return JetSpace.create(((num_vars, order),))
 
 
-def grouped_space(groups: Sequence[tuple[int, int]]) -> JetSpace:
-    return JetSpace.create(tuple((int(s), int(c)) for s, c in groups))
+def grouped_space(groups: Sequence[tuple[int, int]], total: int | None = None) -> JetSpace:
+    """The space of `groups`, cut to total degree `total` when given."""
+    groups = tuple((int(s), int(c)) for s, c in groups)
+    return JetSpace.create(groups, None if total is None else int(total))
 
 
 def _pad(coeffs: np.ndarray, ndim: int) -> np.ndarray:

@@ -356,6 +356,57 @@ def test_spray_jets_is_the_gradient_composition_bitwise(name):
                 assert got.coeffs.tobytes() == want.coeffs.tobytes(), caps
 
 
+# a Riemannian expression metric whose energy jet runs through exp and log
+EXP_LOG = "sqrt(exp(0.4*x1)*y1^2 + log(2 + x2^2)*y2^2 + 0.2*y1*y2)"
+
+
+FULL_ENERGY_JET = FinslerNorm.energy_jet
+
+
+def _uncapped_energy_jet(self, x, y, xcap, ycap, total=None):
+    """`FinslerNorm.energy_jet` with no total cap: the reference for the cut."""
+    return FULL_ENERGY_JET(self, x, y, xcap, ycap)
+
+if st is None:
+
+    def test_spray_jets_read_the_total_capped_energy_jet_bitwise():
+        pytest.skip("hypothesis is not installed")
+
+else:
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(finsler.catalog_names() + ("exp_log",)),
+        st.integers(0, 2),
+        st.integers(0, 3),
+        st.sampled_from((None, 4)),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_spray_jets_read_the_total_capped_energy_jet_bitwise(name, xorder, yorder, batch, seed):
+        # E cut to total degree xorder + yorder + 2 holds every entry the
+        # three reads reach, with the bits of the jet without the cut
+        if name == "exp_log":
+            norm = FinslerNorm.from_expression(EXP_LOG, [-1.0, -1.0], [1.0, 1.0], name=name)
+        else:
+            norm = catalog_norm(name)
+        rng = np.random.default_rng(seed)
+        lo, hi = np.asarray(norm.manifold.lo), np.asarray(norm.manifold.hi)
+        x = lo + rng.uniform(0.2, 0.8, size=2) * (hi - lo)
+        y = list(rng.normal(size=2 if batch is None else (2, batch)))
+        caps = dict(xcap=xorder + 1, ycap=yorder + 2)
+        cut = norm.energy_jet(x, y, **caps, total=xorder + yorder + 2)
+        full = norm.energy_jet(x, y, **caps)
+        assert cut.space.size < full.space.size
+        target = ((2, xorder), (2, yorder))
+        reads = finsler._spray_reads(2)
+        assert cut.read(reads, target).coeffs.tobytes() == full.read(reads, target).coeffs.tobytes()
+        got = spray_jets(norm, x, y, xorder, yorder)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(FinslerNorm, "energy_jet", _uncapped_energy_jet)
+            want = spray_jets(norm, x, y, xorder, yorder)
+        assert got.coeffs.tobytes() == want.coeffs.tobytes()
+
+
 def test_spray_jets_still_reject_zero_and_degenerate_metrics():
     sphere = catalog_norm("sphere")
     with pytest.raises(finsler.ConicDomainError):

@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, strategies as st  # noqa: E402
+from hypothesis import example, given, strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from holonomylab import jets  # noqa: E402
@@ -129,9 +129,9 @@ def test_stack_and_unstack_are_inverse(a):
 SPECIALS = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, 1e300, -5e-324])
 
 
-def sparse_fold(space, a, b):
-    """The product as a CSR matrix summing each pair into its target, pairs in
-    row-major (i, j) order: the fold the product is defined by."""
+def pair_table(space):
+    """(ii, jj, kk) of every pair of entries whose product stays in the space,
+    in row-major (i, j) order, by brute force over the multi-indices."""
     ii, jj, kk = [], [], []
     for i, s in enumerate(space.tuples):
         for j, t in enumerate(space.tuples):
@@ -140,6 +140,13 @@ def sparse_fold(space, a, b):
                 ii.append(i)
                 jj.append(j)
                 kk.append(k)
+    return ii, jj, kk
+
+
+def sparse_fold(space, a, b):
+    """The product as a CSR matrix summing each pair into its target, pairs in
+    row-major (i, j) order: the fold the product is defined by."""
+    ii, jj, kk = pair_table(space)
     fold = scipy.sparse.csr_matrix(
         (np.ones(len(kk)), (kk, np.arange(len(kk)))), shape=(space.size, len(kk))
     )
@@ -192,3 +199,52 @@ def test_multiply_is_the_sparse_fold_for_a_large_one_dimensional_product():
         want, pairs = sparse_fold(space, a, b)
         assert pairs > jets._BINCOUNT_MAX_ELEMENTS
         assert same_bits_or_nan(space.multiply(a, b), want)
+
+
+# -- products and pair tables in blocks -------------------------------------------
+
+# (groups, total) of spaces of 10 to 90 entries, two of them cut to a total degree
+BLOCKED = (
+    (((1, 9),), None),
+    (((2, 3),), None),
+    (((3, 2),), None),
+    (((2, 1), (2, 3)), None),
+    (((2, 1), (2, 3)), 3),
+    (((2, 2), (2, 2)), None),
+    (((2, 2), (2, 4)), None),
+    (((2, 2), (2, 4)), 5),
+)
+
+
+@given(
+    st.sampled_from(BLOCKED),
+    st.integers(0, 12),
+    st.floats(0.3, 3.5),
+    st.integers(0, 2**32 - 1),
+)
+@example(BLOCKED[3], 7, 2.5, 0)  # blocks of 2 columns do not divide 7
+@example(BLOCKED[6], 5, 0.5, 1)  # one column holds more pairs than the budget
+@example(BLOCKED[6], 0, 0.5, 2)  # so does a one-dimensional table
+def test_blocked_multiply_is_one_unblocked_fold_bitwise(case, columns, per_budget, seed):
+    # every product takes the blocked fold, and the budget, in pairs, lands
+    # between a third of a column and 3.5 columns, so products on either side
+    # of it and blocks of every width occur; columns 0 is a one-dimensional table
+    space = grouped_space(*case)
+    rng = np.random.default_rng(seed)
+    pairs = len(pair_table(space)[0])
+    shape = (space.size,) if columns == 0 else (space.size, columns)
+    a, b = special_table(rng, shape), special_table(rng, shape)
+    with np.errstate(invalid="ignore", over="ignore"), pytest.MonkeyPatch.context() as mp:
+        mp.setattr(jets, "_BINCOUNT_MAX_ELEMENTS", 0)
+        mp.setattr(jets, "_PAIR_BUDGET", max(1, int(per_budget * pairs)))
+        want, _ = sparse_fold(space, a, b)
+        assert same_bits_or_nan(space.multiply(a, b), want)
+
+
+@given(st.sampled_from(BLOCKED), st.integers(1, 9000))
+def test_row_blocked_pair_table_is_the_dense_enumeration(case, budget):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(jets, "_PAIR_BUDGET", budget)
+        ii, jj, kk, _ = jets.JetSpace(*case)._mul_table()  # built afresh, not cached
+    for got, want in zip((ii, jj, kk), pair_table(grouped_space(*case))):
+        assert got.dtype == np.int64 and got.tolist() == want

@@ -1,6 +1,9 @@
 import contextlib
 import itertools
 import operator
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import numpy.polynomial.polynomial as P
@@ -509,6 +512,68 @@ def test_richardson_extrapolate_kills_h2_error():
 def test_spaces_are_cached():
     assert jet_space(2, 3) is jet_space(2, 3)
     assert grouped_space(((2, 1), (2, 3))) is grouped_space(((2, 1), (2, 3)))
+
+
+def test_a_total_cap_keeps_the_entries_of_low_total_degree():
+    full = grouped_space(((2, 1), (2, 3)))
+    cut = grouped_space(((2, 1), (2, 3)), total=3)
+    assert (full.size, cut.size, cut.max_total) == (30, 22, 3)
+    assert cut.tuples == [t for t in full.tuples if sum(t) <= 3]
+    assert grouped_space(((2, 1), (2, 3)), total=4) is full
+    assert grouped_space(((2, 4), (2, 8)), total=11).size == 630
+    with pytest.raises(JetShapeError):
+        grouped_space(((2, 1), (2, 3)), total=-1)
+    # a product on the cut space is the product on the full one at its entries
+    rng = np.random.default_rng(2)
+    a, b = rng.standard_normal((2, full.size, 3))
+    keep = [full.position[t] for t in cut.tuples]
+    assert full.multiply(a, b)[keep].tobytes() == cut.multiply(a[keep], b[keep]).tobytes()
+
+
+def test_a_wide_product_stays_in_bounded_memory():
+    # 34,650 pairs in 50 columns: one pair array would hold 13 MB, and the
+    # product took 26.7 MB when it made its pair arrays whole
+    space = grouped_space(((2, 4), (2, 8)))
+    a, b = np.random.default_rng(3).standard_normal((2, space.size, 50))
+    space.multiply(a[:, :1], b[:, :1])  # the pair table is built outside the measurement
+    tracemalloc.start()
+    try:
+        space.multiply(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+def test_concurrent_wide_products_each_get_the_serial_result():
+    # each thread folds through its own pair buffers
+    rng = np.random.default_rng(4)
+    work = []
+    for groups, width in ((((2, 4), (2, 8)), 50), (((2, 3), (2, 7)), 37)):
+        space = grouped_space(groups)
+        a, b = rng.standard_normal((2, space.size, width))
+        work.append((space, a, b, space.multiply(a, b)))
+    start = threading.Barrier(2)
+    wrong = []
+
+    def run(space, a, b, want):
+        start.wait(timeout=30)
+        for _ in range(8):
+            if space.multiply(a, b).tobytes() != want.tobytes():
+                wrong.append(space.groups)
+
+    threads = [threading.Thread(target=run, args=item) for item in work]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
 
 
 def test_variable_outside_the_space_rejected():
