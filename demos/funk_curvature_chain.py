@@ -27,13 +27,13 @@ def main():
     print(f"curvature field value xi(v) = {np.array2string(xi.values(v), precision=8)}")
     print(f"tangency to the indicatrix: residual {xi.tangency_residual(v):.1e}")
 
-    (d1, _), (d2, e2) = parallelogram_derivatives(funk, X, Y, p, v)
+    h = parallelogram_derivatives(funk, X, Y, p, v)
     print()
     print("parallelogram transport family h_t(v), derivatives at t = 0:")
-    print(f"  first derivative  {np.array2string(d1, precision=2)}  (vanishes)")
-    print(f"  second derivative {np.array2string(d2, precision=8)}")
+    print(f"  first derivative  {np.array2string(h.first, precision=2)}  (vanishes)")
+    print(f"  second derivative {np.array2string(h.second, precision=8)}")
     print(f"  2 xi(v)           {np.array2string(2.0 * xi.values(v), precision=8)}")
-    print(f"  extrapolation residual {e2:.1e}")
+    print(f"  extrapolation residual {h.second_error:.1e}")
 
     print()
     print("inclusion chain: curvature algebra inside infinitesimal holonomy")

@@ -59,7 +59,7 @@ from .grouplab import (
     sum_curve,
     weak_tangency_reparam,
 )
-from .jets import richardson_extrapolate, tally
+from .jets import tally
 from .liealg import (
     DEFAULT_TAU,
     ExpressionField,
@@ -71,9 +71,9 @@ from .transport import (
     H_SCHEDULE,
     CurveSpec,
     LoopSpec,
-    ParallelogramTransporter,
     holonomy_map,
     parallel_transports,
+    parallelogram_derivatives,
 )
 
 EXIT_PASS = 0
@@ -346,24 +346,22 @@ def _run_parallelogram(task, norm, rng):
     xi = curvature_field(norm, X, Y, p).values(v)
     target = 2.0 * xi
 
-    firsts, seconds = ParallelogramTransporter(norm, X, Y, p).difference_quotients(v)
+    ders = parallelogram_derivatives(norm, X, Y, p, v)
     rows = [
         [h, float(np.linalg.norm(first)), float(np.linalg.norm(second - target))]
-        for h, first, second in zip(H_SCHEDULE, firsts, seconds)
+        for h, first, second in zip(H_SCHEDULE, ders.firsts, ders.seconds)
     ]
-    d1, e1 = richardson_extrapolate(firsts, H_SCHEDULE)
-    d2, e2 = richardson_extrapolate(seconds, H_SCHEDULE)
 
     scale = max(float(np.linalg.norm(target)), 1.0)
-    first_rel = float(np.linalg.norm(d1)) / scale
-    second_rel = float(np.linalg.norm(d2 - target)) / scale
+    first_rel = float(np.linalg.norm(ders.first)) / scale
+    second_rel = float(np.linalg.norm(ders.second - target)) / scale
     results = {
         "point": list(p),
         "vector": list(v),
-        "first_derivative": list(d1),
-        "second_derivative": list(d2),
+        "first_derivative": list(ders.first),
+        "second_derivative": list(ders.second),
         "curvature_doubled": list(target),
-        "extrapolation_errors": [float(e1), float(e2)],
+        "extrapolation_errors": [ders.first_error, ders.second_error],
     }
     measured = {
         "parallelogram-first-derivative": first_rel,

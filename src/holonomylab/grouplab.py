@@ -155,7 +155,7 @@ class MatrixCurve:
     # -- constructors ----------------------------------------------------------
 
     @staticmethod
-    def exponential(X, power: int = 1, name: str | None = None) -> "MatrixCurve":
+    def exponential(X, power: int = 1) -> "MatrixCurve":
         """The curve t -> exp(t**power X).
 
         Contact order is `power` with direction power! X.  The jet of the
@@ -183,7 +183,7 @@ class MatrixCurve:
                 M = _plus_scaled(M, hm, term)
             return M
 
-        label = name if name is not None else (f"exp(t^{power}X)" if power != 1 else "exp(tX)")
+        label = f"exp(t^{power}X)" if power != 1 else "exp(tX)"
         order = power if np.any(X) else None
         return MatrixCurve(n, evaluator, name=label, order=order)
 
@@ -210,12 +210,12 @@ class MatrixCurve:
 
     # -- algebra on curves -----------------------------------------------------
 
-    def inverse(self, name: str | None = None) -> "MatrixCurve":
+    def inverse(self) -> "MatrixCurve":
         """Pointwise inverse; contact order is kept, the direction negates."""
         return MatrixCurve(
             self.n,
             lambda tj: _mat_inv(self._evaluator(tj)),
-            name=name or f"inv({self.name})",
+            name=f"inv({self.name})",
             order=self.order,
         )
 
@@ -257,12 +257,12 @@ def order_of_contact(curve: MatrixCurve, max_order: int = 6) -> TangentRecord:
     return TangentRecord(None, None, tuple(residuals), int(max_order), CONTACT_TOL)
 
 
-def _tangent_order(curve: MatrixCurve, max_order: int = 6) -> int:
+def _tangent_order(curve: MatrixCurve) -> int:
     if curve.order is not None:
         return int(curve.order)
-    record = order_of_contact(curve, max_order)
+    record = order_of_contact(curve)
     if record.order is None:
-        raise ValueError(f"curve {curve.name!r} shows no contact up to order {max_order}")
+        raise ValueError(f"curve {curve.name!r} shows no contact up to order {record.max_order}")
     return record.order
 
 
@@ -298,12 +298,12 @@ class CommutatorFamily:
         M = self.jets(Jet.variable(space, 0, 0.0), Jet.variable(space, 1, 0.0))
         return M.derivative((k, l))
 
-    def diagonal(self, name: str | None = None) -> MatrixCurve:
+    def diagonal(self) -> MatrixCurve:
         """The curve t -> c(t, t); contact order k + l when the bracket is nonzero."""
         return MatrixCurve(
             self.n,
             lambda tj: self.jets(tj, tj),
-            name=name or f"diag({self.name})",
+            name=f"diag({self.name})",
         )
 
 

@@ -48,10 +48,14 @@ and the loop is alpha_t followed by beta_t reversed.  Flow segments and
 beta are realized as Chebyshev interpolants through Gauss-Lobatto nodes,
 each node computed with the same RK4; endpoints are nodes, and beta's final
 node reuses alpha's endpoint state, so the realized loop closes bitwise.
-The derivatives of t -> h_t(v) are taken by central differences over the
-fixed schedule t in {0.08, 0.04, 0.02, 0.01} with extrapolation in t^2;
-differentiating through an adaptive integrator with jets is not defined, so
-this stays a finite-difference path by design.
+`ParallelogramTransporter` only builds these loops, for t != 0.
+`parallelogram_holonomy` is h_t, the one place where h_0 is the identity and
+where an escaping scale is bisected to the largest one whose loop builds;
+`parallelogram_derivatives` gives the central differences of t -> h_t(v)
+over the fixed schedule t in {0.08, 0.04, 0.02, 0.01}, transported in one
+lockstep, and their extrapolations in t^2.  Differentiating through an
+adaptive integrator with jets is not defined, so this stays a
+finite-difference route by design.
 """
 
 from __future__ import annotations
@@ -70,6 +74,7 @@ __all__ = [
     "CurveSpec",
     "FlowEscapeError",
     "LoopSpec",
+    "ParallelogramDerivatives",
     "ParallelogramTransporter",
     "TransportFailure",
     "TransportResult",
@@ -414,11 +419,6 @@ class LoopSpec(CurveSpec):
             [_AffinePiece(a, b), _AffinePiece(b, c), _AffinePiece(c, d), _AffinePiece(d, a)]
         )
 
-    @classmethod
-    def constant(cls, p):
-        p = np.asarray(p, dtype=float)
-        return cls([_AffinePiece(p, p)])
-
 
 # -- transport ------------------------------------------------------------------
 
@@ -565,8 +565,6 @@ def flow_curve(X: SmoothMap, p, T: float) -> _ChebPiece:
     interpolant.  T may be negative: the flow runs backward.
     """
     p = np.asarray(p, dtype=float)
-    if T == 0.0:
-        return _AffinePiece(p, p)
     us = _lobatto_nodes(FLOW_NODES)
     values = np.empty((FLOW_NODES + 1, p.shape[0]))
     values[0] = p
@@ -575,7 +573,7 @@ def flow_curve(X: SmoothMap, p, T: float) -> _ChebPiece:
         state, _ = integrate(lambda t, x: X.value(x), us[i - 1] * T, us[i] * T, state)
         values[i] = state
     if np.all(values == values[0]):
-        piece = _AffinePiece(p, p)  # stationary point of X: keep velocity exactly 0
+        piece = _AffinePiece(p, p)  # T = 0 or a stationary point of X: velocity exactly 0
     else:
         piece = _fit_chebyshev(us, values)
     piece.end_state = values[-1]
@@ -613,16 +611,14 @@ def flow_transport_discrepancy(norm: FinslerNorm, X: SmoothMap, p, y0, t: float)
 
 
 class ParallelogramTransporter:
-    """Holonomy family h_t at a fixed (X, Y, p).
+    """The parallelogram loops of X and Y at p, one per scale t != 0.
 
-    h_t transports indicatrix vectors around the parallelogram loop of X and
-    Y at scale t; h_0 is the identity, both legs are rebuilt per scale, and
-    negative t runs all flows backward (the family is smooth through 0, which
-    the central-difference schedule relies on).
+    Both legs are rebuilt per scale, and negative t runs all flows backward
+    (the family h_t is smooth through 0, which the central-difference
+    schedule of `parallelogram_derivatives` relies on).
     """
 
-    def __init__(self, norm: FinslerNorm, X: SmoothMap, Y: SmoothMap, p):
-        self.norm = norm
+    def __init__(self, X: SmoothMap, Y: SmoothMap, p):
         self.X = X
         self.Y = Y
         self.p = np.asarray(p, dtype=float)
@@ -641,9 +637,7 @@ class ParallelogramTransporter:
         return _settled(_lockstep([chain(s) for s in ss], _field_round))
 
     def loop(self, t: float) -> LoopSpec:
-        """Build the realized loop alpha_t * beta_t^{-1} at scale t."""
-        if t == 0.0:
-            return LoopSpec.constant(self.p)
+        """Build the realized loop alpha_t * beta_t^{-1} at scale t != 0."""
         a1 = flow_curve(self.X, self.p, t)
         a2 = flow_curve(self.Y, a1.end_state, t)
         a3 = flow_curve(self.X, a2.end_state, -t)
@@ -655,100 +649,89 @@ class ParallelogramTransporter:
         beta = _fit_chebyshev(us, values)
         return LoopSpec([a1, a2, a3, a4, _ReversedPiece(beta)])
 
-    def transport(self, t: float, samples) -> np.ndarray:
-        """h_t applied to samples (n,) or (n, B)."""
-        samples = np.asarray(samples, dtype=float)
-        if t == 0.0:
-            return samples.copy()
-        return parallel_transport(self.norm, self.loop(t), samples).y_end
-
-    def difference_quotients(self, v):
-        """Central first and second differences of t -> h_t(v), one per step.
-
-        h_0(v) = v is exact and anchors the second-difference stencil.
-        Returns (firsts, seconds), two lists in the order of H_SCHEDULE.
-        The loops are built in schedule order (+t, -t) and transported in
-        one lockstep.  If a loop cannot be built, the transports around the
-        loops before it run first, so the error raised is the first one that
-        transporting scale by scale would meet.
-        """
-        v = np.asarray(v, dtype=float)
-        scales = [s for t in H_SCHEDULE for s in (t, -t) if s != 0.0]
-        loops = []
-        try:
-            for s in scales:
-                loops.append(self.loop(s))
-        except Exception:
-            parallel_transports(self.norm, loops, [v] * len(loops))
-            raise
-        results = parallel_transports(self.norm, loops, [v] * len(loops))
-        images = {0.0: v, **{s: r.y_end for s, r in zip(scales, results)}}
-        firsts, seconds = [], []
-        for t in H_SCHEDULE:
-            plus, minus = images[t], images[-t]
-            firsts.append((plus - minus) / (2.0 * t))
-            seconds.append((plus - 2.0 * v + minus) / (t * t))
-        return firsts, seconds
-
-    def max_admissible_t(self, t_target: float) -> float:
-        """Largest |t| <= |t_target| (same sign) whose loop stays in chart."""
-        lo, hi = 0.0, abs(t_target)
-        sgn = 1.0 if t_target >= 0 else -1.0
-        if self._loop_ok(sgn * hi):
-            return t_target
-        for _ in range(BISECTION_STEPS):
-            mid = 0.5 * (lo + hi)
-            if self._loop_ok(sgn * mid):
-                lo = mid
-            else:
-                hi = mid
-        return sgn * lo
-
-    def _loop_ok(self, t: float) -> bool:
-        try:
-            self.loop(t)
-            return True
-        except (TransportFailure, DomainBoxError):
-            return False
-
 
 def parallelogram_holonomy(
     norm: FinslerNorm, X: SmoothMap, Y: SmoothMap, p, t: float, samples
 ) -> np.ndarray:
-    """Transport samples by h_{t,p}; see ParallelogramTransporter.
+    """h_t applied to samples (n,) or (n, B): their transport around the
+    parallelogram loop of X and Y at p at scale t; h_0 is the identity.
 
-    If a flow leaves the chart at scale t, raises FlowEscapeError carrying
-    the largest scale that works.
+    If the loop cannot be built or transported at scale t, raises
+    FlowEscapeError carrying the largest scale of the same sign whose loop
+    can be built: t itself, or the last of BISECTION_STEPS halvings of
+    [0, |t|] that builds.
     """
-    tr = ParallelogramTransporter(norm, X, Y, p)
+    samples = np.asarray(samples, dtype=float)
+    if t == 0.0:
+        return samples.copy()
+    loops = ParallelogramTransporter(X, Y, p)
     try:
-        return tr.transport(t, samples)
+        return parallel_transport(norm, loops.loop(t), samples).y_end
     except (TransportFailure, DomainBoxError) as exc:
-        t_ok = tr.max_admissible_t(t)
-        state = getattr(exc, "last_state", np.asarray(p, dtype=float))
+
+        def builds(s):
+            try:
+                loops.loop(s)
+                return True
+            except (TransportFailure, DomainBoxError):
+                return False
+
+        sgn, lo, hi = (1.0 if t > 0.0 else -1.0), 0.0, abs(t)
+        if builds(t):
+            lo = hi
+        else:
+            for _ in range(BISECTION_STEPS):
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if builds(sgn * mid) else (lo, mid)
         raise FlowEscapeError(
-            f"parallelogram flow escapes chart at scale {t:.6g}; "
-            f"max admissible is {t_ok:.6g}",
-            t,
-            state,
-            t_ok,
+            f"parallelogram flow escapes chart at scale {t:.6g}; max admissible is {sgn * lo:.6g}",
+            t, getattr(exc, "last_state", loops.p), sgn * lo,
         ) from exc
 
 
+@dataclass(frozen=True)
+class ParallelogramDerivatives:
+    """The t-derivatives of t -> h_t(v) at t = 0.
+
+    `firsts` and `seconds` are the central first and second differences,
+    one per step of H_SCHEDULE; `first` and `second` are their
+    extrapolations in t^2, each with the magnitude of its last correction.
+    """
+
+    firsts: tuple
+    seconds: tuple
+    first: np.ndarray
+    first_error: float
+    second: np.ndarray
+    second_error: float
+
+
 def parallelogram_derivatives(
-    norm: FinslerNorm,
-    X: SmoothMap,
-    Y: SmoothMap,
-    p,
-    v,
-):
+    norm: FinslerNorm, X: SmoothMap, Y: SmoothMap, p, v
+) -> ParallelogramDerivatives:
     """First and second t-derivatives of t -> h_t(v) at t = 0.
 
-    The difference quotients over the fixed halving H_SCHEDULE, extrapolated
-    in t^2.  Returns (first, second) as DerivativeEstimate-like pairs
-    ((value, error), (value, error)).
+    The loops at +t and -t for each t of H_SCHEDULE are built in that order
+    and transported in one lockstep.  If a loop cannot be built, the
+    transports around the loops before it run first, so the error raised is
+    the first one that transporting scale by scale would meet.  h_0(v) = v
+    is exact and anchors the second-difference stencil.
     """
-    tr = ParallelogramTransporter(norm, X, Y, p)
-    firsts, seconds = tr.difference_quotients(v)
-    return richardson_extrapolate(firsts, H_SCHEDULE), richardson_extrapolate(seconds, H_SCHEDULE)
-
+    v = np.asarray(v, dtype=float)
+    loops = ParallelogramTransporter(X, Y, p)
+    built = []
+    try:
+        for t in H_SCHEDULE:
+            for s in (t, -t):
+                built.append(loops.loop(s))
+    except Exception:
+        parallel_transports(norm, built, [v] * len(built))
+        raise
+    images = [r.y_end for r in parallel_transports(norm, built, [v] * len(built))]
+    pairs = list(zip(H_SCHEDULE, images[0::2], images[1::2]))
+    firsts = tuple((plus - minus) / (2.0 * t) for t, plus, minus in pairs)
+    seconds = tuple((plus - 2.0 * v + minus) / (t * t) for t, plus, minus in pairs)
+    return ParallelogramDerivatives(
+        firsts, seconds, *richardson_extrapolate(firsts, H_SCHEDULE),
+        *richardson_extrapolate(seconds, H_SCHEDULE),
+    )

@@ -28,6 +28,8 @@ from holonomylab.cli import (
     run_config,
     validate_config,
 )
+from holonomylab.curvature import constant_base_field
+from holonomylab.finsler import catalog_norm
 
 try:
     from hypothesis import given, settings, strategies as st
@@ -429,6 +431,32 @@ def test_parallelogram_task_reaches_transport_integrate(tmp_path, monkeypatch):
     code, _ = run_cli(tmp_path, payload)
     assert code == EXIT_PASS
     assert calls
+
+
+def test_parallelogram_task_reads_parallelogram_derivatives():
+    report, tables = run_config(
+        {"metric": "sphere", "command": "parallelogram", "point": [1.0, 0.2]}, 0, "default"
+    )
+    results = report["tasks"][0]["results"]
+    sphere = catalog_norm("sphere")
+    X = constant_base_field(sphere.manifold, [1.0, 0.0], "X")
+    Y = constant_base_field(sphere.manifold, [0.0, 1.0], "Y")
+    p, v = np.array(results["point"]), np.array(results["vector"])
+    ders = transport.parallelogram_derivatives(sphere, X, Y, p, v)
+
+    def same(got, want):
+        return np.asarray(got, dtype=float).tobytes() == np.asarray(want, dtype=float).tobytes()
+
+    assert same(results["first_derivative"], ders.first)
+    assert same(results["second_derivative"], ders.second)
+    assert same(results["extrapolation_errors"], [ders.first_error, ders.second_error])
+    target = np.array(results["curvature_doubled"])
+    _, rows = tables[0]["derivative_vs_step"]
+    want = [
+        [h, np.linalg.norm(first), np.linalg.norm(second - target)]
+        for h, first, second in zip(transport.H_SCHEDULE, ders.firsts, ders.seconds)
+    ]
+    assert same(rows, want)
 
 
 def test_curvature_command_sphere(tmp_path):

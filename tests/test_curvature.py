@@ -29,7 +29,6 @@ from holonomylab.jets import Jet, SmoothMap, compose_table, grouped_space, jet_s
 from holonomylab.liealg import inclusion_chain_report
 from holonomylab.transport import (
     CurveSpec,
-    ParallelogramTransporter,
     parallel_transport,
     parallelogram_derivatives,
 )
@@ -82,7 +81,8 @@ def test_sphere_curvature_matches_parallelogram_at_general_point(sphere):
     Y = constant_base_field(sphere.manifold, [0.0, 1.0], "Y")
     v = sphere.normalize(q, np.array([0.5, 1.0]))
     xi = curvature_field(sphere, X, Y, q)
-    (_, _), (second, err) = parallelogram_derivatives(sphere, X, Y, q, v)
+    h = parallelogram_derivatives(sphere, X, Y, q, v)
+    second, err = h.second, h.second_error
     assert err < 1e-6
     assert np.linalg.norm(second - 2.0 * xi.values(v)) < 1e-6 * np.linalg.norm(second)
 
@@ -93,7 +93,8 @@ def test_funk_curvature_matches_parallelogram(funk):
     Y = constant_base_field(funk.manifold, [0.0, 1.0], "Y")
     v = funk.normalize(q, np.array([0.2, 0.9]))
     xi = curvature_field(funk, X, Y, q)
-    (_, _), (second, err) = parallelogram_derivatives(funk, X, Y, q, v)
+    h = parallelogram_derivatives(funk, X, Y, q, v)
+    second, err = h.second, h.second_error
     assert err < 1e-6
     assert np.linalg.norm(second - 2.0 * xi.values(v)) < 1e-6 * max(np.linalg.norm(second), 1.0)
 
@@ -602,8 +603,8 @@ def test_transport_oracle_never_reads_the_memos(funk, monkeypatch):
     monkeypatch.setattr(transport, "H_SCHEDULE", (0.1, 0.05))
 
     def run():
-        firsts, seconds = ParallelogramTransporter(funk, X, Y, q).difference_quotients(v)
-        return firsts + seconds + [parallel_transport(funk, curve, v).y_end]
+        h = parallelogram_derivatives(funk, X, Y, q, v)
+        return [*h.firsts, *h.seconds, parallel_transport(funk, curve, v).y_end]
 
     want = run()
 

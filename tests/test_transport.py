@@ -254,7 +254,7 @@ def test_holonomy_rotates_all_samples_equally(sphere):
 
 def test_constant_loop_is_identity(sphere):
     p = np.array([1.0, 0.3])
-    loop = LoopSpec.constant(p)
+    loop = CurveSpec.line_segment(p, p).as_loop()
     samples = indicatrix_samples(sphere, p, 5)
     out = holonomy_map(sphere, loop, samples)
     np.testing.assert_allclose(out, samples, atol=1e-12)
@@ -368,7 +368,7 @@ def test_parallelogram_identity_at_zero(sphere):
 def test_parallelogram_loop_closes(sphere):
     X = constant_field([1.0, 0.0], sphere.manifold)
     Y = constant_field([0.0, 1.0], sphere.manifold)
-    tr = ParallelogramTransporter(sphere, X, Y, np.array([1.0, 0.2]))
+    tr = ParallelogramTransporter(X, Y, np.array([1.0, 0.2]))
     for t in (0.08, -0.05):
         assert tr.loop(t).closure_gap() < 1e-12
 
@@ -381,10 +381,10 @@ def test_parallelogram_derivatives_on_sphere(sphere):
     Y = constant_field([0.0, 1.0], sphere.manifold)
     p = np.array([np.pi / 2, 0.0])
     v = np.array([1.0, 0.0])
-    (d1, e1), (d2, e2) = parallelogram_derivatives(sphere, X, Y, p, v)
-    assert np.max(np.abs(d1)) < 1e-8
-    np.testing.assert_allclose(d2, [0.0, 2.0], atol=2e-4)
-    assert e2 < 1e-4
+    h = parallelogram_derivatives(sphere, X, Y, p, v)
+    assert np.max(np.abs(h.first)) < 1e-8
+    np.testing.assert_allclose(h.second, [0.0, 2.0], atol=2e-4)
+    assert h.second_error < 1e-4
 
 
 def test_parallelogram_flow_escape_reports_max_scale(funk):
@@ -398,6 +398,27 @@ def test_parallelogram_flow_escape_reports_max_scale(funk):
     assert 0.0 <= t_ok < 0.5
     if t_ok > 1e-3:
         parallelogram_holonomy(funk, X, Y, p, 0.5 * t_ok, samples)
+
+
+def test_parallelogram_derivatives_raise_what_scale_by_scale_meets(funk):
+    # near the box corner the +0.08 loop transports and the -0.08 loop cannot
+    # be built: the family raises that build's failure, after the transport
+    X = constant_field([1.0, 0.0], funk.manifold)
+    Y = constant_field([0.0, 1.0], funk.manifold)
+    p = np.array([-0.6, -0.6])
+    v = funk.normalize(p, np.array([0.3, 1.0]))
+    loops = ParallelogramTransporter(X, Y, p)
+    transported = []
+    with pytest.raises(TransportFailure) as one_by_one:
+        for t in transport.H_SCHEDULE:
+            for s in (t, -t):
+                parallel_transport(funk, loops.loop(s), v)
+                transported.append(s)
+    assert transported == [0.08]
+    with pytest.raises(TransportFailure) as together:
+        parallelogram_derivatives(funk, X, Y, p, v)
+    assert str(together.value) == str(one_by_one.value)
+    assert together.value.last_state.tobytes() == one_by_one.value.last_state.tobytes()
 
 
 # -- lockstep --------------------------------------------------------------------
@@ -427,7 +448,7 @@ def test_lockstep_is_the_sequential_route_bit_for_bit(name):
 
     X = constant_field([1.0, 0.0], norm.manifold)
     Y = constant_field([0.0, 1.0], norm.manifold)
-    flow_loop = ParallelogramTransporter(norm, X, Y, at(0.45, 0.5)).loop(0.05)
+    flow_loop = ParallelogramTransporter(X, Y, at(0.45, 0.5)).loop(0.05)
     curves = [
         CurveSpec.line_segment(at(0.3, 0.4), at(0.4, 0.45)),
         CurveSpec(
@@ -565,7 +586,7 @@ def test_chain_points_in_lockstep_are_the_integrate_route_bitwise():
     rejected = [[] for _ in ss]
     alone = [_chain_by_integrate(X, Y, p, s, r) for s, r in zip(ss, rejected)]
     assert not rejected[0] and "sink" in rejected[-1]
-    tr = ParallelogramTransporter(None, X, Y, p)
+    tr = ParallelogramTransporter(X, Y, p)
     with tally() as counts:
         together = tr._chain_points(ss)
     assert [x.tobytes() for x in together] == [x.tobytes() for x in alone]
@@ -584,7 +605,7 @@ def test_chain_points_raise_the_first_failure_in_order():
         for s in ss:
             _chain_by_integrate(X, Y, p, s, [])
     with pytest.raises(TransportFailure) as together:
-        ParallelogramTransporter(None, X, Y, p)._chain_points(ss)
+        ParallelogramTransporter(X, Y, p)._chain_points(ss)
     assert str(together.value) == str(first.value)
     assert together.value.last_state.tobytes() == first.value.last_state.tobytes()
 
