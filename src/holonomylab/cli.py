@@ -31,11 +31,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import json
 import math
 import os
 import sys
 import time
+from contextlib import ExitStack
 from dataclasses import asdict
 from datetime import datetime, timezone
 from importlib import resources
@@ -600,64 +602,73 @@ def run_config(config: dict, seed: int, profile: str):
     report assembly stays deterministic.  Every task's metric is resolved
     before any task runs, so a bad one runs nothing.  A metric or a value a
     task cannot use raises ConfigError naming tasks/<index>/<field>.
+
+    The objects alive on entry, the import heap, stay out of the garbage
+    collector during the run (`gc.freeze()`), so no full pass walks them.
+    The collector's state is restored when the call returns or raises, and
+    a caller's own freeze is left as it is.
     """
-    normalized = normalize_config(config)
-    tol = TOLERANCES[profile]
-    norms = [None] * len(normalized["tasks"])
-    for index, task in enumerate(normalized["tasks"]):
-        if task["command"] in _NEEDS_METRIC:
-            try:
-                norms[index] = resolve_metric(task["metric"])
-            except ConfigError as exc:
-                raise ConfigError(f"tasks/{index}/metric: {exc}") from None
-    tasks_out = []
-    tables_out = []
-    tasks_meta = []
-    failures = []
-    for index, (task, norm) in enumerate(zip(normalized["tasks"], norms)):
-        label = task.get("label", f"task{index}-{task['command']}")
-        start = time.perf_counter()
-        rng = _task_rng(seed, index, task)
-        entry = {"label": label, "command": task["command"]}
-        with tally() as counts:
-            try:
-                results, measured, tables = _HANDLERS[task["command"]](task, norm, rng)
-            except ConfigError as exc:
-                raise ConfigError(f"tasks/{index}/{exc}") from None
-            except _TASK_ERRORS as exc:
-                # a failed task is measured as nothing: no checks, one failure line
-                results, measured, tables = {}, {}, {}
-                entry["error"] = f"{type(exc).__name__}: {exc}"
-                failures.append(f"{label}: {type(exc).__name__}")
-        wall_s = time.perf_counter() - start
-        tasks_meta.append({"label": label, "command": task["command"], "wall_s": wall_s, **counts})
-        checks = [_check(name, value, tol[name]) for name, value in measured.items()]
-        passed = "error" not in entry and all(c["passed"] for c in checks)
-        failures.extend(f"{label}: {c['name']}" for c in checks if not c["passed"])
-        entry.update(results=_py(results), checks=checks, passed=passed)
-        tasks_out.append(entry)
-        tables_out.append(tables)
-    report = _Report({
-        "config": config,
-        "provenance": {
-            "package": "holonomylab",
-            "version": __version__,
-            "numpy": np.__version__,
-            "scipy": scipy.__version__,
-            "seed": int(seed),
-            "tolerance_profile": profile,
-        },
-        "tasks": tasks_out,
-        "summary": {
-            "passed": not failures,
-            "num_tasks": len(tasks_out),
-            "num_checks": sum(len(entry["checks"]) for entry in tasks_out),
-            "failures": failures,
-        },
-    })
-    report.meta = {"tasks": tasks_meta}
-    jsonschema.Draft202012Validator(load_schema("report.schema.json")).validate(report)
-    return report, tables_out
+    with ExitStack() as heap:
+        if not gc.get_freeze_count():
+            gc.freeze()
+            heap.callback(gc.unfreeze)
+        normalized = normalize_config(config)
+        tol = TOLERANCES[profile]
+        norms = [None] * len(normalized["tasks"])
+        for index, task in enumerate(normalized["tasks"]):
+            if task["command"] in _NEEDS_METRIC:
+                try:
+                    norms[index] = resolve_metric(task["metric"])
+                except ConfigError as exc:
+                    raise ConfigError(f"tasks/{index}/metric: {exc}") from None
+        tasks_out = []
+        tables_out = []
+        tasks_meta = []
+        failures = []
+        for index, (task, norm) in enumerate(zip(normalized["tasks"], norms)):
+            label = task.get("label", f"task{index}-{task['command']}")
+            start = time.perf_counter()
+            rng = _task_rng(seed, index, task)
+            entry = {"label": label, "command": task["command"]}
+            with tally() as counts:
+                try:
+                    results, measured, tables = _HANDLERS[task["command"]](task, norm, rng)
+                except ConfigError as exc:
+                    raise ConfigError(f"tasks/{index}/{exc}") from None
+                except _TASK_ERRORS as exc:
+                    # a failed task is measured as nothing: no checks, one failure line
+                    results, measured, tables = {}, {}, {}
+                    entry["error"] = f"{type(exc).__name__}: {exc}"
+                    failures.append(f"{label}: {type(exc).__name__}")
+            wall_s = time.perf_counter() - start
+            tasks_meta.append({"label": label, "command": task["command"], "wall_s": wall_s, **counts})
+            checks = [_check(name, value, tol[name]) for name, value in measured.items()]
+            passed = "error" not in entry and all(c["passed"] for c in checks)
+            failures.extend(f"{label}: {c['name']}" for c in checks if not c["passed"])
+            entry.update(results=_py(results), checks=checks, passed=passed)
+            tasks_out.append(entry)
+            tables_out.append(tables)
+        report = _Report({
+            "config": config,
+            "provenance": {
+                "package": "holonomylab",
+                "version": __version__,
+                "numpy": np.__version__,
+                "scipy": scipy.__version__,
+                "seed": int(seed),
+                "tolerance_profile": profile,
+            },
+            "tasks": tasks_out,
+            "summary": {
+                "passed": not failures,
+                "num_tasks": len(tasks_out),
+                "num_checks": sum(len(entry["checks"]) for entry in tasks_out),
+                "failures": failures,
+            },
+        })
+        report.meta = {"tasks": tasks_meta}
+        jsonschema.Draft202012Validator(load_schema("report.schema.json")).validate(report)
+        return report, tables_out
 
 
 def _safe_name(label: str) -> str:

@@ -1,6 +1,7 @@
 """Config validation, exit codes, determinism, and report formats."""
 
 import contextlib
+import gc
 import io
 import json
 import math
@@ -580,6 +581,74 @@ def test_run_config_resolves_every_metric_before_any_task(monkeypatch):
     with pytest.raises(ConfigError, match=r"^tasks/1/metric: .*hyperbolic"):
         run_config(config, 0, "default")
     assert ran == []
+
+
+CONTACT_TASK = {"command": "grouplab", "op": "contact", "k": 2, "seed": 0}
+
+
+def _grouplab_handler(monkeypatch, seen, fail=None):
+    # the handler records the freeze count it runs under, then raises `fail`
+    real = cli._HANDLERS["grouplab"]
+
+    def spy(task, norm, rng):
+        seen.append(gc.get_freeze_count())
+        if fail is not None:
+            raise fail
+        return real(task, norm, rng)
+
+    monkeypatch.setitem(cli._HANDLERS, "grouplab", spy)
+
+
+def test_a_run_keeps_the_import_heap_out_of_the_collector(monkeypatch):
+    seen = []
+    _grouplab_handler(monkeypatch, seen)
+    before = gc.get_freeze_count()
+    report, _ = run_config(CONTACT_TASK, 0, "default")
+    assert report["summary"]["passed"]
+    assert seen[0] > 10_000
+    assert gc.get_freeze_count() == before
+
+
+@pytest.mark.parametrize(
+    "fail, raised",
+    [
+        (ConfigError("op: refused"), ConfigError),
+        (KeyError("escapes the task"), KeyError),
+        (ValueError("a task error"), None),
+    ],
+)
+def test_a_run_restores_the_collector_when_it_raises(monkeypatch, fail, raised):
+    seen = []
+    _grouplab_handler(monkeypatch, seen, fail)
+    before = gc.get_freeze_count()
+    if raised is None:
+        report, _ = run_config(CONTACT_TASK, 0, "default")
+        assert report["tasks"][0]["error"] == "ValueError: a task error"
+    else:
+        with pytest.raises(raised):
+            run_config(CONTACT_TASK, 0, "default")
+    assert seen[0] > 10_000
+    assert gc.get_freeze_count() == before
+
+
+def _collectable(obj) -> bool:
+    # gc.get_objects() lists the three generations, never the frozen objects
+    return any(item is obj for item in gc.get_objects())
+
+
+def test_a_callers_own_freeze_is_left_as_it_is():
+    # frozen objects may die during the run, so sentinels show what moved
+    kept = []
+    gc.freeze()
+    try:
+        fresh = []
+        run_config(CONTACT_TASK, 0, "default")
+        assert gc.get_freeze_count() > 10_000
+        assert not _collectable(kept)
+        assert _collectable(fresh)
+    finally:
+        gc.unfreeze()
+    assert _collectable(kept)
 
 
 def _reject_constant(name):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from holonomylab import curvature, transport
+from holonomylab.cli import TOLERANCES
 from holonomylab.curvature import (
     IndicatrixVectorField,
     berwald_covariant_derivative,
@@ -29,6 +30,8 @@ from holonomylab.jets import Jet, SmoothMap, compose_table, grouped_space, jet_s
 from holonomylab.liealg import inclusion_chain_report
 from holonomylab.transport import (
     CurveSpec,
+    LoopSpec,
+    holonomy_map,
     parallel_transport,
     parallelogram_derivatives,
 )
@@ -444,6 +447,31 @@ def test_euclidean_generators_are_zero():
     for f in gen:
         assert np.max(np.abs(f.values(ys))) < 1e-12
     assert field_rank(gen, euc, q) == 0
+
+
+# Shen's fish tank: Zermelo navigation on the Euclidean plane under the wind
+# W = (-x2, x1), F = (sqrt(l|y|^2 + <W,y>^2) - <W,y>)/l with l = 1 - |x|^2, a
+# Randers metric of flag curvature 0 that is not Berwald (Z. Shen, Canad. J.
+# Math. 2003); its G^i_jk depend on y, so its zeros need those terms to cancel
+FISH_TANK = (
+    "(sqrt((1 - x1^2 - x2^2)*(y1^2 + y2^2) + (x1*y2 - x2*y1)^2) - (x1*y2 - x2*y1))"
+    " / (1 - x1^2 - x2^2)"
+)
+
+
+def test_fish_tank_curvature_transport_and_holonomy_are_zero():
+    fish = FinslerNorm.from_expression(FISH_TANK, [-0.5, -0.5], [0.5, 0.5])
+    p = np.array([0.2, 0.1])
+    e0, e1 = coordinate_fields(fish.manifold)
+    xi = curvature_field(fish, e0, e1, p)
+    assert np.max(np.abs(xi.values(indicatrix_samples(fish, p, 24)))) <= 1e-12
+    loop = LoopSpec.rectangle([0.1, 0.0], [0.3, 0.2])
+    samples = indicatrix_samples(fish, loop.start, 6)
+    returned = holonomy_map(fish, loop, samples)
+    assert np.max(np.linalg.norm(returned - samples, axis=0)) <= 1e-8
+    v = indicatrix_samples(fish, p, 1, offset=0.3)[:, 0]
+    second = parallelogram_derivatives(fish, e0, e1, p, v).second
+    assert np.linalg.norm(second) <= TOLERANCES["default"]["parallelogram-second-vs-curvature"]
 
 
 def test_sphere_depth_zero_rank_one(sphere):

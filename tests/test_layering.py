@@ -7,8 +7,9 @@ grades against the tolerance profile; results are plain dataclasses without
 a verdict, that only the CLI turns into JSON or CSV; every public name and
 public method serves the package or the demos, or is a listed oracle or
 piece of public API; and every library call returning several components
-returns one Jet, which the package never stacks again; and only `jets`
-reads the index layout of a JetSpace."""
+returns one Jet, which the package never stacks again; only `jets`
+reads the index layout of a JetSpace; and only the CLI imports `gc`, since
+the collector's policy is process-wide."""
 
 import ast
 import contextlib
@@ -153,6 +154,23 @@ def test_only_the_cli_serializes():
                     and item.name in {"as_dict", "to_payload", "to_json"}
                 )
     assert imports == [] and methods == []
+
+
+def test_only_the_cli_sets_collector_policy():
+    # the garbage collector's policy is process-wide, so one module owns it
+    importers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                names = []
+            importers.extend(f"{path.name}:{node.lineno}" for n in names if n == "gc")
+    assert importers == []
 
 
 # Public functions and methods that the package's and the demos' own inputs
