@@ -88,49 +88,31 @@ DEFAULT_OUT = "holonomylab-out"
 
 HOMOGENEITY_LAMBDAS = (0.5, 2.0, 10.0)
 
+# one row per check: its bound under the (default, strict) profiles
+_BOUNDS = {
+    "homogeneity": (1e-8, 1e-9),
+    "positivity-failures": (0.0, 0.0),
+    "convexity-failures": (0.0, 0.0),
+    "jet-consistency": (1e-10, 1e-11),
+    "transport-norm-drift": (1e-8, 1e-9),
+    "transport-homogeneity": (1e-8, 1e-9),
+    "holonomy-indicatrix-drift": (1e-8, 1e-9),
+    "holonomy-rotation-oracle": (1e-6, 1e-7),
+    "parallelogram-first-derivative": (1e-6, 1e-7),
+    "parallelogram-second-vs-curvature": (1e-4, 1e-5),
+    "curvature-tangency": (1e-8, 1e-10),
+    "curvature-antisymmetry": (1e-10, 1e-11),
+    "chain-monotone": (0.0, 0.0),
+    "grouplab-contact": (0.0, 0.0),
+    "grouplab-direction": (1e-9, 1e-10),
+    "grouplab-diagonal": (1e-8, 1e-9),
+    "grouplab-monotone": (0.0, 0.0),
+    "grouplab-ratio": (0.2, 0.1),
+    "weak-direction": (1e-5, 5e-6),
+}
 TOLERANCES = {
-    "default": {
-        "homogeneity": 1e-8,
-        "positivity-failures": 0.0,
-        "convexity-failures": 0.0,
-        "jet-consistency": 1e-10,
-        "transport-norm-drift": 1e-8,
-        "transport-homogeneity": 1e-8,
-        "holonomy-indicatrix-drift": 1e-8,
-        "holonomy-rotation-oracle": 1e-6,
-        "parallelogram-first-derivative": 1e-6,
-        "parallelogram-second-vs-curvature": 1e-4,
-        "curvature-tangency": 1e-8,
-        "curvature-antisymmetry": 1e-10,
-        "chain-monotone": 0.0,
-        "grouplab-contact": 0.0,
-        "grouplab-direction": 1e-9,
-        "grouplab-diagonal": 1e-8,
-        "grouplab-monotone": 0.0,
-        "grouplab-ratio": 0.2,
-        "weak-direction": 1e-5,
-    },
-    "strict": {
-        "homogeneity": 1e-9,
-        "positivity-failures": 0.0,
-        "convexity-failures": 0.0,
-        "jet-consistency": 1e-11,
-        "transport-norm-drift": 1e-9,
-        "transport-homogeneity": 1e-9,
-        "holonomy-indicatrix-drift": 1e-9,
-        "holonomy-rotation-oracle": 1e-7,
-        "parallelogram-first-derivative": 1e-7,
-        "parallelogram-second-vs-curvature": 1e-5,
-        "curvature-tangency": 1e-10,
-        "curvature-antisymmetry": 1e-11,
-        "chain-monotone": 0.0,
-        "grouplab-contact": 0.0,
-        "grouplab-direction": 1e-10,
-        "grouplab-diagonal": 1e-9,
-        "grouplab-monotone": 0.0,
-        "grouplab-ratio": 0.1,
-        "weak-direction": 5e-6,
-    },
+    "default": {check: bound for check, (bound, _) in _BOUNDS.items()},
+    "strict": {check: bound for check, (_, bound) in _BOUNDS.items()},
 }
 
 _TASK_ERRORS = (ValueError, RuntimeError, ArithmeticError, NotImplementedError)

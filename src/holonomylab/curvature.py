@@ -119,9 +119,9 @@ class IndicatrixVectorField:
     is known: 1 for raw curvature fields, 0 after `radialized()`, None for
     fields without a definite degree (covariant derivatives, brackets, user
     fields).  The field memoizes its evaluations and carries the spray memo
-    `sprays` of its family: a field derived from another passes its parent's,
-    and a field given none starts a family with a new memo; see the module
-    docstring.
+    `sprays` of its family: a field derived from another is built by its
+    parent's `_derived`, which passes the parent's, and a field given none
+    starts a family with a new memo; see the module docstring.
     """
 
     def __init__(
@@ -222,16 +222,12 @@ class IndicatrixVectorField:
             F = (2.0 * norm.energy_jet(p, list(yc), xcap=xcap, ycap=ycap)).sqrt()
             return self.bundle_jets(xcap, ycap, yc) / F
 
+        return self._derived(evaluator, self.provenance, self.label, 0, self.depth, self.parents)
+
+    def _derived(self, evaluator, provenance, label, homogeneity, depth, parents):
+        """A field of this field's family: its norm, base point and spray memo."""
         return IndicatrixVectorField(
-            norm,
-            p,
-            evaluator,
-            self.provenance,
-            self.label,
-            homogeneity=0,
-            depth=self.depth,
-            parents=self.parents,
-            sprays=self._sprays,
+            self.norm, self.p, evaluator, provenance, label, homogeneity, depth, parents, self._sprays
         )
 
 
@@ -360,16 +356,8 @@ def berwald_covariant_derivative(xi: IndicatrixVectorField, X: SmoothMap) -> Ind
         return acc
 
     label = f"D[{X.name or 'X'}]{xi.label}"
-    return IndicatrixVectorField(
-        xi.norm,
-        p,
-        evaluator,
-        "covariant-derivative",
-        label,
-        homogeneity=None,
-        depth=xi.depth + 1,
-        parents=(xi.label, X.name or "X"),
-        sprays=xi._sprays,
+    return xi._derived(
+        evaluator, "covariant-derivative", label, None, xi.depth + 1, (xi.label, X.name or "X")
     )
 
 
@@ -406,17 +394,9 @@ def fiber_bracket(
         return acc
 
     label = f"[{xi.label},{eta.label}]"
-    return IndicatrixVectorField(
-        xi.norm,
-        xi.p,
-        evaluator,
-        "bracket",
-        label,
-        homogeneity=None,
-        depth=xi.depth + eta.depth + 1,
-        parents=(xi.label, eta.label),
-        sprays=xi._sprays,  # eta's would serve too: same norm, same base point
-    )
+    # eta's family would serve too: same norm, same base point
+    depth = xi.depth + eta.depth + 1
+    return xi._derived(evaluator, "bracket", label, None, depth, (xi.label, eta.label))
 
 
 # -- bundle-field adapters -----------------------------------------------------

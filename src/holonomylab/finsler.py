@@ -365,21 +365,13 @@ def metric_tensor(norm: FinslerNorm, x, y) -> MetricTensor:
     return MetricTensor(g, np.linalg.inv(g), condition, eig)
 
 
-def _product(space, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The jet product of two coefficient tables of one shape, flattened
-    into the columns of one `JetSpace.multiply` as `Jet.__mul__` does."""
-    if a.ndim <= 2:
-        return space.multiply(a, b)
-    return space.multiply(a.reshape(a.shape[0], -1), b.reshape(b.shape[0], -1)).reshape(a.shape)
-
-
 def _jet_solve(space, aug: np.ndarray) -> list:
     """Solve A w = b for the augmented coefficient table aug = [A | b] of
     shape (space.size, n, n + 1, *batch), A symmetric positive definite by
     value part; returns the tables of w^0 .. w^{n-1}.
 
     Plain elimination without pivoting, one whole-row operation per
-    eliminated entry: each product is one `_product`, each difference
+    eliminated entry: each product is one `JetSpace.product`, each difference
     a + (-b) and each reciprocal `1.0 / Jet`, as jet arithmetic does them.
     PD of the value part keeps pivots away from zero, and we check anyway.
     Row r is kept from column r on.
@@ -393,15 +385,14 @@ def _jet_solve(space, aug: np.ndarray) -> list:
             raise MetricDegeneracyError("zero pivot in fundamental tensor solve")
         inv.append((1.0 / Jet(space, piv)).coeffs)
         for r in range(col + 1, n):
-            factor = _product(space, rows[r][:, 0], inv[col])
-            rest = rows[col][:, 1:]
-            rows[r] = rows[r][:, 1:] + -_product(space, factor[:, None].repeat(rest.shape[1], 1), rest)
+            factor = space.product(rows[r][:, 0], inv[col])
+            rows[r] = rows[r][:, 1:] + -space.product(factor[:, None], rows[col][:, 1:])
     w = [None] * n
     for row in range(n - 1, -1, -1):
         acc = rows[row][:, n - row]
         for c in range(row + 1, n):
-            acc = acc + -_product(space, rows[row][:, c - row], w[c])
-        w[row] = _product(space, acc, inv[row])
+            acc = acc + -space.product(rows[row][:, c - row], w[c])
+        w[row] = space.product(acc, inv[row])
     return w
 
 
@@ -431,10 +422,9 @@ def spray_jets(norm: FinslerNorm, x, y, xorder: int = 0, yorder: int = 0) -> Jet
     space = grouped_space(target)
     tables = E.read(_spray_reads(n), target).coeffs
     tables = tables.reshape((space.size, n, 2 * n + 1) + tables.shape[2:])
-    # y^k d^2E/dx^k dy^l for every (k, l) in one multiply, summed in k order
+    # y^k d^2E/dx^k dy^l for every (k, l) in one product, summed in k order
     ys = Jet.stack([Jet.variable(space, n + k, y[k]) for k in range(n)]).coeffs
-    terms = _product(space, ys[:, :, None].repeat(n, 2), tables[:, :, :n])
-    rhs = functools.reduce(np.add, terms.swapaxes(0, 1))
+    rhs = Jet(space, space.product(ys[:, :, None], tables[:, :, :n])).sum().coeffs
     # the right-hand side replaces dE/dx as column 2n: [g | rhs] is the system
     tables[:, :, 2 * n] = rhs + -tables[:, :, 2 * n]
     return Jet(space, np.stack(_jet_solve(space, tables[:, :, n:]), 1) * 0.5)

@@ -253,6 +253,18 @@ class JetSpace:
             flat = self._flat[width] = (kk[:, None] * width + np.arange(width)).ravel()
         return np.bincount(flat, pairs.ravel(), self.size * width).reshape(a.shape)
 
+    def product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Truncated product of two coefficient tables of equal ndim whose
+        value shapes broadcast: each is repeated along its unit axes, and a
+        value shape of several axes flattens into the columns of one `multiply`."""
+        if a.shape != b.shape:
+            for axis, (p, q) in enumerate(zip(a.shape, b.shape)):
+                if p != q:
+                    a, b = (a.repeat(q, axis), b) if p == 1 else (a, b.repeat(p, axis))
+        if a.ndim <= 2:
+            return self.multiply(a, b)
+        return self.multiply(a.reshape(self.size, -1), b.reshape(self.size, -1)).reshape(a.shape)
+
     def _fold_blocks(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """The sparse fold of a (size, width) product, as many columns at a
         time as keep the pair products within `_PAIR_BUDGET` (one at least),
@@ -345,14 +357,6 @@ def grouped_space(groups: Sequence[tuple[int, int]], total: int | None = None) -
 def _pad(coeffs: np.ndarray, ndim: int) -> np.ndarray:
     """`coeffs` with leading unit axes inserted into its value shape up to `ndim` axes."""
     return coeffs.reshape(coeffs.shape[:1] + (1,) * (ndim + 1 - coeffs.ndim) + coeffs.shape[1:])
-
-
-def _expand(coeffs: np.ndarray, full: tuple) -> np.ndarray:
-    """`coeffs` repeated along its unit axes to the broadcast shape `full`."""
-    for axis, (have, want) in enumerate(zip(coeffs.shape, full)):
-        if have != want:
-            coeffs = coeffs.repeat(want, axis)
-    return coeffs
 
 
 class Jet:
@@ -448,10 +452,10 @@ class Jet:
 
     def sum(self, axis: int = 0) -> "Jet":
         """Sum over value axis `axis`, adding the terms in order from the first."""
-        terms = np.moveaxis(self.coeffs, 1 + axis, 0)
-        acc = terms[0]
-        for term in terms[1:]:
-            acc = acc + term
+        at = (slice(None),) * (1 + axis)
+        acc = self.coeffs[at + (0,)]
+        for k in range(1, self.coeffs.shape[1 + axis]):
+            acc = acc + self.coeffs[at + (k,)]
         return Jet(self.space, acc)
 
     # -- ring operations ---------------------------------------------------
@@ -501,16 +505,7 @@ class Jet:
 
     def __mul__(self, other):
         a, b, is_jet = self._operands(other)
-        if not is_jet:
-            return Jet(self.space, a * b)
-        if a.shape != b.shape:
-            full = tuple(map(max, a.shape, b.shape))
-            a, b = _expand(a, full), _expand(b, full)
-        if a.ndim <= 2:
-            return Jet(self.space, self.space.multiply(a, b))
-        # a value shape of several axes flattens into the columns of one multiply
-        flat = self.space.multiply(a.reshape(a.shape[0], -1), b.reshape(b.shape[0], -1))
-        return Jet(self.space, flat.reshape(a.shape))
+        return Jet(self.space, self.space.product(a, b) if is_jet else a * b)
 
     __rmul__ = __mul__
 
@@ -592,10 +587,6 @@ class Jet:
         for factor in scale:
             coeffs = coeffs * factor.reshape(factor.shape + (1,) * (coeffs.ndim - 2))
         return Jet(dst, coeffs)
-
-    def derivative_table(self, var: int) -> "Jet":
-        """The jet of d(self)/d(var), one cap lower in var's group."""
-        return self.gradient((var,)).at(0)
 
     def gradient(self, variables, axis: int = 0) -> "Jet":
         """The derivative tables in `variables`, all of one group, stacked

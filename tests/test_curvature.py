@@ -60,8 +60,8 @@ def bundle_bracket_value(A, B, z):
     m = len(ta)
     av = np.array([float(t.value) for t in ta])
     bv = np.array([float(t.value) for t in tb])
-    da = np.array([[float(ta[i].derivative_table(j).value) for j in range(m)] for i in range(m)])
-    db = np.array([[float(tb[i].derivative_table(j).value) for j in range(m)] for i in range(m)])
+    da = np.array([[float(ta[i].gradient((j,)).at(0).value) for j in range(m)] for i in range(m)])
+    db = np.array([[float(tb[i].gradient((j,)).at(0).value) for j in range(m)] for i in range(m)])
     return db @ av - da @ bv
 
 
@@ -150,7 +150,7 @@ def test_riemannian_fields_are_linear_in_y(sphere):
     for i in range(n):
         for a in range(n):
             for b in range(n):
-                d2 = jets.at(i).derivative_table(n + a).derivative_table(n + b).value
+                d2 = jets.at(i).gradient((n + a,)).at(0).gradient((n + b,)).at(0).value
                 assert abs(float(d2)) < 1e-8
 
 
@@ -161,7 +161,7 @@ def test_funk_fields_are_not_linear_in_y(funk):
     jets = curvature_field(funk, e0, e1, q).bundle_jets(0, 2, y)
     n = 2
     worst = max(
-        abs(float(jets.at(i).derivative_table(n + a).derivative_table(n + b).value))
+        abs(float(jets.at(i).gradient((n + a,)).at(0).gradient((n + b,)).at(0).value))
         for i in range(n)
         for a in range(n)
         for b in range(n)
@@ -194,7 +194,7 @@ def test_radialized_euler_identity(funk):
     jets = rad.bundle_jets(0, 1, y)
     n = 2
     for i in range(n):
-        radial = sum(y[k] * float(jets.at(i).derivative_table(n + k).value) for k in range(n))
+        radial = sum(y[k] * float(jets.at(i).gradient((n + k,)).at(0).value) for k in range(n))
         assert abs(radial) < 1e-12
 
 

@@ -315,7 +315,7 @@ def _eliminate(aug):
 
 
 def _spray_by_composition(norm, x, y, xorder, yorder):
-    # spray_jets as the gradient / derivative_table / truncated composition:
+    # spray_jets as the gradient / truncated composition:
     # G = 1/2 g^{-1} (y^k d^2E/dx^k dy - dE/dx), g read at (min, max) indices
     y = np.asarray(y, dtype=float)
     n = norm.dim
@@ -326,10 +326,10 @@ def _spray_by_composition(norm, x, y, xorder, yorder):
     Ey = E.gradient(ys)
     rhs = None
     for k in range(n):
-        term = Jet.variable(space, n + k, y[k]) * Ey.derivative_table(k).truncated(target)
+        term = Jet.variable(space, n + k, y[k]) * Ey.gradient((k,)).at(0).truncated(target)
         rhs = term if rhs is None else rhs + term
     rhs = rhs - E.gradient(xs).truncated(target)
-    cols = Jet.stack([Ey.derivative_table(v).truncated(target) for v in ys] + [rhs], axis=1)
+    cols = Jet.stack([Ey.gradient((v,)).at(0).truncated(target) for v in ys] + [rhs], axis=1)
     l, j = np.indices((n, n + 1))
     return Jet.stack(_eliminate(cols.at((np.minimum(l, j), np.maximum(l, j))))) * 0.5
 

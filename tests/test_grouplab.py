@@ -29,6 +29,11 @@ from holonomylab.grouplab import (
 )
 from holonomylab.jets import Jet, JetDomainError, curve_derivative, jet_space, mixed_partial
 
+try:
+    from hypothesis import assume, given, settings, strategies as st
+except ImportError:  # the property test below skips itself
+    st = None
+
 FIXTURES = json.loads(
     (Path(__file__).parent / "data" / "grouplab_fixtures.json").read_text()
 )
@@ -475,3 +480,48 @@ def test_rotation_scaling_pair_spans_its_plane():
     _, residual, _, _ = np.linalg.lstsq(basis, direction.ravel(), rcond=None)
     assert float(residual[0]) < 1e-18 if residual.size else True
     assert np.allclose(direction, J + S, rtol=0.0, atol=1e-12)
+
+
+def _defect(got, want, scale) -> float:
+    return float(np.max(np.abs(got - want))) / scale
+
+
+if st is None:
+
+    def test_directions_obey_the_lie_algebra_laws():
+        pytest.skip("hypothesis is not installed")
+
+else:
+
+    @st.composite
+    def _curve_pairs(draw):
+        """(k, l, A, B, lam): orders k, l in 1..3, n x n matrices (n = 2 or 3)
+        of 2-norm at most 1 with an entry above 1e-3, and lam in [-2, 2]."""
+        n = draw(st.sampled_from((2, 3)))
+        k, l = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        entries = st.lists(st.floats(-1.0, 1.0), min_size=n * n, max_size=n * n)
+        A, B = (np.array(draw(entries)).reshape(n, n) for _ in range(2))
+        A, B = (M / max(1.0, np.linalg.norm(M, 2)) for M in (A, B))
+        assume(min(np.max(np.abs(A)), np.max(np.abs(B))) > 1e-3)
+        return k, l, A, B, draw(st.floats(-2.0, 2.0, allow_subnormal=False))
+
+    @settings(max_examples=100)
+    @given(_curve_pairs())
+    def test_directions_obey_the_lie_algebra_laws(draw):
+        # the tangent directions of curves through the identity form the Lie
+        # algebra: sums add, scalings scale, and the commutator family's
+        # mixed derivative and diagonal give the bracket YX - XY
+        k, l, A, B, lam = draw
+        phi, psi = MatrixCurve.exponential(A, k), MatrixCurve.exponential(B, l)
+        X, Y = phi.derivative(k), psi.derivative(l)
+        x, y = np.max(np.abs(X)), np.max(np.abs(Y))
+        assert _defect(sum_curve(phi, psi).derivative(math.lcm(k, l)), X + Y, max(x, y)) < 1e-12
+        assert _defect(scale_curve(phi, lam).derivative(k), lam * X, abs(lam) * x or 1.0) < 1e-12
+        family = CommutatorFamily(phi, psi)
+        bracket = Y @ X - X @ Y
+        assert _defect(family.mixed_derivative(), bracket, x * y) < 1e-12
+        if np.max(np.abs(bracket)) > 1e-3:
+            record = order_of_contact(family.diagonal())
+            factor = math.comb(k + l, k)
+            assert record.order == k + l
+            assert _defect(record.direction, factor * bracket, factor * x * y) < 1e-12

@@ -132,7 +132,7 @@ def test_shift_acts_as_partial_derivative():
     x = Jet.variable(sp, 0, 0.4)
     y = Jet.variable(sp, 1, -0.2)
     f = x * x * y + y * y * y
-    dfdx = f.derivative_table(0)
+    dfdx = f.gradient((0,)).at(0)
     # d/dx (x^2 y + y^3) = 2xy
     assert dfdx.value == pytest.approx(2 * 0.4 * -0.2)
     assert dfdx.derivative((1, 1)) == pytest.approx(2.0)
@@ -158,7 +158,7 @@ def test_reads_beyond_the_jet_raise_typed_errors():
     with pytest.raises(JetOrderError):
         x.read([(0, 0)], ((2, 0),))
     with pytest.raises(JetOrderError):  # no x-derivative in a space of x-cap 0
-        Jet.variable(grouped_space(((1, 0), (1, 2))), 1, 0.5).derivative_table(0)
+        Jet.variable(grouped_space(((1, 0), (1, 2))), 1, 0.5).gradient((0,)).at(0)
     with pytest.raises(JetShapeError, match=r"\(\(2, -1\),\)"):  # a negative cap
         Jet.variable(jet_space(2, 2), 0, 0.5).truncated(((2, -1),))
 

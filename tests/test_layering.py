@@ -8,8 +8,10 @@ a verdict, that only the CLI turns into JSON or CSV; every public name and
 public method serves the package or the demos, or is a listed oracle or
 piece of public API; and every library call returning several components
 returns one Jet, which the package never stacks again; only `jets`
-reads the index layout of a JetSpace; and only the CLI imports `gc`, since
-the collector's policy is process-wide."""
+reads the index layout of a JetSpace, and only `jets` calls the product
+kernel `JetSpace.multiply`, which other modules reach through
+`JetSpace.product`; and only the CLI imports `gc`, since the collector's
+policy is process-wide."""
 
 import ast
 import contextlib
@@ -184,7 +186,6 @@ ORACLES_AND_API = {
     "jets.curve_derivative": "Richardson in t; test_analytic_functions_match_richardson",
     "jets.mixed_partial": "Richardson in (t, s); test_commutator_richardson_cross_check",
     "jets.finite_difference_weights": "stencils of jets.curve_derivative and jets.mixed_partial",
-    "finsler.geodesic_coefficients": "G at a point; test_sphere_spray_matches_geodesic_equations",
     "transport.flow_transport_discrepancy": "flow against transport; test_flow_equals_transport",
     "transport.horizontal_flow": "the flow of transport.flow_transport_discrepancy",
     "finsler.horizontal_lift": "the right-hand side of transport.horizontal_flow",
@@ -192,7 +193,10 @@ ORACLES_AND_API = {
     "curvature.horizontal_field": "bundle commutator; test_berwald_equals_bundle_commutator",
     "curvature.vertical_field": "bundle commutator; test_berwald_equals_bundle_commutator",
     # public API
-    "jets.Jet.derivative_table": "one partial's table; test_shift_acts_as_partial_derivative",
+    "finsler.geodesic_coefficients": (
+        "spray_jets read at one point; the closed-form geodesic equations"
+        " of test_sphere_spray_matches_geodesic_equations are the independent side"
+    ),
     "transport.parallelogram_holonomy": "h_t; test_parallelogram_flow_escape_reports_max_scale",
     "liealg.PolynomialField": "polynomial fields; test_bracket_algebra_randomized_invariants",
 }
@@ -368,6 +372,21 @@ def test_only_jets_reads_the_jet_layout():
         and _wraps_a_call(node, {"jet_space", "grouped_space"})
     ]
     assert readers == []
+
+
+def test_only_jets_calls_the_product_kernel():
+    # a coefficient-table product outside `jets` is one `JetSpace.product`
+    callers = [
+        f"{path.name}:{node.lineno}: {ast.unparse(node.func)}"
+        for path, tree in _parse(sorted(PACKAGE.glob("*.py"))).items()
+        if path.name != "jets.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "multiply"
+        and ast.unparse(node.func.value) != "np"
+    ]
+    assert callers == []
 
 
 def test_every_exported_name_resolves():
