@@ -33,7 +33,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .jets import Jet, JetDomainError, grouped_space, jet_space, richardson_extrapolate
 
@@ -170,6 +169,7 @@ class MatrixCurve:
         power = int(power)
 
         def evaluator(tj: Jet):
+            from scipy.linalg import expm
             s = tj**power
             s0 = float(np.asarray(s.value))
             h = s - s0
@@ -398,6 +398,7 @@ def exp_iterate(psi: MatrixCurve, t: float, n: int) -> IterationResult:
     scale = float(np.linalg.norm(t * X, 2))
     if scale > EXP_NORM_BOUND:
         raise ValueError(f"|t X| = {scale:.3g} exceeds the overflow bound {EXP_NORM_BOUND:g}")
+    from scipy.linalg import expm
     A = psi.value(t / int(n))
     M = np.linalg.matrix_power(A, int(n))
     R = expm(t * X)

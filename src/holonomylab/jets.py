@@ -20,14 +20,12 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-import threading
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.sparse
 
 __all__ = [
     "Jet",
@@ -55,18 +53,16 @@ _RICHARDSON_SCHEDULE = (0.1, 0.05, 0.025, 0.0125)
 # counts as converged
 _RICHARDSON_THRESHOLD = 1e-5
 
-# Largest pair-product array `JetSpace.multiply` folds with np.bincount.  The
-# two folds cost the same near 4,096 elements (spaces of 10 to 210 entries,
-# 1 to 364 columns); below it the sparse fold's Python dispatch dominates,
-# above it bincount's per-element cost does.  Each cached index is <= 32 KB.
+# Largest pair-product array `JetSpace.multiply` folds with np.bincount, whose
+# flat index it caches per column count: the cut keeps each index <= 32 KB.  It
+# is not the two folds' speed crossover, which lies far above it for narrow
+# products: on the 630-entry spray energy space (180 layers) a one-column
+# product takes 0.12 ms by bincount and 0.44 ms layered, a 50-column one 7.6
+# and 2.2 ms (one core of a 2-core x86 host, one BLAS thread).
 _BINCOUNT_MAX_ELEMENTS = 4096
-# Most elements of one block of pair products in a sparse fold, and of one
-# block of pair codes in a pair table's build (2 MB of floats).  The sparse
-# fold takes a block of columns at a time through two buffers reused per
-# thread, and a pair table is enumerated a block of rows at a time.  A single
-# column with more pairs than this is one block, and the buffers grow to it.
+# Most elements of one block of pair codes in a pair table's build (2 MB of
+# int64): a pair table is enumerated a block of rows at a time.
 _PAIR_BUDGET = 2**18
-_PAIR_BUFFERS = threading.local()
 
 # Run telemetry, the one counter set: each group's counter names.  Spray-memo
 # tables come from curvature, lockstep transports and rounds from transport.
@@ -170,6 +166,7 @@ class JetSpace:
         self._group_of_var = [g for g, (size, _) in enumerate(groups) for _ in range(size)]
 
         self._mul = None
+        self._layered = None
         self._flat: dict[int, np.ndarray] = {}
         self._reads: dict[tuple, tuple["JetSpace", np.ndarray, np.ndarray]] = {}
         self._mono_parent: tuple[np.ndarray, np.ndarray] | None = None
@@ -193,14 +190,13 @@ class JetSpace:
     # -- multiplication -------------------------------------------------
 
     def _mul_table(self):
-        """Pair positions and fold targets of the truncated convolution, built once.
+        """Pair positions and targets of the truncated convolution, built once.
 
         Multi-indices are encoded in a mixed radix wide enough that adding two
         admissible indices never carries, so pair sums can be looked up in a
         flat table, a block of rows of at most `_PAIR_BUDGET` sums at a time.
-        Returns (ii, jj, kk, fold): pair p multiplies entries ii[p] and jj[p]
-        into entry kk[p], pairs in row-major (ii, jj) order, and `fold` is the
-        sparse matrix summing each pair into its target.
+        Returns (ii, jj, kk): pair p multiplies entries ii[p] and jj[p] into
+        entry kk[p], pairs in row-major (ii, jj) order.
         """
         if self._mul is not None:
             return self._mul
@@ -220,30 +216,57 @@ class JetSpace:
             kk = lookup[codes[r : r + rows, None] + codes]
             ii, jj = np.nonzero(kk >= 0)
             blocks.append((ii + r, jj, kk[ii, jj]))
-        ii, jj, kk = map(np.concatenate, zip(*blocks))
-        fold = scipy.sparse.csr_matrix(
-            (np.ones(len(kk)), (kk, np.arange(len(kk)))), shape=(self.size, len(kk))
-        )
-        self._mul = (ii, jj, kk, fold)
+        self._mul = tuple(map(np.concatenate, zip(*blocks)))
         return self._mul
+
+    def _layers(self):
+        """The layered fold's plan, built on this space's first large product.
+
+        A pair's rank is its position among its target's pairs in pair order.
+        Output rows hold the targets in descending order of pair count, so the
+        targets of rank r fill the first rows; layer r lists the (ii, jj) of
+        their rank-r pairs in row order.  Returns (layers, slot): the target k
+        sits in row slot[k].
+        """
+        if self._layered is None:
+            ii, jj, kk = self._mul_table()
+            counts = np.bincount(kk, minlength=self.size)
+            slot = np.empty(self.size, dtype=np.int64)
+            slot[np.argsort(-counts, kind="stable")] = np.arange(self.size)
+            by_target = np.argsort(kk, kind="stable")
+            rank = np.empty_like(kk)
+            rank[by_target] = np.arange(len(kk)) - (np.cumsum(counts) - counts)[kk[by_target]]
+            order = np.lexsort((slot[kk], rank))
+            ends = np.cumsum(np.bincount(rank))
+            layers = list(zip(np.split(ii[order], ends[:-1]), np.split(jj[order], ends[:-1])))
+            self._layered = (layers, slot)
+        return self._layered
 
     def multiply(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Truncated product of two coefficient tables of one shape, (size,) or (size, columns).
 
         Up to `_BINCOUNT_MAX_ELEMENTS` pair products, `np.bincount` over a
-        flat index cached per column count folds them and skips scipy.sparse's
-        Python dispatch.  Larger products use the sparse fold, which is faster
-        there and caches nothing per column count, a block of at most
-        `_PAIR_BUDGET` pair products at a time.  Every output entry starts at
-        +0.0 and adds its pair products one at a time in pair order, column
-        by column, so the folds agree bit for bit, up to the sign of a NaN
-        that sums two NaNs.
+        flat index cached per column count folds them.  Larger products use
+        the layered fold, which caches nothing per column count: per rank r,
+        the rank-r pair products of every target that has one are gathered,
+        multiplied and added into the first rows of the output, and one
+        gather by slot restores the target order.  Its transient arrays are
+        no larger than the output.  Every output entry starts at +0.0 and adds
+        its pair products one at a time in pair order, column by column, so
+        the folds agree bit for bit, and with a sparse matrix's fold, up to
+        the sign of a NaN that sums two NaNs.
         """
-        ii, jj, kk, _ = self._mul_table()
+        ii, jj, kk = self._mul_table()
         width = a.size // self.size
         if len(ii) * width > _BINCOUNT_MAX_ELEMENTS:
-            flat = self._fold_blocks(a.reshape(self.size, width), b.reshape(self.size, width))
-            return flat.reshape(a.shape)
+            layers, slot = self._layers()
+            a2, b2 = a.reshape(self.size, width), b.reshape(self.size, width)
+            out = np.zeros(a2.shape)
+            for i, j in layers:
+                pairs = a2.take(i, 0)
+                pairs *= b2.take(j, 0)
+                out[: len(i)] += pairs
+            return out.take(slot, 0).reshape(a.shape)
         if a.ndim == 1:
             pairs = a[ii] * b[jj]
         else:  # take() gathers the rows of a 2-D table several times faster than a[ii]
@@ -264,28 +287,6 @@ class JetSpace:
         if a.ndim <= 2:
             return self.multiply(a, b)
         return self.multiply(a.reshape(self.size, -1), b.reshape(self.size, -1)).reshape(a.shape)
-
-    def _fold_blocks(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """The sparse fold of a (size, width) product, as many columns at a
-        time as keep the pair products within `_PAIR_BUDGET` (one at least),
-        gathered and multiplied into this thread's two pair buffers."""
-        ii, jj, _, fold = self._mul_table()
-        npairs, width = len(ii), a.shape[1]
-        step = min(width, max(1, _PAIR_BUDGET // npairs))
-        buffers = getattr(_PAIR_BUFFERS, "pairs", None)
-        if buffers is None or buffers[0].size < npairs * step:
-            buffers = _PAIR_BUFFERS.pairs = (np.empty(npairs * step), np.empty(npairs * step))
-        blocks = []
-        for c in range(0, width, step):
-            n = min(step, width - c)
-            x = buffers[0][: npairs * n].reshape(npairs, n)
-            y = buffers[1][: npairs * n].reshape(npairs, n)
-            # the indices are valid, and clip skips the copy raise makes of `out`
-            a[:, c : c + n].take(ii, 0, out=x, mode="clip")
-            b[:, c : c + n].take(jj, 0, out=y, mode="clip")
-            np.multiply(x, y, out=x)
-            blocks.append(fold @ x)
-        return blocks[0] if len(blocks) == 1 else np.hstack(blocks)
 
     # -- structural maps -------------------------------------------------
 

@@ -222,13 +222,13 @@ BLOCKED = (
     st.floats(0.3, 3.5),
     st.integers(0, 2**32 - 1),
 )
-@example(BLOCKED[3], 7, 2.5, 0)  # blocks of 2 columns do not divide 7
-@example(BLOCKED[6], 5, 0.5, 1)  # one column holds more pairs than the budget
-@example(BLOCKED[6], 0, 0.5, 2)  # so does a one-dimensional table
+@example(BLOCKED[3], 7, 2.5, 0)  # an odd column count
+@example(BLOCKED[6], 5, 0.5, 1)  # a budget below one column's pairs
+@example(BLOCKED[6], 0, 0.5, 2)  # and a one-dimensional table
+@example((((2, 3), (2, 6)), 8), 5, 1.0, 3)  # 252 entries, 5,670 pairs in 72 layers
 def test_blocked_multiply_is_one_unblocked_fold_bitwise(case, columns, per_budget, seed):
-    # every product takes the blocked fold, and the budget, in pairs, lands
-    # between a third of a column and 3.5 columns, so products on either side
-    # of it and blocks of every width occur; columns 0 is a one-dimensional table
+    # every product takes the layered fold; the budget bounds only the pair
+    # table's build, when this call makes it; columns 0 is a one-dimensional table
     space = grouped_space(*case)
     rng = np.random.default_rng(seed)
     pairs = len(pair_table(space)[0])
@@ -245,6 +245,6 @@ def test_blocked_multiply_is_one_unblocked_fold_bitwise(case, columns, per_budge
 def test_row_blocked_pair_table_is_the_dense_enumeration(case, budget):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(jets, "_PAIR_BUDGET", budget)
-        ii, jj, kk, _ = jets.JetSpace(*case)._mul_table()  # built afresh, not cached
+        ii, jj, kk = jets.JetSpace(*case)._mul_table()  # built afresh, not cached
     for got, want in zip((ii, jj, kk), pair_table(grouped_space(*case))):
         assert got.dtype == np.int64 and got.tolist() == want

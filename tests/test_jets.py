@@ -286,7 +286,7 @@ else:
     )
     @example((1, 1, 1, 3), (1, 1), "sin", ("variable", "dense"), (False, False), 0)
     @example((2, 1, 2, 2), (0, 2), "sin", ("variable", "dense"), (True, False), 1)
-    # the widest space folds its pair products sparsely, the target by bincount
+    # the widest space folds its pair products by layers, the target by bincount
     @example((2, 3, 2, 5), (1, 1), "*", ("dense", "dense"), (False, False), 2)
     @example((2, 3, 2, 5), (0, 1), "exp", ("dense", "dense"), (False, False), 3)
     def test_truncation_commutes_with_jet_operations(groups, lower, name, kinds, batched, seed):
@@ -546,7 +546,7 @@ def test_a_wide_product_stays_in_bounded_memory():
 
 
 def test_concurrent_wide_products_each_get_the_serial_result():
-    # each thread folds through its own pair buffers
+    # each call folds into arrays of its own, and the threads share a space's layered plan
     rng = np.random.default_rng(4)
     work = []
     for groups, width in ((((2, 4), (2, 8)), 50), (((2, 3), (2, 7)), 37)):

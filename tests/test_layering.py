@@ -10,8 +10,10 @@ piece of public API; and every library call returning several components
 returns one Jet, which the package never stacks again; only `jets`
 reads the index layout of a JetSpace, and only `jets` calls the product
 kernel `JetSpace.multiply`, which other modules reach through
-`JetSpace.product`; and only the CLI imports `gc`, since the collector's
-policy is process-wide."""
+`JetSpace.product`; only the CLI imports `gc`, since the collector's
+policy is process-wide; and no module imports `scipy.sparse`, and
+`scipy.linalg` only inside a function, so a run without a grouplab task
+loads neither."""
 
 import ast
 import contextlib
@@ -158,21 +160,43 @@ def test_only_the_cli_serializes():
     assert imports == [] and methods == []
 
 
+def _imports(tree):
+    """(node, dotted names) of every absolute import in `tree`; `from m import
+    x` names both m and m.x."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield node, [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node, [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+
+
 def test_only_the_cli_sets_collector_policy():
     # the garbage collector's policy is process-wide, so one module owns it
     importers = []
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name == "cli.py":
             continue
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names = [node.module]
-            else:
-                names = []
+        for node, names in _imports(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
             importers.extend(f"{path.name}:{node.lineno}" for n in names if n == "gc")
     assert importers == []
+
+
+def test_scipy_submodules_stay_off_the_import_path():
+    # a module-level import of either costs every run about 0.3 s of set-up
+    sparse, module_level_linalg = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        functions = (ast.FunctionDef, ast.AsyncFunctionDef)  # a class body runs at import
+        local = {
+            id(node) for scope in ast.walk(tree) if isinstance(scope, functions) for node in ast.walk(scope)
+        }
+        for node, names in _imports(tree):
+            where = f"{path.name}:{node.lineno}"
+            if any(n.split(".")[:2] == ["scipy", "sparse"] for n in names):
+                sparse.append(where)
+            if id(node) not in local and any(n.split(".")[:2] == ["scipy", "linalg"] for n in names):
+                module_level_linalg.append(where)
+    assert sparse == [] and module_level_linalg == []
 
 
 # Public functions and methods that the package's and the demos' own inputs
