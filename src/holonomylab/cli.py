@@ -274,15 +274,31 @@ def _run_transport(task, norm, rng):
     return results, measured, tables
 
 
-def _build_loop(spec) -> LoopSpec:
-    if "rect" in spec:
-        a, b = spec["rect"]
-        return LoopSpec.rectangle(a, b)
-    return CurveSpec.from_expressions(spec["expressions"]).as_loop()
+def _vector(task, field: str, n: int, default=None) -> np.ndarray:
+    """task[field], or `default` when absent, as a vector of the metric's dimension n."""
+    v = np.asarray(task.get(field, default), dtype=float)
+    if v.shape != (n,):
+        raise ConfigError(f"{field}: {n} coordinates required, got shape {v.shape}")
+    return v
+
+
+def _build_loop(spec, n: int) -> LoopSpec:
+    """The loop of a holonomy task; one that does not parse, close or have
+    the metric's dimension n raises ConfigError."""
+    try:
+        if "rect" in spec:
+            loop = LoopSpec.rectangle(*spec["rect"])
+        else:
+            loop = CurveSpec.from_expressions(spec["expressions"]).as_loop()
+    except ValueError as exc:
+        raise ConfigError(f"loop: {exc}") from None
+    if loop.start.shape != (n,):
+        raise ConfigError(f"loop: {n} coordinates required, got shape {loop.start.shape}")
+    return loop
 
 
 def _run_holonomy(task, norm, rng):
-    loop = _build_loop(task["loop"])
+    loop = _build_loop(task["loop"], norm.dim)
     p = loop.start
     count = task.get("samples", 8)
     samples = indicatrix_samples(norm, p, count)
@@ -318,14 +334,12 @@ def _run_holonomy(task, norm, rng):
 
 
 def _run_parallelogram(task, norm, rng):
-    p = np.asarray(task["point"], dtype=float)
     n = norm.dim
-    xv = np.asarray(task.get("x", np.eye(n)[0]), dtype=float)
-    yv = np.asarray(task.get("y", np.eye(n)[1 % n]), dtype=float)
-    X = constant_base_field(norm.manifold, xv, "X")
-    Y = constant_base_field(norm.manifold, yv, "Y")
+    p = _vector(task, "point", n)
+    X = constant_base_field(norm.manifold, _vector(task, "x", n, np.eye(n)[0]), "X")
+    Y = constant_base_field(norm.manifold, _vector(task, "y", n, np.eye(n)[1 % n]), "Y")
     if "vector" in task:
-        v = norm.normalize(p, np.asarray(task["vector"], dtype=float))
+        v = norm.normalize(p, _vector(task, "vector", n))
     else:
         v = indicatrix_samples(norm, p, 1, offset=0.3)[:, 0]
     xi = curvature_field(norm, X, Y, p).values(v)
@@ -359,7 +373,7 @@ def _run_parallelogram(task, norm, rng):
 
 
 def _run_curvature(task, norm, rng):
-    p = np.asarray(task["point"], dtype=float)
+    p = _vector(task, "point", norm.dim)
     count = task.get("samples", 12)
     samples = indicatrix_samples(norm, p, count)
     frame = coordinate_fields(norm.manifold)
@@ -414,7 +428,7 @@ def _run_closure(task, norm, rng):
 def _run_chain(task, norm, rng):
     report = inclusion_chain_report(
         norm,
-        np.asarray(task["point"], dtype=float),
+        _vector(task, "point", norm.dim),
         depth=task.get("depth", 2),
         tau=task.get("tau", DEFAULT_TAU),
         num_points=task.get("samples", 50),

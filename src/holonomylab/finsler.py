@@ -15,10 +15,8 @@ y-derivatives G^i_{jk} (the Berwald connection).  All of these come out of a
 single jet pipeline: seed (x, y) in a bundle jet space whose per-group caps
 are exactly what the requested output needs, read every table the system
 needs from E in one `Jet.read` (one cached gather, truncated to the common
-target), and solve the small linear system with jet-valued Gaussian
-elimination on its augmented coefficient table, with the bits of the same
-steps in `Jet` arithmetic but not its dispatch.  Positive definiteness of g
-makes elimination without pivoting safe.
+target), and solve the small linear system g w = rhs with `jets.solve`,
+which inverts g's value part and sums the rest as a finite series.
 
 Caps are chosen per call:  output retaining xorder x-derivatives and yorder
 y-derivatives of G^i needs E with caps (xorder + 1, yorder + 2) and total
@@ -46,7 +44,9 @@ from .expressions import parse_expression
 from .jets import (
     DomainBoxError,
     Jet,
+    JetDomainError,
     grouped_space,
+    solve,
 )
 
 __all__ = [
@@ -365,37 +365,6 @@ def metric_tensor(norm: FinslerNorm, x, y) -> MetricTensor:
     return MetricTensor(g, np.linalg.inv(g), condition, eig)
 
 
-def _jet_solve(space, aug: np.ndarray) -> list:
-    """Solve A w = b for the augmented coefficient table aug = [A | b] of
-    shape (space.size, n, n + 1, *batch), A symmetric positive definite by
-    value part; returns the tables of w^0 .. w^{n-1}.
-
-    Plain elimination without pivoting, one whole-row operation per
-    eliminated entry: each product is one `JetSpace.product`, each difference
-    a + (-b) and each reciprocal `1.0 / Jet`, as jet arithmetic does them.
-    PD of the value part keeps pivots away from zero, and we check anyway.
-    Row r is kept from column r on.
-    """
-    n = aug.shape[1]
-    rows = list(aug.swapaxes(0, 1))
-    inv = []
-    for col in range(n):
-        piv = rows[col][:, 0]
-        if np.min(np.abs(piv[0])) < 1e-14:
-            raise MetricDegeneracyError("zero pivot in fundamental tensor solve")
-        inv.append((1.0 / Jet(space, piv)).coeffs)
-        for r in range(col + 1, n):
-            factor = space.product(rows[r][:, 0], inv[col])
-            rows[r] = rows[r][:, 1:] + -space.product(factor[:, None], rows[col][:, 1:])
-    w = [None] * n
-    for row in range(n - 1, -1, -1):
-        acc = rows[row][:, n - row]
-        for c in range(row + 1, n):
-            acc = acc + -space.product(rows[row][:, c - row], w[c])
-        w[row] = space.product(acc, inv[row])
-    return w
-
-
 @functools.cache
 def _spray_reads(n: int) -> tuple:
     """The reads of E's tables in `spray_jets`, y step first, row by row: row
@@ -427,7 +396,10 @@ def spray_jets(norm: FinslerNorm, x, y, xorder: int = 0, yorder: int = 0) -> Jet
     rhs = Jet(space, space.product(ys[:, :, None], tables[:, :, :n])).sum().coeffs
     # the right-hand side replaces dE/dx as column 2n: [g | rhs] is the system
     tables[:, :, 2 * n] = rhs + -tables[:, :, 2 * n]
-    return Jet(space, np.stack(_jet_solve(space, tables[:, :, n:]), 1) * 0.5)
+    try:
+        return solve(Jet(space, tables[:, :, n : 2 * n]), Jet(space, tables[:, :, 2 * n])) * 0.5
+    except JetDomainError:
+        raise MetricDegeneracyError("fundamental tensor singular in the spray solve") from None
 
 
 def geodesic_coefficients(norm: FinslerNorm, x, y, with_second: bool = True) -> SprayData:

@@ -22,8 +22,8 @@ Conventions, pinned once and checked by the fixture oracle in the tests:
 Everything is evaluated on truncated Taylor jets, so derivatives of the
 constructed curves are exact at the truncation order; finite differences
 serve only as the independent cross-check.  A matrix of jets is one Jet of
-value shape (n, n), so products and inverses run whole rows or whole
-matrices through each jet operation.
+value shape (n, n), so a product runs whole matrices through each jet
+operation, and an inverse is one `jets.solve` against the identity.
 """
 
 from __future__ import annotations
@@ -34,11 +34,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import Jet, JetDomainError, grouped_space, jet_space, richardson_extrapolate
+from .jets import Jet, JetDomainError, grouped_space, jet_space, richardson_extrapolate, solve
 
 IDENTITY_TOL = 1e-12
 CONTACT_TOL = 1e-9
-PIVOT_TOL = 1e-12
 EXP_NORM_BOUND = 50.0
 # one-sided difference steps in s = h^{1/k}, halving: h_i = s_i^k
 WEAK_SCHEDULE = tuple(0.5 * 0.5**i for i in range(8))
@@ -53,18 +52,6 @@ def _square(X, n: int | None = None) -> np.ndarray:
     return X
 
 
-def _plus_scaled(M: Jet, c: Jet, C: np.ndarray) -> Jet:
-    """M + c C for a scalar jet c and a constant matrix C.
-
-    Entries where C vanishes keep their bits: adding c * 0 would turn a
-    -0.0 coefficient into +0.0.
-    """
-    rows, cols = np.nonzero(C)
-    coeffs = M.coeffs.copy()
-    coeffs[:, rows, cols] += c.coeffs[:, None] * C[rows, cols]
-    return Jet(M.space, coeffs)
-
-
 def _mat_mul(A: Jet, B: Jet) -> Jet:
     """Matrix product: one jet multiply over every (i, k, j), then the sum over k.
 
@@ -75,34 +62,11 @@ def _mat_mul(A: Jet, B: Jet) -> Jet:
 
 
 def _mat_inv(M: Jet) -> Jet:
-    """Invert a matrix jet by Gauss-Jordan elimination on its row jets.
-
-    Pivots are chosen by the magnitude of the value part; a pivot below
-    PIVOT_TOL means the curve left the invertible matrices at the expansion
-    point.
-    """
-    n = M.shape[0]
-    A = M.unstack()
-    B = Jet.constant(M.space, np.eye(n)).unstack()
-    for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(float(A[r].value[col])))
-        if abs(float(A[piv].value[col])) < PIVOT_TOL:
-            raise ValueError("matrix curve is singular at the expansion point")
-        if piv != col:
-            A[col], A[piv] = A[piv], A[col]
-            B[col], B[piv] = B[piv], B[col]
-        inv = 1.0 / A[col].at(col)
-        A[col] = A[col] * inv
-        B[col] = B[col] * inv
-        for r in range(n):
-            if r == col:
-                continue
-            f = A[r].at(col)
-            if not np.any(f.coeffs):
-                continue
-            A[r] = A[r] - f * A[col]
-            B[r] = B[r] - f * B[col]
-    return Jet.stack(B)
+    """The inverse of a matrix jet: `solve` against the identity's columns."""
+    try:
+        return solve(M.at(np.s_[:, :, None]), Jet.constant(M.space, np.eye(M.shape[0])))
+    except JetDomainError:
+        raise ValueError("matrix curve is singular at the expansion point") from None
 
 
 class MatrixCurve:
@@ -180,7 +144,7 @@ class MatrixCurve:
             for m in range(1, s.space.max_total + 1):
                 term = term @ X / m
                 hm = h if m == 1 else hm * h
-                M = _plus_scaled(M, hm, term)
+                M = M + hm * term
             return M
 
         label = f"exp(t^{power}X)" if power != 1 else "exp(tX)"
@@ -202,7 +166,7 @@ class MatrixCurve:
         def evaluator(tj: Jet):
             M = Jet.constant(tj.space, np.eye(n))
             for m in sorted(clean):
-                M = _plus_scaled(M, tj**m, clean[m])
+                M = M + tj**m * clean[m]
             return M
 
         order = min(clean) if clean else None
@@ -288,7 +252,8 @@ class CommutatorFamily:
         in one space."""
         F = self.phi._evaluator(t)
         P = self.psi._evaluator(s)
-        return _mat_mul(_mat_mul(P, F), _mat_mul(_mat_inv(P), _mat_inv(F)))
+        # P F P^-1 F^-1 = (P F)(F P)^-1, one inverse
+        return _mat_mul(_mat_mul(P, F), _mat_inv(_mat_mul(F, P)))
 
     def mixed_derivative(self) -> np.ndarray:
         """The d^{k+l} c / dt^k ds^l derivative at the origin, for the contact

@@ -44,6 +44,7 @@ __all__ = [
     "mixed_partial",
     "finite_difference_weights",
     "richardson_extrapolate",
+    "solve",
     "tally",
     "count",
 ]
@@ -612,6 +613,31 @@ def jet_point(space: JetSpace, values) -> list[Jet]:
             f"expected {space.num_vars} coordinates, got {values.shape[0]}"
         )
     return [Jet.variable(space, v, values[v]) for v in range(space.num_vars)]
+
+
+def solve(M: Jet, R: Jet) -> Jet:
+    """The jet X of M X = R, for M of value shape (n, n, *batch) and R of
+    (n, *batch) in one space, batch shapes of one length that broadcast.
+
+    numpy inverts the value part M0.  N = M - M0 has a zero value part, so
+    X = sum_j (-A N)^j A R with A = M0^-1 ends at the space's total degree,
+    and Horner's rule sums it: X <- A R - (A N) X, once per degree.  Each
+    step is elementwise or a jet product, and `np.linalg.inv` inverts each
+    matrix of a stack on its own, so a column's bits do not depend on the
+    batch.  A singular M0 raises JetDomainError.
+    """
+    M._coerce(R)
+    try:
+        A = np.moveaxis(np.linalg.inv(np.moveaxis(M.value, (0, 1), (-2, -1))), (-2, -1), (0, 1))
+    except np.linalg.LinAlgError:
+        raise JetDomainError("solve needs an invertible value part") from None
+    AR = (R.at(None) * A).sum(axis=1)
+    AN = (M.at(None) * A[:, :, None]).sum(axis=1)
+    AN.coeffs[0] = 0.0
+    X = AR
+    for _ in range(M.space.max_total):
+        X = -(AN * X.at(None)).sum(axis=1) + AR
+    return X
 
 
 # -- Taylor series of the elementary functions at a point --------------------

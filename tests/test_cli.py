@@ -165,6 +165,10 @@ def _closure(*fields):
     return {"command": "closure", "fields": [{"variables": v, "components": c} for v, c in fields]}
 
 
+def _geometry(command, **values):
+    return {"command": command, "metric": "sphere", **values}
+
+
 @pytest.mark.parametrize(
     "task, field",
     [
@@ -175,6 +179,16 @@ def _closure(*fields):
         (_closure((["x", "y"], ["1"])), "fields/0"),
         (_closure((["x"], ["x +"])), "fields/0"),
         (_closure((["x", "y"], ["1", "0"]), (["x"], ["x"])), "fields/1"),
+        (_geometry("curvature", point=[0.3]), "point"),
+        (_geometry("chain", point=[1.1, 0.2, 0.0]), "point"),
+        (_geometry("parallelogram", point=[1.1]), "point"),
+        (_geometry("parallelogram", point=[1.1, 0.2], x=[1.0, 0.0, 0.0]), "x"),
+        (_geometry("parallelogram", point=[1.1, 0.2], y=NILPOTENT), "y"),
+        (_geometry("parallelogram", point=[1.1, 0.2], vector=[1.0]), "vector"),
+        (_geometry("holonomy", loop={"expressions": ["1+(", "0.5"]}), "loop"),
+        (_geometry("holonomy", loop={"expressions": ["1", "0.5", "t*(1-t)"]}), "loop"),
+        (_geometry("holonomy", loop={"expressions": ["1 + 0.2*t", "0.5"]}), "loop"),
+        (_geometry("holonomy", loop={"rect": [[1.0], [1.2]]}), "loop"),
     ],
 )
 def test_unusable_config_value_exits_2(tmp_path, capsys, task, field):

@@ -26,7 +26,15 @@ from holonomylab.finsler import (
     indicatrix_samples,
     spray_jets,
 )
-from holonomylab.jets import Jet, SmoothMap, compose_table, grouped_space, jet_space, tally
+from holonomylab.jets import (
+    Jet,
+    SmoothMap,
+    compose_table,
+    curve_derivative,
+    grouped_space,
+    jet_space,
+    tally,
+)
 from holonomylab.liealg import inclusion_chain_report
 from holonomylab.transport import (
     CurveSpec,
@@ -472,6 +480,57 @@ def test_fish_tank_curvature_transport_and_holonomy_are_zero():
     v = indicatrix_samples(fish, p, 1, offset=0.3)[:, 0]
     second = parallelogram_derivatives(fish, e0, e1, p, v).second
     assert np.linalg.norm(second) <= TOLERANCES["default"]["parallelogram-second-vs-curvature"]
+
+
+# a Randers metric of flag curvature 1 that is neither Riemannian nor
+# Berwald: Zermelo navigation on the round sphere under the Killing wind
+# W = 0.5 d/dx2 (Bao, Robles & Shen, J. Differential Geom. 2004)
+ZERMELO_SPHERE = (
+    "(sqrt(L*(y1^2 + sin(x1)^2*y2^2) + B^2) - B)/L".replace("L", "(1 - 0.25*sin(x1)^2)")
+    .replace("B", "(0.5*sin(x1)^2*y2)")
+)
+# metric, flag curvature K, two base points
+CONSTANT_FLAG_CURVATURE = {
+    "sphere": (lambda: catalog_norm("sphere"), 1.0, [(1.1, 0.2), (0.7, -0.6)]),
+    "funk_disk": (lambda: catalog_norm("funk_disk"), -0.25, [(0.3, 0.0), (-0.2, 0.25)]),
+    "fish_tank": (
+        lambda: FinslerNorm.from_expression(FISH_TANK, [-0.5, -0.5], [0.5, 0.5]),
+        0.0,
+        [(0.2, 0.1), (-0.1, 0.25)],
+    ),
+    "zermelo_sphere": (
+        lambda: FinslerNorm.from_expression(ZERMELO_SPHERE, [0.6, -1.0], [2.5, 1.5]),
+        1.0,
+        [(1.1, 0.2), (1.8, 0.7)],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", CONSTANT_FLAG_CURVATURE)
+def test_constant_flag_curvature_fields_match_the_closed_form(name):
+    # For constant flag curvature K, R^i_k = K (F^2 delta^i_k - F F_{y^k} y^i)
+    # (Bao, Chern & Shen, GTM 200), so xi(X, Y) = K F (F_y(X) Y - F_y(Y) X):
+    # values of F and the number K, no spray.  F_y(V) is Richardson in t of
+    # F(p, y + t V).  Measured worst errors: 2.7e-12 for the field (Zermelo)
+    # and 1.0e-9 for the parallelogram second derivative (sphere); the bounds
+    # leave a margin of about 10.
+    make, K, points = CONSTANT_FLAG_CURVATURE[name]
+    norm = make()
+    Xv, Yv = np.array([0.6, -0.3]), np.array([0.2, 0.9])
+    X = constant_base_field(norm.manifold, Xv, "X")
+    Y = constant_base_field(norm.manifold, Yv, "Y")
+    for p in map(np.array, points):
+        ys = indicatrix_samples(norm, p, 24)
+
+        def F_y(V):
+            return curve_derivative(
+                lambda t: norm.value(p, ys + t * V[:, None]), 1, mode="richardson"
+            ).value
+
+        want = K * norm.value(p, ys) * (F_y(Xv) * Yv[:, None] - F_y(Yv) * Xv[:, None])
+        assert np.max(np.abs(curvature_field(norm, X, Y, p).values(ys) - want)) <= 3e-11
+        second = parallelogram_derivatives(norm, X, Y, p, ys[:, 5]).second
+        assert np.max(np.abs(second - 2.0 * want[:, 5])) <= 1e-8
 
 
 def test_sphere_depth_zero_rank_one(sphere):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from holonomylab import finsler
-from holonomylab.jets import DomainBoxError, Jet, JetSpace, SmoothMap
+from holonomylab.jets import DomainBoxError, Jet, JetSpace, SmoothMap, solve
 from holonomylab.finsler import (
     ChartDomainError,
     ChartManifold,
@@ -293,30 +293,11 @@ def test_spray_jets_truncate_to_lower_caps_bitwise(name):
                     assert np.array_equal(cut.coeffs, low.at(i).coeffs), (a, b, i)
 
 
-def _eliminate(aug):
-    # Gaussian elimination without pivoting in jet arithmetic, on the
-    # augmented rows [A | b] of a jet matrix: the reference for the solve
-    # that spray_jets runs on coefficient tables
-    n = aug.shape[0]
-    rows = aug.unstack()
-    inv = []
-    for col in range(n):
-        inv.append(1.0 / rows[col].at(0))
-        for r in range(col + 1, n):
-            factor = rows[r].at(0) * inv[col]
-            rows[r] = rows[r].at(np.s_[1:]) - factor * rows[col].at(np.s_[1:])
-    w = [None] * n
-    for row in range(n - 1, -1, -1):
-        acc = rows[row].at(n - row)
-        for c in range(row + 1, n):
-            acc = acc - rows[row].at(c - row) * w[c]
-        w[row] = acc * inv[row]
-    return w
-
-
 def _spray_by_composition(norm, x, y, xorder, yorder):
     # spray_jets as the gradient / truncated composition:
-    # G = 1/2 g^{-1} (y^k d^2E/dx^k dy - dE/dx), g read at (min, max) indices
+    # G = 1/2 g^{-1} (y^k d^2E/dx^k dy - dE/dx), g read at (min, max) indices;
+    # both sides solve with jets.solve (checked on its own in test_jets), so
+    # this pins the one-read table layout and the right-hand side bit for bit
     y = np.asarray(y, dtype=float)
     n = norm.dim
     E = norm.energy_jet(x, list(y), xcap=xorder + 1, ycap=yorder + 2)
@@ -331,7 +312,8 @@ def _spray_by_composition(norm, x, y, xorder, yorder):
     rhs = rhs - E.gradient(xs).truncated(target)
     cols = Jet.stack([Ey.gradient((v,)).at(0).truncated(target) for v in ys] + [rhs], axis=1)
     l, j = np.indices((n, n + 1))
-    return Jet.stack(_eliminate(cols.at((np.minimum(l, j), np.maximum(l, j))))) * 0.5
+    aug = cols.at((np.minimum(l, j), np.maximum(l, j)))
+    return solve(aug.at(np.s_[:, :n]), aug.at(np.s_[:, n])) * 0.5
 
 
 SKEWED_3D = "sqrt(y1^2 + (1 + 0.2*x1^2)*y2^2 + exp(0.3*x2)*y3^2 + 0.4*x3*y1*y2) + 0.1*sin(x1)*y3"

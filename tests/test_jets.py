@@ -29,6 +29,7 @@ from holonomylab.jets import (
     jet_space,
     mixed_partial,
     richardson_extrapolate,
+    solve,
     tally,
 )
 from holonomylab.liealg import ExpressionField, PolynomialField
@@ -632,3 +633,85 @@ def test_count_rejects_unknown_groups_and_keys():
                 count("steps", accepted=1)
             with pytest.raises(KeyError):
                 count("lockstep", members=1, steps=1)
+
+
+SOLVE_SPACES = {
+    "one variable": jet_space(1, 5),
+    "grouped": grouped_space(((2, 1), (2, 3))),
+    "total cut": grouped_space(((3, 2), (3, 2)), 3),
+}
+
+
+def _system(space, n, batch, kind, seed):
+    """A jet M of value shape (n, n, *batch) and a jet R of (n, *batch).
+
+    M's value part is symmetric positive definite ("spd") or has a zero
+    (0, 0) entry, so elimination needs a row swap ("pivot")."""
+    rng = np.random.default_rng(seed)
+    M = rng.normal(size=(space.size, n, n) + batch) * 0.5
+    B = rng.normal(size=(n, n) + batch)
+    if kind == "spd":
+        M[0] = np.einsum("ik...,jk...->ij...", B, B) + np.eye(n).reshape((n, n) + (1,) * len(batch))
+    else:
+        M[0] = np.roll(np.eye(n), 1, axis=1).reshape((n, n) + (1,) * len(batch)) + 0.3 * B
+        M[0, 0, 0] = 0.0
+    return Jet(space, M), Jet(space, rng.normal(size=(space.size, n) + batch))
+
+
+def _eliminate(aug):
+    # Gaussian elimination without pivoting in jet arithmetic, on the
+    # augmented rows [A | b] of a jet matrix: an independent side for solve
+    n = aug.shape[0]
+    rows = aug.unstack()
+    inv = []
+    for col in range(n):
+        inv.append(1.0 / rows[col].at(0))
+        for r in range(col + 1, n):
+            factor = rows[r].at(0) * inv[col]
+            rows[r] = rows[r].at(np.s_[1:]) - factor * rows[col].at(np.s_[1:])
+    w = [None] * n
+    for row in range(n - 1, -1, -1):
+        acc = rows[row].at(n - row)
+        for c in range(row + 1, n):
+            acc = acc - rows[row].at(c - row) * w[c]
+        w[row] = acc * inv[row]
+    return w
+
+
+@pytest.mark.parametrize("space", SOLVE_SPACES.values(), ids=SOLVE_SPACES.keys())
+@pytest.mark.parametrize("batch", [(), (5,)], ids=["single", "batch"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_solve_leaves_a_rounding_residual_and_matches_elimination(space, batch, n):
+    for seed, kind in enumerate(("spd", "pivot", "spd", "pivot")):
+        M, R = _system(space, n, batch, kind, seed)
+        X = solve(M, R)
+        assert X.space is space and X.shape == (n,) + batch
+        residual = (M * X.at(None)).sum(axis=1) - R
+        assert np.max(np.abs(residual.coeffs)) <= 1e-12 * np.max(np.abs(R.coeffs)), kind
+        if kind == "spd":
+            aug = Jet.stack([M.at(np.s_[:, k]) for k in range(n)] + [R], axis=1)
+            want = Jet.stack(_eliminate(aug)).coeffs
+            assert np.max(np.abs(X.coeffs - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_batched_solve_is_each_column_solved_alone_bitwise():
+    for space in SOLVE_SPACES.values():
+        for kind in ("spd", "pivot"):
+            M, R = _system(space, 3, (5,), kind, 7)
+            X = solve(M, R)
+            shared = solve(M.at(np.s_[..., :1]), R)  # one matrix against five right-hand sides
+            for b in range(5):
+                alone = solve(M.at((..., b)), R.at((..., b)))
+                assert alone.coeffs.tobytes() == np.ascontiguousarray(X.coeffs[..., b]).tobytes()
+                first = solve(M.at((..., 0)), R.at((..., b)))
+                assert first.coeffs.tobytes() == np.ascontiguousarray(shared.coeffs[..., b]).tobytes()
+
+
+def test_solve_rejects_a_singular_value_part():
+    space = SOLVE_SPACES["grouped"]
+    M, R = _system(space, 3, (5,), "spd", 3)
+    M.coeffs[0, :, 2, 4] = M.coeffs[0, :, 0, 4]  # member 4's value part has two equal columns
+    with pytest.raises(JetDomainError):
+        solve(M, R)
+    with pytest.raises(JetDomainError):
+        solve(M.at((..., 4)), R.at((..., 4)))

@@ -217,6 +217,7 @@ ORACLES_AND_API = {
     "curvature.horizontal_field": "bundle commutator; test_berwald_equals_bundle_commutator",
     "curvature.vertical_field": "bundle commutator; test_berwald_equals_bundle_commutator",
     # public API
+    "jets.Jet.unstack": "the inverse of Jet.stack; test_stack_and_unstack_are_inverse",
     "finsler.geodesic_coefficients": (
         "spray_jets read at one point; the closed-form geodesic equations"
         " of test_sphere_spray_matches_geodesic_equations are the independent side"

@@ -3,6 +3,7 @@ two runs differ by their exit codes or by any output file but the timing
 sidecar `report.meta.json`."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "same_reports.py"
@@ -44,3 +45,70 @@ def test_a_changed_csv_byte_a_missing_file_and_an_exit_code_differ(tmp_path):
     assert same_reports.differences((0, parent), (0, missing)) == ["only the parent wrote report.json"]
     assert same_reports.differences((0, missing), (0, parent)) == ["only the change wrote report.json"]
     assert same_reports.differences((0, parent), (1, parent)) == ["exit code 0 against 1"]
+
+
+REPORT = {
+    "summary": {"passed": True, "failures": []},
+    "tasks": [
+        {
+            "label": "chain",
+            "passed": True,
+            "results": {"ranks": {"ihol": 15}, "singular_values": [2.0, 1.25e-7, 0.5]},
+            "checks": [{"name": "chain-monotone", "value": 0.0, "passed": True}],
+        }
+    ],
+}
+
+
+def _report_runs(tmp_path, edit):
+    """A parent run writing REPORT and a change run writing REPORT after edit(report)."""
+    changed = json.loads(json.dumps(REPORT))
+    edit(changed)
+    return [
+        _run(tmp_path / side, {**FILES, "report.json": json.dumps(report).encode()})
+        for side, report in (("parent", REPORT), ("change", changed))
+    ]
+
+
+def test_a_moved_digit_names_its_scaled_move_and_path(tmp_path):
+    def edit(report):
+        report["tasks"][0]["results"]["singular_values"][2] = 0.5 + 3e-15
+        report["tasks"][0]["results"]["singular_values"][1] = 1.25e-7 * (1 + 1e-9)
+
+    parent, change = _report_runs(tmp_path, edit)
+    # 1.25e-16 on 1.25e-7 scales by max(|a|, |b|, 1) = 1, below the 3e-15 move
+    assert same_reports.differences((0, parent), (0, change)) == [
+        "report.json differs (verdicts agree; largest move 3.0e-15 at tasks/0/results/singular_values/2)"
+    ]
+
+
+def test_a_flipped_verdict_is_named(tmp_path):
+    def edit(report):
+        report["tasks"][0]["checks"][0].update(value=1.0, passed=False)
+        report["tasks"][0]["passed"] = False
+        report["summary"]["passed"] = False
+
+    parent, change = _report_runs(tmp_path, edit)
+    (line,) = same_reports.differences((0, parent), (1, change))[1:]
+    assert line == (
+        "report.json differs (verdicts differ at summary/passed; "
+        "structure differs at summary/passed: True against False)"
+    )
+    assert same_reports.report_move(
+        json.dumps(REPORT).encode(), json.dumps({**REPORT, "summary": {"passed": True}}).encode()
+    ).startswith("verdicts agree; structure differs at summary: keys differ")
+
+
+def test_a_structural_difference_is_named_instead_of_a_move(tmp_path):
+    def edit(report):
+        report["tasks"][0]["results"]["singular_values"].append(1e-3)
+        report["tasks"][0]["checks"][0]["value"] = 0.5
+
+    parent, change = _report_runs(tmp_path, edit)
+    assert same_reports.differences((0, parent), (0, change)) == [
+        "report.json differs (verdicts agree; structure differs at"
+        " tasks/0/results/singular_values: 3 against 4 entries)"
+    ]
+    assert same_reports.report_move(
+        json.dumps({"value": 1.0}).encode(), json.dumps({"value": None}).encode()
+    ) == "verdicts agree; structure differs at value: 1.0 against None"

@@ -10,7 +10,12 @@ Every run is a process of its own, with PYTHONPATH set to its tree and one
 BLAS thread.  A run matches when both sides exit with the same code and write
 the same files with the same bytes, `report.meta.json` aside, which holds
 timings.  One line is printed per run, and the exit code is 1 when any run
-differs.
+differs.  When both sides wrote a `report.json` and it differs, the line also
+says whether every verdict agrees (`summary.passed`, each task's `passed` and
+`error`, each check's `passed`) and how far the report moved: the largest
+|a - b| / max(|a|, |b|, 1) over the numbers at one JSON path, with that path,
+or else the first structural difference (keys, a list's length, or a
+non-number that differs).
 """
 
 from __future__ import annotations
@@ -41,13 +46,67 @@ def outputs(out: Path) -> dict:
     }
 
 
+def verdicts(report: dict) -> dict:
+    """{JSON path: verdict} of a report: summary.passed, and each task's
+    passed and error and each of its checks' passed."""
+    found = {"summary/passed": report.get("summary", {}).get("passed")}
+    for i, task in enumerate(report.get("tasks", [])):
+        found[f"tasks/{i}/passed"] = task.get("passed")
+        found[f"tasks/{i}/error"] = task.get("error")
+        for j, check in enumerate(task.get("checks", [])):
+            found[f"tasks/{i}/checks/{j}/passed"] = check.get("passed")
+    return found
+
+
+def _walk(a, b, path: str, moves: list) -> str | None:
+    """Append (scaled move, path) for each pair of numbers under a and b to
+    moves; return the first structural difference, or None."""
+    where = path or "(root)"
+    if isinstance(a, dict) and isinstance(b, dict):
+        if a.keys() != b.keys():
+            return f"{where}: keys differ"
+        items = [(str(k), a[k], b[k]) for k in a]
+    elif isinstance(a, list) and isinstance(b, list):
+        if len(a) != len(b):
+            return f"{where}: {len(a)} against {len(b)} entries"
+        items = [(str(i), x, y) for i, (x, y) in enumerate(zip(a, b))]
+    elif all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (a, b)):
+        moves.append((abs(a - b) / max(abs(a), abs(b), 1), where))
+        return None
+    else:
+        return None if a == b else f"{where}: {a!r} against {b!r}"
+    for key, x, y in items:
+        structure = _walk(x, y, f"{path}/{key}" if path else key, moves)
+        if structure:
+            return structure
+    return None
+
+
+def report_move(parent: bytes, change: bytes) -> str:
+    """Whether two report.json files agree in every verdict, and how far
+    their numbers moved, or where their structure differs."""
+    a, b = json.loads(parent), json.loads(change)
+    va, vb = verdicts(a), verdicts(b)
+    flipped = [path for path in {**va, **vb} if va.get(path) != vb.get(path)]
+    said = f"verdicts differ at {flipped[0]}" if flipped else "verdicts agree"
+    moves = []
+    structure = _walk(a, b, "", moves)
+    if structure:
+        return f"{said}; structure differs at {structure}"
+    largest, where = max(moves, default=(0.0, "(no numbers)"))
+    return f"{said}; largest move {largest:.1e} at {where}"
+
+
 def differences(parent: tuple, change: tuple) -> list:
     """What differs between two runs, each given as (exit code, output directory)."""
     found = [f"exit code {parent[0]} against {change[0]}"] if parent[0] != change[0] else []
     a, b = outputs(parent[1]), outputs(change[1])
     found += [f"only the parent wrote {name}" for name in sorted(a.keys() - b.keys())]
     found += [f"only the change wrote {name}" for name in sorted(b.keys() - a.keys())]
-    found += [f"{name} differs" for name in sorted(a.keys() & b.keys()) if a[name] != b[name]]
+    for name in sorted(a.keys() & b.keys()):
+        if a[name] != b[name]:
+            moved = f" ({report_move(a[name], b[name])})" if name == "report.json" else ""
+            found.append(f"{name} differs{moved}")
     return found
 
 
