@@ -45,6 +45,7 @@ from .jets import (
     DomainBoxError,
     Jet,
     JetDomainError,
+    JetSpace,
     grouped_space,
     solve,
 )
@@ -182,9 +183,9 @@ class FinslerNorm:
 
         y entries may be (B,) arrays for a batched evaluation at a shared x.
         """
-        x = self.manifold.require(np.asarray(x, dtype=float))
+        x = self.manifold.require(x)
         n = self.dim
-        space = grouped_space(((n, xcap), (n, ycap)), total)
+        space = JetSpace.create(((n, xcap), (n, ycap)), total)
         xj = [Jet.variable(space, i, x[i]) for i in range(n)]
         yj = [Jet.variable(space, n + i, np.asarray(y[i], dtype=float)) for i in range(n)]
         return self._fsq(xj, yj) * 0.5
@@ -338,7 +339,7 @@ class SprayData:
 
 def _check_y(y) -> np.ndarray:
     y = np.asarray(y, dtype=float)
-    if np.any(np.sum(y * y, axis=0) == 0.0):
+    if ((y * y).sum(0) == 0.0).any():
         raise ConicDomainError("tables are undefined at y = 0")
     return y
 

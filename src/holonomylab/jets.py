@@ -55,11 +55,12 @@ _RICHARDSON_SCHEDULE = (0.1, 0.05, 0.025, 0.0125)
 _RICHARDSON_THRESHOLD = 1e-5
 
 # Largest pair-product array `JetSpace.multiply` folds with np.bincount, whose
-# flat index it caches per column count: the cut keeps each index <= 32 KB.  It
-# is not the two folds' speed crossover, which lies far above it for narrow
-# products: on the 630-entry spray energy space (180 layers) a one-column
-# product takes 0.12 ms by bincount and 0.44 ms layered, a 50-column one 7.6
-# and 2.2 ms (one core of a 2-core x86 host, one BLAS thread).
+# flat index it caches per column count, on a space of at most 7 layers; a
+# space of more folds up to this many times a quarter of its layer count (see
+# `JetSpace.bincount_limit`), since the layered fold costs about 4 us per layer
+# whatever the width.  On one core of a 2-core x86 host, one BLAS thread: a
+# one-column product on the 252-entry space of 72 layers takes 21 us by
+# bincount and 141 us layered, a 20-column one 298 and 264 us.
 _BINCOUNT_MAX_ELEMENTS = 4096
 # Most elements of one block of pair codes in a pair table's build (2 MB of
 # int64): a pair table is enumerated a block of rows at a time.
@@ -165,6 +166,11 @@ class JetSpace:
         )
 
         self._group_of_var = [g for g, (size, _) in enumerate(groups) for _ in range(size)]
+        # a quarter of the layered fold's layer count, the most pairs on one
+        # target t: every index below t is in the space, so t has prod(t_v + 1)
+        self._bincount_scale = max(1, max(math.prod(d + 1 for d in t) for t in tuples) // 4)
+        # each variable's linear entry; None where its group's cap or `total` is 0
+        self._units = [self.position.get(tuple(e)) for e in np.identity(self.num_vars, int).tolist()]
 
         self._mul = None
         self._layered = None
@@ -243,11 +249,15 @@ class JetSpace:
             self._layered = (layers, slot)
         return self._layered
 
+    def bincount_limit(self) -> int:
+        """The most pair products, times columns, that `multiply` folds with np.bincount."""
+        return _BINCOUNT_MAX_ELEMENTS * self._bincount_scale
+
     def multiply(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Truncated product of two coefficient tables of one shape, (size,) or (size, columns).
 
-        Up to `_BINCOUNT_MAX_ELEMENTS` pair products, `np.bincount` over a
-        flat index cached per column count folds them.  Larger products use
+        Up to `bincount_limit` pair products, `np.bincount` over a flat
+        index cached per column count folds them.  Larger products use
         the layered fold, which caches nothing per column count: per rank r,
         the rank-r pair products of every target that has one are gathered,
         multiplied and added into the first rows of the output, and one
@@ -259,7 +269,7 @@ class JetSpace:
         """
         ii, jj, kk = self._mul_table()
         width = a.size // self.size
-        if len(ii) * width > _BINCOUNT_MAX_ELEMENTS:
+        if len(ii) * width > self.bincount_limit():
             layers, slot = self._layers()
             a2, b2 = a.reshape(self.size, width), b.reshape(self.size, width)
             out = np.zeros(a2.shape)
@@ -397,8 +407,8 @@ class Jet:
                 f"variable {var} outside the {space.num_vars} variables of {space.groups}"
             )
         jet = Jet.constant(space, value)
-        if space.caps[space._group_of_var[var]]:
-            jet.coeffs[space.position[tuple(int(v == var) for v in range(space.num_vars))]] = 1.0
+        if space._units[var] is not None:
+            jet.coeffs[space._units[var]] = 1.0
         return jet
 
     @staticmethod
@@ -438,9 +448,6 @@ class Jet:
             )
         return self.coeffs[pos] * self.space.fact[pos]
 
-    def copy(self) -> "Jet":
-        return Jet(self.space, self.coeffs.copy())
-
     # -- value-shape operations ----------------------------------------------
 
     def at(self, index) -> "Jet":
@@ -473,6 +480,8 @@ class Jet:
 
     def _operands(self, other):
         """Coefficient arrays of self and other (a jet or a number) that broadcast."""
+        if type(other) is float:  # as a 0-d array would, with no conversion
+            return self.coeffs, other, False
         if not isinstance(other, Jet):
             arr = np.asarray(other, dtype=float)
             if arr.ndim < self.coeffs.ndim:
@@ -506,6 +515,10 @@ class Jet:
         return (-self) + other
 
     def __mul__(self, other):
+        a = self.coeffs
+        if isinstance(other, Jet) and other.coeffs.shape == a.shape and a.ndim <= 2:
+            # what `product` does with one shape, without its broadcasting
+            return Jet(self.space, self.space.multiply(a, self._coerce(other).coeffs))
         a, b, is_jet = self._operands(other)
         return Jet(self.space, self.space.product(a, b) if is_jet else a * b)
 
@@ -540,21 +553,22 @@ class Jet:
 
     def _analytic(self, series_fn, label: str, positive=False, nonzero=False) -> "Jet":
         c = np.asarray(self.value, dtype=float)
-        if positive and np.any(c <= 0.0):
+        if positive and (c <= 0.0).any():
             raise JetDomainError(f"{label} needs a positive value part, got {c!r}")
-        if nonzero and np.any(c == 0.0):
+        if nonzero and (c == 0.0).any():
             raise JetDomainError(f"{label} needs a nonzero value part")
         m = self.space.max_total
-        series = series_fn(c, m)  # shape (m+1,) + c.shape
-        w = self.copy()
-        w.coeffs[0] = 0.0
-        out = Jet.constant(self.space, series[m])
+        series = series_fn(c, m)  # m + 1 terms of c's shape
+        w = self.coeffs.copy()
+        w[0] = 0.0
+        out = np.zeros_like(w)
+        out[0] = series[m]
         for j in range(m - 1, -1, -1):
-            out = out * w
+            out = self.space.product(out, w)
             # w's value part is 0, so the product's is 0 too, or inf*0 = NaN
             # once the higher series terms overflow at a tiny value part
-            out.coeffs[0] = series[j]
-        return out
+            out[0] = series[j]
+        return Jet(self.space, out)
 
     def _reciprocal(self) -> "Jet":
         return self._analytic(_recip_series, "division", nonzero=True)
@@ -584,7 +598,8 @@ class Jet:
         """The jet in `target` of value shape (len(steps), *shape) whose entry j
         is the table of read j of `steps`, with group `drop` held at the
         expansion point (see :meth:`JetSpace.reads`)."""
-        dst, pos, scale = self.space.reads(tuple(map(tuple, steps)), tuple(target), drop)
+        steps = steps if type(steps) is tuple else tuple(map(tuple, steps))
+        dst, pos, scale = self.space.reads(steps, tuple(target), drop)
         coeffs = self.coeffs[pos]
         for factor in scale:
             coeffs = coeffs * factor.reshape(factor.shape + (1,) * (coeffs.ndim - 2))
@@ -596,8 +611,9 @@ class Jet:
         g = self.space._group_of_var[variables[0]]
         # a group at cap 0 stays there, where `reads` finds no entry to read
         lowered = tuple((s, max(c - (i == g), 0)) for i, (s, c) in enumerate(self.space.groups))
-        table = self.read([(v,) for v in variables], lowered)
-        return Jet(table.space, np.ascontiguousarray(np.moveaxis(table.coeffs, 1, 1 + axis)))
+        table = self.read(tuple((v,) for v in variables), lowered)
+        order = (0, *range(2, 2 + axis), 1, *range(2 + axis, table.coeffs.ndim))
+        return Jet(table.space, np.ascontiguousarray(table.coeffs.transpose(order)))
 
     def truncated(self, groups, drop: int | None = None) -> "Jet":
         """The jet in `groups`; with `drop`, restricted to that group's
@@ -627,8 +643,9 @@ def solve(M: Jet, R: Jet) -> Jet:
     batch.  A singular M0 raises JetDomainError.
     """
     M._coerce(R)
-    try:
-        A = np.moveaxis(np.linalg.inv(np.moveaxis(M.value, (0, 1), (-2, -1))), (-2, -1), (0, 1))
+    batch = tuple(range(2, M.value.ndim))
+    try:  # the batch axes lead while numpy inverts, then trail again
+        A = np.linalg.inv(M.value.transpose(*batch, 0, 1)).transpose(-2, -1, *range(len(batch)))
     except np.linalg.LinAlgError:
         raise JetDomainError("solve needs an invertible value part") from None
     AR = (R.at(None) * A).sum(axis=1)
@@ -643,39 +660,35 @@ def solve(M: Jet, R: Jet) -> Jet:
 # -- Taylor series of the elementary functions at a point --------------------
 
 
-def _stack(rows):
-    return np.stack([np.asarray(r, dtype=float) for r in rows])
-
-
 def _exp_series(c, m):
     e = np.exp(c)
-    return _stack([e / math.factorial(j) for j in range(m + 1)])
+    return [e / math.factorial(j) for j in range(m + 1)]
 
 
 def _log_series(c, m):
     rows = [np.log(c)]
     for j in range(1, m + 1):
         rows.append(((-1.0) ** (j - 1)) / (j * c**j))
-    return _stack(rows)
+    return rows
 
 
 def _sin_series(c, m):
     s, co = np.sin(c), np.cos(c)
     cycle = [s, co, -s, -co]
-    return _stack([cycle[j % 4] / math.factorial(j) for j in range(m + 1)])
+    return [cycle[j % 4] / math.factorial(j) for j in range(m + 1)]
 
 
 def _cos_series(c, m):
     s, co = np.sin(c), np.cos(c)
     cycle = [co, -s, -co, s]
-    return _stack([cycle[j % 4] / math.factorial(j) for j in range(m + 1)])
+    return [cycle[j % 4] / math.factorial(j) for j in range(m + 1)]
 
 
 def _recip_series(c, m):
     rows = [1.0 / c]
     for j in range(1, m + 1):
         rows.append(-rows[-1] / c)
-    return _stack(rows)
+    return rows
 
 
 def _pow_series(p):
@@ -683,7 +696,7 @@ def _pow_series(p):
         rows = [c**p]
         for j in range(1, m + 1):
             rows.append(rows[-1] * (p - (j - 1)) / (j * c))
-        return _stack(rows)
+        return rows
 
     return series
 
@@ -721,11 +734,11 @@ def compose_table(table: Jet, args: Sequence[Jet], center) -> Jet:
 # -- smooth maps --------------------------------------------------------------
 
 
-def _wall(bound, dim: int):
+def _wall(bound, dim: int, missing: float):
     """A domain wall as (bound, -slack) arrays and as one float pair per
-    coordinate; x is outside when x - lo < -slack or hi - x < -slack."""
-    if bound is None:
-        return None
+    coordinate, at `missing` (an infinity) where there is none; x is outside
+    when x - lo < -slack or hi - x < -slack."""
+    bound = np.full(dim, missing) if bound is None else bound
     floor = -1e-9 * np.maximum(1.0, np.abs(bound))
     return bound, floor, np.broadcast_to(np.stack([bound, floor], -1), (dim, 2)).tolist()
 
@@ -762,19 +775,19 @@ class SmoothMap:
         self.hi = None if hi is None else np.asarray(hi, dtype=float)
         self.name = name
         self.max_order = max_order
-        self._lo_wall = _wall(self.lo, dim)
-        self._hi_wall = _wall(self.hi, dim)
+        self._lo_wall = _wall(self.lo, dim, -np.inf)
+        self._hi_wall = _wall(self.hi, dim, np.inf)
 
-    def _check_domain(self, values: np.ndarray):
-        v = np.asarray(values)
-        lo, hi = self._lo_wall, self._hi_wall
+    def _check_domain(self, v: np.ndarray):
+        (lo, lo_floor, lo_pairs), (hi, hi_floor, hi_pairs) = self._lo_wall, self._hi_wall
         if v.ndim == 1:  # one point: plain float comparisons
-            x = v.tolist()
-            below = lo is not None and any(c - a < f for c, (a, f) in zip(x, lo[2]))
-            above = hi is not None and any(a - c < f for c, (a, f) in zip(x, hi[2]))
+            below = above = False
+            for c, (a, f), (b, g) in zip(v.tolist(), lo_pairs, hi_pairs):
+                below = below or c - a < f
+                above = above or b - c < g
         else:
-            below = lo is not None and bool((v.T - lo[0] < lo[1]).any())
-            above = hi is not None and bool((hi[0] - v.T < hi[1]).any())
+            below = bool((v.T - lo < lo_floor).any())
+            above = bool((hi - v.T < hi_floor).any())
         if below:
             raise DomainBoxError(f"{self.name or 'map'}: point below domain box {self.lo}")
         if above:

@@ -30,10 +30,10 @@ from holonomylab.cli import (
     validate_config,
 )
 from holonomylab.curvature import constant_base_field
-from holonomylab.finsler import catalog_norm
+from holonomylab.finsler import catalog_names, catalog_norm
 
 try:
-    from hypothesis import given, settings, strategies as st
+    from hypothesis import example, given, settings, strategies as st
 except ImportError:  # the property test below skips itself
     st = None
 
@@ -844,6 +844,7 @@ if st is None:
 else:
     ENTRIES = st.integers(-20, 20).map(lambda i: i / 10)
     GROUPLAB_OPS = ("contact", "commutator", "sum", "scale", "exp-iterate", "weak-tangency")
+    METRIC_COMMANDS = ("chain", "curvature", "holonomy", "metric-check", "parallelogram", "transport")
 
     def _rows(draw, count, width):
         return [draw(st.lists(ENTRIES, min_size=width, max_size=width)) for _ in range(count)]
@@ -898,8 +899,71 @@ else:
             fields.append({"variables": list(names), "components": comps})
         return {"command": "closure", "fields": fields, "depth": draw(st.integers(0, 2))}
 
-    @settings(max_examples=150, derandomize=True, deadline=None)
-    @given(st.one_of(grouplab_tasks(), closure_tasks()))
+    def _points(n):
+        """n coordinates, or now and then one too many."""
+        return st.sampled_from((n,) * 5 + (n + 1,)).flatmap(
+            lambda size: st.lists(ENTRIES, min_size=size, max_size=size)
+        )
+
+    @st.composite
+    def metrics(draw):
+        """(metric, dimension): a catalog norm, an unknown name, or an
+        expression norm over 1..3 dimensions; its box may be empty, and its
+        expression may be no norm at all or name a variable it lacks."""
+        kind = draw(st.sampled_from(("catalog",) * 3 + ("unknown", "expression", "expression")))
+        if kind == "catalog":
+            return draw(st.sampled_from(catalog_names())), 2
+        if kind == "unknown":
+            return "hyperbolic", 2
+        n = draw(st.integers(1, 3))
+        lo = draw(st.lists(ENTRIES, min_size=n, max_size=n))
+        hi = [a + draw(st.sampled_from((0.5, 1.0, 2.0, 0.0))) for a in lo]
+        ys, c = " + ".join(f"y{i}*y{i}" for i in range(1, n + 1)), draw(ENTRIES)
+        norms = (f"sqrt({ys})", f"sqrt((1 + {c}*x1*x1)*({ys}))", f"sqrt({ys}) + {c}*y1", "y1", f"x{n + 1}")
+        return {"norm": draw(st.sampled_from(norms)), "lo": lo, "hi": hi}, n
+
+    @st.composite
+    def metric_tasks(draw):
+        """The six commands on a metric, kept short: one or two curves, small
+        loops, few samples, chains of depth 0 or 1; points and loop corners
+        fall inside or outside the chart box."""
+        metric, n = draw(metrics())
+        task = {"command": draw(st.sampled_from(METRIC_COMMANDS)), "metric": metric}
+        task["seed"] = draw(st.integers(0, 100))
+        if task["command"] == "transport":
+            task["curves"] = draw(st.integers(1, 2))
+        elif task["command"] == "holonomy":
+            if draw(st.booleans()):
+                a = draw(_points(n))
+                task["loop"] = {"rect": [a, [v + draw(st.sampled_from((0.1, 0.3, -0.2))) for v in a]]}
+            else:
+                r, c = draw(st.sampled_from(("0.1", "0.3"))), draw(ENTRIES)
+                loop = [f"{c} + {r}*cos(2*pi*t)", f"{r}*sin(2*pi*t)", "0.5"]
+                task["loop"] = {"expressions": loop[: draw(st.sampled_from((n,) * 3 + (n + 1,)))]}
+        elif task["command"] != "metric-check":
+            task["point"] = draw(_points(n))
+        if task["command"] == "parallelogram":
+            for key in draw(st.lists(st.sampled_from(("x", "y", "vector")), unique=True)):
+                task[key] = draw(_points(n))
+        elif task["command"] == "chain":
+            task["depth"] = draw(st.integers(0, 1))
+        if task["command"] not in ("transport", "parallelogram"):
+            task["samples"] = draw(st.integers(2, 4))
+        return task
+
+    @settings(max_examples=250, derandomize=True, deadline=None)
+    @given(st.one_of(grouplab_tasks(), closure_tasks(), metric_tasks()))
+    # each command once: a loop inside the box and a chain (exit 0), a loop
+    # that leaves the box (the transport underflows), a point outside it and
+    # an expression that is no norm (exit 1), a wrong length and an unknown
+    # metric (exit 2)
+    @example({"command": "holonomy", "metric": "sphere", "loop": {"rect": [[1.0, 0.0], [1.3, 0.3]]}})
+    @example({"command": "chain", "metric": "funk_disk", "point": [0.1, 0.2], "depth": 1, "samples": 3})
+    @example({"command": "holonomy", "metric": "sphere", "loop": {"rect": [[2.9, 0.0], [3.1, 0.3]]}})
+    @example({"command": "curvature", "metric": "sphere", "point": [5.0, 0.2], "samples": 2})
+    @example({"command": "transport", "metric": {"norm": "y1", "lo": [-1.0, -1.0], "hi": [1.0, 1.0]}, "curves": 1})
+    @example({"command": "parallelogram", "metric": "euclidean", "point": [0.5, 0.5], "x": [1.0, 0.0, 0.0]})
+    @example({"command": "metric-check", "metric": "hyperbolic"})
     def test_exit_codes_on_random_schema_valid_configs(task):
         """Every schema-valid config ends in 0 or 1 with a strict-JSON report
         holding no config error, or in 2 with a config error and no report."""

@@ -169,9 +169,9 @@ def special_table(rng, shape):
     return out
 
 
-def columns_for(pairs, side, rng):
-    """A column count whose product lands on `side` of the bincount limit."""
-    fit = jets._BINCOUNT_MAX_ELEMENTS // pairs
+def columns_for(space, pairs, side, rng):
+    """A column count whose product lands on `side` of the space's bincount limit."""
+    fit = space.bincount_limit() // pairs
     return int(rng.integers(1, min(fit, 12) + 1)) if side == "small" else fit + 1
 
 
@@ -184,7 +184,7 @@ def test_multiply_is_the_sparse_fold_bitwise(groups, side, seed):
     space = grouped_space(groups)
     rng = np.random.default_rng(seed)
     _, pairs = sparse_fold(space, np.zeros(space.size), np.zeros(space.size))
-    shape = (space.size,) if side == "1-D" else (space.size, columns_for(pairs, side, rng))
+    shape = (space.size,) if side == "1-D" else (space.size, columns_for(space, pairs, side, rng))
     a, b = special_table(rng, shape), special_table(rng, shape)
     with np.errstate(invalid="ignore", over="ignore"):
         want, _ = sparse_fold(space, a, b)
@@ -192,13 +192,17 @@ def test_multiply_is_the_sparse_fold_bitwise(groups, side, seed):
 
 
 def test_multiply_is_the_sparse_fold_for_a_large_one_dimensional_product():
+    # 66,045 pairs in 306 layers: within the space's bincount limit, and
+    # past it, to the layered fold, once the limit per layer is 1
     space = jet_space(2, 33)
     rng = np.random.default_rng(5)
     a, b = special_table(rng, (space.size,)), special_table(rng, (space.size,))
-    with np.errstate(invalid="ignore", over="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"), pytest.MonkeyPatch.context() as mp:
         want, pairs = sparse_fold(space, a, b)
-        assert pairs > jets._BINCOUNT_MAX_ELEMENTS
-        assert same_bits_or_nan(space.multiply(a, b), want)
+        for per_layer, layered in ((jets._BINCOUNT_MAX_ELEMENTS, False), (1, True)):
+            mp.setattr(jets, "_BINCOUNT_MAX_ELEMENTS", per_layer)
+            assert (pairs > space.bincount_limit()) == layered
+            assert same_bits_or_nan(space.multiply(a, b), want)
 
 
 # -- products and pair tables in blocks -------------------------------------------
@@ -245,6 +249,83 @@ def test_blocked_multiply_is_one_unblocked_fold_bitwise(case, columns, per_budge
 def test_row_blocked_pair_table_is_the_dense_enumeration(case, budget):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(jets, "_PAIR_BUDGET", budget)
-        ii, jj, kk = jets.JetSpace(*case)._mul_table()  # built afresh, not cached
+        space = jets.JetSpace(*case)
+        ii, jj, kk = space._mul_table()  # built afresh, not cached
     for got, want in zip((ii, jj, kk), pair_table(grouped_space(*case))):
         assert got.dtype == np.int64 and got.tolist() == want
+    # the bincount limit scales with a quarter of the layer count, the most pairs on one target
+    layers = int(np.bincount(kk).max())
+    assert space.bincount_limit() == jets._BINCOUNT_MAX_ELEMENTS * max(1, layers // 4)
+
+
+# -- the fast paths of products, series and gradients, bit for bit ---------------
+
+# (groups, total): spaces capped per group, and cut to a total degree
+FAST = ((((1, 3),), None), (((2, 1), (2, 3)), None), (((2, 1), (2, 3)), 3), (((2, 2), (2, 4)), 5))
+# value shapes of two factors: equal scalars and vectors, which take the direct
+# path, (size,) against (size, w), (size, 1) against (size, w), and 3-D
+FACTORS = {
+    "scalar": ((), ()),
+    "equal": ((4,), (4,)),
+    "1-D": ((), (4,)),
+    "unit": ((1,), (4,)),
+    "3-D": ((2, 1, 4), (2, 3, 4)),
+}
+
+
+@given(st.sampled_from(FAST), st.sampled_from(sorted(FACTORS)), st.integers(0, 2**32 - 1))
+def test_jet_product_is_the_space_product_bitwise(case, factors, seed):
+    space = grouped_space(*case)
+    rng = np.random.default_rng(seed)
+    a, b = (Jet(space, special_table(rng, (space.size,) + shape)) for shape in FACTORS[factors])
+    ndim = max(len(a.shape), len(b.shape))
+    with np.errstate(invalid="ignore", over="ignore"):
+        for x, y in ((a, b), (b, a)):
+            want = space.product(jets._pad(x.coeffs, ndim), jets._pad(y.coeffs, ndim))
+            assert same_bits((x * y).coeffs, want)
+
+
+def horner_in_jets(jet, series_fn):
+    """`Jet._analytic`'s Horner loop written in `Jet` arithmetic."""
+    m = jet.space.max_total
+    series = series_fn(np.asarray(jet.value, dtype=float), m)
+    w = Jet(jet.space, jet.coeffs.copy())
+    w.coeffs[0] = 0.0
+    out = Jet.constant(jet.space, series[m])
+    for j in range(m - 1, -1, -1):
+        out = out * w
+        out.coeffs[0] = series[j]
+    return out
+
+
+@given(st.sampled_from(FAST), st.sampled_from(((), (4,), (2, 3))), st.integers(0, 2**32 - 1))
+def test_analytic_is_the_horner_loop_in_jets_bitwise(case, shape, seed):
+    space = grouped_space(*case)
+    coeffs = special_table(np.random.default_rng(seed), (space.size,) + shape)
+    free = Jet(space, coeffs)
+    positive = Jet(space, np.concatenate([0.25 + np.abs(coeffs[:1]), coeffs[1:]]))
+    with np.errstate(all="ignore"):
+        for jet, op, series_fn in (
+            (positive, Jet.sqrt, jets._pow_series(0.5)),
+            (positive, Jet._reciprocal, jets._recip_series),
+            (free, Jet.sin, jets._sin_series),
+        ):
+            assert same_bits(op(jet).coeffs, horner_in_jets(jet, series_fn).coeffs)
+
+
+# the spaces of FAST with no total cut, which have room for a gradient's reads
+WHOLE = tuple(groups for groups, total in FAST if total is None)
+
+
+@given(st.sampled_from(WHOLE), st.integers(0, 2), st.integers(0, 2**32 - 1), st.data())
+def test_gradient_is_the_moveaxis_form_bitwise(groups, axis, seed, data):
+    space = grouped_space(groups)
+    jet = Jet(space, special_table(np.random.default_rng(seed), (space.size, 2, 3)))
+    g = data.draw(st.sampled_from([i for i, cap in enumerate(space.caps) if cap]))
+    start = sum(size for size, _ in space.groups[:g])
+    variables = range(start, start + space.groups[g][0])
+    lowered = tuple((size, cap - (i == g)) for i, (size, cap) in enumerate(space.groups))
+    table = jet.read([(v,) for v in variables], lowered)
+    got = jet.gradient(variables, axis)
+    assert got.space is table.space
+    assert same_bits(got.coeffs, np.moveaxis(table.coeffs, 1, 1 + axis))
