@@ -289,7 +289,7 @@ def _build_loop(spec, n: int) -> LoopSpec:
         if "rect" in spec:
             loop = LoopSpec.rectangle(*spec["rect"])
         else:
-            loop = CurveSpec.from_expressions(spec["expressions"]).as_loop()
+            loop = LoopSpec.from_expressions(spec["expressions"])
     except ValueError as exc:
         raise ConfigError(f"loop: {exc}") from None
     if loop.start.shape != (n,):

@@ -56,8 +56,6 @@ __all__ = [
     "curvature_field",
     "berwald_covariant_derivative",
     "fiber_bracket",
-    "horizontal_field",
-    "vertical_field",
     "ihol_generators",
 ]
 
@@ -397,51 +395,6 @@ def fiber_bracket(
     # eta's family would serve too: same norm, same base point
     depth = xi.depth + eta.depth + 1
     return xi._derived(evaluator, "bracket", label, None, depth, (xi.label, eta.label))
-
-
-# -- bundle-field adapters -----------------------------------------------------
-
-
-class _BundleField:
-    """A 2n-dimensional field on the bundle chart, for commutator checks."""
-
-    def __init__(self, dim: int, taylor_fn, name: str = ""):
-        self.dim = dim
-        self._taylor = taylor_fn
-        self.name = name
-
-    def taylor(self, center, order: int) -> Jet:
-        return self._taylor(np.asarray(center, dtype=float), int(order))
-
-
-def horizontal_field(norm: FinslerNorm, X: SmoothMap) -> _BundleField:
-    """The horizontal lift X^h = (X^j, -G^i_j X^j) as a field in (x, y)."""
-    n = norm.dim
-
-    def taylor(center, order):
-        x0, y0 = center[:n], center[n:]
-        gspace = grouped_space(((n, order), (n, order)))
-        total = ((2 * n, order),)
-        G = spray_jets(norm, x0, list(y0), xorder=order, yorder=order + 1)
-        Xc = X.jets([Jet.variable(gspace, i, x0[i]) for i in range(n)])
-        lift = -(G.gradient(range(n, 2 * n), axis=1) * Xc).sum(axis=1)  # -G^i_j X^j
-        return Jet(gspace, np.concatenate([Xc.coeffs, lift.coeffs], axis=1)).truncated(total)
-
-    return _BundleField(2 * n, taylor, name=f"{X.name or 'X'}^h")
-
-
-def vertical_field(xi: IndicatrixVectorField) -> _BundleField:
-    """xi as a bundle field (0, xi^i); only valid over the field's base point."""
-    n = xi.dim
-    p = xi.p
-
-    def taylor(center, order):
-        if not np.allclose(center[:n], p, rtol=0.0, atol=1e-12):
-            raise ValueError("fiber field is anchored at its base point")
-        xij = xi.bundle_jets(order, order, center[n:]).truncated(((2 * n, order),))
-        return Jet(xij.space, np.concatenate([np.zeros_like(xij.coeffs), xij.coeffs], axis=1))
-
-    return _BundleField(2 * n, taylor, name=xi.label)
 
 
 # -- generator lists -----------------------------------------------------------

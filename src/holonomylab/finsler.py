@@ -61,8 +61,8 @@ __all__ = [
     "SprayData",
     "catalog_norm",
     "catalog_names",
+    "connection_values",
     "geodesic_coefficients",
-    "horizontal_lift",
     "indicatrix_samples",
     "metric_tensor",
     "norm_diagnostics",
@@ -416,15 +416,6 @@ def connection_values(norm: FinslerNorm, x, y) -> np.ndarray:
     """G^i_j at (x, y); the parallel transport right-hand side. Batched in y."""
     G = spray_jets(norm, x, y, xorder=0, yorder=1)
     return G.gradient(range(norm.dim, 2 * norm.dim), axis=1).value
-
-
-def horizontal_lift(norm: FinslerNorm, x, y, X) -> np.ndarray:
-    """Lift the base vector X to the horizontal subspace at (x, y).
-
-    Returns the 2n bundle vector (X, -G_j X) with (G_j X)^i = G^i_j X^j.
-    """
-    X = np.asarray(X, dtype=float)
-    return np.concatenate([X, -connection_values(norm, x, y) @ X])
 
 
 # -- diagnostics ---------------------------------------------------------------

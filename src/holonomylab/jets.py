@@ -1,4 +1,4 @@
-"""Truncated Taylor-jet arithmetic and finite-difference derivative estimates.
+"""Truncated Taylor-jet arithmetic and Richardson extrapolation.
 
 Forward-mode derivatives are carried as dense coefficient tables over a finite
 multi-index set.  A jet stores Taylor coefficients (derivative divided by the
@@ -9,20 +9,14 @@ A jet of a vector, a matrix or a batch of them is one table: `coeffs` has
 shape ``(space.size, *shape)``, tensor axes first and batch axes last, and
 every operation acts on each entry of the value shape as it would on a scalar
 jet, bit for bit.  Binary operations broadcast value shapes the numpy way.
-
-Two derivative routes are provided on purpose: exact jet propagation and
-Richardson-extrapolated central differences.  They share no code beyond the
-function being differentiated, so each one validates the other.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -35,24 +29,14 @@ __all__ = [
     "JetShapeError",
     "DomainBoxError",
     "SmoothMap",
-    "DerivativeEstimate",
     "jet_space",
     "grouped_space",
     "jet_point",
-    "compose_table",
-    "curve_derivative",
-    "mixed_partial",
-    "finite_difference_weights",
     "richardson_extrapolate",
     "solve",
     "tally",
     "count",
 ]
-
-_RICHARDSON_SCHEDULE = (0.1, 0.05, 0.025, 0.0125)
-# largest last Richardson correction, relative to the value scale, that
-# counts as converged
-_RICHARDSON_THRESHOLD = 1e-5
 
 # Largest pair-product array `JetSpace.multiply` folds with np.bincount, whose
 # flat index it caches per column count, on a space of at most 7 layers; a
@@ -176,7 +160,6 @@ class JetSpace:
         self._layered = None
         self._flat: dict[int, np.ndarray] = {}
         self._reads: dict[tuple, tuple["JetSpace", np.ndarray, np.ndarray]] = {}
-        self._mono_parent: tuple[np.ndarray, np.ndarray] | None = None
 
     @classmethod
     def create(cls, groups: tuple[tuple[int, int], ...], total: int | None = None) -> "JetSpace":
@@ -224,6 +207,7 @@ class JetSpace:
             ii, jj = np.nonzero(kk >= 0)
             blocks.append((ii + r, jj, kk[ii, jj]))
         self._mul = tuple(map(np.concatenate, zip(*blocks)))
+        self._flat[1] = self._mul[2]  # a one-column product folds by kk itself
         return self._mul
 
     def _layers(self):
@@ -257,11 +241,11 @@ class JetSpace:
         """Truncated product of two coefficient tables of one shape, (size,) or (size, columns).
 
         Up to `bincount_limit` pair products, `np.bincount` over a flat
-        index cached per column count folds them.  Larger products use
-        the layered fold, which caches nothing per column count: per rank r,
-        the rank-r pair products of every target that has one are gathered,
-        multiplied and added into the first rows of the output, and one
-        gather by slot restores the target order.  Its transient arrays are
+        index cached per column count (kk itself at one column) folds them.
+        Larger products use the layered fold, which caches nothing per column
+        count: per rank r, the rank-r pair products of every target that has
+        one are gathered, multiplied and added into the first rows of the
+        output, and one gather by slot restores the target order.  Its transient arrays are
         no larger than the output.  Every output entry starts at +0.0 and adds
         its pair products one at a time in pair order, column by column, so
         the folds agree bit for bit, and with a sparse matrix's fold, up to
@@ -336,23 +320,6 @@ class JetSpace:
                     pos[i, j] = self.position[tuple(lifted)]
             hit = self._reads[(steps, target, drop)] = (dst, pos, scale)
         return hit
-
-    def monomial_parents(self):
-        """(parent position, variable) pairs for incremental monomial building,
-        valid because indices are stored in graded order."""
-        if self._mono_parent is None:
-            parents = np.zeros(self.size, dtype=np.int64)
-            last_var = np.zeros(self.size, dtype=np.int64)
-            for i, t in enumerate(self.tuples):
-                if i == 0:
-                    continue
-                v = max(k for k, d in enumerate(t) if d > 0)
-                down = list(t)
-                down[v] -= 1
-                parents[i] = self.position[tuple(down)]
-                last_var[i] = v
-            self._mono_parent = (parents, last_var)
-        return self._mono_parent
 
 
 def jet_space(num_vars: int, order: int) -> JetSpace:
@@ -701,36 +668,6 @@ def _pow_series(p):
     return series
 
 
-def compose_table(table: Jet, args: Sequence[Jet], center) -> Jet:
-    """Evaluate a Taylor table on jets whose value parts sit at its center.
-
-    The displacement jets (argument minus center) are nilpotent, so plugging
-    them into the table polynomial is exact at the outer truncation order.
-    Monomials are built incrementally in graded order (one multiplication per
-    table index) and shared by every entry of the table's value shape, which
-    broadcasts against the arguments' shape.
-    """
-    center = np.asarray(center, dtype=float)
-    if len(args) != table.space.num_vars:
-        raise JetShapeError(
-            f"table over {table.space.num_vars} variables, got {len(args)} arguments"
-        )
-    outer = args[0].space
-    disp = []
-    for a, c in zip(args, center):
-        w = a - c
-        w.coeffs[0] = 0.0 * w.coeffs[0]  # kill rounding dust; exactness needs it
-        disp.append(w)
-    parents, last_var = table.space.monomial_parents()
-    monos: list[Jet | None] = [None] * table.space.size
-    monos[0] = Jet.constant(outer, np.ones(disp[0].shape))
-    out = monos[0] * table.coeffs[0]
-    for i in range(1, table.space.size):
-        monos[i] = monos[parents[i]] * disp[last_var[i]]
-        out = out + monos[i] * table.coeffs[i]
-    return out
-
-
 # -- smooth maps --------------------------------------------------------------
 
 
@@ -820,41 +757,6 @@ class SmoothMap:
         return np.array(self.fun(list(x)), dtype=float)
 
 
-@dataclass(frozen=True)
-class DerivativeEstimate:
-    """A derivative value with its provenance.
-
-    In richardson mode `error` is the last extrapolation correction (a live
-    estimate of the remaining truncation error) and `converged` flags whether
-    it cleared `_RICHARDSON_THRESHOLD`; jet mode is exact so error is 0.
-    """
-
-    value: np.ndarray
-    error: float
-    converged: bool
-    mode: str
-
-
-def finite_difference_weights(m: int, xs: Sequence[float]) -> np.ndarray:
-    """Fornberg weights for the m-th derivative at 0 on arbitrary nodes."""
-    xs = np.asarray(xs, dtype=float)
-    n = len(xs)
-    d = np.zeros((n, n, m + 1))
-    d[0, 0, 0] = 1.0
-    c1 = 1.0
-    for i in range(1, n):
-        c2 = 1.0
-        for j in range(i):
-            c3 = xs[i] - xs[j]
-            c2 *= c3
-            for k in range(min(i, m), -1, -1):
-                d[i, j, k] = (xs[i] * d[i - 1, j, k] - k * d[i - 1, j, k - 1]) / c3
-        for k in range(min(i, m), -1, -1):
-            d[i, i, k] = (c1 / c2) * (k * d[i - 1, i - 1, k - 1] - xs[i - 1] * d[i - 1, i - 1, k])
-        c1 = c2
-    return d[n - 1, :, m]
-
-
 def richardson_extrapolate(values: Sequence[np.ndarray], steps: Sequence[float], power: float = 2.0):
     """Neville extrapolation of step-dependent estimates to step -> 0.
 
@@ -876,71 +778,3 @@ def richardson_extrapolate(values: Sequence[np.ndarray], steps: Sequence[float],
                 err = float(np.max(np.abs(correction)))
             T[i] = T[i] + correction
     return T[n - 1], err
-
-
-def _stencil(k: int) -> tuple[np.ndarray, np.ndarray]:
-    m = (k + 1) // 2
-    nodes = np.arange(-m, m + 1, dtype=float)
-    return nodes, finite_difference_weights(k, nodes)
-
-
-def _partial(f, orders: tuple, mode: str) -> DerivativeEstimate:
-    """The derivative of multi-index `orders` at the origin, one parameter per entry.
-
-    Jet mode seeds one group per parameter, with cap equal to its order.
-    Richardson mode runs the tensor product of central stencils with every
-    step halved together, extrapolates, and flags convergence.
-    """
-    if min(orders) < 0:
-        raise ValueError("derivative order must be >= 0")
-    if mode == "jet":
-        space = grouped_space(tuple((1, k) for k in orders))
-        args = [Jet.variable(space, v, 0.0) for v in range(len(orders))]
-        out = f.jets(args) if isinstance(f, SmoothMap) else f(*args)
-        value = (out if isinstance(out, Jet) else Jet.stack(out)).derivative(orders)
-        return DerivativeEstimate(float(value) if value.ndim == 0 else value, 0.0, True, "jet")
-    if mode != "richardson":
-        raise ValueError(f"unknown mode {mode!r}")
-    stencils = [list(zip(*_stencil(k))) for k in orders]
-    estimates = []
-    for h in _RICHARDSON_SCHEDULE:
-        acc = None
-        for taps in itertools.product(*stencils):
-            weight = math.prod(w for _, w in taps)
-            if weight == 0.0:
-                continue
-            point = [float(node * h) for node, _ in taps]
-            if isinstance(f, SmoothMap):
-                term = weight * f.value(np.array(point))
-            else:
-                term = weight * np.asarray(f(*point), dtype=float)
-            acc = term if acc is None else acc + term
-        estimates.append(acc / h ** sum(orders))
-    value, err = richardson_extrapolate(estimates, _RICHARDSON_SCHEDULE)
-    if value.ndim == 0:
-        value = float(value)
-    scale = max(1.0, float(np.max(np.abs(value))))
-    return DerivativeEstimate(value, err, bool(err <= _RICHARDSON_THRESHOLD * scale), "richardson")
-
-
-def curve_derivative(c, k: int, mode: str = "jet") -> DerivativeEstimate:
-    """k-th derivative of a one-parameter map at t=0.
-
-    `c` is a SmoothMap with one input or any callable accepting a float (and,
-    in jet mode, a Jet).  Jet mode is exact truncated Taylor; richardson mode
-    runs a central stencil over a halving step schedule and extrapolates,
-    reporting the residual.  A residual above `_RICHARDSON_THRESHOLD`
-    (relative to the value scale) flags the estimate as non-converged; the
-    value is still returned.
-    """
-    return _partial(c, (k,), mode)
-
-
-def mixed_partial(f, k: int, l: int, mode: str = "jet") -> DerivativeEstimate:
-    """Mixed partial d^{k+l}/dt^k ds^l at the origin of a two-parameter map.
-
-    `f` is a SmoothMap with two inputs or a callable f(t, s); jet mode seeds a
-    two-group space carrying exactly (k, l) orders, richardson mode uses a
-    tensor-product central stencil with both steps halved together.
-    """
-    return _partial(f, (k, l), mode)

@@ -24,18 +24,18 @@ The step-doubling loop is a generator of stage requests.  Stages 2-4 of the
 full step do not depend on stages 2-4 of the first half step, so they are
 asked for in pairs, and an attempt takes 8 rounds for its 11 stages.
 `_lockstep` is the one driver of these generators: `integrate` runs flow
-legs and `horizontal_flow` as a lockstep of one member that calls rhs once
-per request, `parallel_transports` steps independent transports together
-with one batched `connection_values` call per round (a single
-`parallel_transport` is its one-member case), and a parallelogram loop's
-chain points step together with one batched `SmoothMap.value` per field
-and round; a connection round of one request is evaluated at its own
-base point.  Batched evaluations work column by column, so every member
-keeps the bits it has alone.  If a round's call raises, each member's
-requests are evaluated alone, so a member that leaves the chart or a
-field's box, or meets a degenerate metric, stops no other; the first
-failure in input order is raised at the end, as running them one after
-another would raise it.
+legs as a lockstep of one member that calls rhs once per request,
+`parallel_transports` steps independent transports together with one
+batched `connection_values` call per round (a single `parallel_transport`
+is its one-member case), and a parallelogram loop's chain points step
+together with one batched `SmoothMap.value` per field and round; a
+connection round of one request is evaluated at its own base point.
+Batched evaluations work column by column, so every member keeps the bits
+it has alone.  If a round's call raises, each member's requests are
+evaluated alone, so a member that leaves the chart or a field's box, or
+meets a degenerate metric, stops no other; the first failure in input
+order is raised at the end, as running them one after another would raise
+it.
 
 Parallelogram loops:  for vector fields X, Y with flows phi, psi the outward
 path alpha_t is the four flow segments (X for time t, Y for t, X for -t,
@@ -67,7 +67,7 @@ import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 
 from .expressions import parse_expression
-from .finsler import FinslerNorm, connection_values, horizontal_lift
+from .finsler import FinslerNorm, connection_values
 from .jets import DomainBoxError, Jet, SmoothMap, count, jet_space, richardson_extrapolate
 
 __all__ = [
@@ -79,9 +79,7 @@ __all__ = [
     "TransportFailure",
     "TransportResult",
     "flow_curve",
-    "flow_transport_discrepancy",
     "holonomy_map",
-    "horizontal_flow",
     "integrate",
     "parallel_transport",
     "parallel_transports",
@@ -139,7 +137,8 @@ def _steps(t0, t1, y0, key=()):
     Yields lists of (*key, t, y) at which the right-hand side is wanted and
     is sent the list of its values.  A DomainBoxError thrown in at a yield
     rejects the attempt, and any other exception ends the solve; rhs(t, y)
-    of the current state is kept across rejections.  Returns (y_end, stats)
+    of the current state is kept across rejections.  A step that underflows
+    right after a domain rejection names that wall.  Returns (y_end, stats)
     as `integrate` does.
     """
     y = np.asarray(y0, dtype=float).copy()
@@ -150,11 +149,14 @@ def _steps(t0, t1, y0, key=()):
     accepted = rejected = 0
     max_err = 0.0
     k1 = None  # rhs(t, y), kept until the state moves
+    wall = None  # the DomainBoxError of the last attempt, if it raised one
     while (t1 - t) * np.sign(span) > h_min:  # a remaining span below h_min is rounding noise
         if abs(h) > abs(t1 - t):
             h = t1 - t
         if abs(h) < h_min:
-            raise TransportFailure("step size underflow", t, y)
+            if wall is None:
+                raise TransportFailure("step size underflow", t, y)
+            raise TransportFailure(f"step size underflow at a domain wall: {wall}", t, y) from wall
         if accepted + rejected > MAX_STEPS:
             raise TransportFailure("step budget exhausted", t, y)
         try:
@@ -164,10 +166,12 @@ def _steps(t0, t1, y0, key=()):
             full, half = yield from _rk4_stages(t, y, (h, 0.5 * h), k1, key)
             (k1_mid,) = yield [(*key, t + 0.5 * h, half)]
             (two_half,) = yield from _rk4_stages(t + 0.5 * h, half, (0.5 * h,), k1_mid, key)
-        except DomainBoxError:
+        except DomainBoxError as exc:
             rejected += 1
             h *= 0.5
+            wall = exc
             continue
+        wall = None
         delta = (two_half - full) / 15.0
         scale = ATOL + RTOL * np.maximum(np.abs(y), np.abs(two_half))
         err = float(np.max(np.abs(delta) / scale))
@@ -387,14 +391,8 @@ class CurveSpec:
     def end(self):
         return self.pieces[-1].point_velocity(1.0)[0]
 
-    def reverse(self) -> "CurveSpec":
-        return CurveSpec([_ReversedPiece(p) for p in reversed(self.pieces)])
-
     def closure_gap(self) -> float:
         return float(np.max(np.abs(self.end - self.start)))
-
-    def as_loop(self) -> "LoopSpec":
-        return LoopSpec(self.pieces)
 
 
 class LoopSpec(CurveSpec):
@@ -554,7 +552,7 @@ def holonomy_map(norm: FinslerNorm, loop: CurveSpec, samples) -> np.ndarray:
     return parallel_transport(norm, loop, samples).y_end
 
 
-# -- flows and the transport = flow identity ------------------------------------
+# -- flows ----------------------------------------------------------------------
 
 
 def flow_curve(X: SmoothMap, p, T: float) -> _ChebPiece:
@@ -578,33 +576,6 @@ def flow_curve(X: SmoothMap, p, T: float) -> _ChebPiece:
         piece = _fit_chebyshev(us, values)
     piece.end_state = values[-1]
     return piece
-
-
-def horizontal_flow(norm: FinslerNorm, X: SmoothMap, p, y0, t: float):
-    """Flow (p, y0) along the horizontal lift X^h for time t.
-
-    State is (x, V); dx/dt = X(x), dV^i/dt = -G^i_j(x, V) X(x)^j.  Returns
-    (x_end, V_end).
-    """
-    n = norm.dim
-
-    def rhs(s, z):
-        return horizontal_lift(norm, z[:n], z[n:], X.value(z[:n]))
-
-    z, _ = integrate(rhs, 0.0, t, np.concatenate([p, y0]))
-    return z[:n], z[n:]
-
-
-def flow_transport_discrepancy(norm: FinslerNorm, X: SmoothMap, p, y0, t: float) -> float:
-    """Distance between transporting y0 along the integral curve of X and
-    flowing (p, y0) by the horizontal lift.  The two routes share nothing
-    but the integrator, so agreement is a real check of both."""
-    if t == 0.0:
-        return 0.0
-    curve = CurveSpec([flow_curve(X, p, t)])
-    via_transport = parallel_transport(norm, curve, y0).y_end
-    _, via_flow = horizontal_flow(norm, X, p, y0, t)
-    return float(np.linalg.norm(via_transport - via_flow))
 
 
 # -- parallelogram holonomy ------------------------------------------------------

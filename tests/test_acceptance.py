@@ -40,11 +40,11 @@ from holonomylab.liealg import (
 from holonomylab.transport import (
     CurveSpec,
     LoopSpec,
-    flow_transport_discrepancy,
     holonomy_map,
     parallel_transport,
     parallelogram_derivatives,
 )
+from oracles import flow_transport_discrepancy
 
 FIXTURES = json.loads(
     (Path(__file__).parent / "data" / "grouplab_fixtures.json").read_text()

@@ -555,6 +555,16 @@ def test_numeric_task_error_is_captured(tmp_path):
     assert second["passed"]
 
 
+def test_loop_leaving_the_chart_names_the_box(tmp_path):
+    # the loop starts inside the sphere's chart and crosses its wall x1 = pi - 0.2
+    loop = {"rect": [[2.9, 0.0], [3.1, 0.3]]}
+    code, out = run_cli(tmp_path, {"metric": "sphere", "command": "holonomy", "loop": loop})
+    assert code == EXIT_NUMERIC
+    error = read_report(out)["tasks"][0]["error"]
+    assert error.startswith("TransportFailure: step size underflow at a domain wall: ")
+    assert "sphere: point outside chart box (lo=" in error
+
+
 def test_out_dir_from_environment(tmp_path, monkeypatch):
     target = tmp_path / "from-env"
     monkeypatch.setenv("HOLONOMYLAB_OUT", str(target))

@@ -15,9 +15,7 @@ from holonomylab.curvature import (
     coordinate_fields,
     curvature_field,
     fiber_bracket,
-    horizontal_field,
     ihol_generators,
-    vertical_field,
 )
 from holonomylab.finsler import (
     FinslerNorm,
@@ -29,8 +27,6 @@ from holonomylab.finsler import (
 from holonomylab.jets import (
     Jet,
     SmoothMap,
-    compose_table,
-    curve_derivative,
     grouped_space,
     jet_space,
     tally,
@@ -43,6 +39,7 @@ from holonomylab.transport import (
     parallel_transport,
     parallelogram_derivatives,
 )
+from oracles import compose_table, curve_derivative, horizontal_field, vertical_field
 
 
 @pytest.fixture(scope="module")
@@ -489,6 +486,8 @@ ZERMELO_SPHERE = (
     "(sqrt(L*(y1^2 + sin(x1)^2*y2^2) + B^2) - B)/L".replace("L", "(1 - 0.25*sin(x1)^2)")
     .replace("B", "(0.5*sin(x1)^2*y2)")
 )
+# the round 3-sphere in polar coordinates: flag curvature 1 outside 2D
+ROUND_S3 = "sqrt(y1^2 + sin(x1)^2*(y2^2 + sin(x2)^2*y3^2))"
 # metric, flag curvature K, two base points
 CONSTANT_FLAG_CURVATURE = {
     "sphere": (lambda: catalog_norm("sphere"), 1.0, [(1.1, 0.2), (0.7, -0.6)]),
@@ -503,6 +502,11 @@ CONSTANT_FLAG_CURVATURE = {
         1.0,
         [(1.1, 0.2), (1.8, 0.7)],
     ),
+    "round_s3": (
+        lambda: FinslerNorm.from_expression(ROUND_S3, [0.6, 0.6, -1.0], [2.5, 2.5, 1.0]),
+        1.0,
+        [(1.1, 1.3, 0.2), (1.7, 0.9, -0.4)],
+    ),
 }
 
 
@@ -516,7 +520,7 @@ def test_constant_flag_curvature_fields_match_the_closed_form(name):
     # leave a margin of about 10.
     make, K, points = CONSTANT_FLAG_CURVATURE[name]
     norm = make()
-    Xv, Yv = np.array([0.6, -0.3]), np.array([0.2, 0.9])
+    Xv, Yv = np.array([0.6, -0.3, 0.4][: norm.dim]), np.array([0.2, 0.9, -0.5][: norm.dim])
     X = constant_base_field(norm.manifold, Xv, "X")
     Y = constant_base_field(norm.manifold, Yv, "Y")
     for p in map(np.array, points):

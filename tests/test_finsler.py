@@ -13,11 +13,11 @@ from holonomylab.finsler import (
     catalog_norm,
     connection_values,
     geodesic_coefficients,
-    horizontal_lift,
     metric_tensor,
     norm_diagnostics,
     spray_jets,
 )
+from oracles import horizontal_lift
 
 try:
     from hypothesis import given, settings, strategies as st

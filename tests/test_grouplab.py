@@ -27,7 +27,8 @@ from holonomylab.grouplab import (
     sum_curve,
     weak_tangency_reparam,
 )
-from holonomylab.jets import Jet, JetDomainError, curve_derivative, jet_space, mixed_partial
+from holonomylab.jets import Jet, JetDomainError, jet_space
+from oracles import curve_derivative, mixed_partial
 
 try:
     from hypothesis import assume, given, settings, strategies as st

@@ -20,19 +20,16 @@ from holonomylab.jets import (
     JetOrderError,
     JetShapeError,
     SmoothMap,
-    compose_table,
     count,
-    curve_derivative,
-    finite_difference_weights,
     grouped_space,
     jet_point,
     jet_space,
-    mixed_partial,
     richardson_extrapolate,
     solve,
     tally,
 )
 from holonomylab.liealg import ExpressionField, PolynomialField
+from oracles import compose_table, curve_derivative, finite_difference_weights, mixed_partial
 
 try:
     from hypothesis import example, given, settings, strategies as st

@@ -5,8 +5,10 @@ oracle is set by module constants alone, and catalog norms take no
 parameters; command handlers return measurements that `run_config` alone
 grades against the tolerance profile; results are plain dataclasses without
 a verdict, that only the CLI turns into JSON or CSV; every public name and
-public method serves the package or the demos, or is a listed oracle or
-piece of public API; and every library call returning several components
+public method serves the package or the demos, or is a listed piece of
+public API; the independent routes that tests check the package against
+live in `tests/oracles.py` and reach the package through exported names
+only; and every library call returning several components
 returns one Jet, which the package never stacks again; only `jets`
 reads the index layout of a JetSpace, and only `jets` calls the product
 kernel `JetSpace.multiply`, which other modules reach through
@@ -30,6 +32,7 @@ import numpy as np
 
 import holonomylab
 from holonomylab import cli, curvature, finsler, grouplab, jets, liealg, transport
+import oracles
 
 PACKAGE = Path(holonomylab.__file__).parent
 DEMOS = PACKAGE.parents[1] / "demos"
@@ -95,7 +98,7 @@ def test_grouplab_measurements_take_no_accuracy_parameters():
 
 def test_richardson_oracle_takes_no_accuracy_parameters():
     names = ("curve_derivative", "mixed_partial", "finite_difference_weights")
-    assert _knobs(jets, names, {"schedule", "threshold", "x0"}) == []
+    assert _knobs(oracles, names, {"schedule", "threshold", "x0"}) == []
 
 
 def test_catalog_norms_take_no_parameters():
@@ -204,19 +207,6 @@ def test_scipy_submodules_stay_off_the_import_path():
 # the demos reads, each with the use it serves: the test that uses it, or the
 # listed name that calls it.
 ORACLES_AND_API = {
-    # independent routes that tests check the package's own routes against
-    "jets.compose_table": "Taylor composition; test_radialized_matches_composition",
-    "jets.JetSpace.monomial_parents": "graded monomials of jets.compose_table",
-    "jets.curve_derivative": "Richardson in t; test_analytic_functions_match_richardson",
-    "jets.mixed_partial": "Richardson in (t, s); test_commutator_richardson_cross_check",
-    "jets.finite_difference_weights": "stencils of jets.curve_derivative and jets.mixed_partial",
-    "transport.flow_transport_discrepancy": "flow against transport; test_flow_equals_transport",
-    "transport.horizontal_flow": "the flow of transport.flow_transport_discrepancy",
-    "finsler.horizontal_lift": "the right-hand side of transport.horizontal_flow",
-    "transport.CurveSpec.reverse": "transport back along the reversal; test_reversal_inverts",
-    "curvature.horizontal_field": "bundle commutator; test_berwald_equals_bundle_commutator",
-    "curvature.vertical_field": "bundle commutator; test_berwald_equals_bundle_commutator",
-    # public API
     "jets.Jet.unstack": "the inverse of Jet.stack; test_stack_and_unstack_are_inverse",
     "finsler.geodesic_coefficients": (
         "spray_jets read at one point; the closed-form geodesic equations"
@@ -376,6 +366,28 @@ def test_public_names_have_callers(tmp_path):
     assert sorted(n for n, use in ORACLES_AND_API.items() if not tested & {n, *use.split()}) == []
 
 
+def test_oracles_use_public_names_only():
+    # an oracle that shared a private helper with the route it checks would
+    # certify that route with itself
+    tree = ast.parse((TESTS / "oracles.py").read_text(encoding="utf-8"))
+    own = {id(n) for c in tree.body if isinstance(c, ast.ClassDef) for n in ast.walk(c)}
+    private = [
+        f"{node.lineno}: {ast.unparse(node)}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        and node.attr.startswith("_") and not node.attr.startswith("__")
+        and not (id(node) in own and ast.unparse(node.value) == "self")
+    ]
+    for node, names in _imports(tree):
+        if isinstance(node, ast.Import):  # a module object, or the package's
+            private.extend(n for n in names if n.split(".")[0] == "holonomylab")
+        elif names[0].split(".")[0] == "holonomylab":
+            # from the package itself only modules can be imported
+            exported = importlib.import_module(names[0]).__all__ if "." in names[0] else ()
+            private.extend(n for n in names[1:] if n.rpartition(".")[2] not in exported)
+    assert private == []
+
+
 # a JetSpace's index layout; outside `jets` tables are read with `Jet.read`,
 # and a table is not rewrapped as a jet of a space built for it on the spot
 JET_LAYOUT = {"position", "tuples", "multi", "fact"}
@@ -448,8 +460,8 @@ def _one_jet_calls() -> list:
         ("IndicatrixVectorField.bundle_jets", xi.bundle_jets(1, 1, ys), 2),
         ("IndicatrixVectorField.taylor", xi.taylor(ys, 2), 2),
         *((f"{name}.taylor", f.taylor(ys, 2), 2) for name, f in fields.items()),
-        ("horizontal_field.taylor", curvature.horizontal_field(funk, e0).taylor(z, 1), 4),
-        ("vertical_field.taylor", curvature.vertical_field(xi).taylor(z, 1), 4),
+        ("horizontal_field.taylor", oracles.horizontal_field(funk, e0).taylor(z, 1), 4),
+        ("vertical_field.taylor", oracles.vertical_field(xi).taylor(z, 1), 4),
         ("MatrixCurve.jets", phi.jets(0.2, 3), 2),
         ("CommutatorFamily.jets", grouplab.CommutatorFamily(phi, psi).jets(*seeds), 2),
         ("SmoothMap.jets", smooth.jets(seeds), 3),
