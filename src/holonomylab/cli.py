@@ -781,9 +781,6 @@ def main(argv=None) -> int:
         normalized = normalize_config(config)
         seed = args.seed if args.seed is not None else normalized.get("seed", 0)
         profile = args.tolerance_profile or normalized.get("tolerance_profile", "default")
-        if any(task["command"] == "grouplab" for task in normalized["tasks"]):
-            # grouplab's expm, frozen with the import heap and outside every task's wall time
-            import scipy.linalg  # noqa: F401
         report, tables = run_config(config, seed, profile)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

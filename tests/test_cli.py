@@ -790,8 +790,8 @@ def test_constant_norm_fails_its_checks(tmp_path):
 
 
 # scipy.stats costs about a second of import and of interpreter exit;
-# scipy.sparse and scipy.linalg cost about 0.3 s of import, and only grouplab
-# (expm) needs one of them, which the CLI loads before run_config is entered
+# scipy.sparse and scipy.linalg cost about 0.3 s of import, and no run needs
+# either: grouplab computes its own matrix exponential
 _IMPORT_CASES = {
     "closure": (
         {
@@ -815,7 +815,11 @@ _IMPORT_CASES = {
         {"scipy.sparse", "scipy.linalg"},
         set(),
     ),
-    "grouplab": ({"command": "grouplab", "op": "sum", "k": 1, "l": 2}, set(), {"scipy.linalg"}),
+    "grouplab": (
+        {"command": "grouplab", "op": "sum", "k": 1, "l": 2},
+        {"scipy.sparse", "scipy.linalg"},
+        set(),
+    ),
 }
 
 

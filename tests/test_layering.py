@@ -13,9 +13,8 @@ returns one Jet, which the package never stacks again; only `jets`
 reads the index layout of a JetSpace, and only `jets` calls the product
 kernel `JetSpace.multiply`, which other modules reach through
 `JetSpace.product`; only the CLI imports `gc`, since the collector's
-policy is process-wide; and no module imports `scipy.sparse`, and
-`scipy.linalg` only inside a function, so a run without a grouplab task
-loads neither."""
+policy is process-wide; and no module imports `scipy.sparse` or
+`scipy.linalg`, not even inside a function, so no run loads either."""
 
 import ast
 import contextlib
@@ -185,21 +184,12 @@ def test_only_the_cli_sets_collector_policy():
 
 
 def test_scipy_submodules_stay_off_the_import_path():
-    # a module-level import of either costs every run about 0.3 s of set-up
-    sparse, module_level_linalg = [], []
+    # an import of either, even inside a function, costs a run about 0.3 s
+    heavy, found = (["scipy", "sparse"], ["scipy", "linalg"]), []
     for path in sorted(PACKAGE.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        functions = (ast.FunctionDef, ast.AsyncFunctionDef)  # a class body runs at import
-        local = {
-            id(node) for scope in ast.walk(tree) if isinstance(scope, functions) for node in ast.walk(scope)
-        }
-        for node, names in _imports(tree):
-            where = f"{path.name}:{node.lineno}"
-            if any(n.split(".")[:2] == ["scipy", "sparse"] for n in names):
-                sparse.append(where)
-            if id(node) not in local and any(n.split(".")[:2] == ["scipy", "linalg"] for n in names):
-                module_level_linalg.append(where)
-    assert sparse == [] and module_level_linalg == []
+        for node, names in _imports(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            found.extend(f"{path.name}:{node.lineno}: {n}" for n in names if n.split(".")[:2] in heavy)
+    assert found == []
 
 
 # Public functions and methods that the package's and the demos' own inputs

@@ -5,8 +5,10 @@
 Prints the median microseconds per call, over `REPEATS` timed runs of about
 `RUN_S` seconds each, of: `connection_values` on each catalog norm at 1, 6
 and 12 y-columns at one x; `SmoothMap.value` of a constant base field at one
-point; one `integrate` step (11 requests in 8 rounds) of that field; and
-`JetSpace.multiply` on product shapes the workloads reach, by each fold.
+point; one `integrate` step (11 requests in 8 rounds) of that field;
+`MatrixCurve.exponential(X).value(t)`, one matrix exponential, at each size in
+`EXP_SIZES`; and `JetSpace.multiply` on product shapes the workloads reach, by
+each fold.
 """
 
 import os
@@ -20,11 +22,13 @@ import time  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from holonomylab import curvature, finsler, jets, transport  # noqa: E402
+from holonomylab import curvature, finsler, grouplab, jets, transport  # noqa: E402
 
 REPEATS = 15
 RUN_S = 0.02
 COLUMNS = (1, 6, 12)
+# matrix sizes of the grouplab exponential rows
+EXP_SIZES = (2, 3)
 # (groups, total, columns) of jet products the workloads reach
 FOLD_SHAPES = (
     (((2, 3), (2, 6)), 8, 1), (((2, 2), (2, 4)), 5, 12), (((2, 4), (2, 8)), 11, 1),
@@ -76,6 +80,9 @@ def rows():
     p = np.array([1.2, 0.4])
     yield "SmoothMap.value one point", lambda: field.value(p)
     yield "integrate one step", lambda: transport.integrate(lambda t, x: field.value(x), 0.0, 0.01, p)
+    for n in EXP_SIZES:
+        curve = grouplab.MatrixCurve.exponential(np.random.default_rng(n).standard_normal((n, n)))
+        yield f"MatrixCurve.exponential value n={n}", lambda c=curve: c.value(0.7)
     rng = np.random.default_rng(0)
     for groups, total, columns in FOLD_SHAPES:
         space = jets.grouped_space(groups, total)
