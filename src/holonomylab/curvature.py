@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .jets import Jet, SmoothMap, count, grouped_space
+from .jets import Jet, SmoothMap, bracket, count, grouped_space
 from .finsler import FinslerNorm, spray_jets
 
 __all__ = [
@@ -364,9 +364,11 @@ def fiber_bracket(
 ) -> IndicatrixVectorField:
     """The bracket [xi, eta]^i = xi^k d eta^i/dy^k - eta^k d xi^i/dy^k.
 
-    Both fields must live over the same base point.  Inputs of known
-    homogeneity degree 1 are radially extended first, matching the extension
-    convention of the generator closure.
+    `jets.bracket` over the y variables of the bundle jets, so the result
+    keeps the x-dependence that the covariant derivative reads.  Both fields
+    must live over the same base point.  Inputs of known homogeneity degree
+    1 are radially extended first, matching the extension convention of the
+    generator closure.
     """
     if not np.array_equal(xi.p, eta.p):
         raise ValueError("bracket requires fields over the same base point")
@@ -376,20 +378,10 @@ def fiber_bracket(
         xi = xi.radialized()
     if eta.homogeneity == 1:
         eta = eta.radialized()
-    n = xi.dim
-    ys = range(n, 2 * n)
+    ys = range(xi.dim, 2 * xi.dim)
 
     def evaluator(xcap, ycap, yc):
-        target = ((n, xcap), (n, ycap))
-        a = xi.bundle_jets(xcap, ycap + 1, yc)
-        b = eta.bundle_jets(xcap, ycap + 1, yc)
-        # [i, k] = a^k d b^i/dy^k and b^k d a^i/dy^k
-        ab = a.truncated(target) * b.gradient(ys, axis=1).truncated(target)
-        ba = b.truncated(target) * a.gradient(ys, axis=1).truncated(target)
-        acc = ab.at(np.s_[:, 0]) - ba.at(np.s_[:, 0])
-        for k in range(1, n):
-            acc = acc + ab.at(np.s_[:, k]) - ba.at(np.s_[:, k])
-        return acc
+        return bracket(xi.bundle_jets(xcap, ycap + 1, yc), eta.bundle_jets(xcap, ycap + 1, yc), ys)
 
     label = f"[{xi.label},{eta.label}]"
     # eta's family would serve too: same norm, same base point

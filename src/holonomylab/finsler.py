@@ -42,6 +42,7 @@ import numpy as np
 
 from .expressions import parse_expression
 from .jets import (
+    DomainBox,
     DomainBoxError,
     Jet,
     JetDomainError,
@@ -89,7 +90,7 @@ class ChartManifold:
     """A single coordinate chart: an open box in R^dim.
 
     All geometry in this package happens in one chart.  Operations raise
-    ChartDomainError rather than extrapolate outside the box.
+    ChartDomainError rather than extrapolate outside the `jets.DomainBox`.
     """
 
     dim: int
@@ -106,21 +107,13 @@ class ChartManifold:
             raise ValueError("bounds must have one entry per dimension")
         if any(a >= b for a, b in zip(lo, hi)):
             raise ValueError("chart box must have lo < hi in every coordinate")
-        # tolerate roundoff at the walls, an ODE step landing 1e-15 outside is fine
-        slack = 1e-9 * np.maximum(np.asarray(hi) - np.asarray(lo), 1.0)
-        walls = (np.asarray(lo) - slack, np.asarray(hi) + slack)
-        object.__setattr__(self, "_walls", walls + (list(zip(*(w.tolist() for w in walls))),))
+        object.__setattr__(self, "_box", DomainBox(lo, hi, self.dim))
 
     def require(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.shape[0] != self.dim:
             raise ValueError(f"point has {x.shape[0]} coordinates, chart has {self.dim}")
-        lo, hi, pairs = self._walls
-        if x.ndim == 1:  # one point: plain float comparisons
-            outside = any(c < a or c > b for c, (a, b) in zip(x.tolist(), pairs))
-        else:
-            outside = np.any(x < lo[:, None]) or np.any(x > hi[:, None])
-        if outside:
+        if self._box.side(x) is not None:
             raise ChartDomainError(
                 f"{self.name}: point outside chart box "
                 f"(lo={self.lo}, hi={self.hi})"

@@ -26,8 +26,8 @@ value shape (n, n), so a product runs whole matrices through each jet
 operation, and an inverse is one `jets.solve` against the identity.
 
 The matrix exponential is the module's own `_expm`, Higham's scaling and
-squaring with Pade approximants, so no run loads `scipy.linalg`; the tests
-keep scipy's `expm` as the independent side.
+squaring with the one Pade approximant of degree 7, so no run loads
+`scipy.linalg`; the tests keep scipy's `expm` as the independent side.
 """
 
 from __future__ import annotations
@@ -47,46 +47,30 @@ EXP_NORM_BOUND = 50.0
 WEAK_SCHEDULE = tuple(0.5 * 0.5**i for i in range(8))
 
 
-# (theta_m, b_0..b_m) for the Pade degrees m = 3, 5, 7, 9, 13: the largest
-# 1-norm at which the degree-m approximant to exp meets double precision
-# (N. J. Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005, Table 2.3), and the
-# approximant's numerator coefficients, scaled to integers
-_PADE = (
-    (1.495585217958292e-2, (120, 60, 12, 1)),
-    (2.539398330063230e-1, (30240, 15120, 3360, 420, 30, 1)),
-    (9.504178996162932e-1, (17297280, 8648640, 1995840, 277200, 25200, 1512, 56, 1)),
-    (2.097847961257068e0, (17643225600, 8821612800, 2075673600, 302702400, 30270240,
-                           2162160, 110880, 3960, 90, 1)),
-    (5.371920351148152e0, (64764752532480000, 32382376266240000, 7771770303897600,
-                           1187353796428800, 129060195264000, 10559470521600, 670442572800,
-                           33522128640, 1323241920, 40840800, 960960, 16380, 182, 1)),
-)
+# theta_7, the largest 1-norm at which the degree-7 Pade approximant to exp meets
+# double precision (N. J. Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005, Table
+# 2.3), and the approximant's numerator coefficients b_0..b_7, scaled to integers
+_THETA = 9.504178996162932e-1
+_PADE = (17297280, 8648640, 1995840, 277200, 25200, 1512, 56, 1)
 
 
 def _expm(A: np.ndarray) -> np.ndarray:
-    """exp(A) by scaling and squaring (Higham 2005, Algorithm 2.3).
+    """exp(A) by scaling and squaring (Higham 2005) with one Pade degree, 7.
 
-    The 1-norm picks the lowest Pade degree m whose theta_m it does not
-    exceed; above theta_13, A is scaled by 2^-s into range and the degree-13
-    approximant is squared s times.  With U and V the odd and even parts of
-    the numerator, the approximant is (V - U)^-1 (V + U).  Degree 13 sums
-    its powers up to A^12 like the lower degrees, where Higham nests them
-    on A^6 to save three products.
+    A 1-norm above theta_7 is scaled by 2^-s into range and the approximant
+    squared s times (s = 6 at a 1-norm of 50).  With U and V the odd and even
+    parts of the numerator, the approximant is (V - U)^-1 (V + U).
     """
     norm = float(np.abs(A).sum(axis=0).max(initial=0.0))
     if not math.isfinite(norm):
         raise ValueError(f"matrix exponential needs a finite matrix, got 1-norm {norm}")
-    for theta, b in _PADE:
-        if norm <= theta:
-            break
-    squarings = 0 if norm <= theta else math.ceil(math.log2(norm / theta))
+    squarings = 0 if norm <= _THETA else math.ceil(math.log2(norm / _THETA))
     A = A / 2.0**squarings
     A2 = A @ A
-    even = [np.eye(A.shape[0]), A2]  # I, A^2, ..., A^(m - 1)
-    while len(even) < len(b) // 2:
-        even.append(even[-1] @ A2)
-    U = A @ sum(c * P for c, P in zip(b[1::2], even))
-    V = sum(c * P for c, P in zip(b[0::2], even))
+    even = [np.eye(A.shape[0]), A2, A2 @ A2]
+    even.append(even[2] @ A2)  # I, A^2, A^4, A^6
+    U = A @ sum(c * P for c, P in zip(_PADE[1::2], even))
+    V = sum(c * P for c, P in zip(_PADE[0::2], even))
     E = np.linalg.solve(V - U, V + U)
     for _ in range(squarings):
         E = E @ E

@@ -28,12 +28,14 @@ __all__ = [
     "JetOrderError",
     "JetShapeError",
     "DomainBoxError",
+    "DomainBox",
     "SmoothMap",
     "jet_space",
     "grouped_space",
     "jet_point",
     "richardson_extrapolate",
     "solve",
+    "bracket",
     "tally",
     "count",
 ]
@@ -624,6 +626,16 @@ def solve(M: Jet, R: Jet) -> Jet:
     return X
 
 
+def bracket(a: Jet, b: Jet, variables) -> Jet:
+    """The Lie bracket [a, b]^i = a^k db^i/dv^k - b^k da^i/dv^k of two vector
+    jets of value shape (n, *batch) over `variables`, the n variables of one
+    group, in the space where `Jet.gradient` lowers that group's cap by one.
+    The terms a^k db^i/dv^k - b^k da^i/dv^k are added in k order."""
+    ga, gb = a.gradient(variables, axis=1), b.gradient(variables, axis=1)
+    target = gb.space.groups
+    return (a.truncated(target) * gb - b.truncated(target) * ga).sum(axis=1)
+
+
 # -- Taylor series of the elementary functions at a point --------------------
 
 
@@ -671,13 +683,30 @@ def _pow_series(p):
 # -- smooth maps --------------------------------------------------------------
 
 
-def _wall(bound, dim: int, missing: float):
-    """A domain wall as (bound, -slack) arrays and as one float pair per
-    coordinate, at `missing` (an infinity) where there is none; x is outside
-    when x - lo < -slack or hi - x < -slack."""
-    bound = np.full(dim, missing) if bound is None else bound
-    floor = -1e-9 * np.maximum(1.0, np.abs(bound))
-    return bound, floor, np.broadcast_to(np.stack([bound, floor], -1), (dim, 2)).tolist()
+class DomainBox:
+    """The one domain rule of maps and charts: x is outside the box when
+    x - lo < -1e-9 max(1, |lo|) or hi - x < -1e-9 max(1, |hi|), a relative
+    slack that absorbs rounding at the walls.  A bound of None is no wall."""
+
+    def __init__(self, lo, hi, dim: int):
+        self._lo = np.broadcast_to(-np.inf if lo is None else np.asarray(lo, dtype=float), (dim,))
+        self._hi = np.broadcast_to(np.inf if hi is None else np.asarray(hi, dtype=float), (dim,))
+        self._floors = [-1e-9 * np.maximum(1.0, np.abs(b)) for b in (self._lo, self._hi)]
+        # (lo, its floor, hi, its floor) per coordinate, as floats
+        self._rows = np.stack([self._lo, self._floors[0], self._hi, self._floors[1]], -1).tolist()
+
+    def side(self, x: np.ndarray) -> str | None:
+        """Where the point x, of shape (dim,), or a point of the batch x, of
+        shape (dim, *batch), leaves the box: "below", else "above", else None."""
+        if x.ndim == 1:  # one point: plain float comparisons
+            below = above = False
+            for c, (a, f, b, g) in zip(x.tolist(), self._rows):
+                below = below or c - a < f
+                above = above or b - c < g
+        else:
+            below = bool((x.T - self._lo < self._floors[0]).any())
+            above = bool((self._hi - x.T < self._floors[1]).any())
+        return "below" if below else "above" if above else None
 
 
 class SmoothMap:
@@ -693,8 +722,8 @@ class SmoothMap:
     the point's coordinates as floats (numpy scalars, or arrays for a batch of
     points) and does the IEEE operations an order-0 jet would do, except that
     a product of two jets is summed onto +0.0, so ``-0.0`` from a float
-    product reads ``+0.0`` on jets.  Evaluation outside the box raises, never
-    extrapolates; a relative slack of 1e-9 absorbs rounding at the walls.
+    product reads ``+0.0`` on jets.  Evaluation outside the `DomainBox`
+    raises, never extrapolates.
     """
 
     def __init__(
@@ -712,23 +741,13 @@ class SmoothMap:
         self.hi = None if hi is None else np.asarray(hi, dtype=float)
         self.name = name
         self.max_order = max_order
-        self._lo_wall = _wall(self.lo, dim, -np.inf)
-        self._hi_wall = _wall(self.hi, dim, np.inf)
+        self._box = DomainBox(self.lo, self.hi, dim)
 
     def _check_domain(self, v: np.ndarray):
-        (lo, lo_floor, lo_pairs), (hi, hi_floor, hi_pairs) = self._lo_wall, self._hi_wall
-        if v.ndim == 1:  # one point: plain float comparisons
-            below = above = False
-            for c, (a, f), (b, g) in zip(v.tolist(), lo_pairs, hi_pairs):
-                below = below or c - a < f
-                above = above or b - c < g
-        else:
-            below = bool((v.T - lo < lo_floor).any())
-            above = bool((hi - v.T < hi_floor).any())
-        if below:
-            raise DomainBoxError(f"{self.name or 'map'}: point below domain box {self.lo}")
-        if above:
-            raise DomainBoxError(f"{self.name or 'map'}: point above domain box {self.hi}")
+        side = self._box.side(v)
+        if side is not None:
+            bound = self.lo if side == "below" else self.hi
+            raise DomainBoxError(f"{self.name or 'map'}: point {side} domain box {bound}")
 
     def jets(self, args: Sequence[Jet]) -> Jet:
         if len(args) != self.dim:

@@ -6,9 +6,10 @@ batch axis, in which case all evaluation is columnwise.  Fields given by a
 function of the coordinates are `jets.SmoothMap`s: the polynomial and
 expression fields below, and the base fields of the curvature module, so a
 base field brackets directly; indicatrix fields and brackets are the others.
-Brackets are formed lazily: [X, Y]^i = X^j dY^i/dx^j - Y^j dX^i/dx^j consumes
-one jet order from each parent, so a field of finite order capability
-eventually exhausts and the bracket reports the order it would have needed.
+Brackets are formed lazily: [X, Y]^i = X^j dY^i/dx^j - Y^j dX^i/dx^j, the
+`jets.bracket` that fiber brackets use too, consumes one jet order from each
+parent, so a field of finite order capability eventually exhausts and the
+bracket reports the order it would have needed.
 
 Spans are measured numerically: fields are evaluated on a fixed list of
 sample points, stacked into a matrix, and the rank is the number of singular
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .curvature import ihol_generators
-from .jets import Jet, JetOrderError, SmoothMap
+from .jets import Jet, JetOrderError, SmoothMap, bracket
 from .expressions import parse_expression
 from .finsler import indicatrix_samples
 
@@ -114,7 +115,7 @@ class ExpressionField(SmoothMap):
 
 
 class BracketField:
-    """The lazy Lie bracket [X, Y]^i = X^j dY^i/dx^j - Y^j dX^i/dx^j.
+    """The lazy Lie bracket [X, Y]^i = X^j dY^i/dx^j - Y^j dX^i/dx^j, `jets.bracket`.
 
     Evaluating at order m pulls order m + 1 from both parents; one derivative
     order is consumed per bracket, which bounds how deep a chain of brackets
@@ -143,15 +144,9 @@ class BracketField:
                 f"{self.label}: bracket at order {order} needs order {order + 1} "
                 f"parent jets, but only {self.max_order + 1} are available"
             )
-        tx = self.X.taylor(center, order + 1)
-        ty = self.Y.taylor(center, order + 1)
-        target, xs = ((self.dim, order),), range(self.dim)
-        # [i, j] = X^j dY^i/dx^j - Y^j dX^i/dx^j, summed over j in order
-        terms = (
-            tx.truncated(target) * ty.gradient(xs, axis=1)
-            - ty.truncated(target) * tx.gradient(xs, axis=1)
+        return bracket(
+            self.X.taylor(center, order + 1), self.Y.taylor(center, order + 1), range(self.dim)
         )
-        return terms.sum(axis=1)
 
 
 # -- spans and ranks -----------------------------------------------------------

@@ -537,13 +537,14 @@ def parallel_transports(norm: FinslerNorm, curves, ys) -> list[TransportResult]:
 
 
 def holonomy_map(norm: FinslerNorm, loop: CurveSpec, samples) -> np.ndarray:
-    """Transport indicatrix samples around a closed loop; returns (n, B).
-
-    Samples must satisfy F(p, v) = 1 within 1e-10 at the loop's base point.
+    """Transport indicatrix samples, of shape (n,) or (n, B), around a closed
+    loop; returns (n, B).  Any other shape raises ValueError.  Samples must
+    satisfy F(p, v) = 1 within 1e-10 at the loop's base point.
     """
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    if samples.shape[0] != norm.dim:
-        samples = samples.T
+    samples = np.asarray(samples, dtype=float)
+    if samples.ndim not in (1, 2) or samples.shape[0] != norm.dim:
+        raise ValueError(f"samples need shape ({norm.dim},) or ({norm.dim}, B), got {samples.shape}")
+    samples = samples[:, None] if samples.ndim == 1 else samples
     if loop.closure_gap() > _JUNCTION_TOL:
         raise ValueError("holonomy needs a closed loop")
     f = norm.value(loop.start, samples)

@@ -1,8 +1,10 @@
 """Second routes to quantities the package computes, for the tests to check
 it against: Taylor composition and Richardson differences against jets, the
 horizontal flow against transport, the bundle commutator against the Berwald
-derivative, and the reversed curve.  So that no route certifies itself, they
-use only names the package's modules export (`test_layering` checks this).
+derivative, the reversed curve, and on the circle exact trigonometric
+brackets and closure ranks and the closed-form flows of sin(k theta) d/dtheta.
+So that no route certifies itself, they use only names the package's modules
+export (`test_layering` checks this).
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from types import SimpleNamespace
 from typing import Sequence
 
@@ -239,3 +242,122 @@ def vertical_field(xi: IndicatrixVectorField) -> SimpleNamespace:
         return Jet(xij.space, np.concatenate([np.zeros_like(xij.coeffs), xij.coeffs], axis=1))
 
     return SimpleNamespace(taylor=taylor)
+
+
+# -- the circle: exact trigonometric fields and closed-form flows -------------
+#
+# A field u(theta) d/dtheta is a trigonometric polynomial, held as
+# {("cos", k): c, ("sin", k): c} with Fraction coefficients, k >= 0, and no
+# ("sin", 0) term.
+
+
+def _trig_add(terms: dict, kind: str, k: int, c: Fraction) -> None:
+    if k < 0:  # cos(-x) = cos(x), sin(-x) = -sin(x)
+        k, c = -k, c if kind == "cos" else -c
+    if kind == "cos" or k > 0:
+        terms[kind, k] = terms.get((kind, k), 0) + c
+
+
+def _trig_clean(terms: dict) -> dict:
+    return {key: c for key, c in terms.items() if c != 0}
+
+
+def trig_product(u: dict, v: dict) -> dict:
+    """u v, by the product-to-sum identities."""
+    out: dict = {}
+    for (p, a), c in u.items():
+        for (q, b), d in v.items():
+            h = Fraction(c) * d / 2
+            if p == q == "cos":  # cos a cos b = (cos(a - b) + cos(a + b)) / 2
+                _trig_add(out, "cos", a - b, h)
+                _trig_add(out, "cos", a + b, h)
+            elif p == q == "sin":  # sin a sin b = (cos(a - b) - cos(a + b)) / 2
+                _trig_add(out, "cos", a - b, h)
+                _trig_add(out, "cos", a + b, -h)
+            else:  # sin a cos b = (sin(a + b) + sin(a - b)) / 2
+                s, o = (a, b) if p == "sin" else (b, a)
+                _trig_add(out, "sin", s + o, h)
+                _trig_add(out, "sin", s - o, h)
+    return _trig_clean(out)
+
+
+def trig_derivative(u: dict) -> dict:
+    """u', term by term."""
+    out: dict = {}
+    for (kind, k), c in u.items():
+        if kind == "cos":  # (cos kx)' = -k sin kx
+            _trig_add(out, "sin", k, -k * c)
+        else:  # (sin kx)' = k cos kx
+            _trig_add(out, "cos", k, k * c)
+    return _trig_clean(out)
+
+
+def trig_bracket(u: dict, v: dict) -> dict:
+    """The vector-field bracket [u, v] = u v' - v u' on the circle."""
+    out = dict(trig_product(u, trig_derivative(v)))
+    for key, c in trig_product(v, trig_derivative(u)).items():
+        out[key] = out.get(key, 0) - c
+    return _trig_clean(out)
+
+
+def trig_closure_ranks(generators, depth: int) -> tuple[list, str]:
+    """(rank after each generation, termination) of the bracket closure of
+    trigonometric fields, ranks by exact elimination over Fractions.
+
+    Candidates are admitted in the closure's order: each generation brackets
+    every pair (a, b), a < b, of the fields so far with at least one of the
+    previous generation, in index order, and admits a candidate that raises
+    the rank; a generation that admits nothing ends the closure as
+    "rank-stable", else the depth does, as "depth-limit".
+    """
+    pivots: list = []  # (pivot key, row), each row zero at the earlier pivots
+
+    def admit(u: dict) -> bool:
+        row = dict(u)
+        for key, pivot in pivots:
+            if row.get(key, 0) != 0:
+                factor = row[key] / pivot[key]
+                for k, c in pivot.items():
+                    row[k] = row.get(k, 0) - factor * c
+        row = _trig_clean(row)
+        if row:
+            pivots.append((next(iter(row)), row))
+        return bool(row)
+
+    fields = list(generators)
+    for u in fields:
+        admit(u)
+    ranks, frontier = [], set(range(len(fields)))
+    for _ in range(depth):
+        pairs = [
+            (a, b)
+            for a in range(len(fields))
+            for b in range(a + 1, len(fields))
+            if a in frontier or b in frontier
+        ]
+        new = set()
+        for a, b in pairs:
+            candidate = trig_bracket(fields[a], fields[b])
+            if admit(candidate):
+                new.add(len(fields))
+                fields.append(candidate)
+        ranks.append(len(pivots))
+        if not new:
+            return ranks, "rank-stable"
+        frontier = new
+    return ranks, "depth-limit"
+
+
+def sine_flow(k: int, t: float, theta) -> np.ndarray:
+    """The time-t flow of sin(k theta) d/dtheta, in closed form.
+
+    With phi = k theta, tan(phi / 2) -> e^{kt} tan(phi / 2), taken on the
+    branch of phi / 2 in [pi m - pi/2, pi m + pi/2] that holds the point: the
+    zeros of sin(k theta), phi / 2 = pi m / 2, are fixed points, so no point
+    leaves its branch.
+    """
+    phi = k * np.asarray(theta, dtype=float)
+    m = np.round(phi / (2.0 * np.pi))
+    half = (phi - 2.0 * np.pi * m) / 2.0  # in [-pi/2, pi/2]
+    moved = np.where(np.abs(half) == np.pi / 2, half, np.arctan(np.exp(k * t) * np.tan(half)))
+    return (2.0 * np.pi * m + 2.0 * moved) / k

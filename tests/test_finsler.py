@@ -412,15 +412,6 @@ def _smoothmap_verdict_by_arrays(lo, hi, v):
     return None
 
 
-def _chart_verdict_by_arrays(lo, hi, x):
-    # ChartManifold's box test on numpy arrays, walls widened by the slack
-    slack = 1e-9 * np.maximum(hi - lo, 1.0)
-    low, high = lo - slack, hi + slack
-    if x.ndim > 1:
-        low, high = low[:, None], high[:, None]
-    return bool(np.any(x < low) or np.any(x > high))
-
-
 if st is None:
 
     def test_domain_checks_keep_their_verdicts_at_the_walls():
@@ -452,7 +443,8 @@ else:
     @given(_boxes_and_points())
     def test_domain_checks_keep_their_verdicts_at_the_walls(case):
         # the walls are computed once per box; single points compare floats,
-        # batches compare arrays, and both give the array expressions' verdict
+        # batches compare arrays, and both give the array expressions' verdict;
+        # a chart has no wall rule of its own, so it decides as a map on its box
         lo, hi, x = case
         field = SmoothMap(lambda a: list(a), len(lo), lo=lo, hi=hi)
         try:
@@ -467,4 +459,4 @@ else:
             outside = False
         except ChartDomainError:
             outside = True
-        assert outside == _chart_verdict_by_arrays(lo, hi, x)
+        assert outside == (got is not None)

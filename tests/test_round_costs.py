@@ -35,7 +35,7 @@ def test_median_us_is_the_median_run_per_call():
 
 def test_rows_are_named_once_and_force_each_fold():
     names = [name for name, _ in round_costs.rows()]
-    assert len(names) == len(set(names)) == 4 * 3 + 2 + 2 + 2 * len(round_costs.FOLD_SHAPES)
+    assert len(names) == len(set(names)) == 4 * 3 + 2 + 2 * 2 + 2 * len(round_costs.FOLD_SHAPES)
     space = jets.grouped_space(((2, 3), (2, 6)), 8)
     assert round_costs.fold_label(space, 1, "layered") == (
         "multiply 252 entries 5670 pairs x1 72 layers layered"

@@ -293,6 +293,18 @@ def test_transport_fails_outside_chart(funk):
         parallel_transport(funk, c, np.array([1.0, 0.0]))
 
 
+def test_holonomy_takes_samples_as_columns_only(sphere):
+    # rows (B, n) would be misread when B = n, so no shape but (n,) and (n, B) passes
+    loop = LoopSpec.rectangle([0.9, 0.0], [1.1, 0.2])
+    rows = indicatrix_samples(sphere, loop.start, 3).T
+    with pytest.raises(ValueError, match="shape"):
+        holonomy_map(sphere, loop, rows)
+    one = holonomy_map(sphere, loop, rows[0])
+    assert one.shape == (2, 1)
+    # a batch shares its step sizes, so the columns agree to the tolerance only
+    np.testing.assert_allclose(one[:, 0], holonomy_map(sphere, loop, rows.T)[:, 0], atol=1e-9)
+
+
 def test_holonomy_requires_indicatrix_samples(sphere):
     loop = LoopSpec.rectangle([0.9, 0.0], [1.1, 0.2])
     with pytest.raises(ValueError, match="indicatrix"):

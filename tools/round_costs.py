@@ -7,8 +7,9 @@ Prints the median microseconds per call, over `REPEATS` timed runs of about
 and 12 y-columns at one x; `SmoothMap.value` of a constant base field at one
 point; one `integrate` step (11 requests in 8 rounds) of that field;
 `MatrixCurve.exponential(X).value(t)`, one matrix exponential, at each size in
-`EXP_SIZES`; and `JetSpace.multiply` on product shapes the workloads reach, by
-each fold.
+`EXP_SIZES`, at t = 0.7 and at t = 0, where it exponentiates the zero matrix,
+the most frequent call of a grouplab run; and `JetSpace.multiply` on product
+shapes the workloads reach, by each fold.
 """
 
 import os
@@ -83,6 +84,7 @@ def rows():
     for n in EXP_SIZES:
         curve = grouplab.MatrixCurve.exponential(np.random.default_rng(n).standard_normal((n, n)))
         yield f"MatrixCurve.exponential value n={n}", lambda c=curve: c.value(0.7)
+        yield f"MatrixCurve.exponential value n={n} at t=0", lambda c=curve: c.value(0.0)
     rng = np.random.default_rng(0)
     for groups, total, columns in FOLD_SHAPES:
         space = jets.grouped_space(groups, total)
