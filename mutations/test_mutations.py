@@ -97,6 +97,38 @@ MUTATIONS = (
         ("tests/test_grouplab.py::test_directions_obey_the_lie_algebra_laws",),
     ),
     Mutation(
+        "sine-series-sign-cycle",
+        "jets.py",
+        "cycle = [s, co, -s, -co]",
+        "cycle = [s, co, s, -co]",
+        ("tests/test_jets.py::test_analytic_functions_match_richardson",),
+    ),
+    Mutation(
+        "rk4-third-stage-weight",
+        "transport.py",
+        "2.0 * k[2]",
+        "2.0 * k[1]",
+        (
+            "tests/test_transport.py::test_gauss_bonnet_rectangle",
+            "tests/test_cli.py::test_sphere_holonomy_matches_gauss_bonnet",
+        ),
+    ),
+    Mutation(
+        "measured-order-one-high",
+        "grouplab.py",
+        "    return record.order\n",
+        "    return record.order + 1\n",
+        ("tests/test_grouplab.py::test_scale_curve_measures_an_undeclared_order",),
+    ),
+    Mutation(
+        "bracket-without-radialization",
+        "curvature.py",
+        "    if xi.homogeneity == 1:\n        xi = xi.radialized()\n"
+        "    if eta.homogeneity == 1:\n        eta = eta.radialized()\n",
+        "",
+        ("tests/test_curvature.py::test_bracket_radializes_degree_one_input",),
+    ),
+    Mutation(
         "solve-horner-one-step-short",
         "jets.py",
         "for _ in range(M.space.max_total):",

@@ -46,7 +46,6 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import numpy.random  # noqa: F401  numpy loads it lazily; every task draws from it
-import scipy
 
 from . import __version__
 from .curvature import constant_base_field, coordinate_fields, curvature_field, ihol_generators
@@ -651,7 +650,6 @@ def run_config(config: dict, seed: int, profile: str):
                 "package": "holonomylab",
                 "version": __version__,
                 "numpy": np.__version__,
-                "scipy": scipy.__version__,
                 "seed": int(seed),
                 "tolerance_profile": profile,
             },

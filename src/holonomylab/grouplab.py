@@ -26,8 +26,8 @@ value shape (n, n), so a product runs whole matrices through each jet
 operation, and an inverse is one `jets.solve` against the identity.
 
 The matrix exponential is the module's own `_expm`, Higham's scaling and
-squaring with the one Pade approximant of degree 7, so no run loads
-`scipy.linalg`; the tests keep scipy's `expm` as the independent side.
+squaring with the one Pade approximant of degree 7, so the package needs no
+scipy; the tests keep scipy's `expm` as the independent side.
 """
 
 from __future__ import annotations
@@ -64,6 +64,8 @@ def _expm(A: np.ndarray) -> np.ndarray:
     norm = float(np.abs(A).sum(axis=0).max(initial=0.0))
     if not math.isfinite(norm):
         raise ValueError(f"matrix exponential needs a finite matrix, got 1-norm {norm}")
+    if norm == 0.0:  # every exponential curve's jet at t = 0
+        return np.eye(A.shape[0])
     squarings = 0 if norm <= _THETA else math.ceil(math.log2(norm / _THETA))
     A = A / 2.0**squarings
     A2 = A @ A

@@ -452,7 +452,9 @@ def parallel_transport(norm: FinslerNorm, curve: CurveSpec, y0) -> TransportResu
 
     Every step meets the integrator's one acceptance rule, and a transport
     that cannot meet it raises TransportFailure.  The norm drift
-    |F(end) - F(start)| is measured on the worst batch member.
+    |F(end) - F(start)| is measured on the worst batch member.  The columns
+    of a batch share one step sequence, so a column's bits depend on the
+    batch it rides in and match its lone transport to the tolerance only.
     """
     return parallel_transports(norm, [curve], [y0])[0]
 
@@ -539,7 +541,8 @@ def parallel_transports(norm: FinslerNorm, curves, ys) -> list[TransportResult]:
 def holonomy_map(norm: FinslerNorm, loop: CurveSpec, samples) -> np.ndarray:
     """Transport indicatrix samples, of shape (n,) or (n, B), around a closed
     loop; returns (n, B).  Any other shape raises ValueError.  Samples must
-    satisfy F(p, v) = 1 within 1e-10 at the loop's base point.
+    satisfy F(p, v) = 1 within 1e-10 at the loop's base point.  The columns
+    share one step sequence, so a sample's bits depend on the batch it rides in.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.ndim not in (1, 2) or samples.shape[0] != norm.dim:

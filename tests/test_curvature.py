@@ -426,6 +426,18 @@ def test_berwald_radializes_degree_one_input(sphere):
     assert np.allclose(a, b, atol=1e-12)
 
 
+def test_bracket_radializes_degree_one_input(funk):
+    # passing the raw field gives the bits of radializing it by hand; off the
+    # indicatrix the raw and the radialized field differ
+    q = np.array([0.3, 0.0])
+    e0, e1 = coordinate_fields(funk.manifold)
+    raw = curvature_field(funk, e0, e1, q)
+    eta = berwald_covariant_derivative(raw.radialized(), e0)
+    ys = 1.5 * indicatrix_samples(funk, q, 6)
+    a = fiber_bracket(raw, eta).values(ys)
+    assert a.tobytes() == fiber_bracket(raw.radialized(), eta).values(ys).tobytes()
+
+
 def test_bracket_antisymmetry_and_base_point_check(funk, sphere):
     q = np.array([0.3, 0.0])
     e0, e1 = coordinate_fields(funk.manifold)

@@ -111,6 +111,17 @@ def test_exponential_of_a_non_finite_matrix_names_its_norm():
         assert not np.all(np.isfinite(huge.value(1e-305)))
 
 
+def test_exponential_of_a_zero_matrix_is_the_identity_bitwise():
+    # every exponential curve's jet at t = 0 exponentiates t * X = 0, with a
+    # -0.0 entry wherever t * X has a negative sign
+    rng = np.random.default_rng(5)
+    for n in range(1, 5):
+        for _ in range(10):
+            X = rng.standard_normal((n, n))
+            for t in (0.0, -0.0):
+                assert MatrixCurve.exponential(X).value(t).tobytes() == np.eye(n).tobytes()
+
+
 def test_exponential_jets_match_finite_differences():
     X = np.array([[0.0, 1.0], [-0.5, 0.3]])
     phi = MatrixCurve.exponential(X)
@@ -330,6 +341,21 @@ def test_scale_curve_scales_direction():
         fd = curve_derivative(as_map(scaled), 2, mode="richardson")
         assert fd.converged
         assert np.allclose(scaled.derivative(2), fd.value, rtol=1e-8, atol=1e-8)
+
+
+def test_scale_curve_measures_an_undeclared_order():
+    # the commutator diagonal declares no order, so scale_curve measures it:
+    # order k + l, direction lam C(k + l, k) (YX - XY)
+    k, l, lam = 1, 2, -1.5
+    phi = MatrixCurve.exponential(np.array([[0.0, 1.0], [-0.3, 0.2]]), power=k)
+    psi = MatrixCurve.exponential(np.array([[0.4, 0.0], [1.0, -0.1]]), power=l)
+    diagonal = CommutatorFamily(phi, psi).diagonal()
+    assert diagonal.order is None
+    scaled = scale_curve(diagonal, lam)
+    X, Y = phi.derivative(k), psi.derivative(l)
+    assert scaled.order == order_of_contact(scaled).order == k + l
+    expected = lam * math.comb(k + l, k) * (Y @ X - X @ Y)
+    assert np.allclose(scaled.derivative(k + l), expected, rtol=0.0, atol=1e-12)
 
 
 def test_scale_curve_zero_and_composition():

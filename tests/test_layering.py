@@ -13,8 +13,9 @@ returns one Jet, which the package never stacks again; only `jets`
 reads the index layout of a JetSpace, and only `jets` calls the product
 kernel `JetSpace.multiply`, which other modules reach through
 `JetSpace.product`; only the CLI imports `gc`, since the collector's
-policy is process-wide; and no module imports `scipy.sparse` or
-`scipy.linalg`, not even inside a function, so no run loads either."""
+policy is process-wide; no module imports scipy, not even inside a
+function, so no run loads it; and the third-party modules the package
+imports are exactly its declared runtime dependencies."""
 
 import ast
 import contextlib
@@ -22,12 +23,14 @@ import importlib
 import inspect
 import io
 import json
+import re
 import runpy
 import sys
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import holonomylab
 from holonomylab import cli, curvature, finsler, grouplab, jets, liealg, transport
@@ -172,24 +175,35 @@ def _imports(tree):
             yield node, [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
 
 
+def _package_imports():
+    """(file:line, dotted name) of every absolute import in the package,
+    function bodies included."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node, names in _imports(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            yield from ((f"{path.name}:{node.lineno}", n) for n in names)
+
+
 def test_only_the_cli_sets_collector_policy():
     # the garbage collector's policy is process-wide, so one module owns it
-    importers = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        if path.name == "cli.py":
-            continue
-        for node, names in _imports(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
-            importers.extend(f"{path.name}:{node.lineno}" for n in names if n == "gc")
+    importers = [where for where, n in _package_imports() if n == "gc" and not where.startswith("cli.py:")]
     assert importers == []
 
 
 def test_scipy_submodules_stay_off_the_import_path():
-    # an import of either, even inside a function, costs a run about 0.3 s
-    heavy, found = (["scipy", "sparse"], ["scipy", "linalg"]), []
-    for path in sorted(PACKAGE.glob("*.py")):
-        for node, names in _imports(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
-            found.extend(f"{path.name}:{node.lineno}: {n}" for n in names if n.split(".")[:2] in heavy)
+    # nothing the package computes uses scipy, whose own import costs a cold
+    # start about 10 ms and its submodules about 0.3 s more; the tests keep
+    # scipy's expm as the independent side of the package's exponential
+    found = [f"{where}: {n}" for where, n in _package_imports() if n.split(".")[0] == "scipy"]
     assert found == []
+
+
+def test_declared_dependencies_are_the_imported_ones():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on; the package allows 3.10
+    imported = {n.split(".")[0] for _, n in _package_imports()}
+    third_party = imported - set(sys.stdlib_module_names) - {"holonomylab"}
+    project = tomllib.loads((PACKAGE.parents[1] / "pyproject.toml").read_text(encoding="utf-8"))
+    declared = {re.match(r"[A-Za-z0-9_.-]+", d).group() for d in project["project"]["dependencies"]}
+    assert third_party == declared == {"numpy", "jsonschema"}
 
 
 # Public functions and methods that the package's and the demos' own inputs
