@@ -140,6 +140,20 @@ MUTATIONS = (
             for space in ("one variable", "grouped", "total cut")
         ),
     ),
+    Mutation(
+        "integer-accepts-bools",
+        "cli.py",
+        '_TYPES["number"](v) and (isinstance(v, int) or v.is_integer())',
+        "isinstance(v, int) or (isinstance(v, float) and v.is_integer())",
+        ("tests/test_cli.py::test_config_checks_agree_with_jsonschema",),
+    ),
+    Mutation(
+        "additional-properties-ignored",
+        "cli.py",
+        'extra = [name for name in instance if name not in schema.get("properties", {})]',
+        "extra = []",
+        ("tests/test_cli.py::test_config_checks_agree_with_jsonschema",),
+    ),
 )
 
 

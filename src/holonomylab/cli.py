@@ -18,7 +18,10 @@ derivative-vs-step diagnostics.  Library results are dataclasses; this
 module alone writes JSON and CSV, building each task's results with
 `dataclasses.asdict` and adding the `kind` tags.  Command handlers return
 measurements; `run_config` alone grades them against the tolerance profile,
-so a task's `checks` and `passed` are its only verdicts.
+so a task's `checks` and `passed` are its only verdicts.  Configs and
+reports are checked against the packaged schemas by this module's own
+validator of the Draft 2020-12 keywords they use, so a run loads no
+jsonschema; the tests check the same instances with jsonschema as well.
 
 Exit codes: 0 all declared tolerance checks pass, 1 a numeric check failed
 (report still written), 2 config errors (a file unreadable as UTF-8 JSON of
@@ -43,7 +46,6 @@ from datetime import datetime, timezone
 from importlib import resources
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 import numpy.random  # noqa: F401  numpy loads it lazily; every task draws from it
 
@@ -130,6 +132,109 @@ def load_schema(name: str) -> dict:
     return json.loads(text)
 
 
+# -- schema checks ----------------------------------------------------------------
+# Draft 2020-12 semantics for the keywords the two packaged schemas use.  A
+# schema holding any other keyword, or another form of `$ref` or
+# `additionalProperties`, raises where it is met, so no verdict rests on a rule
+# these checks skip; the tests hold verdicts and error paths equal to jsonschema's.
+
+_KEYWORDS = {
+    "$schema", "$id", "$defs", "title", "description",  # annotations
+    "$ref", "type", "properties", "required", "additionalProperties", "enum", "const",
+    "minimum", "exclusiveMinimum", "items", "minItems", "maxItems", "minProperties",
+    "maxProperties", "oneOf", "allOf", "if", "then",
+}
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "null": lambda v: v is None,
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+}
+_TYPES["integer"] = lambda v: _TYPES["number"](v) and (isinstance(v, int) or v.is_integer())
+# keyword: the type it checks; an instance of any other type passes it
+_APPLIES = {
+    **dict.fromkeys(("properties", "required", "additionalProperties", "minProperties", "maxProperties"), "object"),
+    **dict.fromkeys(("items", "minItems", "maxItems"), "array"),
+    **dict.fromkeys(("minimum", "exclusiveMinimum"), "number"),
+}
+
+
+def _json_equal(a, b) -> bool:
+    """JSON equality: True and 1 differ, 1 and 1.0 do not."""
+    if isinstance(a, bool) or isinstance(b, bool):
+        return a is b
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(map(_json_equal, a, b))
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(_json_equal(a[k], b[k]) for k in a)
+    return a == b
+
+
+def _schema_errors(schema: dict, instance, root: dict, path: tuple = ()):
+    """Yield (instance path, message) for each error of `instance` under
+    `schema`, as jsonschema's `iter_errors` does; `$ref` points into `root`."""
+    if unknown := schema.keys() - _KEYWORDS:
+        raise ValueError(f"schema keywords {sorted(unknown)} are not supported")
+    for key, rule in schema.items():
+        if key in _APPLIES and not _TYPES[_APPLIES[key]](instance):
+            continue
+        if key == "$ref":
+            if not rule.startswith("#/$defs/"):
+                raise ValueError(f"$ref {rule!r} is not supported")
+            yield from _schema_errors(root["$defs"][rule.removeprefix("#/$defs/")], instance, root, path)
+        elif key == "type":
+            names = [rule] if isinstance(rule, str) else rule
+            if not any(_TYPES[name](instance) for name in names):
+                yield path, f"{instance!r} is not of type {', '.join(map(repr, names))}"
+        elif key == "properties":
+            for name, sub in rule.items():
+                if name in instance:
+                    yield from _schema_errors(sub, instance[name], root, (*path, name))
+        elif key == "additionalProperties":
+            if rule is not False:
+                raise ValueError("additionalProperties other than false is not supported")
+            extra = [name for name in instance if name not in schema.get("properties", {})]
+            if extra:
+                were = "was" if len(extra) == 1 else "were"
+                yield path, f"Additional properties are not allowed ({', '.join(map(repr, extra))} {were} unexpected)"
+        elif key == "required":
+            yield from ((path, f"{name!r} is a required property") for name in rule if name not in instance)
+        elif key == "enum" and not any(_json_equal(instance, v) for v in rule):
+            yield path, f"{instance!r} is not one of {rule!r}"
+        elif key == "const" and not _json_equal(instance, rule):
+            yield path, f"{rule!r} was expected"
+        elif key == "minimum" and instance < rule:
+            yield path, f"{instance!r} is less than the minimum of {rule!r}"
+        elif key == "exclusiveMinimum" and instance <= rule:
+            yield path, f"{instance!r} is less than or equal to the minimum of {rule!r}"
+        elif key == "items":
+            for index, item in enumerate(instance):
+                yield from _schema_errors(rule, item, root, (*path, index))
+        elif key in ("minItems", "minProperties") and len(instance) < rule:
+            yield path, f"{instance!r} has {len(instance)} entries, fewer than {rule}"
+        elif key in ("maxItems", "maxProperties") and len(instance) > rule:
+            yield path, f"{instance!r} has {len(instance)} entries, more than {rule}"
+        elif key == "oneOf":
+            valid = sum(not any(_schema_errors(sub, instance, root, path)) for sub in rule)
+            if valid != 1:
+                which = "is not valid under any" if not valid else "is valid under more than one"
+                yield path, f"{instance!r} {which} of the given schemas"
+        elif key == "allOf":
+            for sub in rule:
+                yield from _schema_errors(sub, instance, root, path)
+        elif key == "if" and not any(_schema_errors(rule, instance, root, path)):
+            yield from _schema_errors(schema.get("then", {}), instance, root, path)
+
+
+def _schema_problems(schema: dict, instance, root: dict) -> list:
+    """`path: message` lines of every error of `instance` under `schema`,
+    sorted by path."""
+    found = sorted(_schema_errors(schema, instance, root), key=lambda e: (list(map(str, e[0])), e[1]))
+    return [f"{'/'.join(map(str, path)) or '(root)'}: {message}" for path, message in found]
+
+
 def _py(obj):
     """Recursively convert numpy scalars and arrays for JSON emission; NaN and
     infinities become None."""
@@ -167,24 +272,14 @@ def _finite_float(text: str) -> float:
 def validate_config(config) -> list:
     """Field-level diagnostics for a parsed config; empty when valid.
 
-    Validation always runs against the normalized {tasks: [...]} branch of
-    the published schema so the error paths point at concrete fields
-    instead of a one-of mismatch at the root.
+    Validation runs against the branch of the published schema's one-of
+    that the config's shape picks, a single task or {tasks: [...]}, so the
+    error paths point at concrete fields instead of a one-of mismatch at
+    the root; a single task's paths start at its own fields.
     """
     schema = load_schema("config.schema.json")
-    branch = dict(schema["oneOf"][1])
-    branch["$defs"] = schema["$defs"]
-    single = not (isinstance(config, dict) and "tasks" in config)
-    instance = {"tasks": [config]} if single else config
-    validator = jsonschema.Draft202012Validator(branch)
-    out = []
-    for err in sorted(validator.iter_errors(instance), key=lambda e: (list(map(str, e.absolute_path)), e.message)):
-        path = list(err.absolute_path)
-        if single and len(path) >= 2 and path[0] == "tasks":
-            path = path[2:]
-        where = "/".join(str(p) for p in path) or "(root)"
-        out.append(f"{where}: {err.message}")
-    return out
+    branch = schema["oneOf"][1 if isinstance(config, dict) and "tasks" in config else 0]
+    return _schema_problems(branch, config, schema)
 
 
 def normalize_config(config) -> dict:
@@ -662,7 +757,10 @@ def run_config(config: dict, seed: int, profile: str):
             },
         })
         report.meta = {"tasks": tasks_meta}
-        jsonschema.Draft202012Validator(load_schema("report.schema.json")).validate(report)
+        schema = load_schema("report.schema.json")
+        problems = _schema_problems(schema, report, schema)
+        if problems:
+            raise RuntimeError("\n  ".join(["report fails report.schema.json", *problems]))
         return report, tables_out
 
 

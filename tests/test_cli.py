@@ -1,10 +1,13 @@
 """Config validation, exit codes, determinism, and report formats."""
 
 import contextlib
+import copy
+import functools
 import gc
 import io
 import json
 import math
+import operator
 import os
 import subprocess
 import sys
@@ -53,6 +56,25 @@ def run_cli(tmp_path, payload, *extra):
 
 def read_report(out):
     return json.loads((out / "report.json").read_text())
+
+
+REPORT_SCHEMA = load_schema("report.schema.json")
+REPORT_VALIDATOR = jsonschema.Draft202012Validator(REPORT_SCHEMA)
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _emitted_reports_pass_jsonschema():
+    """Every report a test here writes through `main` has passed the
+    package's report check; jsonschema must accept it too."""
+    emit_checked = cli.emit
+
+    def checked(report, *args):
+        assert [e.message for e in REPORT_VALIDATOR.iter_errors(report)] == []
+        return emit_checked(report, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "emit", checked)
+        yield
 
 
 def test_minimal_metric_check_passes(tmp_path):
@@ -586,6 +608,13 @@ def test_run_config_callable_directly():
     assert task["results"]["diagonal_order"] == 2
 
 
+def test_run_config_refuses_a_report_that_fails_its_schema():
+    # run_config takes configs that skipped validate_config; a label that is
+    # no string reaches the report, whose check names the field
+    with pytest.raises(RuntimeError, match=r"report fails report.schema.json\n  tasks/0/label: 3 is not"):
+        run_config({"command": "grouplab", "op": "sum", "label": 3}, 0, "default")
+
+
 def test_run_config_resolves_every_metric_before_any_task(monkeypatch):
     # a bad metric at task 1 raises with its config path, and task 0 never runs
     ran = []
@@ -791,7 +820,10 @@ def test_constant_norm_fails_its_checks(tmp_path):
 
 # no run imports scipy: nothing the package computes uses it, grouplab
 # computes its own matrix exponential, and the import costs a cold start
-# about 10 ms (scipy.sparse or scipy.linalg about 0.3 s more)
+# about 10 ms (scipy.sparse or scipy.linalg about 0.3 s more); nor
+# jsonschema and the packages it loads, since the CLI checks its two schemas
+# itself, and their import costs a cold start 55-90 ms
+_OFF_THE_RUN = ("scipy", "jsonschema", "referencing", "rpds", "attrs")
 _IMPORT_CASES = {
     "closure": {
         "command": "closure",
@@ -818,21 +850,108 @@ def test_a_run_imports_only_the_scipy_it_needs(tmp_path, case):
         "import json, sys\n"
         "from holonomylab import cli\n"
         f"code = cli.main(['--config', {str(cfg)!r}, '--out', {str(tmp_path / 'out')!r}])\n"
-        "print(json.dumps([code, [m for m in sys.modules if m.split('.')[0] == 'scipy']]))\n"
+        f"print(json.dumps([code, [m for m in sys.modules if m.split('.')[0] in {_OFF_THE_RUN}]]))\n"
     )
     # the child imports the package these tests import
     env = {**os.environ, "PYTHONPATH": str(Path(holonomylab.__file__).parents[1])}
     done = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env
     )
-    code, scipy_modules = json.loads(done.stdout.splitlines()[-1])
+    code, loaded = json.loads(done.stdout.splitlines()[-1])
     assert code == EXIT_PASS
-    assert scipy_modules == []
+    assert loaded == []
+
+
+# a mutation of a config or report drops a node, adds an unknown key beside
+# it, or replaces it with one of these values
+REPLACEMENTS = {"true": True, "two": 2.0, "half": 1.5, "negative": -1, "empty list": [], "unknown name": "shake"}
+EDITS = ("drop", "unknown key", *REPLACEMENTS)
+
+
+def _nodes(value, path=()) -> list:
+    """The path of every node of a JSON value, the root's () first."""
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    return [path] + [p for key, child in items for p in _nodes(child, (*path, key))]
+
+
+def _mutate(value, path, edit):
+    """Make `edit` in place at the node of `value` at `path`, which is not the
+    root; an unknown key goes into the node if it is an object, else beside it."""
+    *above, key = path
+    parent = functools.reduce(operator.getitem, above, value)
+    target = parent[key] if isinstance(parent[key], dict) else parent
+    if edit == "drop":
+        del parent[key]
+    elif edit == "unknown key" and isinstance(target, dict):
+        target["bogus"] = 1
+    elif edit == "unknown key":
+        target.append("bogus")
+    else:
+        parent[key] = copy.deepcopy(REPLACEMENTS[edit])
+
+
+def _agree(validator, instance, problems):
+    """`problems`, the package's `path: message` lines for `instance`, name the
+    error paths that the jsonschema `validator` finds, as often as it does."""
+    want = sorted("/".join(map(str, e.absolute_path)) or "(root)" for e in validator.iter_errors(instance))
+    assert sorted(line.split(": ", 1)[0] for line in problems) == want
+
+
+def _report_problems(report) -> list:
+    return cli._schema_problems(REPORT_SCHEMA, report, REPORT_SCHEMA)
+
+
+@pytest.fixture(scope="module")
+def sample_reports():
+    """Reports of passing and failing checks, a task error, a null value and
+    a closure's rank report."""
+    configs = [
+        {"command": "grouplab", "op": "sum", "k": 1, "l": 2},
+        {"tasks": [{"command": "grouplab", "op": "sum", "k": 1, "l": 2, "constants": "alternate"}]},
+        {"command": "holonomy", "metric": "sphere", "loop": {"rect": [[2.9, 0.0], [3.1, 0.3]]}},
+        {"command": "metric-check", "samples": 5, "metric": {"norm": "sqrt(y1^2 - y2^2)", "lo": [-1, -1], "hi": [1, 1]}},
+        _IMPORT_CASES["closure"],
+    ]
+    with np.errstate(all="ignore"):
+        return [run_config(config, 0, "strict")[0] for config in configs]
+
+
+def test_report_checks_agree_with_jsonschema_on_named_edits(sample_reports):
+    named = [(("provenance", "package"), "unknown key"), (("summary", "passed"), "drop"), (("provenance", "seed"), "half")]
+    for report in sample_reports:
+        assert _report_problems(report) == []
+        _agree(REPORT_VALIDATOR, report, [])
+        for path, edit in named:
+            edited = copy.deepcopy(report)
+            _mutate(edited, path, edit)
+            assert len(_report_problems(edited)) == 1
+            _agree(REPORT_VALIDATOR, edited, _report_problems(edited))
+
+
+@pytest.mark.parametrize(
+    "schema, instance",
+    [
+        ({"type": "string", "pattern": "^a"}, "b"),
+        ({"properties": {"x": {"format": "email"}}}, {"x": "b"}),
+        ({"additionalProperties": {"type": "string"}}, {"x": 1}),
+        ({"$ref": "other.json#/$defs/x"}, 1),
+    ],
+    ids=["pattern", "nested-format", "additional-properties-schema", "remote-ref"],
+)
+def test_a_schema_rule_the_checks_skip_raises(schema, instance):
+    with pytest.raises(ValueError, match="not supported"):
+        cli._schema_problems(schema, instance, schema)
 
 
 if st is None:
 
     def test_exit_codes_on_random_schema_valid_configs():
+        pytest.skip("hypothesis is not installed")
+
+    def test_config_checks_agree_with_jsonschema():
+        pytest.skip("hypothesis is not installed")
+
+    def test_report_checks_agree_with_jsonschema():
         pytest.skip("hypothesis is not installed")
 
 else:
@@ -978,3 +1097,59 @@ else:
                 report = json.loads(text, parse_constant=_reject_constant)
                 errors = [t.get("error", "") for t in report["tasks"]]
                 assert not any(e.startswith("ConfigError") for e in errors), errors
+
+    @st.composite
+    def configs(draw):
+        """A schema-valid task, or a list of up to two with a seed and a profile."""
+        tasks = st.one_of(grouplab_tasks(), closure_tasks(), metric_tasks())
+        if draw(st.booleans()):
+            return draw(tasks)
+        profile = draw(st.sampled_from(("default", "strict")))
+        return {"seed": draw(st.integers(0, 9)), "tolerance_profile": profile, "tasks": draw(st.lists(tasks, max_size=2))}
+
+    @st.composite
+    def mutated(draw, values):
+        """A value drawn from `values`, with one or two EDITS at drawn nodes."""
+        value = copy.deepcopy(draw(values))
+        for _ in range(draw(st.integers(1, 2))):
+            nodes = _nodes(value)
+            _mutate(value, nodes[draw(st.integers(1, len(nodes) - 1))], draw(st.sampled_from(EDITS)))
+        return value
+
+    CONFIG_SCHEMA = load_schema("config.schema.json")
+    CONFIG_VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
+    # the branches validate_config checks: jsonschema then names the same
+    # fields instead of a one-of mismatch at the root
+    TASK_VALIDATOR, TASKS_VALIDATOR = (
+        jsonschema.Draft202012Validator({**branch, "$defs": CONFIG_SCHEMA["$defs"]}) for branch in CONFIG_SCHEMA["oneOf"]
+    )
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(st.one_of(configs(), mutated(configs())))
+    # the named mutations: a required key dropped, an unknown key, True for an
+    # integer and for a number, 2.0 for an integer, a negative seed, an empty
+    # list, an unknown command and op, a loop with two keys, a metric without hi
+    @example({"metric": "sphere", "loop": {"rect": [[1.0, 0.0], [1.3, 0.3]]}})
+    @example({"command": "grouplab", "op": "sum", "bogus": 1})
+    @example({"command": "grouplab", "op": "sum", "k": True})
+    @example({"command": "grouplab", "op": "scale", "lambda": True})
+    @example({"command": "grouplab", "op": "sum", "k": 2.0})
+    @example({"seed": -1, "tasks": []})
+    @example({"command": "closure", "fields": []})
+    @example({"tasks": [{"command": "shake", "metric": "sphere"}, {"command": "grouplab", "op": "twist"}]})
+    @example({"command": "holonomy", "metric": "sphere", "loop": {"rect": [[1.0, 0.0], [1.3, 0.3]], "expressions": ["t"]}})
+    @example({"command": "metric-check", "metric": {"norm": "y1", "lo": [0.0]}})
+    def test_config_checks_agree_with_jsonschema(config):
+        """validate_config accepts exactly the configs that jsonschema accepts,
+        and names the error paths that it finds."""
+        problems = validate_config(config)
+        assert (problems == []) == CONFIG_VALIDATOR.is_valid(config)
+        _agree(TASKS_VALIDATOR if isinstance(config, dict) and "tasks" in config else TASK_VALIDATOR, config, problems)
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_report_checks_agree_with_jsonschema(sample_reports, data):
+        """run_config's report check names the error paths that jsonschema
+        finds in a report with one or two EDITS."""
+        report = data.draw(mutated(st.sampled_from(sample_reports)))
+        _agree(REPORT_VALIDATOR, report, _report_problems(report))

@@ -203,7 +203,7 @@ def test_declared_dependencies_are_the_imported_ones():
     third_party = imported - set(sys.stdlib_module_names) - {"holonomylab"}
     project = tomllib.loads((PACKAGE.parents[1] / "pyproject.toml").read_text(encoding="utf-8"))
     declared = {re.match(r"[A-Za-z0-9_.-]+", d).group() for d in project["project"]["dependencies"]}
-    assert third_party == declared == {"numpy", "jsonschema"}
+    assert third_party == declared == {"numpy"}
 
 
 # Public functions and methods that the package's and the demos' own inputs

@@ -90,25 +90,45 @@ def test_a_flipped_verdict_is_named(tmp_path):
 
     parent, change = _report_runs(tmp_path, edit)
     (line,) = same_reports.differences((0, parent), (1, change))[1:]
+    # the three flipped verdicts are three structural differences
     assert line == (
         "report.json differs (verdicts differ at summary/passed; "
-        "structure differs at summary/passed: True against False)"
+        "structure differs at summary/passed: True against False and 2 more; "
+        "largest move 1.0e+00 at tasks/0/checks/0/value)"
     )
-    assert same_reports.report_move(
-        json.dumps(REPORT).encode(), json.dumps({**REPORT, "summary": {"passed": True}}).encode()
-    ).startswith("verdicts agree; structure differs at summary: keys differ")
 
 
-def test_a_structural_difference_is_named_instead_of_a_move(tmp_path):
+def test_a_structural_difference_is_named_beside_the_moves(tmp_path):
     def edit(report):
         report["tasks"][0]["results"]["singular_values"].append(1e-3)
+        report["tasks"][0]["results"]["singular_values"][2] = 0.75
         report["tasks"][0]["checks"][0]["value"] = 0.5
 
     parent, change = _report_runs(tmp_path, edit)
     assert same_reports.differences((0, parent), (0, change)) == [
         "report.json differs (verdicts agree; structure differs at"
-        " tasks/0/results/singular_values: 3 against 4 entries)"
+        " tasks/0/results/singular_values: 3 against 4 entries;"
+        " largest move 5.0e-01 at tasks/0/checks/0/value)"
     ]
     assert same_reports.report_move(
         json.dumps({"value": 1.0}).encode(), json.dumps({"value": None}).encode()
-    ) == "verdicts agree; structure differs at value: 1.0 against None"
+    ) == "verdicts agree; structure differs at value: 1.0 against None; largest move 0.0e+00 at (no numbers)"
+
+
+def test_the_keys_each_side_lacks_are_named_and_the_walk_goes_on():
+    # the change drops summary.failures and adds summary.num_tasks and a
+    # provenance object, and a singular value moves beyond them
+    change = json.loads(json.dumps(REPORT))
+    change["summary"] = {"passed": True, "num_tasks": 1}
+    change["provenance"] = {"seed": 1}
+    change["tasks"][0]["results"]["singular_values"][0] = 2.5
+    assert same_reports.report_move(json.dumps(REPORT).encode(), json.dumps(change).encode()) == (
+        "verdicts agree; structure differs at (root): only the change has 'provenance' and 1 more; "
+        "largest move 2.0e-01 at tasks/0/results/singular_values/0"
+    )
+    moves, structure = [], []
+    same_reports._walk(REPORT, change, "", moves, structure)
+    assert structure == [
+        "(root): only the change has 'provenance'",
+        "summary: only the parent has 'failures'; only the change has 'num_tasks'",
+    ]

@@ -12,10 +12,11 @@ the same files with the same bytes, `report.meta.json` aside, which holds
 timings.  One line is printed per run, and the exit code is 1 when any run
 differs.  When both sides wrote a `report.json` and it differs, the line also
 says whether every verdict agrees (`summary.passed`, each task's `passed` and
-`error`, each check's `passed`) and how far the report moved: the largest
+`error`, each check's `passed`), the first structural difference and how
+many more there are (the keys only one side has, a list's length, or a
+non-number that differs), and how far the report moved: the largest
 |a - b| / max(|a|, |b|, 1) over the numbers at one JSON path, with that path,
-or else the first structural difference (keys, a list's length, or a
-non-number that differs).
+over every number both sides hold at the same path.
 """
 
 from __future__ import annotations
@@ -58,43 +59,51 @@ def verdicts(report: dict) -> dict:
     return found
 
 
-def _walk(a, b, path: str, moves: list) -> str | None:
+def _walk(a, b, path: str, moves: list, structure: list) -> None:
     """Append (scaled move, path) for each pair of numbers under a and b to
-    moves; return the first structural difference, or None."""
+    moves, and each structural difference to structure.  The walk goes on
+    past a difference: into the keys both objects have and the entries two
+    lists of different lengths share."""
     where = path or "(root)"
     if isinstance(a, dict) and isinstance(b, dict):
-        if a.keys() != b.keys():
-            return f"{where}: keys differ"
-        items = [(str(k), a[k], b[k]) for k in a]
+        lacks = [
+            f"only the {side} has {', '.join(map(repr, sorted(keys)))}"
+            for side, keys in (("parent", a.keys() - b.keys()), ("change", b.keys() - a.keys()))
+            if keys
+        ]
+        if lacks:
+            structure.append(f"{where}: {'; '.join(lacks)}")
+        items = [(str(k), a[k], b[k]) for k in a if k in b]
     elif isinstance(a, list) and isinstance(b, list):
         if len(a) != len(b):
-            return f"{where}: {len(a)} against {len(b)} entries"
+            structure.append(f"{where}: {len(a)} against {len(b)} entries")
         items = [(str(i), x, y) for i, (x, y) in enumerate(zip(a, b))]
     elif all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (a, b)):
         moves.append((abs(a - b) / max(abs(a), abs(b), 1), where))
-        return None
+        return
     else:
-        return None if a == b else f"{where}: {a!r} against {b!r}"
+        if a != b:
+            structure.append(f"{where}: {a!r} against {b!r}")
+        return
     for key, x, y in items:
-        structure = _walk(x, y, f"{path}/{key}" if path else key, moves)
-        if structure:
-            return structure
-    return None
+        _walk(x, y, f"{path}/{key}" if path else key, moves, structure)
 
 
 def report_move(parent: bytes, change: bytes) -> str:
-    """Whether two report.json files agree in every verdict, and how far
-    their numbers moved, or where their structure differs."""
+    """Whether two report.json files agree in every verdict, where their
+    structure differs (the first place, and how many more), and how far
+    their numbers moved."""
     a, b = json.loads(parent), json.loads(change)
     va, vb = verdicts(a), verdicts(b)
     flipped = [path for path in {**va, **vb} if va.get(path) != vb.get(path)]
-    said = f"verdicts differ at {flipped[0]}" if flipped else "verdicts agree"
-    moves = []
-    structure = _walk(a, b, "", moves)
+    said = [f"verdicts differ at {flipped[0]}" if flipped else "verdicts agree"]
+    moves, structure = [], []
+    _walk(a, b, "", moves, structure)
     if structure:
-        return f"{said}; structure differs at {structure}"
+        more = f" and {len(structure) - 1} more" if len(structure) > 1 else ""
+        said.append(f"structure differs at {structure[0]}{more}")
     largest, where = max(moves, default=(0.0, "(no numbers)"))
-    return f"{said}; largest move {largest:.1e} at {where}"
+    return "; ".join([*said, f"largest move {largest:.1e} at {where}"])
 
 
 def differences(parent: tuple, change: tuple) -> list:
