@@ -154,6 +154,13 @@ MUTATIONS = (
         "extra = []",
         ("tests/test_cli.py::test_config_checks_agree_with_jsonschema",),
     ),
+    Mutation(
+        "enum-ignored",
+        "cli.py",
+        'elif key == "enum" and instance not in rule:',
+        'elif key == "enum" and False:',
+        ("tests/test_cli.py::test_config_checks_agree_with_jsonschema",),
+    ),
 )
 
 

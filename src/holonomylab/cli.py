@@ -133,10 +133,11 @@ def load_schema(name: str) -> dict:
 
 
 # -- schema checks ----------------------------------------------------------------
-# Draft 2020-12 semantics for the keywords the two packaged schemas use.  A
-# schema holding any other keyword, or another form of `$ref` or
-# `additionalProperties`, raises where it is met, so no verdict rests on a rule
-# these checks skip; the tests hold verdicts and error paths equal to jsonschema's.
+# Draft 2020-12 semantics for the keywords the two packaged schemas use; their
+# `enum` and `const` values are strings, which `==` compares as jsonschema does.
+# Any other keyword, form of `$ref` or `additionalProperties`, or `enum` or
+# `const` value raises where it is met, so no verdict rests on a rule these
+# checks skip; the tests hold verdicts and error paths equal to jsonschema's.
 
 _KEYWORDS = {
     "$schema", "$id", "$defs", "title", "description",  # annotations
@@ -159,17 +160,6 @@ _APPLIES = {
     **dict.fromkeys(("items", "minItems", "maxItems"), "array"),
     **dict.fromkeys(("minimum", "exclusiveMinimum"), "number"),
 }
-
-
-def _json_equal(a, b) -> bool:
-    """JSON equality: True and 1 differ, 1 and 1.0 do not."""
-    if isinstance(a, bool) or isinstance(b, bool):
-        return a is b
-    if isinstance(a, list) and isinstance(b, list):
-        return len(a) == len(b) and all(map(_json_equal, a, b))
-    if isinstance(a, dict) and isinstance(b, dict):
-        return a.keys() == b.keys() and all(_json_equal(a[k], b[k]) for k in a)
-    return a == b
 
 
 def _schema_errors(schema: dict, instance, root: dict, path: tuple = ()):
@@ -201,9 +191,11 @@ def _schema_errors(schema: dict, instance, root: dict, path: tuple = ()):
                 yield path, f"Additional properties are not allowed ({', '.join(map(repr, extra))} {were} unexpected)"
         elif key == "required":
             yield from ((path, f"{name!r} is a required property") for name in rule if name not in instance)
-        elif key == "enum" and not any(_json_equal(instance, v) for v in rule):
+        elif key in ("enum", "const") and not all(isinstance(v, str) for v in (rule if key == "enum" else [rule])):
+            raise ValueError(f"{key} values other than strings are not supported")
+        elif key == "enum" and instance not in rule:
             yield path, f"{instance!r} is not one of {rule!r}"
-        elif key == "const" and not _json_equal(instance, rule):
+        elif key == "const" and instance != rule:
             yield path, f"{rule!r} was expected"
         elif key == "minimum" and instance < rule:
             yield path, f"{instance!r} is less than the minimum of {rule!r}"
@@ -493,8 +485,8 @@ def _run_curvature(task, norm, rng):
     return results, measured, {"curvature_components": (header, rows)}
 
 
-def _singular_value_rows(report):
-    return [[i, s] for i, s in enumerate(report.singular_values)]
+def _singular_value_table(report):
+    return ["index", "singular_value"], [[i, s] for i, s in enumerate(report.singular_values)]
 
 
 def _run_closure(task, norm, rng):
@@ -515,7 +507,7 @@ def _run_closure(task, norm, rng):
         "trace": {"kind": "closure-trace", **asdict(trace)},
         "labels": span.labels(),
     }
-    tables = {"singular_values": (["index", "singular_value"], _singular_value_rows(report))}
+    tables = {"singular_values": _singular_value_table(report)}
     return results, {}, tables
 
 
@@ -530,14 +522,8 @@ def _run_chain(task, norm, rng):
     gap = float(report.curvature.rank - report.ihol.rank)
     measured = {"chain-monotone": gap}
     tables = {
-        "curvature_singular_values": (
-            ["index", "singular_value"],
-            _singular_value_rows(report.curvature),
-        ),
-        "ihol_singular_values": (
-            ["index", "singular_value"],
-            _singular_value_rows(report.ihol),
-        ),
+        "curvature_singular_values": _singular_value_table(report.curvature),
+        "ihol_singular_values": _singular_value_table(report.ihol),
     }
     results = {
         "kind": "chain-report",

@@ -651,16 +651,14 @@ def _log_series(c, m):
     return rows
 
 
-def _sin_series(c, m):
+def _sin_series(c, m, shift=0):
     s, co = np.sin(c), np.cos(c)
     cycle = [s, co, -s, -co]
-    return [cycle[j % 4] / math.factorial(j) for j in range(m + 1)]
+    return [cycle[(j + shift) % 4] / math.factorial(j) for j in range(m + 1)]
 
 
 def _cos_series(c, m):
-    s, co = np.sin(c), np.cos(c)
-    cycle = [co, -s, -co, s]
-    return [cycle[j % 4] / math.factorial(j) for j in range(m + 1)]
+    return _sin_series(c, m, 1)  # cos = sin', the derivative cycle one step on
 
 
 def _recip_series(c, m):
@@ -717,13 +715,13 @@ class SmoothMap:
     of them bracket.  The evaluator receives one argument per domain variable
     and returns a list of one per codomain component.  :meth:`jets` passes
     jets (all in one space) and stacks the returned jets into one jet of value
-    shape (components, *batch); :meth:`taylor` seeds them at a center, up to an
-    order no higher than `max_order` (None: no limit).  :meth:`value` passes
-    the point's coordinates as floats (numpy scalars, or arrays for a batch of
-    points) and does the IEEE operations an order-0 jet would do, except that
-    a product of two jets is summed onto +0.0, so ``-0.0`` from a float
-    product reads ``+0.0`` on jets.  Evaluation outside the `DomainBox`
-    raises, never extrapolates.
+    shape (components, *batch); :meth:`taylor` seeds them at a center, to any
+    order, since the map is smooth.  :meth:`value` passes the point's
+    coordinates as floats (numpy scalars, or arrays for a batch of points) and
+    does the IEEE operations an order-0 jet would do, except that a product of
+    two jets is summed onto +0.0, so ``-0.0`` from a float product reads
+    ``+0.0`` on jets.  Evaluation outside the `DomainBox` raises, never
+    extrapolates.
     """
 
     def __init__(
@@ -733,14 +731,12 @@ class SmoothMap:
         lo=None,
         hi=None,
         name: str = "",
-        max_order: int | None = None,
     ):
         self.fun = fun
         self.dim = dim
         self.lo = None if lo is None else np.asarray(lo, dtype=float)
         self.hi = None if hi is None else np.asarray(hi, dtype=float)
         self.name = name
-        self.max_order = max_order
         self._box = DomainBox(self.lo, self.hi, dim)
 
     def _check_domain(self, v: np.ndarray):
@@ -758,11 +754,6 @@ class SmoothMap:
 
     def taylor(self, center, order: int) -> Jet:
         """The jet of the map at `center` (shape (dim,) or (dim, batch)) up to `order`."""
-        if self.max_order is not None and order > self.max_order:
-            raise JetOrderError(
-                f"{self.name or 'map'}: order {order} requested, "
-                f"but the map only supports {self.max_order}"
-            )
         return self.jets(jet_point(jet_space(self.dim, order), center))
 
     def value(self, x) -> np.ndarray:

@@ -8,8 +8,8 @@ expression fields below, and the base fields of the curvature module, so a
 base field brackets directly; indicatrix fields and brackets are the others.
 Brackets are formed lazily: [X, Y]^i = X^j dY^i/dx^j - Y^j dX^i/dx^j, the
 `jets.bracket` that fiber brackets use too, consumes one jet order from each
-parent, so a field of finite order capability eventually exhausts and the
-bracket reports the order it would have needed.
+parent.  Every field is smooth, as the paper's tangent algebras are Lie
+subalgebras of the smooth vector fields, so a bracket of any depth evaluates.
 
 Spans are measured numerically: fields are evaluated on a fixed list of
 sample points, stacked into a matrix, and the rank is the number of singular
@@ -32,7 +32,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .curvature import ihol_generators
-from .jets import Jet, JetOrderError, SmoothMap, bracket
+from .jets import Jet, SmoothMap, bracket
 from .expressions import parse_expression
 from .finsler import indicatrix_samples
 
@@ -117,9 +117,8 @@ class ExpressionField(SmoothMap):
 class BracketField:
     """The lazy Lie bracket [X, Y]^i = X^j dY^i/dx^j - Y^j dX^i/dx^j, `jets.bracket`.
 
-    Evaluating at order m pulls order m + 1 from both parents; one derivative
-    order is consumed per bracket, which bounds how deep a chain of brackets
-    of finite-order fields can go.
+    Evaluating at order m pulls order m + 1 from both parents, one derivative
+    order per bracket.
     """
 
     def __init__(self, X, Y):
@@ -132,18 +131,8 @@ class BracketField:
         self.Y = Y
         self.dim = X.dim
         self.label = f"[{field_label(X)},{field_label(Y)}]"
-        capacities = [
-            mo for mo in (getattr(X, "max_order", None), getattr(Y, "max_order", None))
-            if mo is not None
-        ]
-        self.max_order = min(capacities) - 1 if capacities else None
 
     def taylor(self, center, order: int) -> Jet:
-        if self.max_order is not None and order > self.max_order:
-            raise JetOrderError(
-                f"{self.label}: bracket at order {order} needs order {order + 1} "
-                f"parent jets, but only {self.max_order + 1} are available"
-            )
         return bracket(
             self.X.taylor(center, order + 1), self.Y.taylor(center, order + 1), range(self.dim)
         )
@@ -152,27 +141,33 @@ class BracketField:
 # -- spans and ranks -----------------------------------------------------------
 
 
+def _sample_points(points) -> np.ndarray:
+    """Sample points as columns, shape (dim, K); one point may come as (dim,)."""
+    points = np.asarray(points, dtype=float)
+    return points[:, None] if points.ndim == 1 else points
+
+
 def field_values(f, points: np.ndarray) -> np.ndarray:
     """Component values of a field at sample points, shape (dim, K)."""
-    points = np.asarray(points, dtype=float)
-    if points.ndim == 1:
-        points = points[:, None]
-    return np.array(f.taylor(points, 0).value)
+    return np.array(f.taylor(_sample_points(points), 0).value)
+
+
+def _span_row(f, points: np.ndarray) -> np.ndarray:
+    """Field f's row of an evaluation matrix: its values, point-major."""
+    return field_values(f, points).T.ravel()
 
 
 class FieldSpan:
     """Fields with their sample points and the evaluation matrix.
 
-    Row i holds field i's values at every point, point-major, so the matrix
-    is rebuilt identically from the same fields and points.
+    Row i is field i's `_span_row`, so the matrix is rebuilt identically from
+    the same fields and points.
     """
 
     def __init__(self, fields, points):
         if not fields:
             raise ValueError("need at least one field")
-        points = np.asarray(points, dtype=float)
-        if points.ndim == 1:
-            points = points[:, None]
+        points = _sample_points(points)
         if points.shape[1] < 1:
             raise ValueError("need at least one sample point")
         dims = {f.dim for f in fields}
@@ -180,7 +175,7 @@ class FieldSpan:
             raise ValueError("fields and points must share one dimension")
         self.fields = list(fields)
         self.points = points
-        self.matrix = np.stack([field_values(f, points).T.ravel() for f in self.fields])
+        self.matrix = np.stack([_span_row(f, points) for f in self.fields])
 
     @property
     def num_points(self) -> int:
@@ -216,9 +211,12 @@ def numerical_rank(fields, points, tau: float = DEFAULT_TAU) -> RankReport:
 
     Rank counts singular values above tau times the largest one.  The
     stabilization check recomputes the rank on the first half of the points;
-    equality means doubling the sample count did not change the answer.
+    equality means doubling the sample count did not change the answer.  A
+    `FieldSpan` brings its own matrix, so `points` must then be its points.
     """
     span = fields if isinstance(fields, FieldSpan) else FieldSpan(fields, points)
+    if not np.array_equal(_sample_points(points), span.points, equal_nan=True):
+        raise ValueError("points differ from the FieldSpan's sample points")
     dim = span.points.shape[0]
     rank, s = _matrix_rank(span.matrix, tau)
     half_pts = max(1, span.num_points // 2)
@@ -250,7 +248,7 @@ class GenerationRecord:
 @dataclass
 class ClosureTrace:
     """Replayable record of a bracket-closure run; the rank after each
-    generation is its record's `rank_after`."""
+    generation is its record's `rank_after`.  No run writes `notes` yet."""
 
     generations: list = dataclass_field(default_factory=list)
     termination: str = ""
@@ -271,16 +269,8 @@ def _radical_inverses(count: int, base: int) -> np.ndarray:
 
 
 def _default_points(f, count: int = 50) -> np.ndarray:
-    """Deterministic sample points matched to the field's domain.
-
-    Fields anchored to a norm and base point sample its indicatrix; plain
-    fields get the unscrambled Halton block in [-1, 1]^dim that starts after
-    the origin, one prime base per coordinate.
-    """
-    norm = getattr(f, "norm", None)
-    p = getattr(f, "p", None)
-    if norm is not None and p is not None:
-        return indicatrix_samples(norm, p, count)
+    """Sample points for f: the unscrambled Halton block in [-1, 1]^dim that
+    starts after the origin, one prime base per coordinate."""
     primes = (q for q in itertools.count(2) if all(q % r for r in range(2, q)))
     bases = itertools.islice(primes, f.dim)
     return 2.0 * np.stack([_radical_inverses(count, b) for b in bases]) - 1.0
@@ -304,27 +294,15 @@ def lie_closure(generators, depth: int = 3, tau: float = DEFAULT_TAU, points=Non
     fields, points = span.fields, span.points
     rank, _ = _matrix_rank(span.matrix, tau)
     trace = ClosureTrace()
-    frontier = list(range(len(fields)))
+    frontier = set(range(len(fields)))
 
     for g in range(1, depth + 1):
-        frontier_set = set(frontier)
-        pairs = [
-            (a, b)
-            for a in range(len(fields))
-            for b in range(a + 1, len(fields))
-            if a in frontier_set or b in frontier_set
-        ]
-        candidates = []
-        for a, b in pairs:
-            cand = BracketField(fields[a], fields[b])
-            try:
-                row = field_values(cand, points).T.ravel()  # the row FieldSpan builds
-            except JetOrderError as exc:
-                trace.notes.append(f"generation {g}: {cand.label} truncated: {exc}")
-                continue
-            candidates.append((a, b, cand, row))
+        pairs = itertools.combinations(range(len(fields)), 2)
+        pairs = [(a, b) for a, b in pairs if a in frontier or b in frontier]
+        candidates = [BracketField(fields[a], fields[b]) for a, b in pairs]
+        rows = [_span_row(cand, points) for cand in candidates]
         new_labels, parents, new_indices = [], [], []
-        for a, b, cand, row in candidates:
+        for (a, b), cand, row in zip(pairs, candidates, rows):
             trial = np.vstack([span.matrix, row])
             trial_rank, _ = _matrix_rank(trial, tau)
             if trial_rank > rank:
@@ -334,13 +312,11 @@ def lie_closure(generators, depth: int = 3, tau: float = DEFAULT_TAU, points=Non
                 fields.append(cand)
                 new_labels.append(cand.label)
                 parents.append((field_label(fields[a], a), field_label(fields[b], b)))
-        trace.generations.append(
-            GenerationRecord(g, tuple(new_labels), tuple(parents), rank)
-        )
+        trace.generations.append(GenerationRecord(g, tuple(new_labels), tuple(parents), rank))
         if not new_indices:
             trace.termination = "rank-stable"
             break
-        frontier = new_indices
+        frontier = set(new_indices)
     else:
         trace.termination = "depth-limit"
     return span, trace

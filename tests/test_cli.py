@@ -935,8 +935,10 @@ def test_report_checks_agree_with_jsonschema_on_named_edits(sample_reports):
         ({"properties": {"x": {"format": "email"}}}, {"x": "b"}),
         ({"additionalProperties": {"type": "string"}}, {"x": 1}),
         ({"$ref": "other.json#/$defs/x"}, 1),
+        ({"enum": ["a", 1]}, "a"),
+        ({"properties": {"x": {"const": True}}}, {"x": True}),
     ],
-    ids=["pattern", "nested-format", "additional-properties-schema", "remote-ref"],
+    ids=["pattern", "nested-format", "additional-properties-schema", "remote-ref", "non-string-enum", "non-string-const"],
 )
 def test_a_schema_rule_the_checks_skip_raises(schema, instance):
     with pytest.raises(ValueError, match="not supported"):

@@ -7,7 +7,7 @@ import pytest
 from holonomylab import liealg
 from holonomylab.curvature import coordinate_fields, curvature_field, fiber_bracket
 from holonomylab.finsler import catalog_norm, indicatrix_samples
-from holonomylab.jets import JetOrderError, SmoothMap, jet_space, Jet, richardson_extrapolate
+from holonomylab.jets import SmoothMap, jet_space, Jet, richardson_extrapolate
 from holonomylab.liealg import (
     BracketField,
     ExpressionField,
@@ -134,23 +134,6 @@ def test_bracket_dimension_mismatch():
         BracketField(d_dx(2, 0), d_dx(3, 0))
 
 
-def test_bracket_order_exhaustion_diagnostic():
-    def fun(seeds):
-        return [seeds[1], seeds[0] * seeds[1]]
-
-    limited = SmoothMap(fun, 2, name="data", max_order=2)
-    free = PolynomialField(2, [{(1, 0): 1.0}, {}], name="x dx")
-    b = BracketField(limited, free)
-    assert b.max_order == 1
-    b.taylor(np.array([0.2, 0.3]), 1)  # still fine
-    with pytest.raises(JetOrderError) as err:
-        b.taylor(np.array([0.2, 0.3]), 2)
-    assert "order 3" in str(err.value)
-    bb = BracketField(b, free)
-    with pytest.raises(JetOrderError):
-        bb.taylor(np.array([0.2, 0.3]), 1)
-
-
 def test_fiber_bracket_cross_check():
     # the generic bracket on fiber taylor tables agrees with the bundle-aware one
     funk = catalog_norm("funk_disk")
@@ -182,9 +165,14 @@ _CIRCLE_TERMS = {
         (("1", "sin(x)", "cos(x)"), [3], "rank-stable"),
         (("1", "sin(2*x)", "cos(2*x)"), [3], "rank-stable"),
         # each bracket raises the top Fourier mode: an algebra of infinite
-        # dimension, exact ranks 3, 5, 9 and 17 at depths 1-4; depth 4 is not
-        # asserted, since the sampled rank at tau reads 16 there
+        # dimension, exact ranks 3, 5, 9 and 17 at depths 1-4; at depth 4 the
+        # sampled rank at tau reads 16, so that case fails until the rank
+        # rule is mended
         (("sin(x)", "sin(2*x)"), [3, 5, 9], "depth-limit"),
+        pytest.param(
+            ("sin(x)", "sin(2*x)"), [3, 5, 9, 17], "depth-limit",
+            marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 1"),
+        ),
     ],
 )
 def test_circle_closure_ranks_equal_the_exact_ones(texts, ranks, termination):
@@ -277,6 +265,17 @@ def test_rank_invariant_under_recombination():
     A = rng.uniform(-1.0, 1.0, size=(3, 3)) + 3.0 * np.eye(3)  # invertible mix
     recombined = [linear_combination(A[r], fields, name=f"mix{r}") for r in range(3)]
     assert numerical_rank(recombined, pts).rank == base
+
+
+def test_rank_of_a_span_refuses_other_points():
+    # a FieldSpan brings its own matrix: other points are refused, not ignored
+    pts = np.array([[0.7, -0.4, 1.3], [0.2, 0.9, -0.6]])
+    span = FieldSpan([d_dx(2, 0), d_dx(2, 1)], pts)
+    assert numerical_rank(span, pts.copy()).rank == 2
+    assert numerical_rank(span, span.points) == numerical_rank(span.fields, pts)
+    for other in (pts[:, :2], 2.0 * pts, pts[:, 0]):
+        with pytest.raises(ValueError, match="points differ"):
+            numerical_rank(span, other)
 
 
 def test_field_span_shape_checks():
@@ -396,17 +395,6 @@ def test_closure_evaluates_each_field_once(monkeypatch):
     assert len({id(f) for f in evaluated}) == len(evaluated)
     monkeypatch.undo()
     assert np.array_equal(span.matrix, FieldSpan(span.fields, pts).matrix)
-
-
-def test_closure_notes_truncation():
-    def fun(seeds):
-        return [seeds[1], seeds[0]]
-
-    limited = SmoothMap(fun, 2, name="data", max_order=1)
-    other = PolynomialField(2, [{(0, 1): 1.0}, {(1, 0): 2.0}], name="g")
-    pts = np.array([[0.7, -0.4, 1.3], [0.2, 0.9, -0.6]])
-    span, trace = lie_closure([limited, other], depth=2, points=pts)
-    assert any("truncated" in note for note in trace.notes)
 
 
 
